@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -296,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="also write the report to this path")
-        p.add_argument("--parallelism", type=int, default=1, help="worker processes (1 = in-process)")
+        p.add_argument("--parallelism", type=int, default=1, help="worker processes, 1..cpu count (1 = in-process)")
         p.add_argument("--verbose", action="store_true", help="progress on stderr")
 
     p = sub.add_parser("count-functions", help="number of function classes under affine equivalence")
@@ -332,6 +333,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     sys.set_int_max_str_digits(_STR_DIGITS_LIMIT)
     args = _build_parser().parse_args(argv)
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.parallelism <= cpus:
+        report = RunReport(command=args.command, parameters={"parallelism": str(args.parallelism)})
+        report.status = "error"
+        report.results["error"] = f"parallelism = {args.parallelism} outside 1..{cpus}"
+        _emit(report, args)
+        return 2
     try:
         return args.handler(args)
     except (ValueError, AssertionError) as exc:

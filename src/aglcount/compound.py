@@ -16,11 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
 from .fields import FieldTable, field
-from .linalg import GFMatrix, gf2_rank, jordan_block
-from .rm import raw_monomial_images, theta
+from .linalg import GFMatrix, _det, gf2_rank, jordan_block
+from .rm import RMQuotientBasis, raw_monomial_images, theta
 
 __all__ = [
     "AsymptoticReport",
@@ -66,35 +64,7 @@ def _subsets(n: int, r: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _minor_det(f: FieldTable, entries, rows, cols) -> int:
-    sub = [[entries[i][j] for j in cols] for i in rows]
-    return _det_inplace(f, sub)
-
-
-def _det_inplace(f: FieldTable, rows) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    sign_flips = 0
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign_flips += 1
-        pv = rows[col][col]
-        det = f.mul(det, pv)
-        inv = f.inv(pv)
-        for r in range(col + 1, n):
-            factor = rows[r][col]
-            if factor:
-                c = f.mul(factor, inv)
-                for k in range(col, n):
-                    rows[r][k] = f.sub(rows[r][k], f.mul(c, rows[col][k]))
-    if sign_flips % 2:
-        det = f.neg(det)
-    return det
+    return _det(f, [[entries[i][j] for j in cols] for i in rows])
 
 
 def compound_matrix(mat: GFMatrix, r: int) -> GFMatrix:
@@ -114,8 +84,8 @@ def compound_matrix(mat: GFMatrix, r: int) -> GFMatrix:
     return GFMatrix(f, out)
 
 
-def compound_gf2(mat: GFMatrix, r: int) -> np.ndarray:
-    """GF(2) compound as a 0/1 numpy matrix, via monomial substitution.
+def compound_gf2(mat: GFMatrix, r: int) -> GFMatrix:
+    """GF(2) compound via monomial substitution, equal to compound_matrix.
 
     Entry (S, T) is the coefficient of X_S in prod_{i in T} (column i . X),
     i.e. the permanent of A(S, T), which equals the determinant over F_2.
@@ -125,13 +95,8 @@ def compound_gf2(mat: GFMatrix, r: int) -> np.ndarray:
     n = mat.rows
     images = raw_monomial_images(mat.entries, (0,) * n, n, r)
     masks = SubsetIndex(n, r).masks
-    dim = len(masks)
-    out = np.zeros((dim, dim), dtype=np.uint8)
-    for j, tmask in enumerate(masks):
-        img = images[tmask]
-        for i, smask in enumerate(masks):
-            out[i, j] = (img >> smask) & 1
-    return out
+    columns = [[(images[t] >> s) & 1 for s in masks] for t in masks]
+    return GFMatrix(mat.field, list(zip(*columns)))
 
 
 def _direct_sum(a: GFMatrix, b: GFMatrix) -> GFMatrix:
@@ -163,13 +128,10 @@ def check_kronecker_embedding(a: GFMatrix, b: GFMatrix, k: int, l: int) -> bool:
         for s in a_subsets
         for t in b_subsets
     ]
-    if f.q == 2:
-        big = compound_gf2(_direct_sum(a, b), k + l)
-        want = np.kron(compound_gf2(a, k), compound_gf2(b, l))
-        return np.array_equal(big[np.ix_(labels, labels)], want)
-    big = compound_matrix(_direct_sum(a, b), k + l)
-    ca = compound_matrix(a, k)
-    cb = compound_matrix(b, l)
+    compound = compound_gf2 if f.q == 2 else compound_matrix
+    big = compound(_direct_sum(a, b), k + l)
+    ca = compound(a, k)
+    cb = compound(b, l)
     for row_pos, row_label in enumerate(labels):
         ra, rb = divmod(row_pos, len(b_subsets))
         for col_pos, col_label in enumerate(labels):
@@ -180,8 +142,12 @@ def check_kronecker_embedding(a: GFMatrix, b: GFMatrix, k: int, l: int) -> bool:
     return True
 
 
-def _compound_jordan(n: int, r: int) -> np.ndarray:
+def _compound_jordan(n: int, r: int) -> GFMatrix:
     return compound_gf2(jordan_block(field(2), n), r)
+
+
+def _block(entries, rows, cols) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(entries[i][j] for j in cols) for i in rows)
 
 
 def check_jordan_block_structure(n: int, r: int) -> bool:
@@ -190,33 +156,36 @@ def check_jordan_block_structure(n: int, r: int) -> bool:
     diagonal blocks must be the two smaller compounds."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got ({n}, {r})")
-    big = _compound_jordan(n, r)
+    big = _compound_jordan(n, r).entries
     subsets = SubsetIndex(n, r).subsets
     without = [i for i, s in enumerate(subsets) if (n - 1) not in s]
     with_n = [i for i, s in enumerate(subsets) if (n - 1) in s]
-    perm = without + with_n
-    reordered = big[np.ix_(perm, perm)]
-    a = len(without)
-    if reordered[a:, :a].any():
+    if any(any(row) for row in _block(big, with_n, without)):
         return False
     if n == 1:
-        return bool(reordered[0, 0] == 1)
-    top = _compound_jordan(n - 1, r) if r <= n - 1 else np.zeros((0, 0), dtype=np.uint8)
-    bottom = _compound_jordan(n - 1, r - 1)
-    if not np.array_equal(reordered[:a, :a], top):
+        return big[0][0] == 1
+    top = _compound_jordan(n - 1, r).entries if r <= n - 1 else ()
+    if _block(big, without, without) != top:
         return False
-    return np.array_equal(reordered[a:, a:], bottom)
+    return _block(big, with_n, with_n) == _compound_jordan(n - 1, r - 1).entries
 
 
 def check_rank_bound(n: int, r: int) -> bool:
-    """rank(C_r(J_n) - I) >= binom(n-1, r) over F_2."""
+    """rank(C_r(J_n) - I) >= binom(n-1, r) over F_2.
+
+    Column T of C_r(J_n) is the packed image of X_T under J_n, so the
+    columns of C_r(J_n) - I are those images plus X_T, kept on the degree-r
+    slots; they are ranked as packed rows.
+    """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if r > n:
         return True  # empty compound, bound is 0
-    mat = _compound_jordan(n, r)
-    mat = mat ^ np.eye(mat.shape[0], dtype=np.uint8)
-    return gf2_rank(mat) >= comb(n - 1, r)
+    images = raw_monomial_images(jordan_block(field(2), n).entries, (0,) * n, n, r)
+    degree_r = RMQuotientBasis(n, r - 1, r)
+    keep = degree_r.slot_mask
+    rows = [(images[t] ^ (1 << t)) & keep for t in degree_r.monomials]
+    return gf2_rank(rows) >= comb(n - 1, r)
 
 
 # ---------------------------------------------------------------------------

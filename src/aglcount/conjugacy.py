@@ -37,7 +37,6 @@ __all__ = [
     "compute_D",
     "enumerate_classes",
     "enumerate_omega",
-    "permutation_count_s",
 ]
 
 
@@ -70,6 +69,7 @@ class PartitionTuple:
         return max((largest_part(e) for e in self.entries), default=0)
 
     def permutation_count(self) -> int:
+        """Number of distinct arrangements of the full psi-slot tuple."""
         return _permutation_count(self.psi, self.entries)
 
 
@@ -81,11 +81,6 @@ def _permutation_count(psi_d: int, entries: tuple[Partition, ...]) -> int:
     for _, group in itertools.groupby(entries):
         out //= math.factorial(sum(1 for _ in group))
     return out
-
-
-def permutation_count_s(t: PartitionTuple) -> int:
-    """Number of distinct arrangements of the full psi-slot tuple."""
-    return t.permutation_count()
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ assertion means an enumeration or formula bug, never a rounding issue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .conjugacy import ClassIndex, enumerate_classes
@@ -31,12 +30,10 @@ from .numtheory import (
 from .partitions import largest_part
 
 __all__ = [
-    "ClassEvaluation",
     "centralizer_order",
     "class_equation_total",
     "count_function_classes",
     "element_order",
-    "evaluate_class",
     "fix_exponent_at",
     "orbit_exponent",
 ]
@@ -78,7 +75,7 @@ def centralizer_order(idx: ClassIndex) -> int:
             units *= q**l - 1
             denom_exp += l
     for spectrum in idx.spectra:
-        o = _order_of(idx.q, spectrum.d)
+        o = multiplicative_order(idx.q, spectrum.d)
         sub = 0
         for entry in spectrum.entries:
             sub += _pairwise_min_sum(entry)
@@ -97,10 +94,6 @@ def centralizer_order(idx: ClassIndex) -> int:
     if exponent < denom_exp:
         raise AssertionError("centralizer q-power exponent went negative")
     return q ** (exponent - denom_exp) * units
-
-
-def _order_of(q: int, d: int) -> int:
-    return multiplicative_order(q, d)
 
 
 def _ceil_log(p: int, m: int) -> int:
@@ -171,7 +164,7 @@ def _fix_exponent_unchecked(idx: ClassIndex, k: int, cap: int) -> int:
         sub = 0
         for entry in spectrum.entries:
             sub += sum(min(cap, j) * mj for j, mj in enumerate(entry, start=1))
-        total += _order_of(idx.q, spectrum.d) * sub
+        total += multiplicative_order(idx.q, spectrum.d) * sub
     return total
 
 
@@ -188,7 +181,8 @@ def _order_factorization(idx: ClassIndex, order: int) -> dict[int, int]:
     if residue > 1:
         for prime, e in factorize(residue):
             fact[prime] = fact.get(prime, 0) + e
-    assert math.prod(prime**e for prime, e in fact.items()) == order
+    if math.prod(prime**e for prime, e in fact.items()) != order:
+        raise AssertionError("order factorization does not multiply back to the order")
     return fact
 
 
@@ -232,27 +226,6 @@ def orbit_exponent(idx: ClassIndex) -> int:
     if total % b != 0:
         raise AssertionError("orbit-count divisor sum not divisible by the order")
     return total // b
-
-
-@dataclass(frozen=True)
-class ClassEvaluation:
-    """Everything a Burnside term needs, for one class index."""
-
-    index: ClassIndex
-    centralizer: int
-    order: int
-    fix_exponent: int
-    multiplicity: int
-
-
-def evaluate_class(idx: ClassIndex) -> ClassEvaluation:
-    return ClassEvaluation(
-        index=idx,
-        centralizer=centralizer_order(idx),
-        order=element_order(idx),
-        fix_exponent=orbit_exponent(idx),
-        multiplicity=idx.multiplicity(),
-    )
 
 
 def _burnside_chunk(indices: Iterable[ClassIndex], group_order: int, progress=None) -> int:

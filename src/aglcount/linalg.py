@@ -1,4 +1,4 @@
-"""Dense matrices and affine maps over F_q, with fast packed GF(2) rank.
+"""Dense matrices and affine maps over F_q, with a packed-int GF(2) rank.
 
 Row-vector convention throughout: a matrix acts on points by x |-> x A,
 an affine map by x |-> x A + a.  Composition `s.then(t)` applies s first
@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fields import FieldTable
 from .numtheory import agl_group_order, euler_phi
 
@@ -20,6 +18,7 @@ __all__ = [
     "affine_order",
     "boxplus",
     "companion_matrix",
+    "cycle_count",
     "cyclic_orbit_count",
     "fixed_point_count",
     "gf2_rank",
@@ -35,10 +34,10 @@ class GFMatrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, f: FieldTable, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(int, row)) for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
-        if any(not (0 <= x < f.q) for row in rows for x in row):
+        if rows and rows[0] and not (0 <= min(map(min, rows)) and max(map(max, rows)) < f.q):
             raise ValueError("entry out of field range")
         self.field = f
         self.rows = len(rows)
@@ -176,33 +175,9 @@ def _det(f: FieldTable, rows: list[list[int]]) -> int:
     return det
 
 
-def gf2_rank(bits: np.ndarray) -> int:
-    """Rank over GF(2) of a dense 0/1 matrix, via byte-packed elimination."""
-    arr = np.ascontiguousarray(np.asarray(bits, dtype=np.uint8) & 1)
-    if arr.size == 0:
-        return 0
-    m, ncols = arr.shape
-    words = np.packbits(arr, axis=1, bitorder="little")
-    used = np.zeros(m, dtype=bool)
-    rk = 0
-    for col in range(ncols):
-        colbits = (words[:, col >> 3] >> (col & 7)) & 1
-        cand = np.nonzero((colbits == 1) & ~used)[0]
-        if cand.size == 0:
-            continue
-        pivot = cand[0]
-        used[pivot] = True
-        rk += 1
-        if rk == min(m, ncols):
-            break
-        rest = cand[1:]
-        if rest.size:
-            words[rest] ^= words[pivot]
-    return rk
-
-
-def gf2_rank_rows(rows: list[int]) -> int:
-    """Rank over GF(2) of rows packed as ints, by pivot reduction."""
+def gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of rows packed as ints (bit j = column j), by
+    reduction against one pivot row per leading bit."""
     pivots: dict[int, int] = {}
     rank_ = 0
     for row in rows:
@@ -220,11 +195,7 @@ def gf2_rank_rows(rows: list[int]) -> int:
 def rank(mat: GFMatrix) -> int:
     """Row-echelon rank; pivots at the first nonzero entry scanning down."""
     if mat.field.q == 2:
-        if mat.cols <= 64:
-            return gf2_rank_rows(
-                [sum(b << j for j, b in enumerate(row)) for row in mat.entries]
-            )
-        return gf2_rank(np.array(mat.entries, dtype=np.uint8).reshape(mat.rows, mat.cols))
+        return gf2_rank([sum(b << j for j, b in enumerate(row)) for row in mat.entries])
     f = mat.field
     rows = [list(r) for r in mat.entries]
     nrows, ncols = mat.rows, mat.cols
@@ -404,6 +375,21 @@ def point_permutation(sigma: AffineMap) -> list[int]:
     return [_encode(sigma.apply(_decode(c, q, n)), q) for c in range(q**n)]
 
 
+def cycle_count(perm) -> int:
+    """Number of cycles of a permutation of 0 .. len(perm) - 1."""
+    seen = bytearray(len(perm))
+    cycles = 0
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycles += 1
+        cur = start
+        while not seen[cur]:
+            seen[cur] = 1
+            cur = perm[cur]
+    return cycles
+
+
 def cyclic_orbit_count(sigma: AffineMap, method: str = "auto") -> int:
     """Number of orbits of the cyclic group generated by sigma on F_q**n.
 
@@ -416,18 +402,7 @@ def cyclic_orbit_count(sigma: AffineMap, method: str = "auto") -> int:
     if method not in ("auto", "cycle", "divisor"):
         raise ValueError(f"unknown method {method!r}")
     if method == "cycle" or (method == "auto" and q**n <= 1 << 24):
-        perm = point_permutation(sigma)
-        seen = bytearray(len(perm))
-        orbits = 0
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            orbits += 1
-            cur = start
-            while not seen[cur]:
-                seen[cur] = 1
-                cur = perm[cur]
-        return orbits
+        return cycle_count(point_permutation(sigma))
     order = affine_order(sigma)
     total = 0
     power = sigma

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .fields import FieldTable, field
-from .linalg import AffineMap, GFMatrix, point_permutation
+from .linalg import AffineMap, GFMatrix, cycle_count, point_permutation
 from .numtheory import agl_group_order
 
 __all__ = [
@@ -61,20 +61,6 @@ def _iter_invertible_rows(f: FieldTable, n: int) -> Iterator[tuple[tuple[int, ..
     yield from rec([], {zero})
 
 
-def _cycle_count(perm) -> int:
-    seen = bytearray(len(perm))
-    out = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        out += 1
-        cur = start
-        while not seen[cur]:
-            seen[cur] = 1
-            cur = perm[cur]
-    return out
-
-
 def burnside_full(n: int, q: int) -> int:
     """Orbit count of the full function space by summing q**(cycle count of
     every single group element) and dividing exactly by |AGL(n, F_q)|."""
@@ -104,7 +90,7 @@ def _burnside_full_gf2(n: int) -> int:
             img[x] = img[x ^ low] ^ row_bits[low.bit_length() - 1]
         for a in range(points):
             perm = [v ^ a for v in img]
-            total += 1 << _cycle_count(perm)
+            total += 1 << cycle_count(perm)
     return total
 
 
@@ -130,7 +116,7 @@ def _burnside_full_generic(n: int, q: int) -> int:
         for t_index in range(len(points)):
             sh = shift[t_index]
             perm = [sh[v] for v in img]
-            total += q ** _cycle_count(perm)
+            total += q ** cycle_count(perm)
     return total
 
 

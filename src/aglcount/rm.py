@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-import numpy as np
-
 from .conjugacy import ClassIndex, enumerate_classes
 from .formulas import centralizer_order
 from .linalg import AffineMap, GFMatrix, gf2_rank
@@ -209,6 +207,11 @@ class RMQuotientBasis:
     def dim(self) -> int:
         return len(self.monomials)
 
+    @property
+    def slot_mask(self) -> int:
+        """Packed-polynomial mask with one bit per basis monomial slot."""
+        return _slot_mask(self.n, self.s, self.r)
+
 
 @lru_cache(maxsize=None)
 def _basis_monomials(n: int, s: int, r: int) -> tuple[int, ...]:
@@ -219,47 +222,12 @@ def _basis_monomials(n: int, s: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _coordinate_rows(images: list[int | None], monomials: tuple[int, ...], n: int):
-    """Rows of the transposed action matrix: row j = coordinates of the
-    image of monomial j over the basis.  Returns packed ints (small n) or a
-    numpy bit matrix (large n)."""
-    dim = len(monomials)
-    size = 1 << n
-    if size <= 256:
-        rows = []
-        for mono in monomials:
-            img = images[mono]
-            row = 0
-            for col, pos in enumerate(monomials):
-                row |= ((img >> pos) & 1) << col
-            rows.append(row)
-        return rows
-    positions = np.fromiter(monomials, dtype=np.int64, count=dim)
-    nbytes = size >> 3
-    out = np.empty((dim, dim), dtype=np.uint8)
-    for j, mono in enumerate(monomials):
-        img = images[mono]
-        bits = np.unpackbits(
-            np.frombuffer(img.to_bytes(nbytes, "little"), dtype=np.uint8),
-            bitorder="little",
-        )
-        out[j] = bits[positions]
-    return out
-
-
-def _gf2_rank_ints(rows: list[int]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            top = row.bit_length() - 1
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = row
-                rank += 1
-                break
-            row ^= pivot
-    return rank
+@lru_cache(maxsize=None)
+def _slot_mask(n: int, s: int, r: int) -> int:
+    mask = 0
+    for m in _basis_monomials(n, s, r):
+        mask |= 1 << m
+    return mask
 
 
 def action_matrix(sigma: AffineMap, basis: RMQuotientBasis) -> GFMatrix:
@@ -281,19 +249,20 @@ def action_matrix(sigma: AffineMap, basis: RMQuotientBasis) -> GFMatrix:
 
 def fix_on_quotient(sigma: AffineMap, basis: RMQuotientBasis) -> int:
     """2 ** nullity(action matrix - identity): the number of fixed vectors
-    of the induced linear action on the quotient."""
+    of the induced linear action on the quotient.
+
+    Row m of the transposed action matrix minus the identity is the packed
+    image of monomial m plus m itself, kept on the basis slots.  The rank is
+    taken over the packed slots as they stand: substitution never raises
+    degree, so masking off the slots of degree <= s is exactly the reduction
+    modulo R(s, n).
+    """
     if sigma.dim != basis.n:
         raise ValueError("dimension mismatch")
     images = monomial_images(sigma, basis.r)
-    rows = _coordinate_rows(images, basis.monomials, basis.n)
-    dim = basis.dim
-    if isinstance(rows, list):
-        rows = [row ^ (1 << j) for j, row in enumerate(rows)]
-        rank = _gf2_rank_ints(rows)
-    else:
-        rows ^= np.eye(dim, dtype=np.uint8)
-        rank = gf2_rank(rows)
-    return 1 << (dim - rank)
+    keep = basis.slot_mask
+    rows = [(images[m] ^ (1 << m)) & keep for m in basis.monomials]
+    return 1 << (basis.dim - gf2_rank(rows))
 
 
 def _theta_chunk(

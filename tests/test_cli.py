@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -75,6 +76,16 @@ def test_parallelism_yields_identical_report(capsys):
     assert strip_timing(first) == strip_timing(second)
 
 
+def test_parallelism_out_of_range(capsys):
+    cpus = os.cpu_count() or 1
+    for value in ("0", "-1", str(cpus + 1)):
+        code, out = run_cli(capsys, "count-functions", "--q", "2", "--n", "3", "--parallelism", value)
+        assert code == 2, value
+        body = json.loads(out)
+        assert body["status"] == "error"
+        assert "parallelism" in body["results"]["error"]
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     path = tmp_path / "report.json"
     _, out = run_cli(capsys, "count-functions", "--q", "3", "--n", "2", "--out", str(path))
@@ -119,3 +130,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["function_classes"] == "3"
+
+
+def test_runs_without_numpy():
+    script = """
+import sys
+sys.modules["numpy"] = None
+import aglcount, aglcount.cli, aglcount.compound, aglcount.oracle
+from aglcount.compound import check_rank_bound
+from aglcount.rm import theta
+print(theta(5, 1, 3), check_rank_bound(6, 3))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["29", "True"]

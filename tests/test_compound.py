@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from aglcount.compound import (
@@ -65,9 +64,7 @@ def test_compound_gf2_matches_minors():
     for n in range(1, 7):
         m = rand_matrix(rng, f2, n)
         for r in range(n + 1):
-            fast = compound_gf2(m, r)
-            slow = np.array(compound_matrix(m, r).entries, dtype=np.uint8).reshape(fast.shape)
-            assert np.array_equal(fast, slow)
+            assert compound_gf2(m, r) == compound_matrix(m, r)
 
 
 def test_action_matrix_diagonal_blocks_are_compounds():
@@ -119,11 +116,11 @@ def test_jordan_structure_sweep():
 def test_jordan_lower_left_block_is_zero():
     for n in range(2, 9):
         for r in range(1, n + 1):
-            big = compound_gf2(jordan_block(f2, n), r)
+            big = compound_gf2(jordan_block(f2, n), r).entries
             subsets = SubsetIndex(n, r).subsets
             without = [i for i, s in enumerate(subsets) if (n - 1) not in s]
             with_n = [i for i, s in enumerate(subsets) if (n - 1) in s]
-            assert not big[np.ix_(with_n, without)].any()
+            assert not any(big[i][j] for i in with_n for j in without)
 
 
 def test_rank_bound_sweep():

@@ -7,7 +7,6 @@ from aglcount.conjugacy import (
     compute_D,
     enumerate_classes,
     enumerate_omega,
-    permutation_count_s,
 )
 from aglcount.numtheory import multiplicative_order, psi
 from aglcount.oracle import brute_conjugacy_classes
@@ -159,15 +158,15 @@ def test_class_count_examples():
 
 def test_permutation_count_examples():
     t = PartitionTuple.make(7, 2, [(1, 2), (2, 0, 1)])
-    assert permutation_count_s(t) == 2
+    assert t.permutation_count() == 2
     t = PartitionTuple.make(7, 2, [(1,), (1,)])
-    assert permutation_count_s(t) == 1
+    assert t.permutation_count() == 1
     t = PartitionTuple.make(5, 3, [(), (), ()])
-    assert permutation_count_s(t) == 1
+    assert t.permutation_count() == 1
     assert t.entries == ()
     # one nonempty entry in 4 slots: 4 arrangements
     t = PartitionTuple.make(15, 4, [(1,)])
-    assert permutation_count_s(t) == 4
+    assert t.permutation_count() == 4
 
 
 def test_partition_tuple_validation():

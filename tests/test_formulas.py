@@ -1,3 +1,8 @@
+import math
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from aglcount.conjugacy import ClassIndex, PartitionTuple, enumerate_classes
@@ -6,7 +11,6 @@ from aglcount.formulas import (
     class_equation_total,
     count_function_classes,
     element_order,
-    evaluate_class,
     fix_exponent_at,
     orbit_exponent,
 )
@@ -110,11 +114,33 @@ def test_parallel_fold_is_identical():
 
 def test_evaluate_class_consistency():
     for idx in enumerate_classes(3, 2):
-        ev = evaluate_class(idx)
-        assert agl_group_order(3, 2) % ev.centralizer == 0
-        assert ev.order >= 1
-        assert ev.fix_exponent >= 1
-        assert ev.multiplicity == idx.multiplicity()
+        assert agl_group_order(3, 2) % centralizer_order(idx) == 0
+        assert element_order(idx) >= 1
+        assert orbit_exponent(idx) >= 1
+        assert idx.multiplicity() == math.prod(t.permutation_count() for t in idx.spectra)
+
+
+def test_order_factorization_check_survives_optimize():
+    # a factorization that loses a prime must still be caught under -O
+    script = textwrap.dedent(
+        """
+        import sys
+        import aglcount.formulas as formulas
+        from aglcount.conjugacy import enumerate_classes
+
+        if not sys.flags.optimize:
+            raise SystemExit("not running under -O")
+        full = formulas.factorize
+        formulas.factorize = lambda m: full(m)[1:]
+        idx = max(enumerate_classes(3, 2), key=formulas.element_order)
+        formulas.orbit_exponent(idx)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: order factorization" in proc.stderr, proc.stderr
 
 
 def test_formula_matches_matrix_per_power():

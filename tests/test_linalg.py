@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from aglcount.fields import field, poly_divmod
@@ -76,8 +75,8 @@ def test_gf2_rank_matches_naive_elimination():
         rows, cols = rng.randint(1, 12), rng.randint(1, 90)
         bits = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
         want = naive_gf2_rank(bits)
-        assert gf2_rank(np.array(bits, dtype=np.uint8)) == want
-        m = GFMatrix(f2, bits)  # int-packed path below 64 columns, numpy above
+        assert gf2_rank([sum(b << j for j, b in enumerate(row)) for row in bits]) == want
+        m = GFMatrix(f2, bits)  # rows packed into ints at every width
         assert rank(m) == want
         assert rank(m) == rank(m.transpose())
 
@@ -232,3 +231,13 @@ def test_composition_is_block_matrix_product():
 def test_affine_map_requires_invertible_matrix():
     with pytest.raises(ValueError):
         AffineMap(GFMatrix(f2, [[1, 1], [1, 1]]), (0, 0))
+
+
+def test_matrix_rejects_bad_entries():
+    with pytest.raises(ValueError):
+        GFMatrix(f3, [[0, 3]])
+    with pytest.raises(ValueError):
+        GFMatrix(f3, [[1, -1]])
+    with pytest.raises(ValueError):
+        GFMatrix(f3, [[1], [2, 0]])
+    assert GFMatrix(f3, [[], []]).cols == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -150,16 +151,30 @@ def test_fix_is_a_class_function():
 
 
 def test_fix_matches_nullity_of_action_matrix():
+    from aglcount.conjugacy import enumerate_classes
     from aglcount.linalg import nullity
+    from aglcount.reps import build_representative
 
     rng = random.Random(37)
+    cases = []
     for n in (2, 3, 4):
         for s in range(-1, n):
-            basis = RMQuotientBasis(n, s, n)
-            sigma = rand_affine(rng, n)
-            mat = action_matrix(sigma, basis)
-            delta = mat.sub_matrix(GFMatrix.identity(f2, basis.dim))
-            assert fix_on_quotient(sigma, basis) == 2 ** nullity(delta)
+            cases.append((rand_affine(rng, n), RMQuotientBasis(n, s, n)))
+    # packed slot-space rows against the reference matrix, on middle
+    # quotients (s >= 0, r < n) up to 2**9 slots, for random maps and for
+    # class representatives with large fixed spaces
+    for n in range(5, 10):
+        reps = [build_representative(idx) for idx in itertools.islice(enumerate_classes(n, 2), 0, 40, 13)]
+        for sigma in [rand_affine(rng, n), rand_affine(rng, n)] + reps:
+            s = rng.randrange(0, n - 1)
+            r = rng.randrange(s + 1, n)
+            cases.append((sigma, RMQuotientBasis(n, s, r)))
+    for n, s, r in ((8, 0, 4), (8, 2, 6), (9, 1, 3), (9, -1, 9)):
+        cases.append((rand_affine(rng, n), RMQuotientBasis(n, s, r)))
+    for sigma, basis in cases:
+        mat = action_matrix(sigma, basis)
+        delta = mat.sub_matrix(GFMatrix.identity(f2, basis.dim))
+        assert fix_on_quotient(sigma, basis) == 2 ** nullity(delta), (basis, sigma)
 
 
 def test_theta_examples():
