@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -79,9 +80,25 @@ def _emit(report: RunReport, args) -> None:
             handle.write(text)
 
 
+def _fail(report: RunReport, args, message: str) -> int:
+    report.status = "error"
+    report.results["error"] = message
+    _emit(report, args)
+    return 2
+
+
 def _progress(args, message: str) -> None:
     if args.verbose:
         print(message, file=sys.stderr, flush=True)
+
+
+def _count_digits_lower_bound(n: int, q: int) -> float:
+    """log10(q**(q**n) / |AGL(n, F_q)|), a lower bound on the number of
+    decimal digits of the count: no orbit has more elements than the group."""
+    try:
+        return q**n * math.log10(q) - math.log10(agl_group_order(n, q))
+    except OverflowError:
+        return math.inf
 
 
 def _cmd_count_functions(args) -> int:
@@ -90,15 +107,12 @@ def _cmd_count_functions(args) -> int:
         parameters={"q": str(args.q), "n": str(args.n)},
     )
     if not is_prime_power(args.q) or args.q > 512:
-        report.status = "error"
-        report.results["error"] = f"q = {args.q} is not a prime power in 2..512"
-        _emit(report, args)
-        return 2
+        return _fail(report, args, f"q = {args.q} is not a prime power in 2..512")
     if args.n < 0 or args.n > args.max_n:
-        report.status = "error"
-        report.results["error"] = f"n = {args.n} outside 0..{args.max_n} (raise --max-n to override)"
-        _emit(report, args)
-        return 2
+        return _fail(report, args, f"n = {args.n} outside 0..{args.max_n} (raise --max-n to override)")
+    digits = _count_digits_lower_bound(args.n, args.q)
+    if digits > _STR_DIGITS_LIMIT:
+        return _fail(report, args, f"the count has more than {digits:.4g} digits, above the limit {_STR_DIGITS_LIMIT}")
     start = time.perf_counter()
     _progress(args, f"counting function classes for q={args.q}, n={args.n}")
     callback = (lambda done: _progress(args, f"  {done} class indices folded")) if args.verbose else None
@@ -124,28 +138,19 @@ def _cmd_count_cosets(args) -> int:
     }
     report = RunReport(command="count-cosets", parameters=params)
     if args.n < 1 or args.n > args.max_n:
-        report.status = "error"
-        report.results["error"] = f"n = {args.n} outside 1..{args.max_n} (raise --max-n to override)"
-        _emit(report, args)
-        return 2
+        return _fail(report, args, f"n = {args.n} outside 1..{args.max_n} (raise --max-n to override)")
     start = time.perf_counter()
     callback = (lambda done: _progress(args, f"  {done} class indices folded")) if args.verbose else None
     if args.coset_classes:
         if args.n < 2:
-            report.status = "error"
-            report.results["error"] = "coset classes need n >= 2"
-            _emit(report, args)
-            return 2
+            return _fail(report, args, "coset classes need n >= 2")
         value = coset_class_count_M(args.n, jobs=args.parallelism, progress=callback)
         report.results["coset_classes"] = str(value)
     else:
         s = 0 if args.s is None else args.s
         r = args.n if args.r is None else args.r
         if not 0 <= s <= r <= args.n:
-            report.status = "error"
-            report.results["error"] = f"need 0 <= s <= r <= n, got s={s}, r={r}, n={args.n}"
-            _emit(report, args)
-            return 2
+            return _fail(report, args, f"need 0 <= s <= r <= n, got s={s}, r={r}, n={args.n}")
         value = theta(args.n, s, r, jobs=args.parallelism, progress=callback)
         report.results["quotient_classes"] = str(value)
     report.elapsed_seconds = time.perf_counter() - start
@@ -336,10 +341,7 @@ def main(argv=None) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.parallelism <= cpus:
         report = RunReport(command=args.command, parameters={"parallelism": str(args.parallelism)})
-        report.status = "error"
-        report.results["error"] = f"parallelism = {args.parallelism} outside 1..{cpus}"
-        _emit(report, args)
-        return 2
+        return _fail(report, args, f"parallelism = {args.parallelism} outside 1..{cpus}")
     try:
         return args.handler(args)
     except (ValueError, AssertionError) as exc:

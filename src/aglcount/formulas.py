@@ -9,14 +9,21 @@ For a class index this module evaluates, with exact integer arithmetic:
   on F_q**n, which is the exponent e with Fix(rep) = q**e on functions,
 
 and folds them into the total number of AGL(n, F_q) orbits of the space of
-functions F_q**n -> F_q.  Every division asserts exactness; a failed
-assertion means an enumeration or formula bug, never a rounding issue.
+functions F_q**n -> F_q.
+
+``burnside_total`` is the package's one Burnside fold and one process-pool
+path: every count (function classes, the class equation, the quotient codes
+of ``rm``) sums weight * |class| * q**e over the classes.  Every division
+asserts exactness; a failed assertion means an enumeration or formula bug,
+never a rounding issue.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterable, Sequence
+from collections import Counter
+from typing import Sequence
 
 from .conjugacy import ClassIndex, enumerate_classes
 from .numtheory import (
@@ -30,6 +37,7 @@ from .numtheory import (
 from .partitions import largest_part
 
 __all__ = [
+    "burnside_total",
     "centralizer_order",
     "class_equation_total",
     "count_function_classes",
@@ -228,60 +236,82 @@ def orbit_exponent(idx: ClassIndex) -> int:
     return total // b
 
 
-def _burnside_chunk(indices: Iterable[ClassIndex], group_order: int, progress=None) -> int:
-    total = 0
-    done = 0
-    for idx in indices:
-        cent = centralizer_order(idx)
-        size, rem = divmod(group_order, cent)
+def _fold_batch(args) -> tuple[int, Counter]:
+    """Fold one batch of class indices: its length, and per exponent e the
+    sum of weight * class size over the (weight, e) terms of its classes."""
+    batch, group, terms = args
+    coeffs: Counter = Counter()
+    for done, idx in enumerate(batch, start=1):
+        size, rem = divmod(group, centralizer_order(idx))
         if rem:
             raise AssertionError("centralizer does not divide the group order")
-        total += idx.multiplicity() * size * idx.q ** orbit_exponent(idx)
-        done += 1
-        if progress is not None and done % 4096 == 0:
+        for weight, exponent in terms(idx):
+            coeffs[exponent] += weight * size
+    return done, coeffs
+
+
+def _merge(results, q: int, progress) -> int:
+    coeffs: Counter = Counter()
+    done = 0
+    for count, part in results:
+        coeffs.update(part)
+        done += count
+        if progress is not None:
             progress(done)
-    return total
+    # Horner from the top exponent down: one pass for the sum of c * q**e
+    total = 0
+    prev = max(coeffs, default=0)
+    for exponent in sorted(coeffs, reverse=True):
+        total = total * q ** (prev - exponent) + coeffs[exponent]
+        prev = exponent
+    return total * q**prev
 
 
-def _chunked(iterable, size):
-    chunk = []
-    for item in iterable:
-        chunk.append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+def burnside_total(n: int, q: int, terms, jobs: int = 1, progress=None, chunk: int = 2048) -> int:
+    """Undivided Burnside sum over the conjugacy classes of AGL(n, F_q).
+
+    terms(idx) yields (weight, e) pairs: weight counts the classes or
+    representatives the pair stands for and q**e is their fixed count.  The
+    result is the sum of weight * |class| * q**e, collected per exponent.
+    Class indices go in batches of chunk, through a process pool when
+    jobs > 1 (terms must then pickle); progress, if given, gets the running
+    class-index count after every batch on either path.  The result is
+    identical for any jobs.
+    """
+    group = agl_group_order(n, q)
+    position = itertools.count()
+    batches = (b for _, b in itertools.groupby(enumerate_classes(n, q), lambda _: next(position) // chunk))
+    if jobs <= 1:
+        # lazy batches: the serial path holds one class index at a time
+        return _merge(map(_fold_batch, ((b, group, terms) for b in batches)), q, progress)
+    import multiprocessing
+
+    with multiprocessing.Pool(jobs) as pool:
+        work = ((list(b), group, terms) for b in batches)
+        return _merge(pool.imap_unordered(_fold_batch, work), q, progress)
 
 
-def _pool_chunk(args):
-    return _burnside_chunk(*args)
+def _orbit_terms(idx: ClassIndex):
+    return ((idx.multiplicity(), orbit_exponent(idx)),)
+
+
+def _class_terms(idx: ClassIndex):
+    return ((idx.multiplicity(), 0),)
 
 
 def count_function_classes(n: int, q: int, jobs: int = 1, progress=None) -> int:
     """Number of AGL(n, F_q) orbits of the q**(q**n) functions F_q**n -> F_q.
 
     n = 0 returns q by convention (q constant functions, trivial group).
-    With jobs > 1 the class stream is folded by a process pool; the sum is
-    exact and order-independent, so the result is identical for any jobs.
-    An optional progress callback receives the running class-index count
-    (single-job path only).
+    jobs and progress go to ``burnside_total``, as for every count.
     """
     prime_power(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return q
-    group = agl_group_order(n, q)
-    if jobs <= 1:
-        total = _burnside_chunk(enumerate_classes(n, q), group, progress)
-    else:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            work = ((chunk, group) for chunk in _chunked(enumerate_classes(n, q), 2048))
-            total = sum(pool.imap_unordered(_pool_chunk, work))
-    count, rem = divmod(total, group)
+    total = burnside_total(n, q, _orbit_terms, jobs=jobs, progress=progress)
+    count, rem = divmod(total, agl_group_order(n, q))
     if rem:
         raise AssertionError("Burnside sum not divisible by the group order")
     return count
@@ -290,12 +320,4 @@ def count_function_classes(n: int, q: int, jobs: int = 1, progress=None) -> int:
 def class_equation_total(n: int, q: int) -> int:
     """Sum of all conjugacy-class sizes; equals |AGL(n, F_q)| iff the class
     data (enumeration completeness and centralizer orders) is consistent."""
-    group = agl_group_order(n, q)
-    total = 0
-    for idx in enumerate_classes(n, q):
-        cent = centralizer_order(idx)
-        size, rem = divmod(group, cent)
-        if rem:
-            raise AssertionError("centralizer does not divide the group order")
-        total += idx.multiplicity() * size
-    return total
+    return burnside_total(n, q, _class_terms)

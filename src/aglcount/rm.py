@@ -6,19 +6,23 @@ Binary only: the quotient machinery relies on F_2 coefficient arithmetic
 polynomial is a set of monomials.  The hot path packs a whole polynomial
 into one Python int with 2**n indicator bits, so multiplying by an affine
 linear form is a handful of mask/shift/xor operations on that int.
+
+The quotient counts have no fold of their own: each class representative
+fixes 2**nullity cosets, so ``theta`` hands (weight, nullity) terms to the
+shared Burnside fold ``formulas.burnside_total``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from functools import lru_cache, partial
 
-from .conjugacy import ClassIndex, enumerate_classes
-from .formulas import centralizer_order
+from .conjugacy import ClassIndex
+from .formulas import burnside_total
 from .linalg import AffineMap, GFMatrix, gf2_rank
 from .numtheory import agl_group_order
+from .reps import iter_class_representatives
 
 __all__ = [
     "AnfPoly",
@@ -265,57 +269,25 @@ def fix_on_quotient(sigma: AffineMap, basis: RMQuotientBasis) -> int:
     return 1 << (basis.dim - gf2_rank(rows))
 
 
-def _theta_chunk(
-    indices: Iterable[ClassIndex], basis: RMQuotientBasis, group: int, progress=None
-) -> int:
-    from .reps import iter_class_representatives
-
-    total = 0
-    done = 0
-    for idx in indices:
-        cent = centralizer_order(idx)
-        size, rem = divmod(group, cent)
-        if rem:
-            raise AssertionError("centralizer does not divide the group order")
-        for rep, weight in iter_class_representatives(idx):
-            total += weight * size * fix_on_quotient(rep, basis)
-        done += 1
-        if progress is not None and done % 64 == 0:
-            progress(done)
-    return total
-
-
-def _theta_pool_chunk(args):
-    return _theta_chunk(*args)
+def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex):
+    for rep, weight in iter_class_representatives(idx):
+        yield weight, fix_on_quotient(rep, basis).bit_length() - 1
 
 
 def theta(n: int, s: int, r: int, jobs: int = 1, progress=None) -> int:
     """Number of AGL(n, F_2) orbits of R(r, n)/R(s-1, n), by the per-class
-    Burnside sum with fixed points from the quotient action matrices."""
+    Burnside sum with fixed points from the quotient action matrices.
+
+    jobs and progress are passed to ``formulas.burnside_total``, in batches
+    of 16 class indices, since each index costs a rank per representative."""
     if not 0 <= s <= r <= n:
         raise ValueError(f"need 0 <= s <= r <= n, got ({n}, {s}, {r})")
     if n < 1:
         raise ValueError("n must be >= 1")
     basis = RMQuotientBasis(n, s - 1, r)
-    group = agl_group_order(n, 2)
-    if jobs <= 1:
-        total = _theta_chunk(enumerate_classes(n, 2), basis, group, progress)
-    else:
-        import multiprocessing
-
-        def chunks():
-            chunk = []
-            for idx in enumerate_classes(n, 2):
-                chunk.append(idx)
-                if len(chunk) >= 16:
-                    yield (chunk, basis, group)
-                    chunk = []
-            if chunk:
-                yield (chunk, basis, group)
-
-        with multiprocessing.Pool(jobs) as pool:
-            total = sum(pool.imap_unordered(_theta_pool_chunk, chunks()))
-    count, rem = divmod(total, group)
+    terms = partial(_fixed_terms, basis)
+    total = burnside_total(n, 2, terms, jobs=jobs, progress=progress, chunk=16)
+    count, rem = divmod(total, agl_group_order(n, 2))
     if rem:
         raise AssertionError("quotient Burnside sum not divisible by the group order")
     return count

@@ -144,3 +144,23 @@ print(theta(5, 1, 3), check_rank_bound(6, 3))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["29", "True"]
+
+
+def test_unprintable_count_fails_fast():
+    # q = 512, n = 3 has about 3.6e8 digits: rejected before any work
+    def cli(q, n):
+        return subprocess.run(
+            [sys.executable, "-m", "aglcount", "count-functions", "--q", q, "--n", n],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+
+    proc = cli("512", "3")
+    assert proc.returncode == 2
+    body = json.loads(proc.stdout)
+    assert body["status"] == "error"
+    assert "digits" in body["results"]["error"]
+    proc = cli("2", "12")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"

@@ -112,6 +112,28 @@ def test_parallel_fold_is_identical():
     assert count_function_classes(8, 2, jobs=2) == count_function_classes(8, 2)
 
 
+def test_fold_progress_on_both_paths():
+    indices = sum(1 for _ in enumerate_classes(8, 2))
+    for jobs in (1, 2):
+        seen = []
+        count_function_classes(8, 2, jobs=jobs, progress=seen.append)
+        assert seen, jobs
+        assert all(a < b for a, b in zip(seen, seen[1:])), (jobs, seen)
+        assert seen[-1] == indices, (jobs, seen)
+
+
+def test_fold_matches_reference_sum():
+    # the plain per-class sum, one big power per class, with no grouping
+    for q, n in ((2, 10), (3, 5), (5, 4)):
+        group = agl_group_order(n, q)
+        reference = 0
+        for idx in enumerate_classes(n, q):
+            size = group // centralizer_order(idx)
+            reference += idx.multiplicity() * size * q ** orbit_exponent(idx)
+        assert reference % group == 0, (q, n)
+        assert count_function_classes(n, q) == reference // group, (q, n)
+
+
 def test_evaluate_class_consistency():
     for idx in enumerate_classes(3, 2):
         assert agl_group_order(3, 2) % centralizer_order(idx) == 0

@@ -261,3 +261,35 @@ def test_both_quotient_readings_agree():
 
 def test_theta_parallel_identical():
     assert theta(5, 0, 3, jobs=2) == theta(5, 0, 3)
+    assert theta(6, 1, 4, jobs=2) == theta(6, 1, 4)
+
+
+def test_theta_progress_on_both_paths():
+    from aglcount.conjugacy import enumerate_classes
+
+    indices = sum(1 for _ in enumerate_classes(6, 2))
+    for jobs in (1, 2):
+        seen = []
+        theta(6, 1, 4, jobs=jobs, progress=seen.append)
+        assert len(seen) > 1, jobs
+        assert all(a < b for a, b in zip(seen, seen[1:])), (jobs, seen)
+        assert seen[-1] == indices, (jobs, seen)
+
+
+def test_theta_matches_reference_sum():
+    # the plain per-representative sum of fixed-coset counts, no grouping
+    from aglcount.conjugacy import enumerate_classes
+    from aglcount.formulas import centralizer_order
+    from aglcount.numtheory import agl_group_order
+    from aglcount.reps import iter_class_representatives
+
+    for n, s, r in ((6, 1, 4), (7, 0, 5)):
+        basis = RMQuotientBasis(n, s - 1, r)
+        group = agl_group_order(n, 2)
+        reference = 0
+        for idx in enumerate_classes(n, 2):
+            size = group // centralizer_order(idx)
+            for rep, weight in iter_class_representatives(idx):
+                reference += weight * size * fix_on_quotient(rep, basis)
+        assert reference % group == 0, (n, s, r)
+        assert theta(n, s, r) == reference // group, (n, s, r)
