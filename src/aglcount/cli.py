@@ -92,6 +92,23 @@ def _progress(args, message: str) -> None:
         print(message, file=sys.stderr, flush=True)
 
 
+class _FoldProgress:
+    """Progress callback for the Burnside fold: keeps the running
+    class-index count and, with --verbose, prints it on stderr with the
+    rate since start."""
+
+    def __init__(self, args, start: float) -> None:
+        self.args = args
+        self.start = start
+        self.done = 0
+
+    def __call__(self, done: int) -> None:
+        self.done = done
+        if self.args.verbose:
+            rate = done / max(time.perf_counter() - self.start, 1e-9)
+            _progress(self.args, f"  {done} class indices folded, {rate:.0f} indices/s")
+
+
 def _count_digits_lower_bound(n: int, q: int) -> float:
     """log10(q**(q**n) / |AGL(n, F_q)|), a lower bound on the number of
     decimal digits of the count: no orbit has more elements than the group."""
@@ -115,16 +132,14 @@ def _cmd_count_functions(args) -> int:
         return _fail(report, args, f"the count has more than {digits:.4g} digits, above the limit {_STR_DIGITS_LIMIT}")
     start = time.perf_counter()
     _progress(args, f"counting function classes for q={args.q}, n={args.n}")
-    callback = (lambda done: _progress(args, f"  {done} class indices folded")) if args.verbose else None
-    value = count_function_classes(args.n, args.q, jobs=args.parallelism, progress=callback)
+    folded = _FoldProgress(args, start)
+    value = count_function_classes(args.n, args.q, jobs=args.parallelism, progress=folded)
     report.elapsed_seconds = time.perf_counter() - start
     report.results["function_classes"] = str(value)
     if args.n >= 1:
         report.results["group_order"] = str(agl_group_order(args.n, args.q))
         if args.verbose_classes:
-            report.results["class_indices"] = str(
-                sum(1 for _ in enumerate_classes(args.n, args.q))
-            )
+            report.results["class_indices"] = str(folded.done)
     _emit(report, args)
     return 0
 
@@ -140,7 +155,7 @@ def _cmd_count_cosets(args) -> int:
     if args.n < 1 or args.n > args.max_n:
         return _fail(report, args, f"n = {args.n} outside 1..{args.max_n} (raise --max-n to override)")
     start = time.perf_counter()
-    callback = (lambda done: _progress(args, f"  {done} class indices folded")) if args.verbose else None
+    callback = _FoldProgress(args, start)
     if args.coset_classes:
         if args.n < 2:
             return _fail(report, args, "coset classes need n >= 2")

@@ -111,6 +111,12 @@ def _direct_sum(a: GFMatrix, b: GFMatrix) -> GFMatrix:
     return GFMatrix(a.field, out)
 
 
+@lru_cache(maxsize=32)
+def _compound(mat: GFMatrix, r: int) -> GFMatrix:
+    # a sweep over every (k, l) meets each matrix at each size many times
+    return compound_gf2(mat, r) if mat.field.q == 2 else compound_matrix(mat, r)
+
+
 def check_kronecker_embedding(a: GFMatrix, b: GFMatrix, k: int, l: int) -> bool:
     """Does the Kronecker product C_k(A) x C_l(B) sit inside C_{k+l} of the
     block-diagonal sum, on the row/column labels S union (shifted T)?"""
@@ -128,10 +134,9 @@ def check_kronecker_embedding(a: GFMatrix, b: GFMatrix, k: int, l: int) -> bool:
         for s in a_subsets
         for t in b_subsets
     ]
-    compound = compound_gf2 if f.q == 2 else compound_matrix
-    big = compound(_direct_sum(a, b), k + l)
-    ca = compound(a, k)
-    cb = compound(b, l)
+    big = _compound(_direct_sum(a, b), k + l)
+    ca = _compound(a, k)
+    cb = _compound(b, l)
     for row_pos, row_label in enumerate(labels):
         ra, rb = divmod(row_pos, len(b_subsets))
         for col_pos, col_label in enumerate(labels):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Sequence
 
 from .conjugacy import ClassIndex, enumerate_classes
@@ -34,7 +35,7 @@ from .numtheory import (
     p_adic_valuation,
     prime_power,
 )
-from .partitions import largest_part
+from .partitions import Partition, largest_part
 
 __all__ = [
     "burnside_total",
@@ -133,19 +134,16 @@ def _is_power_of(p: int, m: int) -> bool:
 def element_order(idx: ClassIndex) -> int:
     """Order of the class representative as a group element."""
     p = prime_power(idx.q).p
-    lcm = 1
-    for spectrum in idx.spectra:
-        lcm = math.lcm(lcm, spectrum.d)
+    lcm = math.lcm(*(spectrum.d for spectrum in idx.spectra))
     m_uni = largest_part(idx.unipotent)
-    m_max = max([m_uni] + [spectrum.largest_part() for spectrum in idx.spectra])
+    m_spectra = max((spectrum.largest_part() for spectrum in idx.spectra), default=0)
+    m_max = max(m_uni, m_spectra)
     if m_max == 0:
         raise AssertionError("index has no parts at all")
     order = lcm * p ** _ceil_log(p, m_max)
     t = idx.marker
-    if t is not None:
-        m_spectra = max((spectrum.largest_part() for spectrum in idx.spectra), default=0)
-        if t == m_uni and t >= m_spectra and _is_power_of(p, t):
-            order *= p
+    if t is not None and t == m_uni and t >= m_spectra and _is_power_of(p, t):
+        order *= p
     return order
 
 
@@ -176,24 +174,6 @@ def _fix_exponent_unchecked(idx: ClassIndex, k: int, cap: int) -> int:
     return total
 
 
-def _order_factorization(idx: ClassIndex, order: int) -> dict[int, int]:
-    # lcm of the active d's plus the p-power tail, assembled prime by prime
-    fact: dict[int, int] = {}
-    for spectrum in idx.spectra:
-        for prime, e in factorize(spectrum.d):
-            fact[prime] = max(fact.get(prime, 0), e)
-    p = prime_power(idx.q).p
-    residue = order
-    for prime, e in fact.items():
-        residue //= prime**e
-    if residue > 1:
-        for prime, e in factorize(residue):
-            fact[prime] = fact.get(prime, 0) + e
-    if math.prod(prime**e for prime, e in fact.items()) != order:
-        raise AssertionError("order factorization does not multiply back to the order")
-    return fact
-
-
 def _divisors_with_phi(fact: dict[int, int]) -> list[tuple[int, int]]:
     out = [(1, 1)]
     for prime, e in fact.items():
@@ -208,29 +188,85 @@ def _divisors_with_phi(fact: dict[int, int]) -> list[tuple[int, int]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _positions(mask: int) -> tuple[int, ...]:
+    """Bit positions of mask: one shared tuple per mask."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@lru_cache(maxsize=None)
+def _divisibility_weights(ds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """L = lcm(ds), the patterns S (sets of positions in ds) for which some
+    divisor k of L is divisible by exactly the ds[i], i in S, and per
+    pattern the sum g_S of phi(L / k) over those k.  The g_S add up to L."""
+    lcm = math.lcm(*ds)
+    fact: dict[int, int] = {}
+    for d in ds:
+        for prime, e in factorize(d):
+            fact[prime] = max(fact.get(prime, 0), e)
+    if math.prod(prime**e for prime, e in fact.items()) != lcm:
+        raise AssertionError("order factorization does not multiply back to the lcm of the orders d")
+    weights: Counter = Counter()
+    for cofactor, phi in _divisors_with_phi(fact):
+        k = lcm // cofactor
+        weights[sum(1 << i for i, d in enumerate(ds) if k % d == 0)] += phi
+    return lcm, tuple(map(_positions, weights)), tuple(weights.values())
+
+
+@lru_cache(maxsize=None)
+def _level_sums(parts: tuple[Partition, ...], p: int, a: int) -> tuple[int, ...]:
+    """For nu = 0..a, the sum over the partitions of sum_j min(p**nu, j) * m_j:
+    the fixed dimension of a unipotent power of p-adic valuation nu on
+    Jordan blocks of these shapes."""
+    out = []
+    cap = 1
+    for _ in range(a + 1):
+        out.append(sum(min(cap, j) * mj for lam in parts for j, mj in enumerate(lam, start=1)))
+        cap *= p
+    return tuple(out)
+
+
 def orbit_exponent(idx: ClassIndex) -> int:
     """Number of orbits of the cyclic group of the representative on F_q**n.
 
     This is the exponent e with Fix(rep) = q**e fixed functions: a function
-    is fixed iff it is constant on every orbit.  Computed as the exact
-    divisor-weighted average of point fix counts over one full period.
+    is fixed iff it is constant on every orbit.  By Burnside it is
+    (1/b) sum_{k | b} phi(b/k) q**e(k), where b = L * p**a is the order, L
+    the lcm of the class's orders d, and q**e(k) counts the points fixed by
+    the k-th power.  e(k) depends only on nu = v_p(k), through U(nu) on the
+    unipotent part and S_d(nu) on the blocks of order d (each o_d wide), and
+    on the pattern S of the d dividing k.  So the sum runs over the levels
+    nu (from the translation threshold up; below it no point is fixed) and
+    the patterns S, not over the divisors:
+
+        (1/b) sum_nu phi(p**(a - nu)) sum_S g_S q**(U(nu) + sum_{d in S} o_d S_d(nu))
+
+    where g_S sums phi(L / k') over the divisors k' of L with pattern S.
     """
     q = idx.q
     p = prime_power(q).p
     b = element_order(idx)
-    fact = _order_factorization(idx, b)
+    spectra = idx.spectra
+    lcm, patterns, weights = _divisibility_weights(tuple(spectrum.d for spectrum in spectra))
+    a = 0
+    tail, rem = divmod(b, lcm)
+    while rem == 0 and tail % p == 0:
+        tail //= p
+        a += 1
+    if rem or tail != 1:
+        raise AssertionError("element order is not the lcm of the orders d times a power of p")
     threshold = 0 if idx.marker is None else 1 + _floor_log(p, idx.marker)
+    if threshold > a:
+        raise AssertionError("translation threshold exceeds the p-adic valuation of the order")
+    unipotent = _level_sums((idx.unipotent,), p, a)
+    blocks = [(multiplicative_order(q, spectrum.d), _level_sums(spectrum.entries, p, a)) for spectrum in spectra]
     total = 0
-    contributed = False
-    for k, _ in _divisors_with_phi(fact):
-        nu = p_adic_valuation(k, p)
-        if nu < threshold:
-            continue
-        contributed = True
-        e = _fix_exponent_unchecked(idx, k, p**nu)
-        total += euler_phi(b // k) * q**e
-    if not contributed:
-        raise AssertionError("no divisor of the order meets the translation threshold")
+    for nu in range(threshold, a + 1):
+        block = [o * levels[nu] for o, levels in blocks]
+        level = 0
+        for dividing, g in zip(patterns, weights):
+            level += g * q ** (unipotent[nu] + sum(block[i] for i in dividing))
+        total += euler_phi(p ** (a - nu)) * level
     if total % b != 0:
         raise AssertionError("orbit-count divisor sum not divisible by the order")
     return total // b

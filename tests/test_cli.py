@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from aglcount.cli import main
+from aglcount.conjugacy import enumerate_classes
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +75,33 @@ def test_parallelism_yields_identical_report(capsys):
     _, first = run_cli(capsys, "count-functions", "--q", "2", "--n", "6", "--parallelism", "1")
     _, second = run_cli(capsys, "count-functions", "--q", "2", "--n", "6", "--parallelism", "2")
     assert strip_timing(first) == strip_timing(second)
+
+
+def test_verbose_classes_counts_indices(capsys):
+    # 2239 indices at q = 2, n = 12: more than one batch of the fold
+    for q, n in ((2, 12), (3, 4), (7, 2)):
+        want = str(sum(1 for _ in enumerate_classes(n, q)))
+        for jobs in ("1", "2"):
+            code, out = run_cli(
+                capsys, "count-functions", "--q", str(q), "--n", str(n), "--verbose-classes", "--parallelism", jobs
+            )
+            assert code == 0
+            assert json.loads(out)["results"]["class_indices"] == want, (q, n, jobs)
+    _, out = run_cli(capsys, "count-functions", "--q", "2", "--n", "0", "--verbose-classes")
+    assert "class_indices" not in json.loads(out)["results"]
+
+
+def test_verbose_progress_shows_rate(capsys):
+    rate_line = re.compile(r"^  (\d+) class indices folded, \d+ indices/s$")
+    indices = sum(1 for _ in enumerate_classes(12, 2))
+    for argv in (("count-functions", "--q", "2", "--n", "12"), ("count-cosets", "--n", "5", "--coset-classes")):
+        for jobs in ("1", "2"):
+            assert main([*argv, "--verbose", "--parallelism", jobs]) == 0
+            err = capsys.readouterr().err.splitlines()
+            done = [int(m.group(1)) for m in map(rate_line.match, err) if m]
+            assert done and done == sorted(done), (argv, jobs, err)
+            if argv[0] == "count-functions":
+                assert done[-1] == indices, (jobs, err)
 
 
 def test_parallelism_out_of_range(capsys):

@@ -98,12 +98,13 @@ def test_kronecker_embedding_examples():
 
 def test_kronecker_embedding_random_sweep():
     rng = random.Random(6)
-    for _ in range(10):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        a, b = rand_matrix(rng, f2, m), rand_matrix(rng, f2, n)
-        for k in range(m + 1):
-            for l in range(n + 1):
-                assert check_kronecker_embedding(a, b, k, l)
+    for f, size in ((f2, 4), (f3, 3)):
+        for _ in range(10):
+            m, n = rng.randint(1, size), rng.randint(1, size)
+            a, b = rand_matrix(rng, f, m), rand_matrix(rng, f, n)
+            for k in range(m + 1):
+                for l in range(n + 1):
+                    assert check_kronecker_embedding(a, b, k, l), (f.q, m, n, k, l)
 
 
 def test_jordan_structure_sweep():

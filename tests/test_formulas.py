@@ -15,7 +15,7 @@ from aglcount.formulas import (
     orbit_exponent,
 )
 from aglcount.linalg import affine_order, cyclic_orbit_count, fixed_point_count
-from aglcount.numtheory import agl_group_order, psi
+from aglcount.numtheory import agl_group_order, divisors, euler_phi, p_adic_valuation, prime_power, psi
 from aglcount.oracle import brute_centralizer, burnside_full, orbit_enumeration
 from aglcount.reps import build_representative
 
@@ -180,3 +180,67 @@ def test_formula_matches_matrix_per_power():
                         assert fixed_point_count(power) == want, (idx, k)
                     power = power.then(rep)
                 assert cyclic_orbit_count(rep) == orbit_exponent(idx), idx
+
+
+def reference_orbit_exponent(idx):
+    # the plain divisor sum: (1/b) sum over every k | b of phi(b/k) q**e(k)
+    q, b = idx.q, element_order(idx)
+    total = 0
+    for k in divisors(b):
+        exp = fix_exponent_at(idx, k)
+        if exp is not None:
+            total += euler_phi(b // k) * q**exp
+    assert total % b == 0, idx
+    return total // b
+
+
+def test_orbit_exponent_matches_divisor_sum():
+    for q, n in ((2, 10), (3, 6), (4, 5), (5, 5), (7, 4), (8, 4), (9, 3)):
+        marked = 0
+        for idx in enumerate_classes(n, q):
+            marked += idx.marker is not None
+            assert orbit_exponent(idx) == reference_orbit_exponent(idx), idx
+        assert marked, (q, n)
+
+
+def test_fix_exponent_depends_on_level_and_pattern():
+    # e(k) is a function of v_p(k) and of the set of d dividing k
+    for q, n in ((2, 8), (3, 5), (4, 4)):
+        p = prime_power(q).p
+        for idx in enumerate_classes(n, q):
+            seen = {}
+            for k in divisors(element_order(idx)):
+                key = (p_adic_valuation(k, p), tuple(k % s.d == 0 for s in idx.spectra))
+                exp = fix_exponent_at(idx, k)
+                assert seen.setdefault(key, exp) == exp, (idx, k)
+
+
+def test_orbit_exponent_matches_orbit_count_of_representative():
+    # orbits of the built representative's cyclic group, counted point by point
+    for q, nmax in ((2, 7), (3, 4), (4, 3), (5, 3), (7, 2), (8, 2), (9, 2)):
+        for n in range(1, nmax + 1):
+            for idx in enumerate_classes(n, q):
+                assert cyclic_orbit_count(build_representative(idx)) == orbit_exponent(idx), idx
+
+
+def test_orbit_exponent_checks_the_order():
+    # an element order that is not lcm(d) * p**a must be caught
+    script = textwrap.dedent(
+        """
+        import sys
+        import aglcount.formulas as formulas
+        from aglcount.conjugacy import enumerate_classes
+
+        if not sys.flags.optimize:
+            raise SystemExit("not running under -O")
+        order = formulas.element_order
+        formulas.element_order = lambda idx: 5 * order(idx)
+        idx = max(enumerate_classes(3, 2), key=order)
+        formulas.orbit_exponent(idx)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: element order" in proc.stderr, proc.stderr
