@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from .fields import FieldTable, field
-from .linalg import GFMatrix, _det, gf2_rank, jordan_block
+from .linalg import GFMatrix, _det, block_diagonal, gf2_rank, jordan_block
 from .rm import RMQuotientBasis, raw_monomial_images, theta
 
 __all__ = [
@@ -99,18 +99,6 @@ def compound_gf2(mat: GFMatrix, r: int) -> GFMatrix:
     return GFMatrix(mat.field, list(zip(*columns)))
 
 
-def _direct_sum(a: GFMatrix, b: GFMatrix) -> GFMatrix:
-    m, n = a.rows, b.rows
-    out = [[0] * (m + n) for _ in range(m + n)]
-    for i in range(m):
-        for j in range(m):
-            out[i][j] = a.entries[i][j]
-    for i in range(n):
-        for j in range(n):
-            out[m + i][m + j] = b.entries[i][j]
-    return GFMatrix(a.field, out)
-
-
 @lru_cache(maxsize=32)
 def _compound(mat: GFMatrix, r: int) -> GFMatrix:
     # a sweep over every (k, l) meets each matrix at each size many times
@@ -134,7 +122,7 @@ def check_kronecker_embedding(a: GFMatrix, b: GFMatrix, k: int, l: int) -> bool:
         for s in a_subsets
         for t in b_subsets
     ]
-    big = _compound(_direct_sum(a, b), k + l)
+    big = _compound(block_diagonal([a, b]), k + l)
     ca = _compound(a, k)
     cb = _compound(b, l)
     for row_pos, row_label in enumerate(labels):

@@ -12,6 +12,12 @@ results are reproducible bit for bit:
 
 Polynomials over F_q are tuples of coefficients, ascending degree, with no
 trailing zeros; () is the zero polynomial.
+
+`irreducibles(q, degree)` is the one enumerator of monic irreducibles: the
+pinned modulus is the least of `irreducibles(p, m)` under the key above,
+`poly_is_irreducible` trial-divides by the irreducibles of degree <= deg/2,
+and the class representatives take their irreducibles of each root order
+from it.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .numtheory import divisors, factorize, prime_power
+from .numtheory import factorize, prime_power
 
 __all__ = [
     "FieldTable",
     "field",
+    "irreducibles",
     "poly_divmod",
     "poly_is_irreducible",
     "poly_mod",
@@ -188,50 +195,9 @@ def _pinned_modulus(p: int, m: int) -> tuple[int, ...]:
     """Deterministic monic irreducible of degree m over F_p.
 
     Minimal number of nonzero coefficients first, then lexicographically
-    least (a_{m-1}, ..., a_0).  Irreducibility over the prime field is
-    checked by trial division, which needs no field tables.
+    least (a_{m-1}, ..., a_0).
     """
-    best = None
-    best_key = None
-    for tail in itertools.product(range(p), repeat=m):
-        f = tuple(tail) + (1,)
-        if f[0] == 0:
-            continue  # divisible by x
-        if not _is_irreducible_prime_field(f, p):
-            continue
-        key = (sum(1 for c in f if c), tuple(reversed(tail)))
-        if best_key is None or key < best_key:
-            best, best_key = f, key
-    if best is None:
-        raise AssertionError(f"no irreducible of degree {m} over F{p}")
-    return best
-
-
-def _is_irreducible_prime_field(f: tuple[int, ...], p: int) -> bool:
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = tuple(tail) + (1,)
-            if _prime_poly_mod(f, g, p) == ():
-                return False
-    return True
-
-
-def _prime_poly_mod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    ra = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    while len(ra) - 1 >= db and ra:
-        lead = ra[-1]
-        if lead:
-            c = (lead * inv_lead) % p
-            off = len(ra) - 1 - db
-            for i, bc in enumerate(b):
-                ra[off + i] = (ra[off + i] - c * bc) % p
-        ra.pop()
-    while ra and ra[-1] == 0:
-        ra.pop()
-    return tuple(ra)
+    return min(irreducibles(p, m), key=lambda f: (sum(1 for c in f if c), f[-2::-1]))
 
 
 @lru_cache(maxsize=None)
@@ -309,18 +275,22 @@ def poly_pow_mod(f: FieldTable, a, e: int, mod) -> tuple[int, ...]:
     return out
 
 
-def _monic_polys(f: FieldTable, degree: int):
-    for tail in itertools.product(f.elements(), repeat=degree):
-        yield tuple(tail) + (1,)
+@lru_cache(maxsize=None)
+def irreducibles(q: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """All monic irreducibles of one degree over F_q (x included at degree
+    1), sorted by their ascending coefficient vectors."""
+    f = field(q)
+    monic = (tail + (1,) for tail in itertools.product(f.elements(), repeat=degree))
+    return tuple(poly for poly in monic if poly_is_irreducible(f, poly))
 
 
 def poly_is_irreducible(f: FieldTable, poly: tuple[int, ...]) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
+    """Trial division by every monic irreducible of degree <= deg/2."""
     deg = len(poly) - 1
     if deg < 1:
         return False
     for d in range(1, deg // 2 + 1):
-        for g in _monic_polys(f, d):
+        for g in irreducibles(f.q, d):
             if not poly_mod(f, poly, g):
                 return False
     return True
@@ -329,13 +299,17 @@ def poly_is_irreducible(f: FieldTable, poly: tuple[int, ...]) -> bool:
 def poly_order(f: FieldTable, poly: tuple[int, ...]) -> int:
     """Multiplicative order of the roots: least e with poly | x**e - 1.
 
-    Requires poly irreducible with nonzero constant term; walks the sorted
-    divisors of q**deg - 1.
+    Requires poly irreducible with nonzero constant term, so that e divides
+    q**deg - 1; strips each prime factor of q**deg - 1 while x**(e/p) is
+    still 1 modulo poly.
     """
     deg = len(poly) - 1
     if poly[0] == 0:
         raise ValueError("order undefined: x divides the polynomial")
-    for e in divisors(f.q**deg - 1):
-        if poly_pow_mod(f, (0, 1), e, poly) == (1,):
-            return e
-    raise AssertionError("no order found below q**deg - 1")
+    e = f.q**deg - 1
+    if poly_pow_mod(f, (0, 1), e, poly) != (1,):
+        raise AssertionError("x**(q**deg - 1) is not 1: the polynomial is reducible")
+    for p, _ in factorize(e):
+        while e % p == 0 and poly_pow_mod(f, (0, 1), e // p, poly) == (1,):
+            e //= p
+    return e

@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import FieldTable
-from .numtheory import agl_group_order, euler_phi
+from .numtheory import agl_group_order
 
 __all__ = [
     "AffineMap",
     "GFMatrix",
     "affine_order",
-    "boxplus",
+    "block_diagonal",
     "companion_matrix",
     "cycle_count",
     "cyclic_orbit_count",
@@ -309,20 +309,21 @@ class AffineMap:
         return AffineMap(inv, moved)
 
 
-def boxplus(a: AffineMap, b: AffineMap) -> AffineMap:
-    """Direct sum: block-diagonal matrix, concatenated translations."""
-    if a.field.q != b.field.q:
-        raise ValueError("direct sum across different fields")
-    f = a.field
-    n1, n2 = a.dim, b.dim
-    rows = [[0] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            rows[i][j] = a.matrix.entries[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            rows[n1 + i][n1 + j] = b.matrix.entries[i][j]
-    return AffineMap(GFMatrix(f, rows), a.translation + b.translation)
+def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
+    """The matrix with the given blocks down its diagonal, zeros elsewhere."""
+    if not blocks:
+        raise ValueError("block-diagonal matrix needs at least one block")
+    f = blocks[0].field
+    if any(b.field.q != f.q for b in blocks):
+        raise ValueError("block-diagonal matrix across different fields")
+    width = sum(b.cols for b in blocks)
+    rows = []
+    left = 0
+    for b in blocks:
+        before, after = (0,) * left, (0,) * (width - left - b.cols)
+        rows.extend(before + row + after for row in b.entries)
+        left += b.cols
+    return GFMatrix(f, rows)
 
 
 def affine_order(sigma: AffineMap) -> int:
@@ -390,28 +391,7 @@ def cycle_count(perm) -> int:
     return cycles
 
 
-def cyclic_orbit_count(sigma: AffineMap, method: str = "auto") -> int:
-    """Number of orbits of the cyclic group generated by sigma on F_q**n.
-
-    Direct cycle traversal when the point space is small enough, otherwise
-    the exact divisor sum over fixed-point counts of powers.  Both branches
-    agree wherever both run.
-    """
-    q = sigma.field.q
-    n = sigma.dim
-    if method not in ("auto", "cycle", "divisor"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "cycle" or (method == "auto" and q**n <= 1 << 24):
-        return cycle_count(point_permutation(sigma))
-    order = affine_order(sigma)
-    total = 0
-    power = sigma
-    fix_by_k = {}
-    for k in range(1, order + 1):
-        if order % k == 0:
-            fix_by_k[k] = fixed_point_count(power)
-        power = power.then(sigma)
-    total = sum(euler_phi(order // k) * fx for k, fx in fix_by_k.items())
-    if total % order:
-        raise AssertionError("orbit divisor sum not divisible by the order")
-    return total // order
+def cyclic_orbit_count(sigma: AffineMap) -> int:
+    """Number of orbits of the cyclic group generated by sigma on F_q**n,
+    by walking the cycles of its point permutation."""
+    return cycle_count(point_permutation(sigma))

@@ -1,10 +1,11 @@
 """Explicit class representatives as affine maps, and the formula-vs-matrix
 cross checks.
 
-A representative is assembled block by block: one unipotent bidiagonal
-block per unipotent part (the translation-marked class puts the vector
-(1, 0, ..., 0) on the first block of the marked size), then one companion
-block per power f**j of each irreducible f receiving a nonzero partition.
+A representative is one block-diagonal matrix, laid out in one pass: one
+unipotent bidiagonal block per unipotent part (the translation-marked class
+puts the vector (1, 0, ..., 0) on the first block of the marked size), then
+one companion block per power f**j of each irreducible f receiving a
+nonzero partition.
 Partitions are assigned to the irreducibles of one order in canonical
 sorted order; any other assignment is handled by the fold multiplicity.
 """
@@ -17,12 +18,13 @@ from functools import lru_cache
 from typing import Iterator
 
 from .conjugacy import ClassIndex
-from .fields import field, poly_is_irreducible, poly_order, poly_pow
+from .fields import field, irreducibles, poly_order, poly_pow
 from .formulas import element_order, fix_exponent_at, orbit_exponent
 from .linalg import (
     AffineMap,
+    GFMatrix,
     affine_order,
-    boxplus,
+    block_diagonal,
     companion_matrix,
     cyclic_orbit_count,
     fixed_point_count,
@@ -51,17 +53,15 @@ class IrreducibleRecord:
 
 @lru_cache(maxsize=None)
 def _scan_degree(q: int, degree: int) -> tuple[IrreducibleRecord, ...]:
-    """All monic irreducibles of one degree (except x), lexicographic in the
-    ascending coefficient vector, each with its root order."""
+    """All monic irreducibles of one degree (except x, whose root is not a
+    unit), lexicographic in the ascending coefficient vector, each with its
+    root order."""
     f = field(q)
-    out = []
-    for tail in itertools.product(f.elements(), repeat=degree):
-        if tail[0] == 0:
-            continue  # divisible by x; roots are not units
-        poly = tuple(tail) + (1,)
-        if poly_is_irreducible(f, poly):
-            out.append(IrreducibleRecord(poly, degree, poly_order(f, poly)))
-    return tuple(out)
+    return tuple(
+        IrreducibleRecord(poly, degree, poly_order(f, poly))
+        for poly in irreducibles(q, degree)
+        if poly[0]
+    )
 
 
 def irreducibles_of_order(d: int, q: int) -> tuple[IrreducibleRecord, ...]:
@@ -76,24 +76,14 @@ def irreducibles_of_order(d: int, q: int) -> tuple[IrreducibleRecord, ...]:
     return records
 
 
-def _unipotent_block(f, size: int, translated: bool) -> AffineMap:
-    jb = jordan_block(f, size)
-    trans = (1,) + (0,) * (size - 1) if translated else (0,) * size
-    return AffineMap(jb, trans)
-
-
-def _spectral_blocks(f, q: int, spectrum, assignment: tuple[int, ...]) -> list[AffineMap]:
+def _spectral_blocks(f, q: int, spectrum, assignment: tuple[int, ...]) -> Iterator[GFMatrix]:
     records = irreducibles_of_order(spectrum.d, q)
-    blocks = []
     for slot, entry in zip(assignment, spectrum.entries):
         poly = records[slot].coeffs
         for j, mj in enumerate(entry, start=1):
-            if mj == 0:
-                continue
-            block_poly = poly_pow(f, poly, j)
-            for _ in range(mj):
-                blocks.append(AffineMap.linear(companion_matrix(f, block_poly)))
-    return blocks
+            if mj:
+                block = companion_matrix(f, poly_pow(f, poly, j))
+                yield from itertools.repeat(block, mj)
 
 
 def _canonical_assignment(spectrum) -> tuple[int, ...]:
@@ -104,22 +94,22 @@ def _canonical_assignment(spectrum) -> tuple[int, ...]:
 
 def _assemble(idx: ClassIndex, assignments: tuple[tuple[int, ...], ...]) -> AffineMap:
     f = field(idx.q)
-    blocks: list[AffineMap] = []
-    marked = idx.marker
-    for size, count in enumerate(idx.unipotent, start=1):
-        for copy in range(count):
-            translated = marked == size and copy == 0
-            blocks.append(_unipotent_block(f, size, translated))
+    blocks = [
+        jordan_block(f, size)
+        for size, count in enumerate(idx.unipotent, start=1)
+        for _ in range(count)
+    ]
     for spectrum, assignment in zip(idx.spectra, assignments):
         blocks.extend(_spectral_blocks(f, idx.q, spectrum, assignment))
-    if not blocks:
-        raise ValueError("index has no blocks")
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = boxplus(out, b)
-    if out.dim != idx.n:
-        raise AssertionError(f"assembled dimension {out.dim}, expected {idx.n}")
-    return out
+    matrix = block_diagonal(blocks)
+    if matrix.rows != idx.n:
+        raise AssertionError(f"assembled dimension {matrix.rows}, expected {idx.n}")
+    translation = [0] * idx.n
+    if idx.marker is not None:
+        # (1, 0, ..., 0) on the first unipotent block of the marked size
+        sizes = enumerate(idx.unipotent[: idx.marker - 1], start=1)
+        translation[sum(size * count for size, count in sizes)] = 1
+    return AffineMap(matrix, tuple(translation))
 
 
 def build_representative(idx: ClassIndex) -> AffineMap:
@@ -180,6 +170,10 @@ def iter_class_representatives(idx: ClassIndex) -> Iterator[tuple[AffineMap, int
         yield _assemble(idx, tuple(assignments)), 1
 
 
+# verify_class walks every point of F_q**n to count orbits
+_POINT_LIMIT = 1 << 20
+
+
 @dataclass(frozen=True)
 class ClassCheckReport:
     """Outcome of checking one class index against its explicit matrix."""
@@ -212,10 +206,10 @@ class ClassCheckReport:
         return "\n".join(lines)
 
 
-def verify_class(idx: ClassIndex, point_limit: int = 1 << 20) -> ClassCheckReport:
+def verify_class(idx: ClassIndex) -> ClassCheckReport:
     """Compare order, per-power fixed points, and orbit count of the built
     representative against the closed formulas."""
-    if idx.q**idx.n > point_limit:
+    if idx.q**idx.n > _POINT_LIMIT:
         raise ValueError(f"point space {idx.q}**{idx.n} exceeds the check limit")
     sigma = build_representative(idx)
     order_f = element_order(idx)

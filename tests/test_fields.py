@@ -5,6 +5,7 @@ import pytest
 
 from aglcount.fields import (
     field,
+    irreducibles,
     poly_divmod,
     poly_is_irreducible,
     poly_mod,
@@ -13,6 +14,7 @@ from aglcount.fields import (
     poly_pow,
     poly_trim,
 )
+from aglcount.numtheory import divisors, factorize
 
 
 def test_rejects_non_prime_powers_and_oversize():
@@ -52,13 +54,68 @@ def test_field_axioms_sampled_for_larger_fields(q):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
+# the pinned modulus of every proper prime power q <= 512, ascending coefficients
+PINNED_MODULI = {
+    4: (1, 1, 1),  # x^2 + x + 1
+    8: (1, 1, 0, 1),  # x^3 + x + 1
+    9: (1, 0, 1),  # x^2 + 1
+    16: (1, 1, 0, 0, 1),  # x^4 + x + 1
+    25: (2, 0, 1),
+    27: (1, 2, 0, 1),  # x^3 + 2x + 1
+    32: (1, 0, 1, 0, 0, 1),
+    49: (1, 0, 1),
+    64: (1, 1, 0, 0, 0, 0, 1),
+    81: (2, 1, 0, 0, 1),
+    121: (1, 0, 1),
+    125: (1, 1, 0, 1),
+    128: (1, 1, 0, 0, 0, 0, 0, 1),
+    169: (2, 0, 1),
+    243: (1, 2, 0, 0, 0, 1),
+    256: (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    289: (3, 0, 1),
+    343: (2, 0, 0, 1),
+    361: (1, 0, 1),
+    512: (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+}
+
+
 def test_pinned_moduli_are_reproducible():
-    assert field(4).modulus == (1, 1, 1)  # x^2 + x + 1
-    assert field(8).modulus == (1, 1, 0, 1)  # x^3 + x + 1
-    assert field(9).modulus == (1, 0, 1)  # x^2 + 1
-    assert field(16).modulus == (1, 1, 0, 0, 1)  # x^4 + x + 1
-    assert field(27).modulus == (1, 2, 0, 1)  # x^3 + 2x + 1
+    for q, modulus in PINNED_MODULI.items():
+        assert field(q).modulus == modulus, q
     assert field(5).modulus is None
+
+
+@pytest.mark.parametrize("q,kmax", [(2, 6), (3, 4), (4, 3), (5, 2), (7, 2)])
+def test_poly_order_matches_power_walk(q, kmax):
+    # least e with x**e = 1 modulo the polynomial, one multiplication by x at a time
+    f = field(q)
+    for k in range(1, kmax + 1):
+        for poly in irreducibles(q, k):
+            if poly == (0, 1):
+                continue
+            power, e = poly_mod(f, (0, 1), poly), 1
+            while power != (1,):
+                power, e = poly_mod(f, poly_mul(f, power, (0, 1)), poly), e + 1
+            assert poly_order(f, poly) == e, (q, poly)
+
+
+def _mobius(n: int) -> int:
+    factors = factorize(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
+@pytest.mark.parametrize(
+    "q,kmax", [(2, 10), (3, 6), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3)]
+)
+def test_irreducibles_match_gauss_count(q, kmax):
+    for k in range(1, kmax + 1):
+        polys = irreducibles(q, k)
+        gauss = sum(_mobius(d) * q ** (k // d) for d in divisors(k))
+        assert gauss % k == 0 and len(polys) == gauss // k, (q, k)
+        assert all(len(p) == k + 1 and p[-1] == 1 for p in polys)
+        assert list(polys) == sorted(set(polys))
 
 
 def test_generator_has_full_order():
@@ -100,6 +157,8 @@ def test_poly_irreducibility_and_order():
     assert poly_order(f2, (1, 1, 0, 1)) == 7
     assert poly_order(f2, (1, 1, 1)) == 3
     assert poly_order(f2, (1, 1)) == 1  # x + 1, root 1
+    with pytest.raises(AssertionError):
+        poly_order(f2, (1, 0, 0, 1))  # x^7 = x mod x^3 + 1: no root order
     f3 = field(3)
     assert poly_is_irreducible(f3, (1, 2, 0, 1))
     assert poly_pow(f3, (1, 1), 2) == (1, 2, 1)

@@ -109,7 +109,7 @@ def test_verify_class_exhaustive_small():
 def test_verify_class_guard():
     idx = ClassIndex(n=36, q=2, unipotent=(36,), spectra=(), marker=None)
     with pytest.raises(ValueError):
-        verify_class(idx, point_limit=1 << 20)
+        verify_class(idx)
 
 
 def test_representatives_pairwise_non_conjugate():
