@@ -183,16 +183,20 @@ def _iter_spectra(dinfo, start: int, budget: int) -> Iterator[tuple[PartitionTup
 def enumerate_omega(n: int, q: int) -> Iterator[ClassIndex]:
     """All (unipotent partition, spectra) indices with total weight n.
 
-    Deterministic order: unipotent weight descending, then partition order,
-    then spectra by ascending d and tuple shape.
+    Deterministic order: spectra weight ascending (so unipotent weight
+    descending), then spectra by ascending d and tuple shape, then the
+    unipotent partition in partition order.  Each spectra tuple is built
+    once and all its indices come out in one run, which is what lets the
+    per-spectra pieces in ``formulas`` be cached in a bounded cache.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     prime_power(q)
     dinfo = _d_info(n, q)
-    for w in range(n, -1, -1):
-        for lam in enumerate_partitions(w):
-            for spectra in _iter_spectra(dinfo, 0, n - w):
+    for w in range(n + 1):
+        unipotents = enumerate_partitions(n - w)
+        for spectra in _iter_spectra(dinfo, 0, w):
+            for lam in unipotents:
                 yield ClassIndex(n=n, q=q, unipotent=lam, spectra=spectra)
 
 

@@ -26,7 +26,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
-from .conjugacy import ClassIndex, enumerate_classes
+from .conjugacy import ClassIndex, PartitionTuple, enumerate_classes
 from .numtheory import (
     agl_group_order,
     euler_phi,
@@ -49,60 +49,43 @@ __all__ = [
 
 
 def _pairwise_min_sum(lam: Sequence[int]) -> int:
-    """sum over part sizes j, k of min(j, k) * lam_j * lam_k."""
+    """sum over part sizes j, k of min(j, k) * lam_j * lam_k, which is the
+    sum of the squared parts of the conjugate partition."""
     total = 0
-    for j, mj in enumerate(lam, start=1):
-        if mj == 0:
-            continue
-        for k, mk in enumerate(lam, start=1):
-            if mk:
-                total += min(j, k) * mj * mk
+    at_least = 0
+    for mj in reversed(lam):
+        at_least += mj
+        total += at_least * at_least
     return total
 
 
-def centralizer_order(idx: ClassIndex) -> int:
-    """Order of the centralizer of the class representative in AGL(n, F_q).
-
-    Assembled as q**(E - L) times a product of factors q**l - 1, where E is
-    the closed-form q-exponent and L collects the denominators of the unit
-    factors (1 - q**-l); E >= L is asserted so the result is an exact int.
-    """
-    q = idx.q
-    lam = idx.unipotent
-    t = idx.marker
-
-    if t is None:
-        exponent = sum(lam)
-    else:
-        exponent = sum(lam[t - 1 :])
-    exponent += _pairwise_min_sum(lam)
-
+def _centralizer_factor(q: int, exponent: int, blocks, head: int = 1) -> int:
+    """q**(exponent - L) / head times the product of q**(o*u) - 1 over the
+    (o, lam) in blocks, the parts j of lam and u = 1..lam_j; L sums the o*u
+    (the denominators of the units 1 - q**-(o*u)).  Checked to be exact."""
     denom_exp = 0
     units = 1
-    for j, mj in enumerate(lam, start=1):
-        for l in range(1, mj + 1):
-            units *= q**l - 1
-            denom_exp += l
-    for spectrum in idx.spectra:
-        o = multiplicative_order(idx.q, spectrum.d)
-        sub = 0
-        for entry in spectrum.entries:
-            sub += _pairwise_min_sum(entry)
-            for mj in entry:
-                for u in range(1, mj + 1):
-                    units *= q ** (o * u) - 1
-                    denom_exp += o * u
-        exponent += o * sub
-
-    if t is not None:
-        head = q ** lam[t - 1] - 1
-        if units % head != 0:
-            raise AssertionError("translation-marked centralizer not integral")
-        units //= head
-
+    for o, lam in blocks:
+        for mj in lam:
+            for u in range(1, mj + 1):
+                units *= q ** (o * u) - 1
+                denom_exp += o * u
+    if units % head != 0:
+        raise AssertionError("translation-marked centralizer not integral")
     if exponent < denom_exp:
         raise AssertionError("centralizer q-power exponent went negative")
-    return q ** (exponent - denom_exp) * units
+    return q ** (exponent - denom_exp) * (units // head)
+
+
+@lru_cache(maxsize=None)
+def _unipotent_factor(lam: Partition, marker: int | None, q: int) -> int:
+    """Centralizer factor of the unipotent part: a marker t counts only the
+    parts of size >= t in the exponent and divides out q**lam_t - 1."""
+    if marker is None:
+        exponent, head = sum(lam), 1
+    else:
+        exponent, head = sum(lam[marker - 1 :]), q ** lam[marker - 1] - 1
+    return _centralizer_factor(q, exponent + _pairwise_min_sum(lam), ((1, lam),), head)
 
 
 def _ceil_log(p: int, m: int) -> int:
@@ -123,55 +106,6 @@ def _floor_log(p: int, m: int) -> int:
         power *= p
         e += 1
     return e
-
-
-def _is_power_of(p: int, m: int) -> bool:
-    while m % p == 0:
-        m //= p
-    return m == 1
-
-
-def element_order(idx: ClassIndex) -> int:
-    """Order of the class representative as a group element."""
-    p = prime_power(idx.q).p
-    lcm = math.lcm(*(spectrum.d for spectrum in idx.spectra))
-    m_uni = largest_part(idx.unipotent)
-    m_spectra = max((spectrum.largest_part() for spectrum in idx.spectra), default=0)
-    m_max = max(m_uni, m_spectra)
-    if m_max == 0:
-        raise AssertionError("index has no parts at all")
-    order = lcm * p ** _ceil_log(p, m_max)
-    t = idx.marker
-    if t is not None and t == m_uni and t >= m_spectra and _is_power_of(p, t):
-        order *= p
-    return order
-
-
-def fix_exponent_at(idx: ClassIndex, k: int) -> int | None:
-    """Exponent e with q**e points of F_q**n fixed by the k-th power.
-
-    Returns None when the power fixes no point, which happens exactly for
-    translation-marked classes whose k-th power still moves the marked block.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    p = prime_power(idx.q).p
-    nu = p_adic_valuation(k, p)
-    if idx.marker is not None and nu < 1 + _floor_log(p, idx.marker):
-        return None
-    return _fix_exponent_unchecked(idx, k, p ** nu)
-
-
-def _fix_exponent_unchecked(idx: ClassIndex, k: int, cap: int) -> int:
-    total = sum(min(cap, j) * mj for j, mj in enumerate(idx.unipotent, start=1))
-    for spectrum in idx.spectra:
-        if k % spectrum.d:
-            continue
-        sub = 0
-        for entry in spectrum.entries:
-            sub += sum(min(cap, j) * mj for j, mj in enumerate(entry, start=1))
-        total += multiplicative_order(idx.q, spectrum.d) * sub
-    return total
 
 
 def _divisors_with_phi(fact: dict[int, int]) -> list[tuple[int, int]]:
@@ -226,6 +160,73 @@ def _level_sums(parts: tuple[Partition, ...], p: int, a: int) -> tuple[int, ...]
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def _spectra_pieces(spectra: tuple[PartitionTuple, ...], q: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """What the class formulas take from one spectra tuple: its centralizer
+    factor, L = lcm of its orders d, its largest part m, and for
+    nu = 0..ceil(log_p m) the pattern sums
+
+        P(nu) = sum_S g_S q**(sum_{i in S} o_i S_i(nu))
+
+    of ``orbit_exponent``, which stay constant once p**nu >= m.  The cache
+    is bounded: the enumeration yields all indices of one spectra tuple in
+    one run.
+    """
+    p = prime_power(q).p
+    orders = [multiplicative_order(q, spectrum.d) for spectrum in spectra]
+    blocks = [(o, entry) for o, spectrum in zip(orders, spectra) for entry in spectrum.entries]
+    centralizer = _centralizer_factor(q, sum(o * _pairwise_min_sum(entry) for o, entry in blocks), blocks)
+    largest = max((spectrum.largest_part() for spectrum in spectra), default=0)
+    top = _ceil_log(p, largest)
+    lcm, patterns, weights = _divisibility_weights(tuple(spectrum.d for spectrum in spectra))
+    levels = [_level_sums(spectrum.entries, p, top) for spectrum in spectra]
+    pattern_sums = tuple(
+        sum(g * q ** sum(orders[i] * levels[i][nu] for i in dividing) for dividing, g in zip(patterns, weights))
+        for nu in range(top + 1)
+    )
+    return centralizer, lcm, largest, pattern_sums
+
+
+def centralizer_order(idx: ClassIndex) -> int:
+    """Order of the centralizer of the class representative in AGL(n, F_q):
+    the unipotent part's factor times the spectra's, each cached."""
+    return _unipotent_factor(idx.unipotent, idx.marker, idx.q) * _spectra_pieces(idx.spectra, idx.q)[0]
+
+
+def element_order(idx: ClassIndex) -> int:
+    """Order of the class representative as a group element."""
+    p = prime_power(idx.q).p
+    _, lcm, m_spectra, _ = _spectra_pieces(idx.spectra, idx.q)
+    m_uni = largest_part(idx.unipotent)
+    m_max = max(m_uni, m_spectra)
+    if m_max == 0:
+        raise AssertionError("index has no parts at all")
+    order = lcm * p ** _ceil_log(p, m_max)
+    t = idx.marker
+    if t is not None and t == m_uni and t >= m_spectra and p ** _floor_log(p, t) == t:
+        order *= p
+    return order
+
+
+def fix_exponent_at(idx: ClassIndex, k: int) -> int | None:
+    """Exponent e with q**e points of F_q**n fixed by the k-th power.
+
+    Returns None when the power fixes no point, which happens exactly for
+    translation-marked classes whose k-th power still moves the marked block.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    p = prime_power(idx.q).p
+    nu = p_adic_valuation(k, p)
+    if idx.marker is not None and nu < 1 + _floor_log(p, idx.marker):
+        return None
+    total = _level_sums((idx.unipotent,), p, nu)[nu]
+    for spectrum in idx.spectra:
+        if k % spectrum.d == 0:
+            total += multiplicative_order(idx.q, spectrum.d) * _level_sums(spectrum.entries, p, nu)[nu]
+    return total
+
+
 def orbit_exponent(idx: ClassIndex) -> int:
     """Number of orbits of the cyclic group of the representative on F_q**n.
 
@@ -239,34 +240,27 @@ def orbit_exponent(idx: ClassIndex) -> int:
     nu (from the translation threshold up; below it no point is fixed) and
     the patterns S, not over the divisors:
 
-        (1/b) sum_nu phi(p**(a - nu)) sum_S g_S q**(U(nu) + sum_{d in S} o_d S_d(nu))
+        (1/b) sum_nu phi(p**(a - nu)) q**U(nu) P(nu),
+        P(nu) = sum_S g_S q**(sum_{d in S} o_d S_d(nu)),
 
     where g_S sums phi(L / k') over the divisors k' of L with pattern S.
+    P depends on the spectra alone and comes with their cached pieces.
     """
     q = idx.q
     p = prime_power(q).p
     b = element_order(idx)
-    spectra = idx.spectra
-    lcm, patterns, weights = _divisibility_weights(tuple(spectrum.d for spectrum in spectra))
-    a = 0
-    tail, rem = divmod(b, lcm)
-    while rem == 0 and tail % p == 0:
-        tail //= p
-        a += 1
-    if rem or tail != 1:
+    _, lcm, _, sums = _spectra_pieces(idx.spectra, q)
+    a = _floor_log(p, b // lcm)
+    if b != lcm * p**a:
         raise AssertionError("element order is not the lcm of the orders d times a power of p")
     threshold = 0 if idx.marker is None else 1 + _floor_log(p, idx.marker)
     if threshold > a:
         raise AssertionError("translation threshold exceeds the p-adic valuation of the order")
     unipotent = _level_sums((idx.unipotent,), p, a)
-    blocks = [(multiplicative_order(q, spectrum.d), _level_sums(spectrum.entries, p, a)) for spectrum in spectra]
+    top = len(sums) - 1
     total = 0
     for nu in range(threshold, a + 1):
-        block = [o * levels[nu] for o, levels in blocks]
-        level = 0
-        for dividing, g in zip(patterns, weights):
-            level += g * q ** (unipotent[nu] + sum(block[i] for i in dividing))
-        total += euler_phi(p ** (a - nu)) * level
+        total += euler_phi(p ** (a - nu)) * q ** unipotent[nu] * sums[min(nu, top)]
     if total % b != 0:
         raise AssertionError("orbit-count divisor sum not divisible by the order")
     return total // b

@@ -1,5 +1,9 @@
+import itertools
+from collections import Counter
+
 import pytest
 
+from aglcount import conjugacy
 from aglcount.conjugacy import (
     ClassIndex,
     PartitionTuple,
@@ -195,6 +199,29 @@ def test_enumeration_is_deterministic():
     first = [as_brute_form(i) for i in enumerate_classes(4, 2)]
     second = [as_brute_form(i) for i in enumerate_classes(4, 2)]
     assert first == second
+
+
+def unipotent_outer_classes(n, q):
+    # the unipotent-outer order: every unipotent partition, then all spectra
+    # tuples of the remaining weight, then the translation-marked copies
+    dinfo = conjugacy._d_info(n, q)
+    for w in range(n, -1, -1):
+        for lam in enumerate_partitions(w):
+            for spectra in conjugacy._iter_spectra(dinfo, 0, n - w):
+                for marker in (None, *support(lam)):
+                    yield ClassIndex(n=n, q=q, unipotent=lam, spectra=spectra, marker=marker)
+
+
+@pytest.mark.parametrize("n,q", [(12, 2), (7, 3), (5, 5), (4, 7)])
+def test_spectra_first_order_matches_unipotent_outer(n, q):
+    ours = list(enumerate_classes(n, q))
+    assert Counter(ours) == Counter(unipotent_outer_classes(n, q))
+    # each spectra tuple fills exactly one contiguous run of indices
+    runs = [spectra for spectra, _ in itertools.groupby(i.spectra for i in ours)]
+    assert len(runs) == len(set(runs))
+    # spectra weight ascends, so unipotent weight descends
+    weights = [weight(i.unipotent) for i in ours]
+    assert weights == sorted(weights, reverse=True)
 
 
 def test_gl_class_counts_match_known_sequence():

@@ -15,7 +15,15 @@ from aglcount.formulas import (
     orbit_exponent,
 )
 from aglcount.linalg import affine_order, cyclic_orbit_count, fixed_point_count
-from aglcount.numtheory import agl_group_order, divisors, euler_phi, p_adic_valuation, prime_power, psi
+from aglcount.numtheory import (
+    agl_group_order,
+    divisors,
+    euler_phi,
+    multiplicative_order,
+    p_adic_valuation,
+    prime_power,
+    psi,
+)
 from aglcount.oracle import brute_centralizer, burnside_full, orbit_enumeration
 from aglcount.reps import build_representative
 
@@ -41,6 +49,60 @@ def test_centralizer_matches_brute_force():
             for idx in enumerate_classes(n, q):
                 rep = build_representative(idx)
                 assert brute_centralizer(rep) == centralizer_order(idx), idx
+
+
+def per_index_centralizer(idx):
+    # the per-index loop: q-exponent and unit product over every partition
+    q, lam, t = idx.q, idx.unipotent, idx.marker
+
+    def pairwise(mu):
+        return sum(min(j, k) * mj * mk for j, mj in enumerate(mu, 1) for k, mk in enumerate(mu, 1))
+
+    exponent = (sum(lam) if t is None else sum(lam[t - 1 :])) + pairwise(lam)
+    denom_exp, units = 0, 1
+    for mj in lam:
+        for l in range(1, mj + 1):
+            units *= q**l - 1
+            denom_exp += l
+    for spectrum in idx.spectra:
+        o = multiplicative_order(q, spectrum.d)
+        for entry in spectrum.entries:
+            exponent += o * pairwise(entry)
+            for mj in entry:
+                for u in range(1, mj + 1):
+                    units *= q ** (o * u) - 1
+                    denom_exp += o * u
+    if t is not None:
+        head = q ** lam[t - 1] - 1
+        assert units % head == 0, idx
+        units //= head
+    assert exponent >= denom_exp, idx
+    return q ** (exponent - denom_exp) * units
+
+
+def per_index_element_order(idx):
+    # lcm of the orders d times the p-power covering the largest part
+    p = prime_power(idx.q).p
+    m_uni = len(idx.unipotent)
+    m_spectra = max((s.largest_part() for s in idx.spectra), default=0)
+    lift = 0
+    while p**lift < max(m_uni, m_spectra):
+        lift += 1
+    order = math.lcm(*(s.d for s in idx.spectra)) * p**lift
+    t = idx.marker
+    if t is not None and t == m_uni and t >= m_spectra and t == p ** p_adic_valuation(t, p):
+        order *= p
+    return order
+
+
+def test_centralizer_and_order_match_per_index_formulas():
+    for q, n in ((2, 10), (3, 6), (4, 5), (5, 5), (7, 4), (8, 4), (9, 3)):
+        marked = 0
+        for idx in enumerate_classes(n, q):
+            marked += idx.marker is not None
+            assert centralizer_order(idx) == per_index_centralizer(idx), idx
+            assert element_order(idx) == per_index_element_order(idx), idx
+        assert marked, (q, n)
 
 
 def test_element_order_examples():
