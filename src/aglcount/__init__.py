@@ -7,7 +7,7 @@ from .conjugacy import ClassIndex, PartitionTuple, compute_D, enumerate_classes,
 from .formulas import centralizer_order, count_function_classes, element_order, orbit_exponent
 from .linalg import AffineMap, GFMatrix
 from .numtheory import PrimePower, agl_group_order
-from .partitions import enumerate_partitions, partition_compare
+from .partitions import enumerate_partitions
 from .reps import build_representative, irreducibles_of_order, verify_class
 from .rm import AnfPoly, RMQuotientBasis, anf_substitute, coset_class_count_M, theta
 
@@ -36,7 +36,6 @@ __all__ = [
     "enumerate_partitions",
     "irreducibles_of_order",
     "orbit_exponent",
-    "partition_compare",
     "theta",
     "verify_class",
 ]

@@ -27,6 +27,8 @@ from .oracle import burnside_full, orbit_enumeration
 from .reps import verify_class
 from .rm import coset_class_count_M, theta
 
+__all__ = ["RunReport", "main"]
+
 _STR_DIGITS_LIMIT = 4_000_000
 
 
@@ -284,9 +286,6 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}", file=sys.stderr)
-        return 2
     handler, defaults = _SUITES[args.suite]
     for key, value in defaults.items():
         if getattr(args, key, None) is None:

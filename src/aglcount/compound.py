@@ -17,13 +17,12 @@ from functools import lru_cache
 from math import comb
 
 from .fields import FieldTable, field
-from .linalg import GFMatrix, _det, block_diagonal, gf2_rank, jordan_block
+from .linalg import GFMatrix, block_diagonal, eliminate, gf2_rank, jordan_block
 from .rm import RMQuotientBasis, raw_monomial_images, theta
 
 __all__ = [
     "AsymptoticReport",
     "AsymptoticRow",
-    "SubsetIndex",
     "asymptotic_report",
     "check_jordan_block_structure",
     "check_kronecker_embedding",
@@ -35,36 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
-    """The r-subsets of {1..n} in lexicographic order of sorted elements."""
-
-    n: int
-    r: int
-
-    def __post_init__(self):
-        if not 0 <= self.r <= self.n:
-            raise ValueError(f"need 0 <= r <= n, got ({self.n}, {self.r})")
-
-    @property
-    def subsets(self) -> tuple[tuple[int, ...], ...]:
-        return _subsets(self.n, self.r)
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << i for i in s) for s in self.subsets)
-
-    def __len__(self) -> int:
-        return comb(self.n, self.r)
-
-
 @lru_cache(maxsize=None)
 def _subsets(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations(range(n), r))
 
 
 def _minor_det(f: FieldTable, entries, rows, cols) -> int:
-    return _det(f, [[entries[i][j] for j in cols] for i in rows])
+    return eliminate(f, [[entries[i][j] for j in cols] for i in rows])[1]
 
 
 def compound_matrix(mat: GFMatrix, r: int) -> GFMatrix:
@@ -75,7 +51,7 @@ def compound_matrix(mat: GFMatrix, r: int) -> GFMatrix:
         raise ValueError("compound of a non-square matrix")
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}")
-    index = SubsetIndex(n, r).subsets
+    index = _subsets(n, r)
     f = mat.field
     out = [
         [_minor_det(f, mat.entries, s, t) for t in index]
@@ -93,8 +69,10 @@ def compound_gf2(mat: GFMatrix, r: int) -> GFMatrix:
     if mat.field.q != 2:
         raise ValueError("compound_gf2 needs a matrix over F_2")
     n = mat.rows
+    if not 0 <= r <= n:
+        raise ValueError(f"need 0 <= r <= n, got r={r}")
     images = raw_monomial_images(mat.entries, (0,) * n, n, r)
-    masks = SubsetIndex(n, r).masks
+    masks = [sum(1 << i for i in s) for s in _subsets(n, r)]
     columns = [[(images[t] >> s) & 1 for s in masks] for t in masks]
     return GFMatrix(mat.field, list(zip(*columns)))
 
@@ -114,9 +92,9 @@ def check_kronecker_embedding(a: GFMatrix, b: GFMatrix, k: int, l: int) -> bool:
     m, n = a.rows, b.rows
     if not (0 <= k <= m and 0 <= l <= n):
         raise ValueError("minor sizes out of range")
-    big_index = {s: pos for pos, s in enumerate(SubsetIndex(m + n, k + l).subsets)}
-    a_subsets = SubsetIndex(m, k).subsets
-    b_subsets = SubsetIndex(n, l).subsets
+    big_index = {s: pos for pos, s in enumerate(_subsets(m + n, k + l))}
+    a_subsets = _subsets(m, k)
+    b_subsets = _subsets(n, l)
     labels = [
         big_index[tuple(sorted(s + tuple(m + j for j in t)))]
         for s in a_subsets
@@ -150,7 +128,7 @@ def check_jordan_block_structure(n: int, r: int) -> bool:
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got ({n}, {r})")
     big = _compound_jordan(n, r).entries
-    subsets = SubsetIndex(n, r).subsets
+    subsets = _subsets(n, r)
     without = [i for i, s in enumerate(subsets) if (n - 1) not in s]
     with_n = [i for i, s in enumerate(subsets) if (n - 1) in s]
     if any(any(row) for row in _block(big, with_n, without)):
@@ -264,7 +242,7 @@ class AsymptoticReport:
     rows: tuple[AsymptoticRow, ...]
 
 
-def partial_unit_product(n: int) -> Fraction:
+def _partial_unit_product(n: int) -> Fraction:
     """prod_{i=1}^{n} (1 - 2**-i), exactly."""
     out = Fraction(1)
     for i in range(1, n + 1):
@@ -292,7 +270,7 @@ def asymptotic_report(n_max: int, digits: int = 32, jobs: int = 1) -> Asymptotic
         m_n = theta(n, 0, n - 2, jobs=jobs)
         exponent = 2**n - n * n - 2 * n - 1
         scale = Fraction(1, 2**exponent) if exponent >= 0 else Fraction(2**-exponent)
-        ratio = m_n * partial_unit_product(n) * scale
+        ratio = m_n * _partial_unit_product(n) * scale
         if ratio <= 1:
             raise AssertionError(f"ratio at n={n} does not exceed 1: counting bug")
         low = m_n * const_low * scale

@@ -33,7 +33,6 @@ from .partitions import (
 __all__ = [
     "ClassIndex",
     "PartitionTuple",
-    "class_count",
     "compute_D",
     "enumerate_classes",
     "enumerate_omega",
@@ -208,8 +207,3 @@ def enumerate_classes(n: int, q: int) -> Iterator[ClassIndex]:
             yield ClassIndex(
                 n=n, q=q, unipotent=idx.unipotent, spectra=idx.spectra, marker=t
             )
-
-
-def class_count(n: int, q: int) -> int:
-    """Number of conjugacy classes of AGL(n, F_q): indices weighted by fold size."""
-    return sum(idx.multiplicity() for idx in enumerate_classes(n, q))

@@ -102,9 +102,6 @@ class FieldTable:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e

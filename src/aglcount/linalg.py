@@ -1,4 +1,5 @@
-"""Dense matrices and affine maps over F_q, with a packed-int GF(2) rank.
+"""Dense matrices and affine maps over F_q: one forward elimination for
+rank and determinant, and a packed-int GF(2) rank for q = 2.
 
 Row-vector convention throughout: a matrix acts on points by x |-> x A,
 an affine map by x |-> x A + a.  Composition `s.then(t)` applies s first
@@ -20,10 +21,11 @@ __all__ = [
     "companion_matrix",
     "cycle_count",
     "cyclic_orbit_count",
+    "eliminate",
     "fixed_point_count",
     "gf2_rank",
     "jordan_block",
-    "nullity",
+    "point_permutation",
     "rank",
 ]
 
@@ -47,10 +49,6 @@ class GFMatrix:
     @classmethod
     def identity(cls, f: FieldTable, n: int) -> "GFMatrix":
         return cls(f, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, f: FieldTable, rows: int, cols: int) -> "GFMatrix":
-        return cls(f, [[0] * cols for _ in range(rows)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -84,20 +82,10 @@ class GFMatrix:
             out.append(new)
         return GFMatrix(f, out)
 
-    def add_matrix(self, other: "GFMatrix") -> "GFMatrix":
-        f = self.field
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return GFMatrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
-
     def sub_matrix(self, other: "GFMatrix") -> "GFMatrix":
         f = self.field
+        if f.q != other.field.q or (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shape/field mismatch")
         return GFMatrix(
             f,
             [
@@ -106,73 +94,40 @@ class GFMatrix:
             ],
         )
 
-    def transpose(self) -> "GFMatrix":
-        return GFMatrix(self.field, list(zip(*self.entries)) if self.entries else [])
-
-    def power(self, e: int) -> "GFMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        out = GFMatrix.identity(self.field, self.rows)
-        base = self
-        while e:
-            if e & 1:
-                out = out @ base
-            base = base @ base
-            e >>= 1
-        return out
-
     def is_invertible(self) -> bool:
         return self.rows == self.cols and rank(self) == self.rows
 
-    def inverse(self) -> "GFMatrix":
-        f = self.field
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = f.inv(aug[col][col])
-            aug[col] = [f.mul(inv, x) for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(aug[r], aug[col])]
-        return GFMatrix(f, [row[n:] for row in aug])
 
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        return _det(self.field, [list(r) for r in self.entries])
-
-
-def _det(f: FieldTable, rows: list[list[int]]) -> int:
-    n = len(rows)
-    sign_flips = 0
+def eliminate(f: FieldTable, rows: list[list[int]]) -> tuple[int, int]:
+    """Forward elimination over F_q, in place on the given rows; returns
+    (rank, determinant).  Each column pivots on the first nonzero entry at
+    or below the current row.  The determinant is the signed product of
+    the pivots if the rows form a square matrix of full rank, else 0."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    rk = 0
     det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+    for col in range(ncols):
+        pivot = next((r for r in range(rk, nrows) if rows[r][col]), None)
         if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign_flips += 1
-        pv = rows[col][col]
-        det = f.mul(det, pv)
-        inv = f.inv(pv)
-        for r in range(col + 1, n):
+            continue
+        if pivot != rk:
+            rows[rk], rows[pivot] = rows[pivot], rows[rk]
+            det = f.neg(det)
+        row_p = rows[rk]
+        det = f.mul(det, row_p[col])
+        inv = f.inv(row_p[col])
+        for r in range(rk + 1, nrows):
             factor = rows[r][col]
             if factor:
                 c = f.mul(factor, inv)
-                row_r, row_c = rows[r], rows[col]
-                for k in range(col, n):
-                    row_r[k] = f.sub(row_r[k], f.mul(c, row_c[k]))
-    if sign_flips % 2:
-        det = f.neg(det)
-    return det
+                row_r = rows[r]
+                for k in range(col, ncols):
+                    row_r[k] = f.sub(row_r[k], f.mul(c, row_p[k]))
+        rk += 1
+        if rk == nrows:
+            break
+    return rk, (det if rk == nrows == ncols else 0)
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -193,34 +148,10 @@ def gf2_rank(rows: list[int]) -> int:
 
 
 def rank(mat: GFMatrix) -> int:
-    """Row-echelon rank; pivots at the first nonzero entry scanning down."""
+    """Rank over F_q: the packed GF(2) rank at q = 2, else `eliminate`."""
     if mat.field.q == 2:
         return gf2_rank([sum(b << j for j, b in enumerate(row)) for row in mat.entries])
-    f = mat.field
-    rows = [list(r) for r in mat.entries]
-    nrows, ncols = mat.rows, mat.cols
-    rk = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rk, nrows) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        inv = f.inv(rows[rk][col])
-        for r in range(rk + 1, nrows):
-            factor = rows[r][col]
-            if factor:
-                c = f.mul(factor, inv)
-                row_r, row_p = rows[r], rows[rk]
-                for k in range(col, ncols):
-                    row_r[k] = f.sub(row_r[k], f.mul(c, row_p[k]))
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
-
-
-def nullity(mat: GFMatrix) -> int:
-    return mat.cols - rank(mat)
+    return eliminate(mat.field, [list(r) for r in mat.entries])[0]
 
 
 def companion_matrix(f: FieldTable, poly: tuple[int, ...]) -> GFMatrix:
@@ -282,9 +213,6 @@ class AffineMap:
     def field(self) -> FieldTable:
         return self.matrix.field
 
-    def is_identity(self) -> bool:
-        return self == AffineMap.identity(self.field, self.dim)
-
     def apply(self, point: tuple[int, ...]) -> tuple[int, ...]:
         f = self.field
         out = list(self.translation)
@@ -301,13 +229,6 @@ class AffineMap:
         if self.field.q != other.field.q or self.dim != other.dim:
             raise ValueError("composition shape/field mismatch")
         return AffineMap(self.matrix @ other.matrix, other.apply(self.translation))
-
-    def inverse(self) -> "AffineMap":
-        f = self.field
-        inv = self.matrix.inverse()
-        moved = AffineMap.linear(inv).apply(tuple(f.neg(x) for x in self.translation))
-        return AffineMap(inv, moved)
-
 
 def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
     """The matrix with the given blocks down its diagonal, zeros elsewhere."""

@@ -2,9 +2,10 @@
 
 All counts are plain Python ints (arbitrary precision, exact); the few
 rational intermediates elsewhere use :class:`fractions.Fraction`.
-Factorization is trial division with memoization, which is ample here:
-every argument stays below q**n - 1 at the scales this package targets
-(q <= 512, n around 31 for q = 2).
+Factorization is trial division with memoization.  It takes at least
+sqrt(p) steps for a number whose largest prime factor is p: quick for the
+q**i - 1 met at q = 2 up to n around 31, but not for every q <= 512, as
+`compute_D(10, 509)` runs past 30 s (ROADMAP item 5).
 """
 
 from __future__ import annotations

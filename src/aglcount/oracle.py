@@ -22,6 +22,8 @@ __all__ = [
     "brute_conjugacy_classes",
     "burnside_full",
     "burnside_full_theta",
+    "conjugacy_class_indices",
+    "generators",
     "group_table",
     "orbit_enumeration",
     "orbit_enumeration_code",

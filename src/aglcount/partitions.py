@@ -20,7 +20,6 @@ __all__ = [
     "enumerate_partitions",
     "largest_part",
     "order_key",
-    "partition_compare",
     "parts_descending",
     "support",
     "weight",
@@ -70,16 +69,6 @@ def order_key(lam: Partition):
     the test suite.
     """
     return (weight(lam), parts_descending(lam))
-
-
-def partition_compare(a: Partition, b: Partition) -> int:
-    """-1, 0, or 1 as a < b, a == b, a > b in the partition order."""
-    ka, kb = order_key(a), order_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def _descending_part_lists(w: int, max_part: int) -> Iterator[tuple[int, ...]]:

@@ -32,6 +32,7 @@ __all__ = [
     "coset_class_count_M",
     "fix_on_quotient",
     "monomial_images",
+    "raw_monomial_images",
     "theta",
 ]
 
@@ -56,10 +57,6 @@ class AnfPoly:
     @classmethod
     def zero(cls, nvars: int) -> "AnfPoly":
         return cls(nvars, frozenset())
-
-    @classmethod
-    def one(cls, nvars: int) -> "AnfPoly":
-        return cls(nvars, frozenset({0}))
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "AnfPoly":

@@ -145,9 +145,12 @@ def test_verify_suites_pass(capsys):
         assert all(c["status"] == "pass" for c in body["checks"])
 
 
-def test_verify_unknown_suite():
-    with pytest.raises(SystemExit):
-        main(["verify", "--suite", "nonsense"])
+def test_verify_unknown_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--suite" in err and "bogus" in err
 
 
 def test_module_entry_point():

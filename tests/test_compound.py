@@ -1,10 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from aglcount.compound import (
-    SubsetIndex,
     asymptotic_report,
     check_jordan_block_structure,
     check_kronecker_embedding,
@@ -17,6 +18,7 @@ from aglcount.compound import (
 from aglcount.fields import field
 from aglcount.linalg import GFMatrix, jordan_block
 from aglcount.rm import RMQuotientBasis, action_matrix
+from test_linalg import leibniz_det
 
 f2 = field(2)
 f3 = field(3)
@@ -34,18 +36,24 @@ def rand_invertible(rng, f, n):
 
 
 def test_subset_index():
-    idx = SubsetIndex(4, 2)
-    assert idx.subsets == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    assert len(idx) == 6
-    with pytest.raises(ValueError):
-        SubsetIndex(3, 4)
+    # C_2 of diag(1, 2, 3, 4) over F_7 is diag(d_i d_j) with {i, j} in
+    # lexicographic order; the six products are distinct mod 7
+    diag = GFMatrix(field(7), [[(i + 1) * (i == j) for j in range(4)] for i in range(4)])
+    c2 = compound_matrix(diag, 2)
+    assert [c2.entries[i][i] for i in range(6)] == [2, 3, 4, 6, 1, 5]
+    assert c2.rows == c2.cols == 6
+    for r in (-1, 5):
+        with pytest.raises(ValueError):
+            compound_matrix(diag, r)
+        with pytest.raises(ValueError):
+            compound_gf2(GFMatrix.identity(f2, 4), r)
 
 
 def test_compound_edge_cases():
     rng = random.Random(1)
     a = rand_matrix(rng, f3, 4)
     assert compound_matrix(a, 1) == a
-    assert compound_matrix(a, 4).entries == ((a.det(),),)
+    assert compound_matrix(a, 4).entries == ((leibniz_det(a),),)
     assert compound_matrix(a, 0) == GFMatrix.identity(f3, 1)
     assert compound_matrix(GFMatrix.identity(f3, 3), 2) == GFMatrix.identity(f3, 3)
 
@@ -77,7 +85,7 @@ def test_action_matrix_diagonal_blocks_are_compounds():
         mat = action_matrix(AffineMap.linear(a), sigma_basis)
         offset = 0
         for r in range(n, -1, -1):
-            block_dim = len(SubsetIndex(n, r))
+            block_dim = math.comb(n, r)
             block = [
                 [mat.entries[offset + i][offset + j] for j in range(block_dim)]
                 for i in range(block_dim)
@@ -118,7 +126,7 @@ def test_jordan_lower_left_block_is_zero():
     for n in range(2, 9):
         for r in range(1, n + 1):
             big = compound_gf2(jordan_block(f2, n), r).entries
-            subsets = SubsetIndex(n, r).subsets
+            subsets = list(itertools.combinations(range(n), r))
             without = [i for i, s in enumerate(subsets) if (n - 1) not in s]
             with_n = [i for i, s in enumerate(subsets) if (n - 1) in s]
             assert not any(big[i][j] for i in with_n for j in without)

