@@ -24,7 +24,7 @@ from .formulas import class_equation_total, count_function_classes
 from .linalg import GFMatrix
 from .numtheory import agl_group_order, is_prime_power
 from .oracle import burnside_full, orbit_enumeration
-from .reps import verify_class
+from .reps import _POINT_LIMIT, verify_class
 from .rm import coset_class_count_M, theta
 
 __all__ = ["RunReport", "main"]
@@ -175,8 +175,11 @@ def _cmd_count_cosets(args) -> int:
     return 0
 
 
-def _suite_reps(args, report: RunReport) -> None:
+def _suite_reps(args, report: RunReport) -> str | None:
     q = args.q
+    if q**args.n > _POINT_LIMIT:
+        # the limit binds at the largest n: refuse before verifying any smaller n
+        return f"point space {q}**{args.n} exceeds the check limit {_POINT_LIMIT}"
     checked = 0
     for n in range(1, args.n + 1):
         for idx in enumerate_classes(n, q):
@@ -300,7 +303,9 @@ def _cmd_verify(args) -> int:
         },
     )
     start = time.perf_counter()
-    handler(args, report)
+    error = handler(args, report)
+    if error:
+        return _fail(report, args, error)
     report.elapsed_seconds = time.perf_counter() - start
     _emit(report, args)
     return 0 if report.status == "ok" else 1

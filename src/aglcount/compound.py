@@ -17,8 +17,8 @@ from functools import lru_cache
 from math import comb
 
 from .fields import FieldTable, field
-from .linalg import GFMatrix, block_diagonal, eliminate, gf2_rank, jordan_block
-from .rm import RMQuotientBasis, raw_monomial_images, theta
+from .linalg import AffineMap, GFMatrix, block_diagonal, eliminate, jordan_block
+from .rm import RMQuotientBasis, fix_on_quotient, raw_monomial_images, theta
 
 __all__ = [
     "AsymptoticReport",
@@ -69,6 +69,8 @@ def compound_gf2(mat: GFMatrix, r: int) -> GFMatrix:
     if mat.field.q != 2:
         raise ValueError("compound_gf2 needs a matrix over F_2")
     n = mat.rows
+    if mat.cols != n:
+        raise ValueError("compound of a non-square matrix")
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}")
     images = raw_monomial_images(mat.entries, (0,) * n, n, r)
@@ -144,34 +146,37 @@ def check_jordan_block_structure(n: int, r: int) -> bool:
 def check_rank_bound(n: int, r: int) -> bool:
     """rank(C_r(J_n) - I) >= binom(n-1, r) over F_2.
 
-    Column T of C_r(J_n) is the packed image of X_T under J_n, so the
-    columns of C_r(J_n) - I are those images plus X_T, kept on the degree-r
-    slots; they are ranked as packed rows.
+    C_r(J_n) is the action of J_n on the degree-r slots R(r, n)/R(r-1, n),
+    so the rank is the basis dimension minus the log2 of its fixed count.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if r > n:
         return True  # empty compound, bound is 0
-    images = raw_monomial_images(jordan_block(field(2), n).entries, (0,) * n, n, r)
     degree_r = RMQuotientBasis(n, r - 1, r)
-    keep = degree_r.slot_mask
-    rows = [(images[t] ^ (1 << t)) & keep for t in degree_r.monomials]
-    return gf2_rank(rows) >= comb(n - 1, r)
+    fixed = fix_on_quotient(AffineMap.linear(jordan_block(field(2), n)), degree_r)
+    return degree_r.dim - (fixed.bit_length() - 1) >= comb(n - 1, r)
 
 
 # ---------------------------------------------------------------------------
 # asymptotic ratio report
 
 
+# the partial products of the constant run until their increment drops
+# below 10**-_INCREMENT_DIGITS; the report prints _REPORT_DIGITS digits
+_INCREMENT_DIGITS = 40
+_REPORT_DIGITS = 32
+
+
 @lru_cache(maxsize=None)
-def unit_product_constant(increment_digits: int = 40) -> tuple[Fraction, Fraction]:
+def unit_product_constant() -> tuple[Fraction, Fraction]:
     """Bounds for prod_{i>=1} (1 - 2**-i), by partial products run until the
-    increment drops below 10**-increment_digits.
+    increment drops below 10**-_INCREMENT_DIGITS.
 
     The tail satisfies prod_{i>N} (1 - 2**-i) >= 1 - 2**-N, so the true
     value lies in [P_N * (1 - 2**-N), P_N].
     """
-    threshold = Fraction(1, 10**increment_digits)
+    threshold = Fraction(1, 10**_INCREMENT_DIGITS)
     product = Fraction(1)
     i = 0
     while True:
@@ -250,7 +255,7 @@ def _partial_unit_product(n: int) -> Fraction:
     return out
 
 
-def asymptotic_report(n_max: int, digits: int = 32, jobs: int = 1) -> AsymptoticReport:
+def asymptotic_report(n_max: int, jobs: int = 1) -> AsymptoticReport:
     """Quotient-code class counts for 2 <= n <= n_max with their growth
     ratios against 2**(2**n - n*n - 2n - 1).
 
@@ -281,15 +286,15 @@ def asymptotic_report(n_max: int, digits: int = 32, jobs: int = 1) -> Asymptotic
                 class_count=m_n,
                 power_exponent=exponent,
                 ratio=ratio,
-                ratio_text=format_significant(ratio, digits),
+                ratio_text=format_significant(ratio, _REPORT_DIGITS),
                 excess_text=format_significant(ratio - 1, 12),
                 limit_ratio_low=low,
                 limit_ratio_high=high,
-                limit_ratio_text=_certified(low, high, digits),
+                limit_ratio_text=_certified(low, high, _REPORT_DIGITS),
             )
         )
     return AsymptoticReport(
-        constant=_certified(const_low, const_high, digits),
+        constant=_certified(const_low, const_high, _REPORT_DIGITS),
         constant_low=const_low,
         constant_high=const_high,
         rows=tuple(rows),

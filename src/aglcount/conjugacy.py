@@ -8,7 +8,8 @@ whose representative carries a translation on one size-t Jordan block.
 
 Tuples that differ only by permuting their entries across the psi(d)
 irreducibles of order d are folded into one index; the fold multiplicity
-is the multinomial ``permutation_count`` and weights every Burnside sum.
+is the multinomial ``ClassIndex.multiplicity`` and weights every Burnside
+sum.
 """
 
 from __future__ import annotations
@@ -67,14 +68,11 @@ class PartitionTuple:
     def largest_part(self) -> int:
         return max((largest_part(e) for e in self.entries), default=0)
 
-    def permutation_count(self) -> int:
-        """Number of distinct arrangements of the full psi-slot tuple."""
-        return _permutation_count(self.psi, self.entries)
-
 
 @lru_cache(maxsize=None)
 def _permutation_count(psi_d: int, entries: tuple[Partition, ...]) -> int:
-    # multinomial over slot contents; the psi - k empty slots are one group
+    # distinct arrangements of the psi slots: a multinomial over slot
+    # contents, the psi - k empty slots being one group
     k = len(entries)
     out = math.comb(psi_d, k) * math.factorial(k)
     for _, group in itertools.groupby(entries):

@@ -2,8 +2,7 @@
 rank and determinant, and a packed-int GF(2) rank for q = 2.
 
 Row-vector convention throughout: a matrix acts on points by x |-> x A,
-an affine map by x |-> x A + a.  Composition `s.then(t)` applies s first
-and equals the block-matrix product of the usual (n+1)-dim embeddings.
+an affine map by x |-> x A + a.
 """
 
 from __future__ import annotations
@@ -11,18 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import FieldTable
-from .numtheory import agl_group_order
 
 __all__ = [
     "AffineMap",
     "GFMatrix",
-    "affine_order",
     "block_diagonal",
     "companion_matrix",
-    "cycle_count",
-    "cyclic_orbit_count",
+    "cycle_lengths",
     "eliminate",
-    "fixed_point_count",
     "gf2_rank",
     "jordan_block",
     "point_permutation",
@@ -63,36 +58,6 @@ class GFMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"GFMatrix(q={self.field.q}, [{body}])"
-
-    def __matmul__(self, other: "GFMatrix") -> "GFMatrix":
-        f = self.field
-        if f.q != other.field.q or self.cols != other.rows:
-            raise ValueError("matrix shape/field mismatch")
-        add, mul = f.add, f.mul
-        bt = list(zip(*other.entries)) if other.entries else []
-        out = []
-        for row in self.entries:
-            new = []
-            for col in bt:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
-                new.append(acc)
-            out.append(new)
-        return GFMatrix(f, out)
-
-    def sub_matrix(self, other: "GFMatrix") -> "GFMatrix":
-        f = self.field
-        if f.q != other.field.q or (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shape/field mismatch")
-        return GFMatrix(
-            f,
-            [
-                [f.sub(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and rank(self) == self.rows
@@ -198,10 +163,6 @@ class AffineMap:
             raise ValueError("affine map matrix must be invertible")
 
     @classmethod
-    def identity(cls, f: FieldTable, n: int) -> "AffineMap":
-        return cls(GFMatrix.identity(f, n), (0,) * n)
-
-    @classmethod
     def linear(cls, matrix: GFMatrix) -> "AffineMap":
         return cls(matrix, (0,) * matrix.rows)
 
@@ -224,11 +185,6 @@ class AffineMap:
                         out[j] = f.add(out[j], f.mul(x, a))
         return tuple(out)
 
-    def then(self, other: "AffineMap") -> "AffineMap":
-        """Apply self first, then other; the block-matrix product self*other."""
-        if self.field.q != other.field.q or self.dim != other.dim:
-            raise ValueError("composition shape/field mismatch")
-        return AffineMap(self.matrix @ other.matrix, other.apply(self.translation))
 
 def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
     """The matrix with the given blocks down its diagonal, zeros elsewhere."""
@@ -245,34 +201,6 @@ def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
         rows.extend(before + row + after for row in b.entries)
         left += b.cols
     return GFMatrix(f, rows)
-
-
-def affine_order(sigma: AffineMap) -> int:
-    """Least k >= 1 with sigma**k the identity, by repeated composition."""
-    bound = agl_group_order(sigma.dim, sigma.field.q)
-    ident = AffineMap.identity(sigma.field, sigma.dim)
-    power = sigma
-    k = 1
-    while power != ident:
-        power = power.then(sigma)
-        k += 1
-        if k > bound:
-            raise AssertionError("order exceeded the group order")
-    return k
-
-
-def fixed_point_count(sigma: AffineMap) -> int:
-    """Number of points with x A + a = x: q**nullity(A - I) if the system
-    x (A - I) = -a is consistent, else 0."""
-    f = sigma.field
-    n = sigma.dim
-    a_minus_i = sigma.matrix.sub_matrix(GFMatrix.identity(f, n))
-    rhs = tuple(f.neg(x) for x in sigma.translation)
-    base_rank = rank(a_minus_i)
-    stacked = GFMatrix(f, a_minus_i.entries + (rhs,))
-    if rank(stacked) != base_rank:
-        return 0
-    return f.q ** (n - base_rank)
 
 
 def _encode(point: tuple[int, ...], q: int) -> int:
@@ -297,22 +225,19 @@ def point_permutation(sigma: AffineMap) -> list[int]:
     return [_encode(sigma.apply(_decode(c, q, n)), q) for c in range(q**n)]
 
 
-def cycle_count(perm) -> int:
-    """Number of cycles of a permutation of 0 .. len(perm) - 1."""
+def cycle_lengths(perm) -> list[int]:
+    """Lengths of the cycles of a permutation of 0 .. len(perm) - 1, in the
+    order of their smallest points."""
     seen = bytearray(len(perm))
-    cycles = 0
+    lengths = []
     for start in range(len(perm)):
         if seen[start]:
             continue
-        cycles += 1
+        length = 0
         cur = start
         while not seen[cur]:
             seen[cur] = 1
             cur = perm[cur]
-    return cycles
-
-
-def cyclic_orbit_count(sigma: AffineMap) -> int:
-    """Number of orbits of the cyclic group generated by sigma on F_q**n,
-    by walking the cycles of its point permutation."""
-    return cycle_count(point_permutation(sigma))
+            length += 1
+        lengths.append(length)
+    return lengths

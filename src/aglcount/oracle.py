@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .fields import FieldTable, field
-from .linalg import AffineMap, GFMatrix, cycle_count, point_permutation
+from .linalg import AffineMap, GFMatrix, cycle_lengths, point_permutation
 from .numtheory import agl_group_order
 
 __all__ = [
@@ -92,7 +92,7 @@ def _burnside_full_gf2(n: int) -> int:
             img[x] = img[x ^ low] ^ row_bits[low.bit_length() - 1]
         for a in range(points):
             perm = [v ^ a for v in img]
-            total += 1 << cycle_count(perm)
+            total += 1 << len(cycle_lengths(perm))
     return total
 
 
@@ -118,7 +118,7 @@ def _burnside_full_generic(n: int, q: int) -> int:
         for t_index in range(len(points)):
             sh = shift[t_index]
             perm = [sh[v] for v in img]
-            total += q ** cycle_count(perm)
+            total += q ** len(cycle_lengths(perm))
     return total
 
 
@@ -195,9 +195,6 @@ class GroupElementTable:
         for a, b in enumerate(p):
             inv[b] = a
         return self.index[tuple(inv)]
-
-    def identity_index(self) -> int:
-        return self.index[tuple(range(self.q**self.n))]
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ sorted order; any other assignment is handled by the fold multiplicity.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -23,14 +24,13 @@ from .formulas import element_order, fix_exponent_at, orbit_exponent
 from .linalg import (
     AffineMap,
     GFMatrix,
-    affine_order,
     block_diagonal,
     companion_matrix,
-    cyclic_orbit_count,
-    fixed_point_count,
+    cycle_lengths,
     jordan_block,
+    point_permutation,
 )
-from .numtheory import multiplicative_order, psi
+from .numtheory import divisors, multiplicative_order, psi
 
 __all__ = [
     "ClassCheckReport",
@@ -208,30 +208,30 @@ class ClassCheckReport:
 
 def verify_class(idx: ClassIndex) -> ClassCheckReport:
     """Compare order, per-power fixed points, and orbit count of the built
-    representative against the closed formulas."""
+    representative against the closed formulas.
+
+    All three matrix-side numbers come from the cycle lengths of the
+    representative's point permutation: the order is their lcm, sigma**k
+    fixes the points on cycles whose length divides k, and the orbits of
+    the cyclic group are the cycles."""
     if idx.q**idx.n > _POINT_LIMIT:
         raise ValueError(f"point space {idx.q}**{idx.n} exceeds the check limit")
-    sigma = build_representative(idx)
+    lengths = cycle_lengths(point_permutation(build_representative(idx)))
     order_f = element_order(idx)
-    order_m = affine_order(sigma)
+    order_m = math.lcm(*lengths)
     mismatches = []
     bound = min(order_f, order_m)
-    power = sigma
-    for k in range(1, bound + 1):
-        if bound % k == 0:
-            exp = fix_exponent_at(idx, k)
-            want = 0 if exp is None else idx.q**exp
-            got = fixed_point_count(power)
-            if want != got:
-                mismatches.append((k, want, got))
-        power = power.then(sigma)
-    orbit_f = orbit_exponent(idx)
-    orbit_m = cyclic_orbit_count(sigma)
+    for k in divisors(bound):
+        exp = fix_exponent_at(idx, k)
+        want = 0 if exp is None else idx.q**exp
+        got = sum(length for length in lengths if k % length == 0)
+        if want != got:
+            mismatches.append((k, want, got))
     return ClassCheckReport(
         index=idx,
         order_formula=order_f,
         order_matrix=order_m,
-        orbit_formula=orbit_f,
-        orbit_matrix=orbit_m,
+        orbit_formula=orbit_exponent(idx),
+        orbit_matrix=len(lengths),
         fix_mismatches=tuple(mismatches),
     )

@@ -233,8 +233,8 @@ def _slot_mask(n: int, s: int, r: int) -> int:
 
 def action_matrix(sigma: AffineMap, basis: RMQuotientBasis) -> GFMatrix:
     """Matrix of f |-> f(sigma(x)) on the quotient, columns the images of
-    the basis monomials.  Multiplicative over composition:
-    action_matrix(a.then(b)) == action_matrix(a) @ action_matrix(b)."""
+    the basis monomials.  Multiplicative over composition: the matrix of
+    "a, then b" is the matrix of a times the matrix of b, in that order."""
     if sigma.dim != basis.n:
         raise ValueError("dimension mismatch")
     images = monomial_images(sigma, basis.r)

@@ -28,6 +28,7 @@ from aglcount.numtheory import agl_group_order, psi
 from aglcount.oracle import burnside_full, burnside_full_theta, orbit_enumeration
 from aglcount.reps import iter_class_representatives, verify_class
 from aglcount.rm import RMQuotientBasis, coset_class_count_M, fix_on_quotient, theta
+from test_linalg import identity_map, matmul, sub_matrix
 
 
 @contextlib.contextmanager
@@ -165,7 +166,7 @@ def test_criterion_09_case_bound_consistency():
         f2 = field(2)
         for n in range(2, 9):
             basis = RMQuotientBasis(n, -1, n - 2)
-            identity = AffineMap.identity(f2, n)
+            identity = identity_map(f2, n)
             eigen_bound = 2 ** (2 ** (n - 1))
             unipotent_bound = 2 ** (2**n - math.comb(n // 2, 3))
             for idx in enumerate_classes(n, 2):
@@ -173,10 +174,10 @@ def test_criterion_09_case_bound_consistency():
                     if rep == identity:
                         continue
                     fix = fix_on_quotient(rep, basis)
-                    a_minus_i = rep.matrix.sub_matrix(GFMatrix.identity(f2, n))
+                    a_minus_i = sub_matrix(rep.matrix, GFMatrix.identity(f2, n))
                     nth_power = GFMatrix.identity(f2, n)
                     for _ in range(n):
-                        nth_power = nth_power @ a_minus_i
+                        nth_power = matmul(nth_power, a_minus_i)
                     nilpotent = all(x == 0 for row in nth_power.entries for x in row)
                     assert nilpotent == (not idx.spectra)
                     if nilpotent:

@@ -195,3 +195,24 @@ def test_unprintable_count_fails_fast():
     proc = cli("2", "12")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def test_reps_suite_beyond_point_limit_fails_fast():
+    # q**n = 2**21 points: refused before the 97,035 classes at n = 20
+    def verify(n):
+        return subprocess.run(
+            [sys.executable, "-m", "aglcount", "verify", "--suite", "reps", "--q", "2", "--n", n],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+
+    proc = verify("21")
+    assert proc.returncode == 2
+    body = json.loads(proc.stdout)
+    assert body["status"] == "error"
+    assert body["checks"] == []
+    assert "2**21 exceeds the check limit" in body["results"]["error"]
+    proc = verify("3")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"

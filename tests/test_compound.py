@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from aglcount import compound
 from aglcount.compound import (
     asymptotic_report,
     check_jordan_block_structure,
@@ -18,7 +19,7 @@ from aglcount.compound import (
 from aglcount.fields import field
 from aglcount.linalg import GFMatrix, jordan_block
 from aglcount.rm import RMQuotientBasis, action_matrix
-from test_linalg import leibniz_det
+from test_linalg import leibniz_det, matmul
 
 f2 = field(2)
 f3 = field(3)
@@ -49,6 +50,19 @@ def test_subset_index():
             compound_gf2(GFMatrix.identity(f2, 4), r)
 
 
+def test_compound_of_non_square_matrix():
+    wide = [[1, 0, 1], [0, 1, 1]]
+    for entries in (wide, [list(col) for col in zip(*wide)]):
+        for f in (f2, f3):
+            m = GFMatrix(f, entries)
+            for r in (0, 1, 2):
+                with pytest.raises(ValueError, match="non-square"):
+                    compound_matrix(m, r)
+                if f is f2:
+                    with pytest.raises(ValueError, match="non-square"):
+                        compound_gf2(m, r)
+
+
 def test_compound_edge_cases():
     rng = random.Random(1)
     a = rand_matrix(rng, f3, 4)
@@ -64,7 +78,7 @@ def test_compound_multiplicative():
         for n in (2, 3, 4, 5):
             a, b = rand_matrix(rng, f, n), rand_matrix(rng, f, n)
             for r in range(n + 1):
-                assert compound_matrix(a @ b, r) == compound_matrix(a, r) @ compound_matrix(b, r)
+                assert compound_matrix(matmul(a, b), r) == matmul(compound_matrix(a, r), compound_matrix(b, r))
 
 
 def test_compound_gf2_matches_minors():
@@ -132,12 +146,18 @@ def test_jordan_lower_left_block_is_zero():
             assert not any(big[i][j] for i in with_n for j in without)
 
 
-def test_rank_bound_sweep():
+def test_rank_bound_sweep(monkeypatch):
     for n in range(1, 11):
         for r in range(1, n + 1):
             assert check_rank_bound(n, r)
     assert check_rank_bound(2, 1)
     assert check_rank_bound(4, 6)  # r > n: empty compound, bound comb(3,6)=0
+    # the bound is tight at r = 1 and r = n (rank n - 1 and 0): raised by
+    # one, the check must fail exactly there
+    monkeypatch.setattr(compound, "comb", lambda a, b: math.comb(a, b) + 1)
+    for n in range(1, 9):
+        for r in range(1, n + 1):
+            assert check_rank_bound(n, r) == (1 < r < n), (n, r)
 
 
 def test_constant_value_and_certification():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -164,17 +165,30 @@ def test_class_count_examples():
     assert class_count(1, 3) == 3
 
 
+def permutation_count(t):
+    """Distinct arrangements of the full psi-slot tuple: psi! over the
+    factorials of the slot-content multiplicities, empty slots included
+    (test reference)."""
+    counts = Counter(t.entries)
+    counts[()] = t.psi - len(t.entries)
+    return math.factorial(t.psi) // math.prod(math.factorial(c) for c in counts.values())
+
+
 def test_permutation_count_examples():
     t = PartitionTuple.make(7, 2, [(1, 2), (2, 0, 1)])
-    assert t.permutation_count() == 2
+    assert permutation_count(t) == 2
     t = PartitionTuple.make(7, 2, [(1,), (1,)])
-    assert t.permutation_count() == 1
+    assert permutation_count(t) == 1
     t = PartitionTuple.make(5, 3, [(), (), ()])
-    assert t.permutation_count() == 1
+    assert permutation_count(t) == 1
     assert t.entries == ()
     # one nonempty entry in 4 slots: 4 arrangements
     t = PartitionTuple.make(15, 4, [(1,)])
-    assert t.permutation_count() == 4
+    assert permutation_count(t) == 4
+    # the fold multiplicity of an index is the product over its tuples
+    for q, n in ((2, 8), (3, 5), (4, 4)):
+        for idx in enumerate_classes(n, q):
+            assert idx.multiplicity() == math.prod(permutation_count(s) for s in idx.spectra), idx
 
 
 def test_partition_tuple_validation():

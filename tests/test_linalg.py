@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,16 +8,15 @@ from aglcount.fields import field, poly_divmod
 from aglcount.linalg import (
     AffineMap,
     GFMatrix,
-    affine_order,
     block_diagonal,
     companion_matrix,
-    cyclic_orbit_count,
+    cycle_lengths,
     eliminate,
-    fixed_point_count,
     gf2_rank,
     jordan_block,
     rank,
 )
+from aglcount.numtheory import agl_group_order
 
 f2 = field(2)
 f3 = field(3)
@@ -54,12 +54,88 @@ def det(m):
     return eliminate(m.field, [list(r) for r in m.entries])[1]
 
 
+# Test-local matrix and affine-map tools: the package itself reads every
+# matrix-side class number from one point permutation, so these slower,
+# independent walks are kept here as references.
+
+
+def matmul(a, b):
+    """Matrix product over F_q, entry by entry."""
+    f = a.field
+    assert f.q == b.field.q and a.cols == b.rows
+    out = [[0] * b.cols for _ in range(a.rows)]
+    for i, row in enumerate(a.entries):
+        for j in range(b.cols):
+            for k, x in enumerate(row):
+                out[i][j] = f.add(out[i][j], f.mul(x, b.entries[k][j]))
+    return GFMatrix(f, out)
+
+
+def sub_matrix(a, b):
+    """Entrywise difference a - b over F_q."""
+    f = a.field
+    assert f.q == b.field.q and (a.rows, a.cols) == (b.rows, b.cols)
+    return GFMatrix(f, [[f.sub(x, y) for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)])
+
+
+def identity_map(f, n):
+    return AffineMap(GFMatrix.identity(f, n), (0,) * n)
+
+
+def then(s, t):
+    """Apply s first, then t: the block-matrix product of the usual
+    (n+1)-dim embeddings."""
+    return AffineMap(matmul(s.matrix, t.matrix), t.apply(s.translation))
+
+
+def affine_powers(sigma):
+    """[sigma, sigma**2, ..., identity], by repeated composition."""
+    ident = identity_map(sigma.field, sigma.dim)
+    bound = agl_group_order(sigma.dim, sigma.field.q)
+    powers = [sigma]
+    while powers[-1] != ident:
+        powers.append(then(powers[-1], sigma))
+        assert len(powers) <= bound, "order exceeded the group order"
+    return powers
+
+
+def affine_order(sigma):
+    return len(affine_powers(sigma))
+
+
+def fixed_point_count(sigma):
+    """Points with x A + a = x: q**nullity(A - I) if x (A - I) = -a is
+    consistent, else 0, by two F_q ranks."""
+    f, n = sigma.field, sigma.dim
+    a_minus_i = sub_matrix(sigma.matrix, GFMatrix.identity(f, n))
+    rhs = tuple(f.neg(x) for x in sigma.translation)
+    base_rank = rank(a_minus_i)
+    if rank(GFMatrix(f, a_minus_i.entries + (rhs,))) != base_rank:
+        return 0
+    return f.q ** (n - base_rank)
+
+
+def cyclic_orbit_count(sigma):
+    """Orbits of the cyclic group of sigma on F_q**n, by following each
+    unseen point under sigma.apply."""
+    seen = set()
+    orbits = 0
+    for point in itertools.product(range(sigma.field.q), repeat=sigma.dim):
+        if point in seen:
+            continue
+        orbits += 1
+        while point not in seen:
+            seen.add(point)
+            point = sigma.apply(point)
+    return orbits
+
+
 def test_rank_examples():
     assert rank(GFMatrix.identity(f2, 4)) == 4
-    j2_minus_i = jordan_block(f2, 2).sub_matrix(GFMatrix.identity(f2, 2))
+    j2_minus_i = sub_matrix(jordan_block(f2, 2), GFMatrix.identity(f2, 2))
     assert rank(j2_minus_i) == 1
     comp = companion_matrix(f2, (1, 1, 1))  # x^2 + x + 1
-    assert rank(comp.sub_matrix(GFMatrix.identity(f2, 2))) == 2
+    assert rank(sub_matrix(comp, GFMatrix.identity(f2, 2))) == 2
 
 
 def test_rank_of_transpose_and_shuffle_invariance():
@@ -115,7 +191,7 @@ def test_rank_matches_minors_and_transpose(q):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         if rng.random() < 0.5:
             k = rng.randint(1, min(rows, cols))
-            m = rand_matrix(rng, f, rows, k) @ rand_matrix(rng, f, k, cols)
+            m = matmul(rand_matrix(rng, f, rows, k), rand_matrix(rng, f, k, cols))
         else:
             m = rand_matrix(rng, f, rows, cols)
         r = rank(m)
@@ -126,20 +202,6 @@ def test_eliminate_on_non_square_rows():
     assert eliminate(f3, [[1, 0, 2], [0, 2, 1]]) == (2, 0)
     assert eliminate(f3, [[1, 2], [2, 1], [0, 1]]) == (2, 0)
     assert eliminate(f3, []) == (0, 1)
-
-
-def test_sub_matrix_rejects_mismatch():
-    a = GFMatrix.identity(f3, 2)
-    assert jordan_block(f3, 2).sub_matrix(a) == GFMatrix(f3, [[0, 1], [0, 0]])
-    assert GFMatrix(f3, [[0, 1]]).sub_matrix(GFMatrix(f3, [[1, 2]])) == GFMatrix(f3, [[2, 2]])
-    for other in (
-        GFMatrix.identity(f3, 3),
-        GFMatrix(f3, [[1, 0, 0], [0, 1, 0]]),
-        GFMatrix(f3, [[1, 0]]),
-        GFMatrix.identity(f2, 2),
-    ):
-        with pytest.raises(ValueError):
-            a.sub_matrix(other)
 
 
 def naive_gf2_rank(bits):
@@ -192,8 +254,8 @@ def test_companion_of_square_is_conjugate_to_jordan():
                     g = GFMatrix(f2, [[a, b], [c, d]])
                     if not g.is_invertible():
                         continue
-                    lhs = g @ comp
-                    rhs = j2 @ g
+                    lhs = matmul(g, comp)
+                    rhs = matmul(j2, g)
                     if lhs == rhs:
                         found = True
     assert found
@@ -211,7 +273,7 @@ def poly_eval_at_matrix(f, poly, m):
             for acc_row, row in zip(acc, power.entries):
                 for j, x in enumerate(row):
                     acc_row[j] = f.add(acc_row[j], f.mul(coeff, x))
-        power = power @ m
+        power = matmul(power, m)
     return GFMatrix(f, acc)
 
 
@@ -258,14 +320,14 @@ def boxplus(a: AffineMap, b: AffineMap) -> AffineMap:
 
 
 def test_boxplus():
-    id1 = AffineMap.identity(f2, 1)
-    assert boxplus(id1, id1) == AffineMap.identity(f2, 2)
+    id1 = identity_map(f2, 1)
+    assert boxplus(id1, id1) == identity_map(f2, 2)
     trans = AffineMap(jordan_block(f2, 1), (1,))
     combo = boxplus(trans, id1)
     assert combo.matrix == GFMatrix.identity(f2, 2)
     assert combo.translation == (1, 0)
     with pytest.raises(ValueError):
-        boxplus(id1, AffineMap.identity(f3, 1))
+        boxplus(id1, identity_map(f3, 1))
 
 
 def test_block_diagonal_layout():
@@ -282,8 +344,6 @@ def test_block_diagonal_layout():
 
 
 def test_boxplus_order_is_lcm():
-    import math
-
     rng = random.Random(3)
     for f in (f2, f3):
         for _ in range(10):
@@ -294,7 +354,7 @@ def test_boxplus_order_is_lcm():
 
 
 def test_affine_order_examples():
-    assert affine_order(AffineMap.identity(f2, 3)) == 1
+    assert affine_order(identity_map(f2, 3)) == 1
     assert affine_order(AffineMap(GFMatrix.identity(f2, 2), (1, 0))) == 2
     # order 2**(1 + floor(log2 3)) = 4: sigma^2 = x J^2 + eps N != id, sigma^4 = id
     j3_translated = AffineMap(jordan_block(f2, 3), (1, 0, 0))
@@ -302,17 +362,47 @@ def test_affine_order_examples():
 
 
 def test_fixed_point_count_examples():
-    assert fixed_point_count(AffineMap.identity(f3, 2)) == 9
+    assert fixed_point_count(identity_map(f3, 2)) == 9
     assert fixed_point_count(AffineMap(GFMatrix.identity(f2, 2), (1, 1))) == 0
     comp = AffineMap.linear(companion_matrix(f2, (1, 1, 1)))
     assert fixed_point_count(comp) == 1  # only the origin
 
 
 def test_cyclic_orbit_count_examples():
-    assert cyclic_orbit_count(AffineMap.identity(f2, 2)) == 4
+    assert cyclic_orbit_count(identity_map(f2, 2)) == 4
     assert cyclic_orbit_count(AffineMap(GFMatrix.identity(f2, 1), (1,))) == 1
     four_cycle = AffineMap(jordan_block(f2, 2), (1, 0))
     assert cyclic_orbit_count(four_cycle) == 1
+
+
+def test_cycle_lengths_match_brute_force():
+    rng = random.Random(41)
+    perms = [[], [0], list(range(7)), [1, 2, 3, 0], [1, 0, 3, 4, 2]]
+    for _ in range(40):
+        perm = list(range(rng.randint(0, 40)))
+        rng.shuffle(perm)
+        perms.append(perm)
+    for perm in perms:
+        size = len(perm)
+        lengths = cycle_lengths(perm)
+        assert sum(lengths) == size
+        assert all(length >= 1 for length in lengths)
+        # one cycle per point that is the smallest on its cycle
+        leaders = 0
+        for start in range(size):
+            cycle = [start]
+            while perm[cycle[-1]] != start:
+                cycle.append(perm[cycle[-1]])
+            leaders += min(cycle) == start
+        assert len(lengths) == leaders, perm
+        # the least k with perm**k the identity, by composing one step at a time
+        ident = list(range(size))
+        power, k = list(perm), 1
+        while power != ident:
+            power = [perm[x] for x in power]
+            k += 1
+        assert math.lcm(*lengths) == k, perm
+    assert cycle_lengths([1, 0, 3, 4, 2]) == [2, 3]
 
 
 def test_composition_is_block_matrix_product():
@@ -321,7 +411,7 @@ def test_composition_is_block_matrix_product():
         n = rng.randint(1, 3)
         a = AffineMap(rand_invertible(rng, f2, n), tuple(rng.randrange(2) for _ in range(n)))
         b = AffineMap(rand_invertible(rng, f2, n), tuple(rng.randrange(2) for _ in range(n)))
-        combo = a.then(b)
+        combo = then(a, b)
         for point_code in range(2**n):
             point = tuple((point_code >> i) & 1 for i in range(n))
             assert combo.apply(point) == b.apply(a.apply(point))

@@ -1,8 +1,9 @@
 import pytest
 
+from aglcount import reps
 from aglcount.conjugacy import ClassIndex, PartitionTuple, enumerate_classes
 from aglcount.fields import field, poly_order
-from aglcount.numtheory import multiplicative_order, psi
+from aglcount.numtheory import divisors, multiplicative_order, psi
 from aglcount.oracle import conjugacy_class_indices, group_table
 from aglcount.reps import (
     build_representative,
@@ -10,7 +11,9 @@ from aglcount.reps import (
     iter_class_representatives,
     verify_class,
 )
-from aglcount.linalg import AffineMap, GFMatrix, point_permutation
+from aglcount.linalg import GFMatrix, point_permutation
+from test_conjugacy import permutation_count
+from test_linalg import affine_powers, cyclic_orbit_count, fixed_point_count, identity_map
 
 
 def test_irreducibles_of_order_examples():
@@ -54,7 +57,7 @@ def test_irreducible_records_sorted_and_valid():
 
 def test_build_representative_trivial_cases():
     ident = build_representative(ClassIndex(n=1, q=2, unipotent=(1,), spectra=(), marker=None))
-    assert ident == AffineMap.identity(field(2), 1)
+    assert ident == identity_map(field(2), 1)
     shift = build_representative(ClassIndex(n=1, q=2, unipotent=(1,), spectra=(), marker=1))
     assert shift.matrix == GFMatrix.identity(field(2), 1)
     assert shift.translation == (1,)
@@ -104,6 +107,31 @@ def test_verify_class_exhaustive_small():
             for idx in enumerate_classes(n, q):
                 report = verify_class(idx)
                 assert report.ok, report.describe()
+
+
+def test_verify_class_matches_power_walk(monkeypatch):
+    # verify_class reads the order, the fixed points of every divisor power
+    # and the orbit count from one point permutation; the references compose
+    # sigma with itself, count fixed points by two F_q ranks and follow each
+    # point under sigma.apply
+    cases = [
+        (idx, verify_class(idx))
+        for q, nmax in ((2, 5), (3, 4))
+        for n in range(1, nmax + 1)
+        for idx in enumerate_classes(n, q)
+    ]
+    # a formula no count can meet (q**(n+1) fixed points) makes every
+    # compared power a mismatch, which exposes the matrix-side count
+    monkeypatch.setattr(reps, "fix_exponent_at", lambda idx, k: idx.n + 1)
+    for idx, report in cases:
+        assert report.ok, report.describe()
+        rep = build_representative(idx)
+        powers = affine_powers(rep)
+        assert report.order_matrix == len(powers), idx
+        assert report.orbit_matrix == cyclic_orbit_count(rep), idx
+        exposed = [(k, got) for k, _, got in verify_class(idx).fix_mismatches]
+        want = [(k, fixed_point_count(powers[k - 1])) for k in divisors(len(powers))]
+        assert exposed == want, idx
 
 
 def test_verify_class_guard():
@@ -165,7 +193,7 @@ def test_distinct_assignments_enumerate_exactly_the_fold():
     for d, psi_d, entries in cases:
         tup = PartitionTuple(d=d, psi=psi_d, entries=tuple(sorted(entries)))
         assignments = list(_distinct_assignments(tup))
-        assert len(assignments) == tup.permutation_count(), (d, entries)
+        assert len(assignments) == permutation_count(tup), (d, entries)
         assert len(set(assignments)) == len(assignments)
         for assignment in assignments:
             assert len(set(assignment)) == len(assignment)  # distinct slots
