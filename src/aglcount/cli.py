@@ -30,6 +30,8 @@ from .rm import coset_class_count_M, theta
 __all__ = ["RunReport", "main"]
 
 _STR_DIGITS_LIMIT = 4_000_000
+# verify --suite reps walks about q**n points per class index at the largest n
+_REPS_STEP_LIMIT = 1 << 24
 
 
 @dataclass
@@ -180,6 +182,13 @@ def _suite_reps(args, report: RunReport) -> str | None:
     if q**args.n > _POINT_LIMIT:
         # the limit binds at the largest n: refuse before verifying any smaller n
         return f"point space {q}**{args.n} exceeds the check limit {_POINT_LIMIT}"
+    if args.n >= 1:
+        indices = sum(1 for _ in enumerate_classes(args.n, q))
+        if q**args.n * indices > _REPS_STEP_LIMIT:
+            return (
+                f"{indices} class indices at {q}**{args.n} points each exceed "
+                f"the check limit of {_REPS_STEP_LIMIT} point steps"
+            )
     checked = 0
     for n in range(1, args.n + 1):
         for idx in enumerate_classes(n, q):

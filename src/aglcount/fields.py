@@ -69,12 +69,16 @@ class FieldTable:
         else:
             self.modulus = _pinned_modulus(pp.p, pp.m)
             add = [[_digit_add(a, b, pp.p) for b in range(q)] for a in range(q)]
+            # an element's base-p digits are its coefficients in the
+            # polynomial basis: multiply as polynomials over F_p, then reduce
+            fp = field(pp.p)
+            polys = [_digits(a, pp.p) for a in range(q)]
+            powers = [pp.p**k for k in range(pp.m)]
             mul = [[0] * q for _ in range(q)]
             for a in range(q):
                 for b in range(a, q):
-                    prod = _poly_field_mul(a, b, pp.p, pp.m, self.modulus)
-                    mul[a][b] = prod
-                    mul[b][a] = prod
+                    rem = poly_mod(fp, poly_mul(fp, polys[a], polys[b]), self.modulus)
+                    mul[a][b] = mul[b][a] = sum(c * w for c, w in zip(rem, powers))
         self._add = add
         self._mul = mul
         self._neg = [add[a].index(0) for a in range(q)]
@@ -152,29 +156,6 @@ def _digit_add(a: int, b: int, p: int) -> int:
         out += ((a + b) % p) * shift
         a //= p
         b //= p
-        shift *= p
-    return out
-
-
-def _poly_field_mul(a: int, b: int, p: int, m: int, modulus: tuple[int, ...]) -> int:
-    da = _digits(a, p)
-    db = _digits(b, p)
-    prod = [0] * (len(da) + len(db) - 1) if da and db else []
-    for i, ca in enumerate(da):
-        for j, cb in enumerate(db):
-            prod[i + j] = (prod[i + j] + ca * cb) % p
-    # reduce modulo the pinned monic irreducible
-    mod = list(modulus)
-    deg = len(mod) - 1
-    while len(prod) > deg:
-        lead = prod.pop()
-        if lead:
-            for k in range(deg):
-                prod[len(prod) - deg + k] = (prod[len(prod) - deg + k] - lead * mod[k]) % p
-    out = 0
-    shift = 1
-    for c in prod:
-        out += c * shift
         shift *= p
     return out
 

@@ -2,7 +2,10 @@
 rank and determinant, and a packed-int GF(2) rank for q = 2.
 
 Row-vector convention throughout: a matrix acts on points by x |-> x A,
-an affine map by x |-> x A + a.
+an affine map by x |-> x A + a.  A point x of F_q**n has the code
+x_0 + x_1 q + ... + x_{n-1} q**(n-1); `point_permutation` is the one place
+that turns points into codes, and everything that walks points (cycle
+lengths, the brute-force oracle) works on codes alone.
 """
 
 from __future__ import annotations
@@ -174,17 +177,6 @@ class AffineMap:
     def field(self) -> FieldTable:
         return self.matrix.field
 
-    def apply(self, point: tuple[int, ...]) -> tuple[int, ...]:
-        f = self.field
-        out = list(self.translation)
-        for i, x in enumerate(point):
-            if x:
-                row = self.matrix.entries[i]
-                for j, a in enumerate(row):
-                    if a:
-                        out[j] = f.add(out[j], f.mul(x, a))
-        return tuple(out)
-
 
 def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
     """The matrix with the given blocks down its diagonal, zeros elsewhere."""
@@ -203,26 +195,30 @@ def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
     return GFMatrix(f, rows)
 
 
-def _encode(point: tuple[int, ...], q: int) -> int:
-    out = 0
-    for x in reversed(point):
-        out = out * q + x
-    return out
-
-
-def _decode(code: int, q: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(code % q)
-        code //= q
-    return tuple(out)
-
-
 def point_permutation(sigma: AffineMap) -> list[int]:
-    """The map as a permutation of 0 .. q**n - 1 (base-q point encoding)."""
-    q = sigma.field.q
-    n = sigma.dim
-    return [_encode(sigma.apply(_decode(c, q, n)), q) for c in range(q**n)]
+    """The map as a permutation of the point codes 0 .. q**n - 1.
+
+    Coordinate j of the image is affine in the point, so it is built one
+    input coordinate at a time: on the codes below q**(i+1) its values are
+    those on the codes below q**i, followed by the same values plus
+    x * A[i][j] for x = 1 .. q - 1.  The image code is the sum of
+    value_j * q**j."""
+    f = sigma.field
+    q = f.q
+    codes = [0] * q**sigma.dim
+    weight = 1
+    for j, t in enumerate(sigma.translation):
+        values = [t]
+        for row in sigma.matrix.entries:
+            a = row[j]
+            if a:
+                steps = [f.mul(x, a) for x in range(1, q)]
+                values += [f.add(v, c) for c in steps for v in values]
+            else:
+                values *= q
+        codes = [c + weight * v for c, v in zip(codes, values)]
+        weight *= q
+    return codes
 
 
 def cycle_lengths(perm) -> list[int]:

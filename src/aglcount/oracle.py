@@ -3,6 +3,11 @@
 Everything here works element by element (or by explicit orbit closure)
 with no reference to the per-class formulas, so agreement with the
 class-based counts is a meaningful test rather than a tautology.
+
+Group elements act on point codes alone: translations and scalings come
+from `linalg.point_permutation`, and the point image of every invertible
+matrix is grown from them one row at a time, so no code here computes a
+base-q digit.
 """
 
 from __future__ import annotations
@@ -35,91 +40,71 @@ _TABLE_GROUP_LIMIT = 20000
 _TABLE_POINT_LIMIT = 512
 
 
-def _iter_invertible_rows(f: FieldTable, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All invertible n x n matrices, one row at a time, rejection-free:
-    each new row must avoid the span of the previous rows."""
+def _point_actions(f: FieldTable, n: int):
+    """(points, shifts, scales) on F_q**n, all indexed by point code:
+    points[c] is the point with code c, shifts[c] the permutation
+    "translate by points[c]", and scales[x - 1] the permutation "multiply
+    by x" for x = 1 .. q - 1.  Each comes from `point_permutation`, and the
+    code of a translation vector is the image of 0 under its shift."""
     q = f.q
-    vectors = list(itertools.product(range(q), repeat=n))
+    ident = GFMatrix.identity(f, n)
+    points: list[tuple[int, ...]] = [()] * q**n
+    shifts: list[list[int]] = [[]] * q**n
+    for t in itertools.product(range(q), repeat=n):
+        shift = point_permutation(AffineMap(ident, t))
+        points[shift[0]] = t
+        shifts[shift[0]] = shift
+    scales = []
+    for x in range(1, q):
+        diagonal = GFMatrix(f, [[x if i == j else 0 for j in range(n)] for i in range(n)])
+        scales.append(point_permutation(AffineMap.linear(diagonal)))
+    return points, shifts, scales
 
-    def vec_add_scaled(u, v, c):
-        return tuple(f.add(a, f.mul(c, b)) for a, b in zip(u, v))
 
-    def rec(rows, span):
+def _iter_linear_images(f: FieldTable, n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Every invertible n x n matrix as (row codes, linear point image),
+    rejection-free.  The image of the first k rows, on the codes below
+    q**k, is built from that of k - 1 rows with the shift and scale
+    permutations; as a set it is the span of those rows, which the next
+    row must avoid."""
+    _, shifts, scales = _point_actions(f, n)
+
+    def rec(rows, image):
         if len(rows) == n:
-            yield tuple(rows)
+            yield tuple(rows), image
             return
-        for v in vectors:
-            if v in span:
+        span = set(image)
+        for r in range(len(shifts)):
+            if r in span:
                 continue
-            new_span = set(span)
-            for s in span:
-                for c in range(1, q):
-                    new_span.add(vec_add_scaled(s, v, c))
-            rows.append(v)
-            yield from rec(rows, new_span)
+            steps = [shifts[scale[r]] for scale in scales]
+            rows.append(r)
+            yield from rec(rows, image + [step[v] for step in steps for v in image])
             rows.pop()
 
-    zero = (0,) * n
-    yield from rec([], {zero})
+    yield from rec([], [0])
 
 
 def burnside_full(n: int, q: int) -> int:
     """Orbit count of the full function space by summing q**(cycle count of
-    every single group element) and dividing exactly by |AGL(n, F_q)|."""
+    every single group element) and dividing exactly by |AGL(n, F_q)|.
+
+    Element x |-> x A + t is the linear point image of A followed by the
+    shift by t, so the sum needs no point arithmetic beyond the helpers."""
     group = agl_group_order(n, q)
     points = q**n
     if group > _BURNSIDE_GROUP_LIMIT or points > _BURNSIDE_POINT_LIMIT:
         raise ValueError(f"burnside_full guard exceeded for n={n}, q={q}")
-    if q == 2:
-        total = _burnside_full_gf2(n)
-    else:
-        total = _burnside_full_generic(n, q)
+    f = field(q)
+    _, shifts, _ = _point_actions(f, n)
+    total = 0
+    for _, image in _iter_linear_images(f, n):
+        for shift in shifts:
+            total += q ** len(cycle_lengths([shift[v] for v in image]))
     count, rem = divmod(total, group)
     if rem:
         raise AssertionError("full Burnside sum not divisible by the group order")
     return count
-
-
-def _burnside_full_gf2(n: int) -> int:
-    points = 1 << n
-    total = 0
-    for rows in _iter_invertible_rows(field(2), n):
-        row_bits = [sum(b << j for j, b in enumerate(r)) for r in rows]
-        # image of every point under the linear part, by subset XOR
-        img = [0] * points
-        for x in range(1, points):
-            low = x & -x
-            img[x] = img[x ^ low] ^ row_bits[low.bit_length() - 1]
-        for a in range(points):
-            perm = [v ^ a for v in img]
-            total += 1 << len(cycle_lengths(perm))
-    return total
-
-
-def _burnside_full_generic(n: int, q: int) -> int:
-    f = field(q)
-    points = list(itertools.product(range(q), repeat=n))
-    code = {p: i for i, p in enumerate(points)}
-    # composing with a translation is itself a permutation of point codes
-    shift = [
-        [code[tuple(f.add(x, a) for x, a in zip(p, t))] for p in points] for t in points
-    ]
-    total = 0
-    for rows in _iter_invertible_rows(f, n):
-        img = []
-        for p in points:
-            out = [0] * n
-            for i, x in enumerate(p):
-                if x:
-                    for j, a in enumerate(rows[i]):
-                        if a:
-                            out[j] = f.add(out[j], f.mul(x, a))
-            img.append(code[tuple(out)])
-        for t_index in range(len(points)):
-            sh = shift[t_index]
-            perm = [sh[v] for v in img]
-            total += q ** len(cycle_lengths(perm))
-    return total
 
 
 def generators(n: int, q: int) -> list[AffineMap]:
@@ -204,15 +189,14 @@ def group_table(n: int, q: int) -> GroupElementTable:
     if group > _TABLE_GROUP_LIMIT or points > _TABLE_POINT_LIMIT:
         raise ValueError(f"group table guard exceeded for n={n}, q={q}")
     f = field(q)
-    translations = list(itertools.product(range(q), repeat=n))
+    points, shifts, _ = _point_actions(f, n)
     perms: list[tuple[int, ...]] = []
     maps: list[AffineMap] = []
-    for rows in _iter_invertible_rows(f, n):
-        mat = GFMatrix(f, rows)
-        for t in translations:
-            m = AffineMap(mat, t)
-            maps.append(m)
-            perms.append(tuple(point_permutation(m)))
+    for rows, image in _iter_linear_images(f, n):
+        mat = GFMatrix(f, [points[r] for r in rows])
+        for t, shift in zip(points, shifts):
+            maps.append(AffineMap(mat, t))
+            perms.append(tuple(shift[v] for v in image))
     if len(perms) != group:
         raise AssertionError("group enumeration produced the wrong order")
     index = {p: i for i, p in enumerate(perms)}
@@ -266,11 +250,11 @@ def burnside_full_theta(n: int, s: int, r: int) -> int:
         raise ValueError(f"burnside_full_theta guard exceeded for n={n}")
     basis = RMQuotientBasis(n, s - 1, r)
     f = field(2)
-    translations = list(itertools.product(range(2), repeat=n))
+    points, _, _ = _point_actions(f, n)
     total = 0
-    for rows in _iter_invertible_rows(f, n):
-        mat = GFMatrix(f, rows)
-        for t in translations:
+    for rows, _ in _iter_linear_images(f, n):
+        mat = GFMatrix(f, [points[r] for r in rows])
+        for t in points:
             total += fix_on_quotient(AffineMap(mat, t), basis)
     count, rem = divmod(total, group)
     if rem:

@@ -20,14 +20,13 @@ from functools import lru_cache, partial
 
 from .conjugacy import ClassIndex
 from .formulas import burnside_total
-from .linalg import AffineMap, GFMatrix, gf2_rank
+from .linalg import AffineMap, gf2_rank
 from .numtheory import agl_group_order
 from .reps import iter_class_representatives
 
 __all__ = [
     "AnfPoly",
     "RMQuotientBasis",
-    "action_matrix",
     "anf_substitute",
     "coset_class_count_M",
     "fix_on_quotient",
@@ -80,10 +79,6 @@ class AnfPoly:
             for b in other.monomials:
                 acc ^= {a | b}
         return AnfPoly(self.nvars, frozenset(acc))
-
-    def evaluate(self, point: tuple[int, ...]) -> int:
-        mask = sum(1 << i for i, x in enumerate(point) if x & 1)
-        return sum(1 for m in self.monomials if m & mask == m) & 1
 
 
 def anf_substitute(poly: AnfPoly, sigma: AffineMap) -> AnfPoly:
@@ -229,23 +224,6 @@ def _slot_mask(n: int, s: int, r: int) -> int:
     for m in _basis_monomials(n, s, r):
         mask |= 1 << m
     return mask
-
-
-def action_matrix(sigma: AffineMap, basis: RMQuotientBasis) -> GFMatrix:
-    """Matrix of f |-> f(sigma(x)) on the quotient, columns the images of
-    the basis monomials.  Multiplicative over composition: the matrix of
-    "a, then b" is the matrix of a times the matrix of b, in that order."""
-    if sigma.dim != basis.n:
-        raise ValueError("dimension mismatch")
-    images = monomial_images(sigma, basis.r)
-    monomials = basis.monomials
-    dim = basis.dim
-    entries = [[0] * dim for _ in range(dim)]
-    for j, mono in enumerate(monomials):
-        img = images[mono]
-        for i, pos in enumerate(monomials):
-            entries[i][j] = (img >> pos) & 1
-    return GFMatrix(sigma.field, entries)
 
 
 def fix_on_quotient(sigma: AffineMap, basis: RMQuotientBasis) -> int:

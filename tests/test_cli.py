@@ -207,12 +207,18 @@ def test_reps_suite_beyond_point_limit_fails_fast():
             timeout=20,
         )
 
-    proc = verify("21")
-    assert proc.returncode == 2
-    body = json.loads(proc.stdout)
-    assert body["status"] == "error"
-    assert body["checks"] == []
-    assert "2**21 exceeds the check limit" in body["results"]["error"]
+    # 2**21 points are over the point limit; 15,780 class indices at 2**16
+    # points each (hours of work) are over the point-step limit
+    for n, message in (
+        ("21", "2**21 exceeds the check limit"),
+        ("16", "15780 class indices at 2**16 points each exceed the check limit"),
+    ):
+        proc = verify(n)
+        assert proc.returncode == 2
+        body = json.loads(proc.stdout)
+        assert body["status"] == "error"
+        assert body["checks"] == []
+        assert message in body["results"]["error"]
     proc = verify("3")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "ok"

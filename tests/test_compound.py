@@ -18,8 +18,9 @@ from aglcount.compound import (
 )
 from aglcount.fields import field
 from aglcount.linalg import GFMatrix, jordan_block
-from aglcount.rm import RMQuotientBasis, action_matrix
+from aglcount.rm import RMQuotientBasis
 from test_linalg import leibniz_det, matmul
+from test_rm import action_matrix
 
 f2 = field(2)
 f3 = field(3)

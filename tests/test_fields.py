@@ -85,6 +85,30 @@ def test_pinned_moduli_are_reproducible():
     assert field(5).modulus is None
 
 
+def schoolbook_product(a, b, p, modulus):
+    """a * b in F_p[x]/(modulus) on base-p digit vectors, with integer
+    arithmetic mod p and top-down reduction (test reference)."""
+    m = len(modulus) - 1
+    da = [a // p**k % p for k in range(m)]
+    db = [b // p**k % p for k in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * m - 2, m - 1, -1):
+        lead = prod[top]
+        for i, c in enumerate(modulus):
+            prod[top - m + i] = (prod[top - m + i] - lead * c) % p
+    return sum(c * p**k for k, c in enumerate(prod[:m]))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49])
+def test_multiplication_table_is_the_schoolbook_product(q):
+    f = field(q)
+    for a, b in itertools.product(range(q), repeat=2):
+        assert f.mul(a, b) == schoolbook_product(a, b, f.p, PINNED_MODULI[q]), (a, b)
+
+
 @pytest.mark.parametrize("q,kmax", [(2, 6), (3, 4), (4, 3), (5, 2), (7, 2)])
 def test_poly_order_matches_power_walk(q, kmax):
     # least e with x**e = 1 modulo the polynomial, one multiplication by x at a time

@@ -14,6 +14,7 @@ from aglcount.linalg import (
     eliminate,
     gf2_rank,
     jordan_block,
+    point_permutation,
     rank,
 )
 from aglcount.numtheory import agl_group_order
@@ -78,6 +79,21 @@ def sub_matrix(a, b):
     return GFMatrix(f, [[f.sub(x, y) for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)])
 
 
+def apply(sigma, point):
+    """x A + a at one point, entry by entry."""
+    f = sigma.field
+    out = list(sigma.translation)
+    for x, row in zip(point, sigma.matrix.entries):
+        for j, a in enumerate(row):
+            out[j] = f.add(out[j], f.mul(x, a))
+    return tuple(out)
+
+
+def point_code(point, q):
+    """x_0 + x_1 q + ... + x_{n-1} q**(n-1)."""
+    return sum(x * q**i for i, x in enumerate(point))
+
+
 def identity_map(f, n):
     return AffineMap(GFMatrix.identity(f, n), (0,) * n)
 
@@ -85,7 +101,7 @@ def identity_map(f, n):
 def then(s, t):
     """Apply s first, then t: the block-matrix product of the usual
     (n+1)-dim embeddings."""
-    return AffineMap(matmul(s.matrix, t.matrix), t.apply(s.translation))
+    return AffineMap(matmul(s.matrix, t.matrix), apply(t, s.translation))
 
 
 def affine_powers(sigma):
@@ -117,7 +133,7 @@ def fixed_point_count(sigma):
 
 def cyclic_orbit_count(sigma):
     """Orbits of the cyclic group of sigma on F_q**n, by following each
-    unseen point under sigma.apply."""
+    unseen point under apply."""
     seen = set()
     orbits = 0
     for point in itertools.product(range(sigma.field.q), repeat=sigma.dim):
@@ -126,7 +142,7 @@ def cyclic_orbit_count(sigma):
         orbits += 1
         while point not in seen:
             seen.add(point)
-            point = sigma.apply(point)
+            point = apply(sigma, point)
     return orbits
 
 
@@ -405,6 +421,19 @@ def test_cycle_lengths_match_brute_force():
     assert cycle_lengths([1, 0, 3, 4, 2]) == [2, 3]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
+def test_point_permutation_matches_pointwise_apply(q):
+    rng = random.Random(60 + q)
+    f = field(q)
+    for n in range(4):
+        for _ in range(3):
+            sigma = AffineMap(rand_invertible(rng, f, n), tuple(rng.randrange(q) for _ in range(n)))
+            perm = point_permutation(sigma)
+            assert sorted(perm) == list(range(q**n))
+            for point in itertools.product(range(q), repeat=n):
+                assert perm[point_code(point, q)] == point_code(apply(sigma, point), q), sigma
+
+
 def test_composition_is_block_matrix_product():
     rng = random.Random(12)
     for _ in range(10):
@@ -412,9 +441,9 @@ def test_composition_is_block_matrix_product():
         a = AffineMap(rand_invertible(rng, f2, n), tuple(rng.randrange(2) for _ in range(n)))
         b = AffineMap(rand_invertible(rng, f2, n), tuple(rng.randrange(2) for _ in range(n)))
         combo = then(a, b)
-        for point_code in range(2**n):
-            point = tuple((point_code >> i) & 1 for i in range(n))
-            assert combo.apply(point) == b.apply(a.apply(point))
+        for code in range(2**n):
+            point = tuple((code >> i) & 1 for i in range(n))
+            assert apply(combo, point) == apply(b, apply(a, point))
 
 
 def test_affine_map_requires_invertible_matrix():

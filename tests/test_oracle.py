@@ -1,9 +1,13 @@
+import math
+
 import pytest
 
 from aglcount.fields import field
 from aglcount.linalg import AffineMap, GFMatrix, point_permutation
 from aglcount.numtheory import agl_group_order
 from aglcount.oracle import (
+    _iter_linear_images,
+    _point_actions,
     brute_centralizer,
     brute_conjugacy_classes,
     burnside_full,
@@ -13,7 +17,7 @@ from aglcount.oracle import (
     orbit_enumeration,
     orbit_enumeration_code,
 )
-from test_linalg import identity_map
+from test_linalg import identity_map, point_code
 
 
 def test_burnside_full_examples():
@@ -65,6 +69,38 @@ def test_generators_generate_whole_group():
                         nxt.add(c)
             frontier = nxt
         assert len(seen) == agl_group_order(n, q), (n, q)
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2)])
+def test_point_actions_are_indexed_by_code(q, n):
+    f = field(q)
+    points, shifts, scales = _point_actions(f, n)
+    assert [point_code(t, q) for t in points] == list(range(q**n))
+    for t, shift in zip(points, shifts):
+        assert shift == point_permutation(AffineMap(GFMatrix.identity(f, n), t))
+    assert len(scales) == q - 1
+    for x, scale in enumerate(scales, start=1):
+        diagonal = [[x if i == j else 0 for j in range(n)] for i in range(n)]
+        assert scale == point_permutation(AffineMap.linear(GFMatrix(f, diagonal)))
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (5, 2)])
+def test_linear_images_cover_gl_once(q, n):
+    f = field(q)
+    points, _, _ = _point_actions(f, n)
+    mats = []
+    for rows, image in _iter_linear_images(f, n):
+        mats.append(GFMatrix(f, [points[r] for r in rows]))
+        assert image == point_permutation(AffineMap.linear(mats[-1])), mats[-1]
+    assert len(mats) == len(set(mats)) == math.prod(q**n - q**i for i in range(n))
+
+
+def test_group_table_perms_are_point_permutations():
+    for n, q in [(2, 2), (1, 3), (2, 3)]:
+        table = group_table(n, q)
+        assert len(set(table.maps)) == len(table)
+        for sigma, perm in zip(table.maps, table.perms):
+            assert perm == tuple(point_permutation(sigma)), sigma
 
 
 def test_group_table_structure():

@@ -113,7 +113,7 @@ def test_verify_class_matches_power_walk(monkeypatch):
     # verify_class reads the order, the fixed points of every divisor power
     # and the orbit count from one point permutation; the references compose
     # sigma with itself, count fixed points by two F_q ranks and follow each
-    # point under sigma.apply
+    # point under the test-local apply
     cases = [
         (idx, verify_class(idx))
         for q, nmax in ((2, 5), (3, 4))

@@ -10,13 +10,13 @@ from aglcount.oracle import burnside_full_theta, orbit_enumeration_code
 from aglcount.rm import (
     AnfPoly,
     RMQuotientBasis,
-    action_matrix,
     anf_substitute,
     coset_class_count_M,
     fix_on_quotient,
+    monomial_images,
     theta,
 )
-from test_linalg import affine_order, identity_map, matmul, sub_matrix, then
+from test_linalg import affine_order, apply, identity_map, matmul, sub_matrix, then
 
 f2 = field(2)
 
@@ -27,6 +27,22 @@ def rand_affine(rng, n):
         mat = GFMatrix(f2, entries)
         if mat.is_invertible():
             return AffineMap(mat, tuple(rng.randrange(2) for _ in range(n)))
+
+
+def evaluate(poly, point):
+    """The polynomial at a point of F_2**n: the parity of its monomials
+    whose variables are all 1 there."""
+    mask = sum(1 << i for i, x in enumerate(point) if x)
+    return sum(1 for m in poly.monomials if m & mask == m) & 1
+
+
+def action_matrix(sigma, basis):
+    """Matrix of f |-> f(sigma(x)) on the quotient, columns the images of
+    the basis monomials.  Multiplicative over composition: the matrix of
+    "a, then b" is the matrix of a times the matrix of b, in that order."""
+    images = monomial_images(sigma, basis.r)
+    monomials = basis.monomials
+    return GFMatrix(f2, [[images[mono] >> pos & 1 for mono in monomials] for pos in monomials])
 
 
 def inverse(sigma):
@@ -74,7 +90,7 @@ def test_substitute_pointwise_oracle():
             image = anf_substitute(poly, sigma)
             for code in range(1 << n):
                 point = tuple((code >> i) & 1 for i in range(n))
-                assert image.evaluate(point) == poly.evaluate(sigma.apply(point))
+                assert evaluate(image, point) == evaluate(poly, apply(sigma, point))
 
 
 def test_substitute_degree_behavior():
