@@ -9,20 +9,18 @@ from .linalg import AffineMap, GFMatrix
 from .numtheory import PrimePower, agl_group_order
 from .partitions import enumerate_partitions
 from .reps import build_representative, irreducibles_of_order, verify_class
-from .rm import AnfPoly, RMQuotientBasis, anf_substitute, coset_class_count_M, theta
+from .rm import RMQuotientBasis, coset_class_count_M, theta
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap",
-    "AnfPoly",
     "ClassIndex",
     "GFMatrix",
     "PartitionTuple",
     "PrimePower",
     "RMQuotientBasis",
     "agl_group_order",
-    "anf_substitute",
     "asymptotic_report",
     "build_representative",
     "centralizer_order",

@@ -101,9 +101,9 @@ class _FoldProgress:
     class-index count and, with --verbose, prints it on stderr with the
     rate since start."""
 
-    def __init__(self, args, start: float) -> None:
+    def __init__(self, args) -> None:
         self.args = args
-        self.start = start
+        self.start = time.perf_counter()
         self.done = 0
 
     def __call__(self, done: int) -> None:
@@ -122,59 +122,51 @@ def _count_digits_lower_bound(n: int, q: int) -> float:
         return math.inf
 
 
-def _cmd_count_functions(args) -> int:
-    report = RunReport(
-        command="count-functions",
-        parameters={"q": str(args.q), "n": str(args.n)},
-    )
+def _text(value) -> str:
+    return "" if value is None else str(value)
+
+
+def _cmd_count_functions(args, report: RunReport) -> str | None:
+    report.parameters = {"q": str(args.q), "n": str(args.n)}
     if not is_prime_power(args.q) or args.q > 512:
-        return _fail(report, args, f"q = {args.q} is not a prime power in 2..512")
+        return f"q = {args.q} is not a prime power in 2..512"
     if args.n < 0 or args.n > args.max_n:
-        return _fail(report, args, f"n = {args.n} outside 0..{args.max_n} (raise --max-n to override)")
+        return f"n = {args.n} outside 0..{args.max_n} (raise --max-n to override)"
     digits = _count_digits_lower_bound(args.n, args.q)
     if digits > _STR_DIGITS_LIMIT:
-        return _fail(report, args, f"the count has more than {digits:.4g} digits, above the limit {_STR_DIGITS_LIMIT}")
-    start = time.perf_counter()
+        return f"the count has more than {digits:.4g} digits, above the limit {_STR_DIGITS_LIMIT}"
     _progress(args, f"counting function classes for q={args.q}, n={args.n}")
-    folded = _FoldProgress(args, start)
+    folded = _FoldProgress(args)
     value = count_function_classes(args.n, args.q, jobs=args.parallelism, progress=folded)
-    report.elapsed_seconds = time.perf_counter() - start
     report.results["function_classes"] = str(value)
     if args.n >= 1:
         report.results["group_order"] = str(agl_group_order(args.n, args.q))
         if args.verbose_classes:
             report.results["class_indices"] = str(folded.done)
-    _emit(report, args)
-    return 0
 
 
-def _cmd_count_cosets(args) -> int:
-    params = {
+def _cmd_count_cosets(args, report: RunReport) -> str | None:
+    report.parameters = {
         "n": str(args.n),
-        "s": "" if args.s is None else str(args.s),
-        "r": "" if args.r is None else str(args.r),
+        "s": _text(args.s),
+        "r": _text(args.r),
         "coset_classes": str(bool(args.coset_classes)),
     }
-    report = RunReport(command="count-cosets", parameters=params)
     if args.n < 1 or args.n > args.max_n:
-        return _fail(report, args, f"n = {args.n} outside 1..{args.max_n} (raise --max-n to override)")
-    start = time.perf_counter()
-    callback = _FoldProgress(args, start)
+        return f"n = {args.n} outside 1..{args.max_n} (raise --max-n to override)"
+    callback = _FoldProgress(args)
     if args.coset_classes:
         if args.n < 2:
-            return _fail(report, args, "coset classes need n >= 2")
+            return "coset classes need n >= 2"
         value = coset_class_count_M(args.n, jobs=args.parallelism, progress=callback)
         report.results["coset_classes"] = str(value)
     else:
         s = 0 if args.s is None else args.s
         r = args.n if args.r is None else args.r
         if not 0 <= s <= r <= args.n:
-            return _fail(report, args, f"need 0 <= s <= r <= n, got s={s}, r={r}, n={args.n}")
+            return f"need 0 <= s <= r <= n, got s={s}, r={r}, n={args.n}"
         value = theta(args.n, s, r, jobs=args.parallelism, progress=callback)
         report.results["quotient_classes"] = str(value)
-    report.elapsed_seconds = time.perf_counter() - start
-    _emit(report, args)
-    return 0
 
 
 def _suite_reps(args, report: RunReport) -> str | None:
@@ -297,27 +289,20 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args) -> int:
+# suites over n = 1 .. --n; n = 0 would pass with no check at all
+_SUITES_FROM_ONE = ("reps", "class-equation", "duality", "compound")
+
+
+def _cmd_verify(args, report: RunReport) -> str | None:
     handler, defaults = _SUITES[args.suite]
     for key, value in defaults.items():
-        if getattr(args, key, None) is None:
+        if getattr(args, key) is None:
             setattr(args, key, value)
-    report = RunReport(
-        command="verify",
-        parameters={
-            "suite": args.suite,
-            "q": str(getattr(args, "q", "") or ""),
-            "n": str(getattr(args, "n", "") or ""),
-            "n_max": str(getattr(args, "n_max", "") or ""),
-        },
-    )
-    start = time.perf_counter()
-    error = handler(args, report)
-    if error:
-        return _fail(report, args, error)
-    report.elapsed_seconds = time.perf_counter() - start
-    _emit(report, args)
-    return 0 if report.status == "ok" else 1
+    report.parameters = {"suite": args.suite}
+    report.parameters.update((key, _text(getattr(args, key))) for key in ("q", "n", "n_max"))
+    if args.suite in _SUITES_FROM_ONE and args.n < 1:
+        return f"n = {args.n} must be >= 1 for suite {args.suite}"
+    return handler(args, report)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -370,11 +355,19 @@ def main(argv=None) -> int:
     if not 1 <= args.parallelism <= cpus:
         report = RunReport(command=args.command, parameters={"parallelism": str(args.parallelism)})
         return _fail(report, args, f"parallelism = {args.parallelism} outside 1..{cpus}")
+    # a handler refuses by returning a message or raising; either way the
+    # report carries it, with exit 2
+    report = RunReport(command=args.command, parameters={})
+    start = time.perf_counter()
     try:
-        return args.handler(args)
+        error = args.handler(args, report)
     except (ValueError, AssertionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(report, args, str(exc))
+    if error:
+        return _fail(report, args, error)
+    report.elapsed_seconds = time.perf_counter() - start
+    _emit(report, args)
+    return 0 if report.status == "ok" else 1
 
 
 if __name__ == "__main__":

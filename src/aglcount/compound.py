@@ -18,7 +18,7 @@ from math import comb
 
 from .fields import FieldTable, field
 from .linalg import AffineMap, GFMatrix, block_diagonal, eliminate, jordan_block
-from .rm import RMQuotientBasis, fix_on_quotient, raw_monomial_images, theta
+from .rm import RMQuotientBasis, fix_on_quotient, monomial_images, theta
 
 __all__ = [
     "AsymptoticReport",
@@ -73,7 +73,7 @@ def compound_gf2(mat: GFMatrix, r: int) -> GFMatrix:
         raise ValueError("compound of a non-square matrix")
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}")
-    images = raw_monomial_images(mat.entries, (0,) * n, n, r)
+    images = monomial_images(mat.entries, (0,) * n, r)
     masks = [sum(1 << i for i in s) for s in _subsets(n, r)]
     columns = [[(images[t] >> s) & 1 for s in masks] for t in masks]
     return GFMatrix(mat.field, list(zip(*columns)))

@@ -130,14 +130,10 @@ def generators(n: int, q: int) -> list[AffineMap]:
     return gens
 
 
-def orbit_enumeration(n: int, q: int) -> int:
-    """Number of orbits of the full function space, by explicit closure of
-    every function under a generating set of the group."""
-    points = q**n
-    if q**points > 70000:
-        raise ValueError(f"function space too large for n={n}, q={q}")
-    perms = [point_permutation(g) for g in generators(n, q)]
-    universe = list(itertools.product(range(q), repeat=points))
+def _count_orbits(universe, perms) -> int:
+    """Number of orbits of the functions in universe (value tuples indexed
+    by point code, a set closed under the group) under the group the point
+    permutations generate, by explicit closure: f goes to f(g(x))."""
     seen: set[tuple[int, ...]] = set()
     orbits = 0
     for func in universe:
@@ -154,6 +150,16 @@ def orbit_enumeration(n: int, q: int) -> int:
                     seen.add(nxt)
                     stack.append(nxt)
     return orbits
+
+
+def orbit_enumeration(n: int, q: int) -> int:
+    """Number of orbits of the full function space, by explicit closure of
+    every function under a generating set of the group."""
+    points = q**n
+    if q**points > 70000:
+        raise ValueError(f"function space too large for n={n}, q={q}")
+    perms = [point_permutation(g) for g in generators(n, q)]
+    return _count_orbits(itertools.product(range(q), repeat=points), perms)
 
 
 @dataclass
@@ -263,31 +269,17 @@ def burnside_full_theta(n: int, s: int, r: int) -> int:
 
 
 def orbit_enumeration_code(n: int, r: int) -> int:
-    """Number of AGL(n, F_2) orbits of R(r, n) by explicit closure, for the
-    tiny cases where the whole code fits in memory."""
-    from .rm import AnfPoly, anf_substitute
-
-    monomials = [
-        m for m in range(1 << n) if bin(m).count("1") <= r
-    ]
+    """Number of AGL(n, F_2) orbits of R(r, n) by explicit closure of its
+    truth tables, for the tiny cases where the whole code fits in memory.
+    A codeword's table is a sum of tables of monomials of degree <= r, so
+    no polynomial is ever substituted."""
+    monomials = [m for m in range(1 << n) if m.bit_count() <= r]
     if 2 ** len(monomials) > 70000:
         raise ValueError(f"code too large for n={n}, r={r}")
-    gens = generators(n, 2)
-    seen: set[frozenset[int]] = set()
-    orbits = 0
-    for bits in itertools.product((0, 1), repeat=len(monomials)):
-        start = frozenset(m for m, b in zip(monomials, bits) if b)
-        if start in seen:
-            continue
-        orbits += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            cur = stack.pop()
-            poly = AnfPoly(n, cur)
-            for g in gens:
-                nxt = anf_substitute(poly, g).monomials
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return orbits
+    points, _, _ = _point_actions(field(2), n)
+    words = [(0,) * len(points)]
+    for m in monomials:
+        table = [int(all(x[i] for i in range(n) if m >> i & 1)) for x in points]
+        words += [tuple(a ^ b for a, b in zip(word, table)) for word in words]
+    perms = [point_permutation(g) for g in generators(n, 2)]
+    return _count_orbits(words, perms)

@@ -2,10 +2,11 @@
 quotients, and the Burnside counts of quotient-code orbits.
 
 Binary only: the quotient machinery relies on F_2 coefficient arithmetic
-(XOR) throughout.  A monomial is a bitmask over the n variables; a
-polynomial is a set of monomials.  The hot path packs a whole polynomial
-into one Python int with 2**n indicator bits, so multiplying by an affine
-linear form is a handful of mask/shift/xor operations on that int.
+(XOR) throughout.  A monomial is a bitmask over the n variables, and a
+polynomial is packed into one Python int with 2**n indicator bits, one
+per monomial slot, so multiplying by an affine linear form is a handful
+of mask/shift/xor operations on that int.  ``monomial_images`` is the one
+substitution engine.
 
 The quotient counts have no fold of their own: each class representative
 fixes 2**nullity cosets, so ``theta`` hands (weight, nullity) terms to the
@@ -25,97 +26,14 @@ from .numtheory import agl_group_order
 from .reps import iter_class_representatives
 
 __all__ = [
-    "AnfPoly",
     "RMQuotientBasis",
-    "anf_substitute",
     "coset_class_count_M",
     "fix_on_quotient",
     "monomial_images",
-    "raw_monomial_images",
     "theta",
 ]
 
 _MAX_VARS = 24
-
-
-@dataclass(frozen=True)
-class AnfPoly:
-    """Multilinear polynomial over F_2: a set of monomial bitmasks."""
-
-    nvars: int
-    monomials: frozenset[int]
-
-    def __post_init__(self):
-        if not 0 <= self.nvars <= _MAX_VARS:
-            raise ValueError(f"nvars must be in 0..{_MAX_VARS}")
-        if any(m >> self.nvars for m in self.monomials):
-            raise ValueError("monomial uses a variable outside the range")
-        if not isinstance(self.monomials, frozenset):
-            object.__setattr__(self, "monomials", frozenset(self.monomials))
-
-    @classmethod
-    def zero(cls, nvars: int) -> "AnfPoly":
-        return cls(nvars, frozenset())
-
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "AnfPoly":
-        return cls(nvars, frozenset({1 << i}))
-
-    @property
-    def degree(self) -> int:
-        """Largest monomial size; -1 for the zero polynomial."""
-        return max((m.bit_count() for m in self.monomials), default=-1)
-
-    def __add__(self, other: "AnfPoly") -> "AnfPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        return AnfPoly(self.nvars, self.monomials ^ other.monomials)
-
-    def __mul__(self, other: "AnfPoly") -> "AnfPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        acc: set[int] = set()
-        for a in self.monomials:
-            for b in other.monomials:
-                acc ^= {a | b}
-        return AnfPoly(self.nvars, frozenset(acc))
-
-
-def anf_substitute(poly: AnfPoly, sigma: AffineMap) -> AnfPoly:
-    """Substitute each variable by its affine image under x |-> x A + a.
-
-    Variable i becomes (column i of A) . X + a_i; the result is expanded
-    and reduced by X_i**2 = X_i.  Degree never increases.
-    """
-    if sigma.field.q != 2:
-        raise ValueError("substitution is defined over F_2 only")
-    if sigma.dim != poly.nvars:
-        raise ValueError("dimension mismatch")
-    n = poly.nvars
-    forms = []
-    for i in range(n):
-        terms = {1 << j for j in range(n) if sigma.matrix.entries[j][i]}
-        if sigma.translation[i]:
-            terms.add(0)
-        forms.append(frozenset(terms))
-    acc: set[int] = set()
-    for monomial in poly.monomials:
-        prod: set[int] = {0}
-        m = monomial
-        while m:
-            low = m & -m
-            m ^= low
-            nxt: set[int] = set()
-            for a in prod:
-                for b in forms[low.bit_length() - 1]:
-                    nxt ^= {a | b}
-            prod = nxt
-        acc ^= prod
-    return AnfPoly(n, frozenset(acc))
-
-
-# ---------------------------------------------------------------------------
-# packed substitution engine
 
 
 @lru_cache(maxsize=None)
@@ -135,16 +53,16 @@ def _var_masks(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def raw_monomial_images(
-    entries, translation, n: int, max_degree: int
-) -> list[int | None]:
-    """Packed substituted images from raw 0/1 matrix rows and translation.
+def monomial_images(entries, translation, max_degree: int) -> list[int | None]:
+    """Packed image of every monomial of degree <= max_degree under the
+    substitution x |-> x A + a, from the 0/1 rows of A and the translation.
 
-    No invertibility requirement; compounds of singular matrices use this
-    path too.  Entry m (a variable bitmask) holds the coefficient vector of
-    the image of that monomial, one indicator bit per monomial slot; other
-    entries are None.
+    Variable i becomes (column i of A) . X + a_i.  Entry m (a variable
+    bitmask) holds the coefficient vector of the image of X_m, one
+    indicator bit per monomial slot; other entries are None.  A need not be
+    invertible: compounds of singular matrices use this path too.
     """
+    n = len(translation)
     masks = _var_masks(n)
     forms = []
     for i in range(n):
@@ -171,15 +89,6 @@ def raw_monomial_images(
             acc ^= ((base & absent) << vlow) ^ (base & present)
         images[m] = acc
     return images
-
-
-def monomial_images(sigma: AffineMap, max_degree: int) -> list[int | None]:
-    """Packed substituted image for every monomial of degree <= max_degree."""
-    if sigma.field.q != 2:
-        raise ValueError("packed substitution is defined over F_2 only")
-    return raw_monomial_images(
-        sigma.matrix.entries, sigma.translation, sigma.dim, max_degree
-    )
 
 
 @dataclass(frozen=True)
@@ -236,9 +145,11 @@ def fix_on_quotient(sigma: AffineMap, basis: RMQuotientBasis) -> int:
     degree, so masking off the slots of degree <= s is exactly the reduction
     modulo R(s, n).
     """
+    if sigma.field.q != 2:
+        raise ValueError("packed substitution is defined over F_2 only")
     if sigma.dim != basis.n:
         raise ValueError("dimension mismatch")
-    images = monomial_images(sigma, basis.r)
+    images = monomial_images(sigma.matrix.entries, sigma.translation, basis.r)
     keep = basis.slot_mask
     rows = [(images[m] ^ (1 << m)) & keep for m in basis.monomials]
     return 1 << (basis.dim - gf2_rank(rows))

@@ -145,6 +145,42 @@ def test_verify_suites_pass(capsys):
         assert all(c["status"] == "pass" for c in body["checks"])
 
 
+def test_verify_refuses_an_empty_range(capsys):
+    # every suite but oracle runs over n = 1 .. --n, so n < 1 would pass
+    # vacuously; oracle at n = 0 checks N(q, 0) = q
+    for suite in ("reps", "class-equation", "duality", "compound"):
+        for n in ("0", "-1"):
+            code, out = run_cli(capsys, "verify", "--suite", suite, "--n", n)
+            body = json.loads(out)
+            assert code == 2, (suite, n)
+            assert body["status"] == "error" and body["checks"] == []
+            assert body["parameters"]["n"] == n
+            assert "must be >= 1" in body["results"]["error"]
+    code, out = run_cli(capsys, "verify", "--suite", "oracle", "--n", "0")
+    body = json.loads(out)
+    assert code == 0 and body["status"] == "ok"
+    assert body["parameters"]["n"] == "0"
+    assert body["results"]["function_classes"] == "2"
+
+
+def test_raised_refusal_gets_a_report(tmp_path, capsys):
+    # a ValueError from inside a handler ends as the same error report,
+    # on stdout and in --out, as a refusal the handler returns
+    path = tmp_path / "report.json"
+    for argv, message in (
+        (("verify", "--suite", "oracle", "--q", "6", "--n", "2"), "not a prime power"),
+        (("verify", "--suite", "asymptotic", "--n-max", "1"), "n_max must be >= 2"),
+    ):
+        code = main([*argv, "--out", str(path)])
+        captured = capsys.readouterr()
+        assert captured.out == path.read_text()
+        body = json.loads(captured.out)
+        assert code == 2, argv
+        assert body["status"] == "error"
+        assert message in body["results"]["error"]
+        assert captured.err == ""
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])

@@ -17,6 +17,7 @@ from aglcount.oracle import (
     orbit_enumeration,
     orbit_enumeration_code,
 )
+from aglcount.rm import theta
 from test_linalg import identity_map, point_code
 
 
@@ -136,3 +137,13 @@ def test_quotient_oracles_small():
     assert orbit_enumeration_code(3, 1) == 3  # zero, one, the non-constant affines
     assert burnside_full_theta(2, 0, 0) == 2
     assert burnside_full_theta(3, 0, 1) == 3
+
+
+def test_code_orbits_match_quotient_counts():
+    # R(r, n) is the quotient R(r, n)/R(-1, n): the truth-table closure
+    # against the class-based count, at every (n, r) the guard admits for n <= 4
+    for n in range(1, 5):
+        for r in range(n + 1):
+            assert orbit_enumeration_code(n, r) == theta(n, 0, r), (n, r)
+    with pytest.raises(ValueError, match="code too large"):
+        orbit_enumeration_code(5, 3)

@@ -8,9 +8,7 @@ from aglcount.formulas import count_function_classes
 from aglcount.linalg import AffineMap, GFMatrix, rank
 from aglcount.oracle import burnside_full_theta, orbit_enumeration_code
 from aglcount.rm import (
-    AnfPoly,
     RMQuotientBasis,
-    anf_substitute,
     coset_class_count_M,
     fix_on_quotient,
     monomial_images,
@@ -29,18 +27,62 @@ def rand_affine(rng, n):
             return AffineMap(mat, tuple(rng.randrange(2) for _ in range(n)))
 
 
-def evaluate(poly, point):
-    """The polynomial at a point of F_2**n: the parity of its monomials
-    whose variables are all 1 there."""
+def images_of(sigma, max_degree):
+    return monomial_images(sigma.matrix.entries, sigma.translation, max_degree)
+
+
+def evaluate(packed, point):
+    """A packed polynomial at a point of F_2**n: the parity of its
+    monomials whose variables are all 1 there."""
     mask = sum(1 << i for i, x in enumerate(point) if x)
-    return sum(1 for m in poly.monomials if m & mask == m) & 1
+    return sum(1 for m in range(mask + 1) if packed >> m & 1 and m & mask == m) & 1
+
+
+def raw_apply(entries, translation, point):
+    """x A + a at one point, for any 0/1 matrix A."""
+    return tuple(
+        (a + sum(x * row[i] for x, row in zip(point, entries))) & 1
+        for i, a in enumerate(translation)
+    )
+
+
+def points_of(n):
+    return [tuple(code >> i & 1 for i in range(n)) for code in range(1 << n)]
+
+
+def anf_of_table(table):
+    """Packed ANF of a truth table indexed by point code (bit i of the code
+    is x_i), by the binary Moebius transform."""
+    coeffs = list(table)
+    step = 1
+    while step < len(coeffs):
+        for c in range(len(coeffs)):
+            if c & step:
+                coeffs[c] ^= coeffs[c ^ step]
+        step <<= 1
+    return sum(bit << m for m, bit in enumerate(coeffs))
+
+
+def substitute(packed, sigma):
+    """f |-> f(sigma(x)) on a whole packed polynomial, monomial by monomial."""
+    images = images_of(sigma, sigma.dim)
+    out = 0
+    for m, image in enumerate(images):
+        if packed >> m & 1:
+            out ^= image
+    return out
+
+
+def degree(packed):
+    """Largest monomial size; -1 for the zero polynomial."""
+    return max((m.bit_count() for m in range(packed.bit_length()) if packed >> m & 1), default=-1)
 
 
 def action_matrix(sigma, basis):
     """Matrix of f |-> f(sigma(x)) on the quotient, columns the images of
     the basis monomials.  Multiplicative over composition: the matrix of
     "a, then b" is the matrix of a times the matrix of b, in that order."""
-    images = monomial_images(sigma, basis.r)
+    images = images_of(sigma, basis.r)
     monomials = basis.monomials
     return GFMatrix(f2, [[images[mono] >> pos & 1 for mono in monomials] for pos in monomials])
 
@@ -53,58 +95,62 @@ def inverse(sigma):
     return out
 
 
-def test_anf_poly_basics():
-    p = AnfPoly(3, frozenset({0b011, 0b100}))
-    assert p.degree == 2
-    assert AnfPoly.zero(3).degree == -1
-    assert (p + p) == AnfPoly.zero(3)
-    x0, x1 = AnfPoly.variable(2, 0), AnfPoly.variable(2, 1)
-    assert (x0 * x0) == x0  # idempotent variables
-    assert (x0 * x1).monomials == frozenset({0b11})
-    with pytest.raises(ValueError):
-        AnfPoly(2, frozenset({0b100}))
-
-
 def test_substitute_examples():
     translation = AffineMap(GFMatrix.identity(f2, 2), (1, 0))
-    x1 = AnfPoly.variable(2, 0)
-    assert anf_substitute(x1, translation).monomials == frozenset({0, 1})  # X1 + 1
+    assert images_of(translation, 2)[0b01] == 1 << 0 | 1 << 0b01  # X1 + 1
 
     swap = AffineMap.linear(GFMatrix(f2, [[0, 1], [1, 0]]))
-    x1x2 = AnfPoly(2, frozenset({0b11}))
-    assert anf_substitute(x1x2, swap) == x1x2
+    assert images_of(swap, 2)[0b11] == 1 << 0b11  # X1 X2 stays
 
     shear = AffineMap.linear(GFMatrix(f2, [[1, 0], [1, 1]]))  # X1 -> X1 + X2
-    assert anf_substitute(x1x2, shear).monomials == frozenset({0b10, 0b11})
+    assert images_of(shear, 2)[0b11] == 1 << 0b10 | 1 << 0b11
+    assert images_of(shear, 1)[0b11] is None  # above max_degree
+    assert monomial_images((), (), 0) == [1]
 
 
 def test_substitute_pointwise_oracle():
+    # (f o sigma)(x) = f(sigma(x)) at every point, for every monomial of
+    # degree <= r; any 0/1 matrix, singular or not, with any translation
     rng = random.Random(31)
-    for n in (1, 2, 3, 4):
-        for _ in range(8):
-            sigma = rand_affine(rng, n)
-            monomials = frozenset(
-                m for m in range(1 << n) if rng.random() < 0.4
-            )
-            poly = AnfPoly(n, monomials)
-            image = anf_substitute(poly, sigma)
-            for code in range(1 << n):
-                point = tuple((code >> i) & 1 for i in range(n))
-                assert evaluate(image, point) == evaluate(poly, apply(sigma, point))
+    for n in range(1, 6):
+        points = points_of(n)
+        for trial in range(8):
+            if trial % 2:
+                sigma = rand_affine(rng, n)
+                entries, translation = sigma.matrix.entries, sigma.translation
+            else:
+                entries = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+                translation = tuple(rng.randrange(2) for _ in range(n))
+            r = n - trial // 2 % (n + 1)  # both kinds of map at r = n and below
+            images = monomial_images(entries, translation, r)
+            assert len(images) == 1 << n
+            for m, image in enumerate(images):
+                if m.bit_count() > r:
+                    assert image is None, (n, m, r)
+                    continue
+                for point in points:
+                    moved = raw_apply(entries, translation, point)
+                    assert evaluate(image, point) == all(moved[i] for i in range(n) if m >> i & 1)
 
 
 def test_substitute_degree_behavior():
     rng = random.Random(32)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         for _ in range(10):
+            # no image slot above its monomial's degree, for any matrix: the
+            # masking in fix_on_quotient is the reduction modulo R(s, n)
+            entries = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+            translation = tuple(rng.randrange(2) for _ in range(n))
+            for m, image in enumerate(monomial_images(entries, translation, n)):
+                assert degree(image) <= m.bit_count(), (n, m)
+            # invertible: degree preserved, and the inverse substitutes back
             sigma = rand_affine(rng, n)
-            poly = AnfPoly(n, frozenset(m for m in range(1 << n) if rng.random() < 0.35))
-            image = anf_substitute(poly, sigma)
-            assert image.degree <= poly.degree or poly.degree == -1
-            # invertible: degree preserved (apply the inverse to come back)
-            back = anf_substitute(image, inverse(sigma))
-            assert back == poly
-            assert image.degree == poly.degree
+            for m, image in enumerate(images_of(sigma, n)):
+                assert degree(image) == m.bit_count(), (n, m)
+            poly = sum(1 << m for m in range(1 << n) if rng.random() < 0.35)
+            image = substitute(poly, sigma)
+            assert degree(image) == degree(poly)
+            assert substitute(image, inverse(sigma)) == poly
 
 
 def test_basis_layout():
@@ -138,16 +184,19 @@ def test_action_matrix_multiplicative():
 
 
 def test_action_matrix_consistent_with_substitution():
+    # column j is the pointwise composite X_j(sigma(x)), read off its ANF on
+    # the basis slots
     rng = random.Random(34)
     basis = RMQuotientBasis(4, 1, 3)
     monomials = basis.monomials
+    points = points_of(4)
     for _ in range(5):
         sigma = rand_affine(rng, 4)
         mat = action_matrix(sigma, basis)
         for j, mono in enumerate(monomials):
-            image = anf_substitute(AnfPoly(4, frozenset({mono})), sigma)
+            image = anf_of_table([evaluate(1 << mono, apply(sigma, x)) for x in points])
             for i, pos in enumerate(monomials):
-                assert mat.entries[i][j] == (1 if pos in image.monomials else 0)
+                assert mat.entries[i][j] == image >> pos & 1
 
 
 def test_fix_on_quotient_examples():
