@@ -2,7 +2,7 @@
 Reed-Muller quotient codes, by Burnside sums over explicit conjugacy-class
 data of the affine linear group, cross-validated by brute-force oracles."""
 
-from .compound import asymptotic_report, compound_matrix
+from .compound import asymptotic_report
 from .conjugacy import ClassIndex, PartitionTuple, compute_D, enumerate_classes, enumerate_omega
 from .formulas import centralizer_order, count_function_classes, element_order, orbit_exponent
 from .linalg import AffineMap, GFMatrix
@@ -24,7 +24,6 @@ __all__ = [
     "asymptotic_report",
     "build_representative",
     "centralizer_order",
-    "compound_matrix",
     "compute_D",
     "coset_class_count_M",
     "count_function_classes",

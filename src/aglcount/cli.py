@@ -32,6 +32,10 @@ __all__ = ["RunReport", "main"]
 _STR_DIGITS_LIMIT = 4_000_000
 # verify --suite reps walks about q**n points per class index at the largest n
 _REPS_STEP_LIMIT = 1 << 24
+# the Jordan sweep of verify --suite compound substitutes into 2**n monomials,
+# whose images are ints of 2**n bits each: time and memory about quadruple
+# per step of --n (n = 14 takes about 35 s and 300 MiB on 2 cores, Python 3.11)
+_COMPOUND_N_LIMIT = 14
 
 
 @dataclass
@@ -236,8 +240,10 @@ def _suite_duality(args, report: RunReport) -> None:
     report.add_check(f"duality n={n}", ok, bad or "all pairs")
 
 
-def _suite_compound(args, report: RunReport) -> None:
+def _suite_compound(args, report: RunReport) -> str | None:
     n_max = args.n
+    if n_max > _COMPOUND_N_LIMIT:
+        return f"n = {n_max} exceeds the compound sweep limit {_COMPOUND_N_LIMIT}"
     ok = all(
         check_jordan_block_structure(n, r) for n in range(1, n_max + 1) for r in range(1, n + 1)
     )
@@ -275,8 +281,10 @@ def _suite_asymptotic(args, report: RunReport) -> None:
         report.results[f"limit_ratio_n{row.n}"] = row.limit_ratio_text
     report.add_check("ratios-exceed-one", all(row.ratio > 1 for row in outcome.rows))
     tail = [row for row in outcome.rows if row.n >= 5]
-    decreasing = all(a.ratio > b.ratio for a, b in zip(tail, tail[1:]))
-    report.add_check(f"ratios-decreasing n>=5 (n_max={args.n_max})", decreasing)
+    if len(tail) >= 2:
+        # with fewer rows there is nothing to compare
+        decreasing = all(a.ratio > b.ratio for a, b in zip(tail, tail[1:]))
+        report.add_check(f"ratios-decreasing n>=5 (n_max={args.n_max})", decreasing)
 
 
 _SUITES = {

@@ -1,11 +1,10 @@
 """Compound matrices, their structural checks, and the asymptotic ratio
 report for the quotient-code class counts.
 
-The generic compound is computed from minors over any field table.  The
-GF(2) sweeps use the packed monomial-substitution engine instead: the
-coefficient of X_S in the image of X_T under a linear substitution is the
-permanent of A(S, T), which over F_2 is det A(S, T); the two paths are
-cross-checked in the tests.
+Compounds are binary only and come from the packed monomial-substitution
+engine: the coefficient of X_S in the image of X_T under a linear
+substitution is the permanent of A(S, T), which over F_2 is det A(S, T);
+the tests check this against a compound built from minors.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .fields import FieldTable, field
-from .linalg import AffineMap, GFMatrix, block_diagonal, eliminate, jordan_block
+from .fields import field
+from .linalg import AffineMap, GFMatrix, block_diagonal, jordan_block
 from .rm import RMQuotientBasis, fix_on_quotient, monomial_images, theta
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "check_kronecker_embedding",
     "check_rank_bound",
     "compound_gf2",
-    "compound_matrix",
     "format_significant",
     "unit_product_constant",
 ]
@@ -39,33 +37,11 @@ def _subsets(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations(range(n), r))
 
 
-def _minor_det(f: FieldTable, entries, rows, cols) -> int:
-    return eliminate(f, [[entries[i][j] for j in cols] for i in rows])[1]
-
-
-def compound_matrix(mat: GFMatrix, r: int) -> GFMatrix:
-    """The matrix of r x r minors: entry (S, T) = det of the submatrix with
-    rows S and columns T.  C_0 is the 1 x 1 identity."""
-    n = mat.rows
-    if mat.cols != n:
-        raise ValueError("compound of a non-square matrix")
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r={r}")
-    index = _subsets(n, r)
-    f = mat.field
-    out = [
-        [_minor_det(f, mat.entries, s, t) for t in index]
-        for s in index
-    ]
-    return GFMatrix(f, out)
-
-
 def compound_gf2(mat: GFMatrix, r: int) -> GFMatrix:
-    """GF(2) compound via monomial substitution, equal to compound_matrix.
-
-    Entry (S, T) is the coefficient of X_S in prod_{i in T} (column i . X),
-    i.e. the permanent of A(S, T), which equals the determinant over F_2.
-    """
+    """The matrix of r x r minors over F_2, C_0 being the 1 x 1 identity,
+    by monomial substitution: entry (S, T) is the coefficient of X_S in
+    prod_{i in T} (column i . X), i.e. the permanent of A(S, T), which
+    equals the determinant over F_2."""
     if mat.field.q != 2:
         raise ValueError("compound_gf2 needs a matrix over F_2")
     n = mat.rows
@@ -79,18 +55,10 @@ def compound_gf2(mat: GFMatrix, r: int) -> GFMatrix:
     return GFMatrix(mat.field, list(zip(*columns)))
 
 
-@lru_cache(maxsize=32)
-def _compound(mat: GFMatrix, r: int) -> GFMatrix:
-    # a sweep over every (k, l) meets each matrix at each size many times
-    return compound_gf2(mat, r) if mat.field.q == 2 else compound_matrix(mat, r)
-
-
 def check_kronecker_embedding(a: GFMatrix, b: GFMatrix, k: int, l: int) -> bool:
     """Does the Kronecker product C_k(A) x C_l(B) sit inside C_{k+l} of the
-    block-diagonal sum, on the row/column labels S union (shifted T)?"""
-    if a.field.q != b.field.q:
-        raise ValueError("field mismatch")
-    f = a.field
+    block-diagonal sum, on the row/column labels S union (shifted T)?
+    Binary matrices only, as for `compound_gf2`."""
     m, n = a.rows, b.rows
     if not (0 <= k <= m and 0 <= l <= n):
         raise ValueError("minor sizes out of range")
@@ -102,14 +70,14 @@ def check_kronecker_embedding(a: GFMatrix, b: GFMatrix, k: int, l: int) -> bool:
         for s in a_subsets
         for t in b_subsets
     ]
-    big = _compound(block_diagonal([a, b]), k + l)
-    ca = _compound(a, k)
-    cb = _compound(b, l)
+    big = compound_gf2(block_diagonal([a, b]), k + l)
+    ca = compound_gf2(a, k)
+    cb = compound_gf2(b, l)
     for row_pos, row_label in enumerate(labels):
         ra, rb = divmod(row_pos, len(b_subsets))
         for col_pos, col_label in enumerate(labels):
             ca_col, cb_col = divmod(col_pos, len(b_subsets))
-            want = f.mul(ca.entries[ra][ca_col], cb.entries[rb][cb_col])
+            want = ca.entries[ra][ca_col] & cb.entries[rb][cb_col]
             if big.entries[row_label][col_label] != want:
                 return False
     return True

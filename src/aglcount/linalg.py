@@ -1,5 +1,5 @@
-"""Dense matrices and affine maps over F_q: one forward elimination for
-rank and determinant, and a packed-int GF(2) rank for q = 2.
+"""Dense matrices and affine maps over F_q, and their rank: forward
+elimination over F_q, or a packed-int GF(2) rank at q = 2.
 
 Row-vector convention throughout: a matrix acts on points by x |-> x A,
 an affine map by x |-> x A + a.  A point x of F_q**n has the code
@@ -20,7 +20,6 @@ __all__ = [
     "block_diagonal",
     "companion_matrix",
     "cycle_lengths",
-    "eliminate",
     "gf2_rank",
     "jordan_block",
     "point_permutation",
@@ -66,38 +65,6 @@ class GFMatrix:
         return self.rows == self.cols and rank(self) == self.rows
 
 
-def eliminate(f: FieldTable, rows: list[list[int]]) -> tuple[int, int]:
-    """Forward elimination over F_q, in place on the given rows; returns
-    (rank, determinant).  Each column pivots on the first nonzero entry at
-    or below the current row.  The determinant is the signed product of
-    the pivots if the rows form a square matrix of full rank, else 0."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rk = 0
-    det = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rk, nrows) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rk:
-            rows[rk], rows[pivot] = rows[pivot], rows[rk]
-            det = f.neg(det)
-        row_p = rows[rk]
-        det = f.mul(det, row_p[col])
-        inv = f.inv(row_p[col])
-        for r in range(rk + 1, nrows):
-            factor = rows[r][col]
-            if factor:
-                c = f.mul(factor, inv)
-                row_r = rows[r]
-                for k in range(col, ncols):
-                    row_r[k] = f.sub(row_r[k], f.mul(c, row_p[k]))
-        rk += 1
-        if rk == nrows:
-            break
-    return rk, (det if rk == nrows == ncols else 0)
-
-
 def gf2_rank(rows: list[int]) -> int:
     """Rank over GF(2) of rows packed as ints (bit j = column j), by
     reduction against one pivot row per leading bit."""
@@ -116,10 +83,31 @@ def gf2_rank(rows: list[int]) -> int:
 
 
 def rank(mat: GFMatrix) -> int:
-    """Rank over F_q: the packed GF(2) rank at q = 2, else `eliminate`."""
+    """Rank over F_q: the packed GF(2) rank at q = 2, else forward
+    elimination on a copy of the rows, each column pivoting on the first
+    nonzero entry at or below the current row."""
     if mat.field.q == 2:
         return gf2_rank([sum(b << j for j, b in enumerate(row)) for row in mat.entries])
-    return eliminate(mat.field, [list(r) for r in mat.entries])[0]
+    f = mat.field
+    rows = [list(r) for r in mat.entries]
+    rk = 0
+    for col in range(mat.cols):
+        pivot = next((r for r in range(rk, mat.rows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        row_p = rows[rk]
+        inv = f.inv(row_p[col])
+        for row_r in rows[rk + 1:]:
+            factor = row_r[col]
+            if factor:
+                c = f.mul(factor, inv)
+                for k in range(col, mat.cols):
+                    row_r[k] = f.sub(row_r[k], f.mul(c, row_p[k]))
+        rk += 1
+        if rk == mat.rows:
+            break
+    return rk
 
 
 def companion_matrix(f: FieldTable, poly: tuple[int, ...]) -> GFMatrix:

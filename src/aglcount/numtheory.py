@@ -5,7 +5,7 @@ rational intermediates elsewhere use :class:`fractions.Fraction`.
 Factorization is trial division with memoization.  It takes at least
 sqrt(p) steps for a number whose largest prime factor is p: quick for the
 q**i - 1 met at q = 2 up to n around 31, but not for every q <= 512, as
-`compute_D(10, 509)` runs past 30 s (ROADMAP item 5).
+`compute_D(10, 509)` runs past 45 s.
 """
 
 from __future__ import annotations

@@ -25,9 +25,10 @@ from aglcount.formulas import (
 )
 from aglcount.linalg import AffineMap, GFMatrix
 from aglcount.numtheory import agl_group_order, psi
-from aglcount.oracle import burnside_full, burnside_full_theta, orbit_enumeration
+from aglcount.oracle import burnside_full, orbit_enumeration
 from aglcount.reps import iter_class_representatives, verify_class
 from aglcount.rm import RMQuotientBasis, coset_class_count_M, fix_on_quotient, theta
+from brute import burnside_full_theta
 from test_linalg import identity_map, matmul, sub_matrix
 
 

@@ -258,3 +258,37 @@ def test_reps_suite_beyond_point_limit_fails_fast():
     proc = verify("3")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def test_compound_suite_beyond_size_limit_fails_fast():
+    # n = 15 runs for minutes and n = 40 would never end: both are refused
+    # before the sweep starts
+    def verify(n):
+        return subprocess.run(
+            [sys.executable, "-m", "aglcount", "verify", "--suite", "compound", "--n", n],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+
+    for n in ("15", "40"):
+        proc = verify(n)
+        assert proc.returncode == 2
+        body = json.loads(proc.stdout)
+        assert body["status"] == "error"
+        assert body["checks"] == []
+        assert body["results"]["error"] == f"n = {n} exceeds the compound sweep limit 14"
+    proc = verify("4")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def test_asymptotic_suite_compares_ratios_only_when_two_exist(capsys):
+    # rows start at n = 2, so the n >= 5 tail has two rows from n_max = 6 on
+    for n_max in range(2, 8):
+        code, out = run_cli(capsys, "verify", "--suite", "asymptotic", "--n-max", str(n_max))
+        body = json.loads(out)
+        assert code == 0 and body["status"] == "ok", n_max
+        names = [check["name"] for check in body["checks"]]
+        decreasing = f"ratios-decreasing n>=5 (n_max={n_max})"
+        assert names == ["ratios-exceed-one"] + [decreasing] * (n_max >= 6), n_max

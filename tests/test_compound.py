@@ -12,7 +12,6 @@ from aglcount.compound import (
     check_kronecker_embedding,
     check_rank_bound,
     compound_gf2,
-    compound_matrix,
     format_significant,
     unit_product_constant,
 )
@@ -35,6 +34,22 @@ def rand_invertible(rng, f, n):
         m = rand_matrix(rng, f, n)
         if m.is_invertible():
             return m
+
+
+def compound_matrix(mat, r):
+    """The matrix of r x r minors, each by Leibniz expansion (test
+    reference): entry (S, T) is the minor on rows S and columns T, and C_0
+    is the 1 x 1 identity."""
+    if mat.cols != mat.rows:
+        raise ValueError("compound of a non-square matrix")
+    if not 0 <= r <= mat.rows:
+        raise ValueError(f"need 0 <= r <= n, got r={r}")
+    index = list(itertools.combinations(range(mat.rows), r))
+
+    def minor(s, t):
+        return leibniz_det(GFMatrix(mat.field, [[mat.entries[i][j] for j in t] for i in s]))
+
+    return GFMatrix(mat.field, [[minor(s, t) for t in index] for s in index])
 
 
 def test_subset_index():
@@ -84,10 +99,16 @@ def test_compound_multiplicative():
 
 def test_compound_gf2_matches_minors():
     rng = random.Random(3)
+    singular = 0
     for n in range(1, 7):
-        m = rand_matrix(rng, f2, n)
-        for r in range(n + 1):
-            assert compound_gf2(m, r) == compound_matrix(m, r)
+        for _ in range(2):
+            m = rand_matrix(rng, f2, n)
+            singular += not m.is_invertible()
+            for r in range(n + 1):
+                assert compound_gf2(m, r) == compound_matrix(m, r)
+    assert singular >= 3
+    with pytest.raises(ValueError, match="over F_2"):
+        compound_gf2(GFMatrix.identity(f3, 2), 1)
 
 
 def test_action_matrix_diagonal_blocks_are_compounds():
@@ -121,13 +142,18 @@ def test_kronecker_embedding_examples():
 
 def test_kronecker_embedding_random_sweep():
     rng = random.Random(6)
-    for f, size in ((f2, 4), (f3, 3)):
-        for _ in range(10):
-            m, n = rng.randint(1, size), rng.randint(1, size)
-            a, b = rand_matrix(rng, f, m), rand_matrix(rng, f, n)
-            for k in range(m + 1):
-                for l in range(n + 1):
-                    assert check_kronecker_embedding(a, b, k, l), (f.q, m, n, k, l)
+    for _ in range(10):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = rand_matrix(rng, f2, m), rand_matrix(rng, f2, n)
+        for k in range(m + 1):
+            for l in range(n + 1):
+                assert check_kronecker_embedding(a, b, k, l), (m, n, k, l)
+    # compounds are binary only
+    a = rand_matrix(rng, f3, 2)
+    with pytest.raises(ValueError, match="over F_2"):
+        check_kronecker_embedding(a, a, 1, 1)
+    with pytest.raises(ValueError, match="different fields"):
+        check_kronecker_embedding(a, rand_matrix(rng, f2, 2), 1, 1)
 
 
 def test_jordan_structure_sweep():

@@ -13,8 +13,8 @@ from aglcount.conjugacy import (
     enumerate_omega,
 )
 from aglcount.numtheory import multiplicative_order, psi
-from aglcount.oracle import brute_conjugacy_classes
 from aglcount.partitions import enumerate_partitions, order_key, support, weight
+from brute import brute_conjugacy_classes
 
 
 def test_compute_D_examples():

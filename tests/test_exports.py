@@ -1,6 +1,7 @@
 """`__all__` is the one meaning of "public": in every module it lists
-exactly the top-level definitions without a leading underscore, and the
-package re-exports only names that their home module lists."""
+exactly the top-level definitions without a leading underscore, the
+package re-exports only names that their home module lists, and every
+listed name is used by the package itself, not only by the tests."""
 
 import ast
 import importlib
@@ -47,6 +48,40 @@ def test_package_reexports_only_listed_names():
     for name in listed:
         home = importlib.import_module(getattr(aglcount, name).__module__)
         assert name in home.__all__, name
+
+
+def references(path):
+    """Names that a module reads (as a name or an attribute) or imports,
+    leaving out what each top-level definition says about itself."""
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        own = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names = {sub.id}
+            elif isinstance(sub, ast.Attribute):
+                names = {sub.attr}
+            elif isinstance(sub, ast.ImportFrom):
+                names = {alias.name for alias in sub.names}
+            else:
+                continue
+            found |= names - own
+    return found
+
+
+def test_every_listed_name_has_a_caller_in_the_package():
+    # a re-export from __init__.py is an import, so it counts; this is a
+    # leaf check: a name counts as used if anything in the package reads
+    # it, even code that is itself unused
+    used = set().union(*(references(p) for p in PACKAGE.glob("*.py")))
+    unused = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+        for name in top_level(path)[2]
+        if name not in used
+    ]
+    assert not unused
 
 
 def test_main_module_defines_nothing():

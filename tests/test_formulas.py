@@ -23,8 +23,9 @@ from aglcount.numtheory import (
     prime_power,
     psi,
 )
-from aglcount.oracle import brute_centralizer, burnside_full, orbit_enumeration
+from aglcount.oracle import burnside_full, orbit_enumeration
 from aglcount.reps import build_representative
+from brute import brute_centralizer
 from test_conjugacy import permutation_count
 from test_linalg import affine_order, cyclic_orbit_count, fixed_point_count, then
 

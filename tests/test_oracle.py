@@ -5,19 +5,15 @@ import pytest
 from aglcount.fields import field
 from aglcount.linalg import AffineMap, GFMatrix, point_permutation
 from aglcount.numtheory import agl_group_order
-from aglcount.oracle import (
-    _iter_linear_images,
-    _point_actions,
+from aglcount.oracle import _iter_linear_images, _point_actions, burnside_full, generators, orbit_enumeration
+from aglcount.rm import theta
+from brute import (
     brute_centralizer,
     brute_conjugacy_classes,
-    burnside_full,
     burnside_full_theta,
-    generators,
-    group_table,
-    orbit_enumeration,
+    group_perms,
     orbit_enumeration_code,
 )
-from aglcount.rm import theta
 from test_linalg import identity_map, point_code
 
 
@@ -96,23 +92,34 @@ def test_linear_images_cover_gl_once(q, n):
     assert len(mats) == len(set(mats)) == math.prod(q**n - q**i for i in range(n))
 
 
-def test_group_table_perms_are_point_permutations():
+def group_maps(n, q):
+    """The elements of `group_perms(n, q)` as affine maps, in its order."""
+    f = field(q)
+    points, _, _ = _point_actions(f, n)
+    return [
+        AffineMap(GFMatrix(f, [points[c] for c in rows]), t)
+        for rows, _ in _iter_linear_images(f, n)
+        for t in points
+    ]
+
+
+def test_group_perms_are_the_point_permutations():
     for n, q in [(2, 2), (1, 3), (2, 3)]:
-        table = group_table(n, q)
-        assert len(set(table.maps)) == len(table)
-        for sigma, perm in zip(table.maps, table.perms):
+        perms = group_perms(n, q)
+        maps = group_maps(n, q)
+        assert len(set(maps)) == len(perms) == agl_group_order(n, q)
+        for sigma, perm in zip(maps, perms):
             assert perm == tuple(point_permutation(sigma)), sigma
-
-
-def test_group_table_structure():
-    table = group_table(2, 2)
-    assert len(table) == 24
-    ident = table.index[tuple(range(2**2))]
-    for i in range(len(table)):
-        assert table.compose(i, ident) == i
-        assert table.compose(i, table.inverse(i)) == ident
+    # AGL(2, F_2): the identity, every inverse and every product are members
+    perms = group_perms(2, 2)
+    group = set(perms)
+    assert len(perms) == 24
+    assert tuple(range(2**2)) in group
+    for p in perms:
+        assert tuple(sorted(range(len(p)), key=p.__getitem__)) in group
+        assert all(tuple(p[x] for x in g) in group for g in perms)
     with pytest.raises(ValueError):
-        group_table(4, 2)  # 322560 elements is beyond table scale
+        group_perms(4, 2)  # 322560 elements is beyond table scale
 
 
 def test_brute_centralizer_examples():
@@ -121,8 +128,7 @@ def test_brute_centralizer_examples():
     assert brute_centralizer(ident) == 24
     translation = AffineMap(GFMatrix.identity(f2, 2), (1, 0))
     assert brute_centralizer(translation) == 8
-    table = group_table(2, 2)
-    for sigma in table.maps[:8]:
+    for sigma in group_maps(2, 2)[:8]:
         assert 24 % brute_centralizer(sigma) == 0
 
 

@@ -4,7 +4,6 @@ from aglcount import reps
 from aglcount.conjugacy import ClassIndex, PartitionTuple, enumerate_classes
 from aglcount.fields import field, poly_order
 from aglcount.numtheory import divisors, multiplicative_order, psi
-from aglcount.oracle import conjugacy_class_indices, group_table
 from aglcount.reps import (
     build_representative,
     irreducibles_of_order,
@@ -12,6 +11,7 @@ from aglcount.reps import (
     verify_class,
 )
 from aglcount.linalg import GFMatrix, point_permutation
+from brute import conjugacy_class, group_perms
 from test_conjugacy import permutation_count
 from test_linalg import affine_powers, cyclic_orbit_count, fixed_point_count, identity_map
 
@@ -142,16 +142,16 @@ def test_verify_class_guard():
 
 def test_representatives_pairwise_non_conjugate():
     for n in range(1, 4):
-        table = group_table(n, 2)
         reps = []
         for idx in enumerate_classes(n, 2):
             for rep, _ in iter_class_representatives(idx):
                 reps.append(rep)
-        classes = [conjugacy_class_indices(table, rep) for rep in reps]
-        ids = [table.index[tuple(point_permutation(rep))] for rep in reps]
+        classes = [conjugacy_class(rep) for rep in reps]
+        perms = [tuple(point_permutation(rep)) for rep in reps]
+        assert set(perms) <= set(group_perms(n, 2))
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
-                assert ids[j] not in classes[i], (i, j)
+                assert perms[j] not in classes[i], (i, j)
 
 
 def test_expansion_weights_sum_to_multiplicity():
@@ -165,12 +165,11 @@ def test_expansion_weights_sum_to_multiplicity():
 def test_expansion_covers_distinct_classes():
     # every expanded representative for one index is non-conjugate to the
     # others, and together they exhaust the fold multiplicity
-    table = group_table(3, 2)
     for idx in enumerate_classes(3, 2):
         reps = list(iter_class_representatives(idx))
         if len(reps) == 1:
             continue
-        sets = [conjugacy_class_indices(table, rep) for rep, _ in reps]
+        sets = [conjugacy_class(rep) for rep, _ in reps]
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
                 assert not (sets[i] & sets[j])

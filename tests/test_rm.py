@@ -6,7 +6,6 @@ import pytest
 from aglcount.fields import field
 from aglcount.formulas import count_function_classes
 from aglcount.linalg import AffineMap, GFMatrix, rank
-from aglcount.oracle import burnside_full_theta, orbit_enumeration_code
 from aglcount.rm import (
     RMQuotientBasis,
     coset_class_count_M,
@@ -14,6 +13,7 @@ from aglcount.rm import (
     monomial_images,
     theta,
 )
+from brute import burnside_full_theta, orbit_enumeration_code
 from test_linalg import affine_order, apply, identity_map, matmul, sub_matrix, then
 
 f2 = field(2)
