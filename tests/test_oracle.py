@@ -103,13 +103,16 @@ def group_maps(n, q):
     ]
 
 
-def test_group_perms_are_the_point_permutations():
+def test_group_table_perms_are_point_permutations():
     for n, q in [(2, 2), (1, 3), (2, 3)]:
         perms = group_perms(n, q)
         maps = group_maps(n, q)
         assert len(set(maps)) == len(perms) == agl_group_order(n, q)
         for sigma, perm in zip(maps, perms):
             assert perm == tuple(point_permutation(sigma)), sigma
+
+
+def test_group_table_structure():
     # AGL(2, F_2): the identity, every inverse and every product are members
     perms = group_perms(2, 2)
     group = set(perms)
