@@ -167,8 +167,10 @@ def format_significant(value: Fraction, digits: int) -> str:
     def below_pow10(e: int) -> bool:
         return num < den * 10**e if e >= 0 else num * 10**-e < den
 
-    # exponent e with 10**(e-1) <= value < 10**e
-    e = len(str(num)) - len(str(den)) + 1
+    # exponent e with 10**(e-1) <= value < 10**e: a guess from the bit
+    # lengths (log10 2 ~ 0.30103) that the loops correct; len(str(num))
+    # would be quadratic in the digit count
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000 + 1
     while not below_pow10(e):
         e += 1
     while below_pow10(e - 1):

@@ -198,19 +198,22 @@ def poly_trim(coeffs) -> tuple[int, ...]:
 def poly_mul(f: FieldTable, a, b) -> tuple[int, ...]:
     if not a or not b:
         return ()
+    add, mul = f._add, f._mul
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
+        row = mul[ca]
         for j, cb in enumerate(b):
             if cb:
-                out[i + j] = f.add(out[i + j], f.mul(ca, cb))
+                out[i + j] = add[out[i + j]][row[cb]]
     return poly_trim(out)
 
 
 def poly_divmod(f: FieldTable, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    add, mul, neg = f._add, f._mul, f._neg
     ra = list(a)
     db = len(b) - 1
     inv_lead = f.inv(b[-1])
@@ -218,11 +221,13 @@ def poly_divmod(f: FieldTable, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     while len(ra) - 1 >= db and ra:
         lead = ra[-1]
         if lead:
-            c = f.mul(lead, inv_lead)
+            c = mul[lead][inv_lead]
             off = len(ra) - 1 - db
             quot[off] = c
+            # ra - c*b as ra + (-c)*b, one table row for the products
+            row = mul[neg[c]]
             for i, bc in enumerate(b):
-                ra[off + i] = f.sub(ra[off + i], f.mul(c, bc))
+                ra[off + i] = add[ra[off + i]][row[bc]]
         ra.pop()
     return poly_trim(quot), poly_trim(ra)
 

@@ -76,14 +76,26 @@ def irreducibles_of_order(d: int, q: int) -> tuple[IrreducibleRecord, ...]:
     return records
 
 
-def _spectral_blocks(f, q: int, spectrum, assignment: tuple[int, ...]) -> Iterator[GFMatrix]:
+# GFMatrix is immutable, so representatives share these blocks: one entry
+# per (irreducible, power) and one per unipotent block size
+@lru_cache(maxsize=None)
+def _companion_power(q: int, poly: tuple[int, ...], j: int) -> GFMatrix:
+    f = field(q)
+    return companion_matrix(f, poly_pow(f, poly, j))
+
+
+@lru_cache(maxsize=None)
+def _unipotent_block(q: int, size: int) -> GFMatrix:
+    return jordan_block(field(q), size)
+
+
+def _spectral_blocks(q: int, spectrum, assignment: tuple[int, ...]) -> Iterator[GFMatrix]:
     records = irreducibles_of_order(spectrum.d, q)
     for slot, entry in zip(assignment, spectrum.entries):
         poly = records[slot].coeffs
         for j, mj in enumerate(entry, start=1):
             if mj:
-                block = companion_matrix(f, poly_pow(f, poly, j))
-                yield from itertools.repeat(block, mj)
+                yield from itertools.repeat(_companion_power(q, poly, j), mj)
 
 
 def _canonical_assignment(spectrum) -> tuple[int, ...]:
@@ -93,14 +105,13 @@ def _canonical_assignment(spectrum) -> tuple[int, ...]:
 
 
 def _assemble(idx: ClassIndex, assignments: tuple[tuple[int, ...], ...]) -> AffineMap:
-    f = field(idx.q)
     blocks = [
-        jordan_block(f, size)
+        _unipotent_block(idx.q, size)
         for size, count in enumerate(idx.unipotent, start=1)
         for _ in range(count)
     ]
     for spectrum, assignment in zip(idx.spectra, assignments):
-        blocks.extend(_spectral_blocks(f, idx.q, spectrum, assignment))
+        blocks.extend(_spectral_blocks(idx.q, spectrum, assignment))
     matrix = block_diagonal(blocks)
     if matrix.rows != idx.n:
         raise AssertionError(f"assembled dimension {matrix.rows}, expected {idx.n}")

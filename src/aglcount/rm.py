@@ -71,12 +71,10 @@ def monomial_images(entries, translation, max_degree: int) -> list[int | None]:
             if entries[j][i]:
                 varmask |= 1 << j
         forms.append((varmask, translation[i]))
-    size = 1 << n
-    images: list[int | None] = [None] * size
+    images: list[int | None] = [None] * (1 << n)
     images[0] = 1
-    for m in range(1, size):
-        if m.bit_count() > max_degree:
-            continue
+    # ascending degree: m ^ low is one degree lower, so its image is built
+    for m in reversed(_basis_monomials(n, 0, max_degree)):
         low = m & -m
         base = images[m ^ low]
         varmask, const = forms[low.bit_length() - 1]

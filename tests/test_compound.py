@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,51 @@ def test_format_significant():
     assert format_significant(Fraction(10, 1), 3) == "10.0"
     with pytest.raises(ValueError):
         format_significant(Fraction(0), 3)
+
+
+def format_significant_by_str(value, digits):
+    """Reference: the exponent guessed from decimal lengths."""
+    num, den = value.numerator, value.denominator
+
+    def below_pow10(e):
+        return num < den * 10**e if e >= 0 else num * 10**-e < den
+
+    e = len(str(num)) - len(str(den)) + 1
+    while not below_pow10(e):
+        e += 1
+    while below_pow10(e - 1):
+        e -= 1
+    mantissa = num * 10 ** (digits - e) // den if digits >= e else num // (den * 10 ** (e - digits))
+    text = str(mantissa)
+    if e <= 0:
+        return "0." + "0" * (-e) + text
+    if e >= digits:
+        return text + "0" * (e - digits)
+    return text[:e] + "." + text[e:]
+
+
+def test_format_significant_matches_decimal_length_guess():
+    # one fraction of about 300k bits (the reference's str() takes 0.3 s),
+    # values at and next to powers of ten, and the small cases above
+    rng = random.Random(53)
+    big = Fraction(rng.getrandbits(300_000) | 1 << 299_999, rng.getrandbits(299_000) | 1)
+    cases = [(big, 12)]
+    values = [
+        Fraction(10**5000), Fraction(10**5000 - 1), Fraction(10**5000 + 1, 10**2500),
+        Fraction(1, 10**5000 + 1), Fraction(1, 3), Fraction(4, 3), Fraction(1330, 1000),
+        Fraction(1, 400), Fraction(221789, 1), Fraction(10, 1), Fraction(999, 1000),
+    ]
+    cases += [(v, d) for v in values for d in (1, 12, 32)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        # the bit-length guess never turns the huge parts into decimal
+        sys.set_int_max_str_digits(4300)
+        got = [format_significant(v, d) for v, d in cases]
+        sys.set_int_max_str_digits(0)
+        want = [format_significant_by_str(v, d) for v, d in cases]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
 
 
 def test_asymptotic_report_small():

@@ -174,6 +174,50 @@ def test_poly_divmod_roundtrip():
             assert len(rem) < len(b)
 
 
+def schoolbook_mul(f, a, b):
+    """Reference product, one coefficient pair at a time through the
+    FieldTable methods."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = f.add(out[i + j], f.mul(ca, cb))
+    return poly_trim(out)
+
+
+def schoolbook_divmod(f, a, b):
+    """Reference long division through FieldTable.mul/sub/inv."""
+    rem = list(a)
+    quot = [0] * max(0, len(a) - len(b) + 1)
+    for off in range(len(quot) - 1, -1, -1):
+        c = f.mul(rem[off + len(b) - 1], f.inv(b[-1]))
+        quot[off] = c
+        for i, bc in enumerate(b):
+            rem[off + i] = f.sub(rem[off + i], f.mul(c, bc))
+    return poly_trim(quot), poly_trim(rem)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25])
+def test_poly_kernels_match_schoolbook_reference(q):
+    # zero and constant operands, and divisors with any leading coefficient
+    rng = random.Random(q)
+    f = field(q)
+    polys = [(), (1,), (q - 1,)] + [
+        poly_trim([rng.randrange(q) for _ in range(rng.randint(1, 9))]) for _ in range(60)
+    ]
+    for a in polys:
+        for b in polys[:3] + rng.sample(polys[3:], 12):
+            assert poly_mul(f, a, b) == schoolbook_mul(f, a, b), (a, b)
+            if not b:
+                with pytest.raises(ZeroDivisionError):
+                    poly_divmod(f, a, b)
+                continue
+            quot, rem = poly_divmod(f, a, b)
+            assert (quot, rem) == schoolbook_divmod(f, a, b), (a, b)
+            assert len(rem) < len(b)
+            recombined = itertools.zip_longest(schoolbook_mul(f, quot, b), rem, fillvalue=0)
+            assert poly_trim([f.add(x, y) for x, y in recombined]) == a
+
+
 def test_poly_irreducibility_and_order():
     f2 = field(2)
     assert poly_is_irreducible(f2, (1, 1, 0, 1))  # x^3 + x + 1

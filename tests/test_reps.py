@@ -2,7 +2,7 @@ import pytest
 
 from aglcount import reps
 from aglcount.conjugacy import ClassIndex, PartitionTuple, enumerate_classes
-from aglcount.fields import field, poly_order
+from aglcount.fields import field, poly_order, poly_pow
 from aglcount.numtheory import divisors, multiplicative_order, psi
 from aglcount.reps import (
     build_representative,
@@ -10,7 +10,7 @@ from aglcount.reps import (
     iter_class_representatives,
     verify_class,
 )
-from aglcount.linalg import GFMatrix, point_permutation
+from aglcount.linalg import GFMatrix, companion_matrix, jordan_block, point_permutation
 from brute import conjugacy_class, group_perms
 from test_conjugacy import permutation_count
 from test_linalg import affine_powers, cyclic_orbit_count, fixed_point_count, identity_map
@@ -84,6 +84,30 @@ def test_rejects_inconsistent_index():
     bad = ClassIndex(n=3, q=2, unipotent=(1,), spectra=(), marker=None)
     with pytest.raises(ValueError):
         build_representative(bad)
+
+
+def test_shared_blocks_match_a_fresh_build(monkeypatch):
+    # every block rebuilt afresh must give the same maps as the cached,
+    # shared blocks; x^2 + x + 1 is irreducible over F_2 and F_5, and the
+    # unipotent blocks have the same entries over every field
+    def fresh_companion(q, poly, j):
+        f = field(q)
+        return companion_matrix(f, poly_pow(f, poly, j))
+
+    def fresh_unipotent(q, size):
+        return jordan_block(field(q), size)
+
+    def sweep():
+        return [
+            (build_representative(idx), list(iter_class_representatives(idx)))
+            for q, n in ((2, 6), (3, 3), (5, 2))
+            for idx in enumerate_classes(n, q)
+        ]
+
+    cached = sweep()
+    monkeypatch.setattr(reps, "_companion_power", fresh_companion)
+    monkeypatch.setattr(reps, "_unipotent_block", fresh_unipotent)
+    assert cached == sweep()
 
 
 def test_verify_class_examples():

@@ -8,6 +8,7 @@ from aglcount.formulas import count_function_classes
 from aglcount.linalg import AffineMap, GFMatrix, rank
 from aglcount.rm import (
     RMQuotientBasis,
+    _var_masks,
     coset_class_count_M,
     fix_on_quotient,
     monomial_images,
@@ -151,6 +152,51 @@ def test_substitute_degree_behavior():
             image = substitute(poly, sigma)
             assert degree(image) == degree(poly)
             assert substitute(image, inverse(sigma)) == poly
+
+
+def full_walk_images(entries, translation, max_degree):
+    """Reference: the earlier substitution loop, over all 2**n monomial
+    slots in increasing bitmask order, skipping those of degree >
+    max_degree."""
+    n = len(translation)
+    masks = _var_masks(n)
+    forms = [
+        (sum(1 << j for j in range(n) if entries[j][i]), translation[i]) for i in range(n)
+    ]
+    images = [None] * (1 << n)
+    images[0] = 1
+    for m in range(1, 1 << n):
+        if m.bit_count() > max_degree:
+            continue
+        low = m & -m
+        base = images[m ^ low]
+        varmask, const = forms[low.bit_length() - 1]
+        acc = base if const else 0
+        v = varmask
+        while v:
+            vlow = v & -v
+            v ^= vlow
+            absent, present = masks[vlow.bit_length() - 1]
+            acc ^= ((base & absent) << vlow) ^ (base & present)
+        images[m] = acc
+    return images
+
+
+def test_degree_bounded_walk_matches_full_walk():
+    # 400 maps, half of them singular 0/1 matrices (compounds pass those),
+    # each at every max_degree from 0 to n
+    rng = random.Random(41)
+    for n in range(1, 9):
+        for trial in range(50):
+            if trial % 2:
+                sigma = rand_affine(rng, n)
+                entries, translation = sigma.matrix.entries, sigma.translation
+            else:
+                entries = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+                translation = tuple(rng.randrange(2) for _ in range(n))
+            for r in range(n + 1):
+                want = full_walk_images(entries, translation, r)
+                assert monomial_images(entries, translation, r) == want, (n, trial, r)
 
 
 def test_basis_layout():
