@@ -17,7 +17,7 @@ from math import comb
 
 from .fields import field
 from .linalg import AffineMap, GFMatrix, block_diagonal, jordan_block
-from .rm import RMQuotientBasis, fix_on_quotient, monomial_images, theta
+from .rm import RMQuotientBasis, coset_class_count_M, fix_on_quotient, monomial_images
 
 __all__ = [
     "AsymptoticReport",
@@ -242,7 +242,7 @@ def asymptotic_report(n_max: int, jobs: int = 1) -> AsymptoticReport:
     const_low, const_high = unit_product_constant()
     rows = []
     for n in range(2, n_max + 1):
-        m_n = theta(n, 0, n - 2, jobs=jobs)
+        m_n = coset_class_count_M(n, jobs=jobs)
         exponent = 2**n - n * n - 2 * n - 1
         scale = Fraction(1, 2**exponent) if exponent >= 0 else Fraction(2**-exponent)
         ratio = m_n * _partial_unit_product(n) * scale

@@ -10,6 +10,9 @@ results are reproducible bit for bit:
     F4: x^2 + x + 1      F8: x^3 + x + 1      F9: x^2 + 1
     F16: x^4 + x + 1     F27: x^3 + 2x + 1    ...
 
+Addition works digitwise mod p; products and inverses come from discrete
+logs to the least element of order q - 1, whose powers are walked once.
+
 Polynomials over F_q are tuples of coefficients, ascending degree, with no
 trailing zeros; () is the zero polynomial.
 
@@ -37,7 +40,6 @@ __all__ = [
     "poly_mul",
     "poly_order",
     "poly_pow",
-    "poly_pow_mod",
     "poly_trim",
 ]
 
@@ -60,33 +62,26 @@ class FieldTable:
         if q > _MAX_Q:
             raise ValueError(f"fields larger than {_MAX_Q} are unsupported, got {q}")
         self.q = q
-        self.p = pp.p
+        self.p = p = pp.p
         self.m = pp.m
-        if pp.m == 1:
-            self.modulus = None
-            add = [[(a + b) % q for b in range(q)] for a in range(q)]
-            mul = [[(a * b) % q for b in range(q)] for a in range(q)]
-        else:
-            self.modulus = _pinned_modulus(pp.p, pp.m)
-            add = [[_digit_add(a, b, pp.p) for b in range(q)] for a in range(q)]
-            # an element's base-p digits are its coefficients in the
-            # polynomial basis: multiply as polynomials over F_p, then reduce
-            fp = field(pp.p)
-            polys = [_digits(a, pp.p) for a in range(q)]
-            powers = [pp.p**k for k in range(pp.m)]
-            mul = [[0] * q for _ in range(q)]
-            for a in range(q):
-                for b in range(a, q):
-                    rem = poly_mod(fp, poly_mul(fp, polys[a], polys[b]), self.modulus)
-                    mul[a][b] = mul[b][a] = sum(c * w for c, w in zip(rem, powers))
+        self.modulus = None if pp.m == 1 else _pinned_modulus(p, pp.m)
+        # addition is digitwise mod p: the low digit directly, the higher
+        # digits from the row of a // p, which is already built
+        add = [list(range(q))]
+        for a in range(1, q):
+            high = add[a // p]
+            add.append([(a + b) % p + p * high[b // p] for b in range(q)])
+        self.generator, powers = self._generator_powers()
+        # discrete logs to the generator: a * b = g**(log a + log b)
+        log = {x: k for k, x in enumerate(powers)}
+        mul = [[0] * q]
+        for a in range(1, q):
+            row = powers[log[a] :] + powers[: log[a]]
+            mul.append([0] + [row[log[b]] for b in range(1, q)])
         self._add = add
         self._mul = mul
         self._neg = [add[a].index(0) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = mul[a].index(1)
-        self._inv = inv
-        self.generator = self._find_generator()
+        self._inv = [0] + [powers[-log[a] % (q - 1)] for a in range(1, q)]
         self._check_pairs()
 
     def add(self, a: int, b: int) -> int:
@@ -106,29 +101,32 @@ class FieldTable:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul[out][a]
-            a = self._mul[a][a]
-            e >>= 1
-        return out
-
     def elements(self) -> range:
         return range(self.q)
 
-    def _find_generator(self) -> int:
-        if self.q == 2:
-            return 1
-        target = self.q - 1
-        primes = [p for p, _ in factorize(target)]
-        for g in range(1, self.q):
-            if all(self.pow(g, target // p) != 1 for p in primes):
-                return g
-        raise AssertionError("no multiplicative generator found")
+    def _generator_powers(self) -> tuple[int, list[int]]:
+        """The least g of order q - 1 and its powers 1, g, ..., g**(q-2), each
+        power one product by g: a * b mod q, or the base-p digits
+        multiplied as polynomials over F_p and reduced by the modulus."""
+        q, p, mod = self.q, self.p, self.modulus
+        weights = [p**k for k in range(self.m)]
+
+        def times(a: int, b: int) -> int:
+            if mod is None:
+                return a * b % q
+            fp = field(p)
+            digits = ([x // w % p for w in weights] for x in (a, b))
+            rem = poly_mod(fp, poly_mul(fp, *digits), mod)
+            return sum(c * w for c, w in zip(rem, weights))
+
+        for g in range(1, q):
+            powers, x = [1], g
+            while x != 1 and len(powers) < q - 1:
+                powers.append(x)
+                x = times(x, g)
+            if x == 1 and len(powers) == q - 1:
+                return g, powers
+        raise AssertionError(f"no multiplicative generator found in F{q}")
 
     def _check_pairs(self) -> None:
         q = self.q
@@ -147,25 +145,6 @@ class FieldTable:
 
     def __repr__(self) -> str:
         return f"FieldTable(q={self.q})"
-
-
-def _digit_add(a: int, b: int, p: int) -> int:
-    out = 0
-    shift = 1
-    while a or b:
-        out += ((a + b) % p) * shift
-        a //= p
-        b //= p
-        shift *= p
-    return out
-
-
-def _digits(a: int, p: int) -> list[int]:
-    out = []
-    while a:
-        out.append(a % p)
-        a //= p
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -236,24 +215,19 @@ def poly_mod(f: FieldTable, a, b) -> tuple[int, ...]:
     return poly_divmod(f, a, b)[1]
 
 
-def poly_pow(f: FieldTable, a, e: int) -> tuple[int, ...]:
+def poly_pow(f: FieldTable, a, e: int, mod=None) -> tuple[int, ...]:
+    """a**e, with every product reduced modulo mod when one is given."""
+
+    def times(x, y) -> tuple[int, ...]:
+        prod = poly_mul(f, x, y)
+        return prod if mod is None else poly_mod(f, prod, mod)
+
     out: tuple[int, ...] = (1,)
-    base = poly_trim(a)
+    base = poly_trim(a) if mod is None else poly_mod(f, a, mod)
     while e:
         if e & 1:
-            out = poly_mul(f, out, base)
-        base = poly_mul(f, base, base)
-        e >>= 1
-    return out
-
-
-def poly_pow_mod(f: FieldTable, a, e: int, mod) -> tuple[int, ...]:
-    out: tuple[int, ...] = (1,)
-    base = poly_mod(f, a, mod)
-    while e:
-        if e & 1:
-            out = poly_mod(f, poly_mul(f, out, base), mod)
-        base = poly_mod(f, poly_mul(f, base, base), mod)
+            out = times(out, base)
+        base = times(base, base)
         e >>= 1
     return out
 
@@ -290,9 +264,9 @@ def poly_order(f: FieldTable, poly: tuple[int, ...]) -> int:
     if poly[0] == 0:
         raise ValueError("order undefined: x divides the polynomial")
     e = f.q**deg - 1
-    if poly_pow_mod(f, (0, 1), e, poly) != (1,):
+    if poly_pow(f, (0, 1), e, poly) != (1,):
         raise AssertionError("x**(q**deg - 1) is not 1: the polynomial is reducible")
     for p, _ in factorize(e):
-        while e % p == 0 and poly_pow_mod(f, (0, 1), e // p, poly) == (1,):
+        while e % p == 0 and poly_pow(f, (0, 1), e // p, poly) == (1,):
             e //= p
     return e

@@ -132,32 +132,15 @@ def build_representative(idx: ClassIndex) -> AffineMap:
 def _distinct_assignments(spectrum) -> Iterator[tuple[int, ...]]:
     """Slot choices producing pairwise distinct representatives.
 
-    Groups equal entries and hands each group an unordered slot set; the
-    total number of yields is the fold multiplicity of the tuple.
+    The entries are sorted, so equal entries sit side by side; they take
+    increasing slots, and the number of yields is the fold multiplicity
+    of the tuple.
     """
-    groups: list[tuple[int, int]] = []  # (start, length) runs of equal entries
-    start = 0
-    for i in range(1, len(spectrum.entries) + 1):
-        if i == len(spectrum.entries) or spectrum.entries[i] != spectrum.entries[start]:
-            groups.append((start, i - start))
-            start = i
-
-    def place(slots: tuple[int, ...], gi: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if gi == len(groups):
-            yield ()
-            return
-        _, size = groups[gi]
-        for chosen in itertools.combinations(slots, size):
-            remaining = tuple(s for s in slots if s not in chosen)
-            for rest in place(remaining, gi + 1):
-                yield (chosen, *rest)
-
-    for chosen_sets in place(tuple(range(spectrum.psi)), 0):
-        assignment = [0] * len(spectrum.entries)
-        for (gstart, gsize), chosen in zip(groups, chosen_sets):
-            for off, slot in enumerate(chosen):
-                assignment[gstart + off] = slot
-        yield tuple(assignment)
+    entries = spectrum.entries
+    ties = [i for i in range(len(entries) - 1) if entries[i] == entries[i + 1]]
+    for slots in itertools.permutations(range(spectrum.psi), len(entries)):
+        if all(slots[i] < slots[i + 1] for i in ties):
+            yield slots
 
 
 def iter_class_representatives(idx: ClassIndex) -> Iterator[tuple[AffineMap, int]]:

@@ -102,11 +102,22 @@ def schoolbook_product(a, b, p, modulus):
     return sum(c * p**k for k, c in enumerate(prod[:m]))
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49])
+# every proper prime power q <= 512, plus small and large primes
+TABLE_FIELDS = sorted(PINNED_MODULI) + [2, 3, 251, 509]
+
+
+@pytest.mark.parametrize("q", TABLE_FIELDS)
 def test_multiplication_table_is_the_schoolbook_product(q):
+    # every pair up to q = 49, then 2,000 seeded pairs
     f = field(q)
-    for a, b in itertools.product(range(q), repeat=2):
-        assert f.mul(a, b) == schoolbook_product(a, b, f.p, PINNED_MODULI[q]), (a, b)
+    if q <= 49:
+        pairs = itertools.product(range(q), repeat=2)
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for a, b in pairs:
+        want = a * b % q if f.m == 1 else schoolbook_product(a, b, f.p, PINNED_MODULI[q])
+        assert f.mul(a, b) == want, (q, a, b)
 
 
 @pytest.mark.parametrize("q,kmax", [(2, 6), (3, 4), (4, 3), (5, 2), (7, 2)])
@@ -142,8 +153,19 @@ def test_irreducibles_match_gauss_count(q, kmax):
         assert list(polys) == sorted(set(polys))
 
 
+def power(f, a, e):
+    """a**e by repeated squaring through FieldTable.mul (test reference)."""
+    out = 1
+    while e:
+        if e & 1:
+            out = f.mul(out, a)
+        a = f.mul(a, a)
+        e >>= 1
+    return out
+
+
 def test_generator_has_full_order():
-    for q in (3, 4, 5, 8, 9, 16, 25):
+    for q in TABLE_FIELDS + [5, 7]:
         f = field(q)
         g = f.generator
         seen = set()
@@ -151,7 +173,13 @@ def test_generator_has_full_order():
         for _ in range(q - 1):
             x = f.mul(x, g)
             seen.add(x)
-        assert len(seen) == q - 1
+        assert len(seen) == q - 1, q
+        # the least g with g**((q-1)/r) != 1 for every prime r dividing q - 1
+        primes = [r for r, _ in factorize(q - 1)]
+        least = next(
+            a for a in range(1, q) if all(power(f, a, (q - 1) // r) != 1 for r in primes)
+        )
+        assert g == least, q
 
 
 def test_poly_divmod_roundtrip():
@@ -216,6 +244,11 @@ def test_poly_kernels_match_schoolbook_reference(q):
             assert len(rem) < len(b)
             recombined = itertools.zip_longest(schoolbook_mul(f, quot, b), rem, fillvalue=0)
             assert poly_trim([f.add(x, y) for x, y in recombined]) == a
+    # a power reduced product by product equals the reduced full power
+    moduli = [m for m in rng.sample(polys[3:], 10) if m]
+    for a, mod in zip(rng.sample(polys, len(moduli)), moduli):
+        for e in range(1, 12):
+            assert poly_pow(f, a, e, mod) == poly_mod(f, poly_pow(f, a, e), mod), (a, e, mod)
 
 
 def test_poly_irreducibility_and_order():

@@ -48,11 +48,9 @@ def test_irreducible_records_sorted_and_valid():
     for rec in records:
         assert rec.order == 15
         # divisor ladder double-check: x^15 = 1 mod f, x^5 != 1, x^3 != 1
-        from aglcount.fields import poly_pow_mod
-
-        assert poly_pow_mod(f, (0, 1), 15, rec.coeffs) == (1,)
-        assert poly_pow_mod(f, (0, 1), 5, rec.coeffs) != (1,)
-        assert poly_pow_mod(f, (0, 1), 3, rec.coeffs) != (1,)
+        assert poly_pow(f, (0, 1), 15, rec.coeffs) == (1,)
+        assert poly_pow(f, (0, 1), 5, rec.coeffs) != (1,)
+        assert poly_pow(f, (0, 1), 3, rec.coeffs) != (1,)
 
 
 def test_build_representative_trivial_cases():
@@ -200,8 +198,8 @@ def test_expansion_covers_distinct_classes():
 
 
 def test_distinct_assignments_enumerate_exactly_the_fold():
-    # distinct slot assignments <-> distinct elementary-divisor multisets,
-    # so pairwise-distinct sequences whose count equals the fold size
+    # distinct slot -> partition maps <-> distinct elementary-divisor
+    # multisets, so pairwise-distinct maps whose count equals the fold size
     # enumerate exactly the classes folded into one index
     from aglcount.reps import _distinct_assignments
 
@@ -217,10 +215,12 @@ def test_distinct_assignments_enumerate_exactly_the_fold():
         tup = PartitionTuple(d=d, psi=psi_d, entries=tuple(sorted(entries)))
         assignments = list(_distinct_assignments(tup))
         assert len(assignments) == permutation_count(tup), (d, entries)
-        assert len(set(assignments)) == len(assignments)
+        maps = set()
         for assignment in assignments:
             assert len(set(assignment)) == len(assignment)  # distinct slots
             assert all(0 <= slot < psi_d for slot in assignment)
             # the induced slot -> partition map must reproduce the multiset
-            placed = sorted(zip(assignment, tup.entries))
+            placed = tuple(sorted(zip(assignment, tup.entries)))
             assert sorted(e for _, e in placed) == sorted(tup.entries)
+            maps.add(placed)
+        assert len(maps) == len(assignments), (d, entries)
