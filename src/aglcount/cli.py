@@ -36,6 +36,12 @@ _REPS_STEP_LIMIT = 1 << 24
 # whose images are ints of 2**n bits each: time and memory about quadruple
 # per step of --n (n = 14 takes about 35 s and 300 MiB on 2 cores, Python 3.11)
 _COMPOUND_N_LIMIT = 14
+# verify --suite duality computes theta(n, s, r) once per 0 <= s <= r <= n,
+# and verify --suite asymptotic computes M(n) for n = 2 .. --n-max; each step
+# of n costs 5 to 6 times the last (--n 9 takes 28 s and --n 10 155 s;
+# --n-max 11 takes 41 s, M(11) alone 32 s; 2 cores, Python 3.11)
+_DUALITY_N_LIMIT = 9
+_ASYMPTOTIC_N_LIMIT = 11
 
 
 @dataclass
@@ -223,21 +229,18 @@ def _suite_oracle(args, report: RunReport) -> None:
         report.add_check(f"oracle orbits q={q} n={n}", orbits == value, f"{orbits} vs {value}")
 
 
-def _suite_duality(args, report: RunReport) -> None:
+def _suite_duality(args, report: RunReport) -> str | None:
     n = args.n
-    ok = True
-    bad = ""
-    for s in range(n + 1):
-        for r in range(s, n + 1):
-            left = theta(n, s, r, jobs=args.parallelism)
-            right = theta(n, n - r, n - s, jobs=args.parallelism)
-            if left != right:
-                ok = False
-                bad = f"theta({n};{s},{r}) = {left} but dual gives {right}"
-                break
-        if not ok:
-            break
-    report.add_check(f"duality n={n}", ok, bad or "all pairs")
+    if n > _DUALITY_N_LIMIT:
+        return f"n = {n} exceeds the duality sweep limit {_DUALITY_N_LIMIT}"
+    pairs = [(s, r) for s in range(n + 1) for r in range(s, n + 1)]
+    values = {pair: theta(n, *pair, jobs=args.parallelism) for pair in pairs}
+    for s, r in pairs:
+        left, right = values[s, r], values[n - r, n - s]
+        if left != right:
+            report.add_check(f"duality n={n}", False, f"theta({n};{s},{r}) = {left} but dual gives {right}")
+            return None
+    report.add_check(f"duality n={n}", True, "all pairs")
 
 
 def _suite_compound(args, report: RunReport) -> str | None:
@@ -271,7 +274,9 @@ def _suite_compound(args, report: RunReport) -> str | None:
     report.add_check("kronecker-embedding", ok)
 
 
-def _suite_asymptotic(args, report: RunReport) -> None:
+def _suite_asymptotic(args, report: RunReport) -> str | None:
+    if args.n_max > _ASYMPTOTIC_N_LIMIT:
+        return f"n_max = {args.n_max} exceeds the asymptotic sweep limit {_ASYMPTOTIC_N_LIMIT}"
     outcome = asymptotic_report(args.n_max, jobs=args.parallelism)
     report.results["constant"] = outcome.constant
     for row in outcome.rows:

@@ -253,6 +253,7 @@ def poly_is_irreducible(f: FieldTable, poly: tuple[int, ...]) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def poly_order(f: FieldTable, poly: tuple[int, ...]) -> int:
     """Multiplicative order of the roots: least e with poly | x**e - 1.
 

@@ -5,9 +5,10 @@ A representative is one block-diagonal matrix, laid out in one pass: one
 unipotent bidiagonal block per unipotent part (the translation-marked class
 puts the vector (1, 0, ..., 0) on the first block of the marked size), then
 one companion block per power f**j of each irreducible f receiving a
-nonzero partition.
-Partitions are assigned to the irreducibles of one order in canonical
-sorted order; any other assignment is handled by the fold multiplicity.
+nonzero partition.  The canonical representative puts the k nonempty
+partitions of one order on the first k irreducibles of that order, the
+first slot assignment `_distinct_assignments` yields; the other
+assignments are the other classes folded into the index.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .numtheory import divisors, multiplicative_order, psi
 
 __all__ = [
     "ClassCheckReport",
-    "IrreducibleRecord",
     "build_representative",
     "irreducibles_of_order",
     "iter_class_representatives",
@@ -42,38 +42,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IrreducibleRecord:
-    """A monic irreducible over F_q together with the order of its roots."""
-
-    coeffs: tuple[int, ...]
-    degree: int
-    order: int
-
-
 @lru_cache(maxsize=None)
-def _scan_degree(q: int, degree: int) -> tuple[IrreducibleRecord, ...]:
-    """All monic irreducibles of one degree (except x, whose root is not a
-    unit), lexicographic in the ascending coefficient vector, each with its
-    root order."""
-    f = field(q)
-    return tuple(
-        IrreducibleRecord(poly, degree, poly_order(f, poly))
-        for poly in irreducibles(q, degree)
-        if poly[0]
-    )
-
-
-def irreducibles_of_order(d: int, q: int) -> tuple[IrreducibleRecord, ...]:
+def irreducibles_of_order(d: int, q: int) -> tuple[tuple[int, ...], ...]:
     """The psi(d) monic irreducibles of degree o_d(q) whose roots have
-    multiplicative order exactly d, in coefficient-vector order."""
+    multiplicative order exactly d, in the order of `fields.irreducibles`."""
     if d < 1:
         raise ValueError(f"order must be >= 1, got {d}")
     degree = multiplicative_order(q, d)  # also validates gcd(d, q) = 1
-    records = tuple(r for r in _scan_degree(q, degree) if r.order == d)
-    if len(records) != psi(d, q):
-        raise AssertionError(f"found {len(records)} irreducibles of order {d}, expected psi")
-    return records
+    f = field(q)
+    polys = tuple(g for g in irreducibles(q, degree) if g[0] and poly_order(f, g) == d)
+    if len(polys) != psi(d, q):
+        raise AssertionError(f"found {len(polys)} irreducibles of order {d}, expected psi")
+    return polys
 
 
 # GFMatrix is immutable, so representatives share these blocks: one entry
@@ -90,18 +70,11 @@ def _unipotent_block(q: int, size: int) -> GFMatrix:
 
 
 def _spectral_blocks(q: int, spectrum, assignment: tuple[int, ...]) -> Iterator[GFMatrix]:
-    records = irreducibles_of_order(spectrum.d, q)
+    polys = irreducibles_of_order(spectrum.d, q)
     for slot, entry in zip(assignment, spectrum.entries):
-        poly = records[slot].coeffs
         for j, mj in enumerate(entry, start=1):
             if mj:
-                yield from itertools.repeat(_companion_power(q, poly, j), mj)
-
-
-def _canonical_assignment(spectrum) -> tuple[int, ...]:
-    # sorted entries occupy the last slots: empties fill the front
-    k = len(spectrum.entries)
-    return tuple(range(spectrum.psi - k, spectrum.psi))
+                yield from itertools.repeat(_companion_power(q, polys[slot], j), mj)
 
 
 def _assemble(idx: ClassIndex, assignments: tuple[tuple[int, ...], ...]) -> AffineMap:
@@ -124,9 +97,10 @@ def _assemble(idx: ClassIndex, assignments: tuple[tuple[int, ...], ...]) -> Affi
 
 
 def build_representative(idx: ClassIndex) -> AffineMap:
-    """The canonical representative of the class index on F_q**n."""
+    """The canonical representative of the class index on F_q**n: the first
+    assignment of every spectrum, as `iter_class_representatives` yields first."""
     idx.validate()
-    return _assemble(idx, tuple(_canonical_assignment(s) for s in idx.spectra))
+    return _assemble(idx, tuple(next(_distinct_assignments(s)) for s in idx.spectra))
 
 
 def _distinct_assignments(spectrum) -> Iterator[tuple[int, ...]]:

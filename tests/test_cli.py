@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from aglcount import cli
 from aglcount.cli import main
 from aglcount.conjugacy import enumerate_classes
+from aglcount.rm import theta
 
 
 def run_cli(capsys, *argv):
@@ -128,7 +130,15 @@ def test_csv_format(capsys):
     assert "count-functions,result:function_classes,10" in lines
 
 
-def test_verify_suites_pass(capsys):
+def test_verify_suites_pass(capsys, monkeypatch):
+    # the duality suite computes each theta(3; s, r) once, its dual included
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return theta(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "theta", counted)
     for argv in (
         ("verify", "--suite", "class-equation", "--q", "2", "--n", "5"),
         ("verify", "--suite", "oracle", "--q", "2", "--n", "2"),
@@ -143,6 +153,7 @@ def test_verify_suites_pass(capsys):
         assert code == 0, body
         assert body["status"] == "ok"
         assert all(c["status"] == "pass" for c in body["checks"])
+    assert sorted(calls) == [(3, s, r) for s in range(4) for r in range(s, 4)]
 
 
 def test_verify_refuses_an_empty_range(capsys):
@@ -281,6 +292,30 @@ def test_compound_suite_beyond_size_limit_fails_fast():
     proc = verify("4")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # n = 10 takes minutes and n = 40 would never end
+        (("--suite", "duality", "--n", "10"), "n = 10 exceeds the duality sweep limit 9"),
+        (("--suite", "duality", "--n", "40"), "n = 40 exceeds the duality sweep limit 9"),
+        # M(12) alone takes minutes
+        (("--suite", "asymptotic", "--n-max", "12"), "n_max = 12 exceeds the asymptotic sweep limit 11"),
+    ],
+)
+def test_sweep_beyond_size_limit_fails_fast(argv, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "aglcount", "verify", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    body = json.loads(proc.stdout)
+    assert body["status"] == "error"
+    assert body["checks"] == []
+    assert body["results"]["error"] == message
 
 
 def test_asymptotic_suite_compares_ratios_only_when_two_exist(capsys):

@@ -17,12 +17,11 @@ from test_linalg import affine_powers, cyclic_orbit_count, fixed_point_count, id
 
 
 def test_irreducibles_of_order_examples():
-    records = irreducibles_of_order(7, 2)
-    assert {r.coeffs for r in records} == {(1, 1, 0, 1), (1, 0, 1, 1)}  # x^3+x+1, x^3+x^2+1
-    assert irreducibles_of_order(1, 2)[0].coeffs == (1, 1)  # x + 1
-    assert irreducibles_of_order(1, 3)[0].coeffs == (2, 1)  # x - 1
-    only = irreducibles_of_order(3, 2)
-    assert len(only) == 1 and only[0].coeffs == (1, 1, 1)
+    polys = irreducibles_of_order(7, 2)
+    assert set(polys) == {(1, 1, 0, 1), (1, 0, 1, 1)}  # x^3+x+1, x^3+x^2+1
+    assert irreducibles_of_order(1, 2) == ((1, 1),)  # x + 1
+    assert irreducibles_of_order(1, 3) == ((2, 1),)  # x - 1
+    assert irreducibles_of_order(3, 2) == ((1, 1, 1),)
 
 
 def test_irreducible_counts_match_psi():
@@ -34,23 +33,23 @@ def test_irreducible_counts_match_psi():
             degree = multiplicative_order(q, d)
             if q**degree > 4096:
                 continue
-            records = irreducibles_of_order(d, q)
-            assert len(records) == psi(d, q), (q, d)
-            for rec in records:
-                assert rec.degree == degree
-                assert poly_order(field(q), rec.coeffs) == d
+            polys = irreducibles_of_order(d, q)
+            assert len(polys) == psi(d, q), (q, d)
+            for poly in polys:
+                assert len(poly) - 1 == degree
+                assert poly_order(field(q), poly) == d
 
 
 def test_irreducible_records_sorted_and_valid():
     f = field(2)
-    records = irreducibles_of_order(15, 2)
-    assert [r.coeffs for r in records] == sorted(r.coeffs for r in records)
-    for rec in records:
-        assert rec.order == 15
+    polys = irreducibles_of_order(15, 2)
+    assert list(polys) == sorted(polys)
+    for poly in polys:
+        assert poly_order(f, poly) == 15
         # divisor ladder double-check: x^15 = 1 mod f, x^5 != 1, x^3 != 1
-        assert poly_pow(f, (0, 1), 15, rec.coeffs) == (1,)
-        assert poly_pow(f, (0, 1), 5, rec.coeffs) != (1,)
-        assert poly_pow(f, (0, 1), 3, rec.coeffs) != (1,)
+        assert poly_pow(f, (0, 1), 15, poly) == (1,)
+        assert poly_pow(f, (0, 1), 5, poly) != (1,)
+        assert poly_pow(f, (0, 1), 3, poly) != (1,)
 
 
 def test_build_representative_trivial_cases():
@@ -224,3 +223,8 @@ def test_distinct_assignments_enumerate_exactly_the_fold():
             assert sorted(e for _, e in placed) == sorted(tup.entries)
             maps.add(placed)
         assert len(maps) == len(assignments), (d, entries)
+    # the canonical representative is the first one the fold enumerates
+    for q, nmax in ((2, 7), (3, 4), (4, 3), (5, 3), (7, 2), (9, 2)):
+        for n in range(1, nmax + 1):
+            for idx in enumerate_classes(n, q):
+                assert build_representative(idx) == next(iter_class_representatives(idx))[0], idx
