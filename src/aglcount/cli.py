@@ -36,12 +36,16 @@ _REPS_STEP_LIMIT = 1 << 24
 # whose images are ints of 2**n bits each: time and memory about quadruple
 # per step of --n (n = 14 takes about 35 s and 300 MiB on 2 cores, Python 3.11)
 _COMPOUND_N_LIMIT = 14
-# verify --suite duality computes theta(n, s, r) once per 0 <= s <= r <= n,
-# and verify --suite asymptotic computes M(n) for n = 2 .. --n-max; each step
-# of n costs 5 to 6 times the last (--n 9 takes 28 s and --n 10 155 s;
-# --n-max 11 takes 41 s, M(11) alone 32 s; 2 cores, Python 3.11)
+# verify --suite duality computes theta(n, s, r) once per 0 <= s <= r <= n;
+# each step of n costs 5 to 6 times the last (--n 9 takes 28 s and --n 10
+# 155 s; 2 cores, Python 3.11)
 _DUALITY_N_LIMIT = 9
-_ASYMPTOTIC_N_LIMIT = 11
+# verify --suite asymptotic computes M(n) for n = 2 .. --n-max from the
+# per-class formulas, each step of n about twice the last (--n-max 18 takes
+# 2.8 s and --n-max 20 14.3 s; 2 cores, Python 3.11); count-cosets
+# --coset-classes admits the same n by default, the theta paths n <= 10
+_ASYMPTOTIC_N_LIMIT = 20
+_THETA_MAX_N = 10
 
 
 @dataclass
@@ -162,8 +166,11 @@ def _cmd_count_cosets(args, report: RunReport) -> str | None:
         "r": _text(args.r),
         "coset_classes": str(bool(args.coset_classes)),
     }
-    if args.n < 1 or args.n > args.max_n:
-        return f"n = {args.n} outside 1..{args.max_n} (raise --max-n to override)"
+    max_n = args.max_n
+    if max_n is None:
+        max_n = _ASYMPTOTIC_N_LIMIT if args.coset_classes else _THETA_MAX_N
+    if args.n < 1 or args.n > max_n:
+        return f"n = {args.n} outside 1..{max_n} (raise --max-n to override)"
     callback = _FoldProgress(args)
     if args.coset_classes:
         if args.n < 2:
@@ -346,7 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--coset-classes", action="store_true", dest="coset_classes",
                    help="count classes of the quotient by affine functions")
-    p.add_argument("--max-n", type=int, default=10, dest="max_n")
+    p.add_argument("--max-n", type=int, default=None, dest="max_n",
+                   help=f"largest n admitted (default {_ASYMPTOTIC_N_LIMIT} with --coset-classes, "
+                   f"else {_THETA_MAX_N})")
     common(p)
     p.set_defaults(handler=_cmd_count_cosets)
 

@@ -28,9 +28,10 @@ __all__ = [
 
 
 class GFMatrix:
-    """Immutable dense matrix over a FieldTable."""
+    """Immutable dense matrix over a FieldTable.  Its invertibility is
+    ranked at most once and then kept, since the entries never change."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "entries", "_invertible")
 
     def __init__(self, f: FieldTable, entries):
         rows = tuple(tuple(map(int, row)) for row in entries)
@@ -42,6 +43,7 @@ class GFMatrix:
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         self.entries = rows
+        self._invertible = None
 
     @classmethod
     def identity(cls, f: FieldTable, n: int) -> "GFMatrix":
@@ -62,7 +64,9 @@ class GFMatrix:
         return f"GFMatrix(q={self.field.q}, [{body}])"
 
     def is_invertible(self) -> bool:
-        return self.rows == self.cols and rank(self) == self.rows
+        if self._invertible is None:
+            self._invertible = self.rows == self.cols and rank(self) == self.rows
+        return self._invertible
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -167,7 +171,10 @@ class AffineMap:
 
 
 def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
-    """The matrix with the given blocks down its diagonal, zeros elsewhere."""
+    """The matrix with the given blocks down its diagonal, zeros elsewhere.
+
+    When every block has been found invertible, so is the result, and it
+    is not ranked again."""
     if not blocks:
         raise ValueError("block-diagonal matrix needs at least one block")
     f = blocks[0].field
@@ -180,7 +187,10 @@ def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
         before, after = (0,) * left, (0,) * (width - left - b.cols)
         rows.extend(before + row + after for row in b.entries)
         left += b.cols
-    return GFMatrix(f, rows)
+    out = GFMatrix(f, rows)
+    if all(b._invertible for b in blocks):
+        out._invertible = True
+    return out
 
 
 def point_permutation(sigma: AffineMap) -> list[int]:

@@ -56,17 +56,24 @@ def irreducibles_of_order(d: int, q: int) -> tuple[tuple[int, ...], ...]:
     return polys
 
 
+def _invertible_block(block: GFMatrix) -> GFMatrix:
+    if not block.is_invertible():
+        raise ValueError(f"singular representative block {block}")
+    return block
+
+
 # GFMatrix is immutable, so representatives share these blocks: one entry
-# per (irreducible, power) and one per unipotent block size
+# per (irreducible, power) and one per unipotent block size.  Each is
+# ranked once here, and a block-diagonal of them is then known invertible.
 @lru_cache(maxsize=None)
 def _companion_power(q: int, poly: tuple[int, ...], j: int) -> GFMatrix:
     f = field(q)
-    return companion_matrix(f, poly_pow(f, poly, j))
+    return _invertible_block(companion_matrix(f, poly_pow(f, poly, j)))
 
 
 @lru_cache(maxsize=None)
 def _unipotent_block(q: int, size: int) -> GFMatrix:
-    return jordan_block(field(q), size)
+    return _invertible_block(jordan_block(field(q), size))
 
 
 def _spectral_blocks(q: int, spectrum, assignment: tuple[int, ...]) -> Iterator[GFMatrix]:

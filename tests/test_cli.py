@@ -71,6 +71,14 @@ def test_count_cosets_range_errors(capsys):
     assert code != 0
     code, _ = run_cli(capsys, "count-cosets", "--n", "12")
     assert code != 0  # default guard is 10
+    # coset classes come from the per-class formulas alone: n <= 20 by default
+    code, out = run_cli(capsys, "count-cosets", "--n", "11", "--coset-classes")
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    code, out = run_cli(capsys, "count-cosets", "--n", "21", "--coset-classes")
+    assert code == 2
+    assert json.loads(out)["results"]["error"] == "n = 21 outside 1..20 (raise --max-n to override)"
+    code, _ = run_cli(capsys, "count-cosets", "--n", "11", "--coset-classes", "--max-n", "10")
+    assert code == 2
 
 
 def test_parallelism_yields_identical_report(capsys):
@@ -300,8 +308,8 @@ def test_compound_suite_beyond_size_limit_fails_fast():
         # n = 10 takes minutes and n = 40 would never end
         (("--suite", "duality", "--n", "10"), "n = 10 exceeds the duality sweep limit 9"),
         (("--suite", "duality", "--n", "40"), "n = 40 exceeds the duality sweep limit 9"),
-        # M(12) alone takes minutes
-        (("--suite", "asymptotic", "--n-max", "12"), "n_max = 12 exceeds the asymptotic sweep limit 11"),
+        # --n-max 20 takes about 14 s, and each step of n doubles it
+        (("--suite", "asymptotic", "--n-max", "21"), "n_max = 21 exceeds the asymptotic sweep limit 20"),
     ],
 )
 def test_sweep_beyond_size_limit_fails_fast(argv, message):

@@ -292,3 +292,16 @@ def test_ratio_tail_decreases():
     assert (by_n[6].ratio - 1) > 2 * (by_n[7].ratio - 1)
     # the limit-normalized ratio has crossed below 1 by n = 7
     assert by_n[7].limit_ratio_high < 1 < by_n[6].limit_ratio_low
+
+
+def test_ratio_excess_bit_length_pattern():
+    # result (ii): from n = 7 on, the excess of the ratio over 1 is
+    # num/den with num.bit_length() - den.bit_length() == 2n - 2**(n-2),
+    # so it lies within a factor of 2 of 2**(2n - 2**(n-2))
+    report = asymptotic_report(14)
+    assert [row.n for row in report.rows] == list(range(2, 15))
+    for row in report.rows:
+        if row.n >= 7:
+            excess = row.ratio - 1
+            gap = excess.numerator.bit_length() - excess.denominator.bit_length()
+            assert gap == 2 * row.n - 2 ** (row.n - 2), row.n

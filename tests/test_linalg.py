@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from aglcount import linalg
 from aglcount.fields import field, poly_divmod
 from aglcount.linalg import (
     AffineMap,
@@ -345,6 +346,31 @@ def test_block_diagonal_layout():
     )
     with pytest.raises(ValueError):
         block_diagonal([])
+
+
+def test_block_diagonal_of_ranked_blocks_is_not_ranked_again(monkeypatch):
+    rng = random.Random(23)
+    for f in (f2, f3):
+        for _ in range(40):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            blocks = [rand_matrix(rng, f, size, size) for size in sizes]
+            fresh = GFMatrix(f, block_diagonal(blocks).entries)
+            verdicts = [b.is_invertible() for b in blocks]
+            assert fresh.is_invertible() == all(verdicts), blocks
+            assert block_diagonal(blocks).is_invertible() == all(verdicts), blocks
+    # unranked blocks leave the result to be ranked; ranked invertible ones
+    # make it invertible without a rank; a singular block makes it singular
+    a, b = jordan_block(f2, 2), companion_matrix(f2, (1, 1, 1))
+    singular = companion_matrix(f2, (0, 1, 1))
+    unranked = block_diagonal([jordan_block(f2, 2), companion_matrix(f2, (1, 1, 1))])
+    assert a.is_invertible() and b.is_invertible() and not singular.is_invertible()
+    ranks = []
+    monkeypatch.setattr(linalg, "rank", lambda mat: ranks.append(mat) or rank(mat))
+    assert block_diagonal([a, b]).is_invertible() and ranks == []
+    assert unranked.is_invertible() and len(ranks) == 1
+    with pytest.raises(ValueError, match="invertible"):
+        AffineMap.linear(block_diagonal([a, singular, b]))
+    assert len(ranks) == 2
 
 
 def test_boxplus_order_is_lcm():

@@ -1,6 +1,6 @@
 import pytest
 
-from aglcount import reps
+from aglcount import linalg, reps
 from aglcount.conjugacy import ClassIndex, PartitionTuple, enumerate_classes
 from aglcount.fields import field, poly_order, poly_pow
 from aglcount.numtheory import divisors, multiplicative_order, psi
@@ -105,6 +105,34 @@ def test_shared_blocks_match_a_fresh_build(monkeypatch):
     monkeypatch.setattr(reps, "_companion_power", fresh_companion)
     monkeypatch.setattr(reps, "_unipotent_block", fresh_unipotent)
     assert cached == sweep()
+
+
+def test_representative_blocks_ranked_once_and_singular_refused(monkeypatch):
+    # x^2 + x and x have constant term 0: their companions are singular,
+    # and the cached block builder refuses them
+    with pytest.raises(ValueError, match="singular"):
+        reps._companion_power(2, (0, 1, 1), 1)
+    with pytest.raises(ValueError, match="singular"):
+        reps._companion_power(3, (0, 1), 2)
+    # once its blocks are cached, a representative is built without a rank
+    indices = list(enumerate_classes(6, 2))
+    first = [build_representative(idx) for idx in indices]
+    ranks = []
+    real = linalg.gf2_rank
+    monkeypatch.setattr(linalg, "gf2_rank", lambda rows: ranks.append(rows) or real(rows))
+    again = [build_representative(idx) for idx in indices]
+    assert ranks == []
+    assert again == first
+    monkeypatch.undo()
+    assert all(linalg.rank(GFMatrix(field(2), rep.matrix.entries)) == 6 for rep in again)
+    # a singular block that slipped past the builder is still refused
+    def singular_companion(q, poly, j):
+        return companion_matrix(field(q), (0,) * ((len(poly) - 1) * j) + (1,))
+
+    monkeypatch.setattr(reps, "_companion_power", singular_companion)
+    assert indices[-1].spectra
+    with pytest.raises(ValueError, match="invertible"):
+        build_representative(indices[-1])
 
 
 def test_verify_class_examples():

@@ -3,11 +3,15 @@ import random
 
 import pytest
 
+from aglcount.conjugacy import ClassIndex, enumerate_classes
 from aglcount.fields import field
 from aglcount.formulas import count_function_classes
-from aglcount.linalg import AffineMap, GFMatrix, rank
+from aglcount.linalg import AffineMap, GFMatrix, gf2_rank, point_permutation, rank
+from aglcount.partitions import enumerate_partitions
+from aglcount.reps import build_representative, iter_class_representatives
 from aglcount.rm import (
     RMQuotientBasis,
+    _affine_rank,
     _var_masks,
     coset_class_count_M,
     fix_on_quotient,
@@ -370,6 +374,55 @@ def test_coset_class_count_values():
 def test_coset_count_matches_full_group_oracle():
     for n in (2, 3):
         assert coset_class_count_M(n) == burnside_full_theta(n, 0, n - 2)
+
+
+def walk_affine_rank(sigma):
+    """rho from the point walk: the GF(2) rank of (|O| mod 2, sum of O),
+    one row per cycle O of the point permutation; on F_2**n the point sum
+    is the XOR of the codes."""
+    perm = point_permutation(sigma)
+    seen = bytearray(len(perm))
+    rows = []
+    for start in range(len(perm)):
+        length = acc = 0
+        cur = start
+        while not seen[cur]:
+            seen[cur] = 1
+            acc ^= cur
+            cur = perm[cur]
+            length += 1
+        if length:
+            rows.append(length & 1 | acc << 1)
+    return gf2_rank(rows)
+
+
+def test_affine_rank_closed_form_matches_walk():
+    # every unipotent partition of weight <= 11 with every marker: 617 pairs
+    pairs = 0
+    for k in range(1, 12):
+        for lam in enumerate_partitions(k):
+            for t in [None] + [j for j, m in enumerate(lam, start=1) if m]:
+                rep = build_representative(ClassIndex(n=k, q=2, unipotent=lam, spectra=(), marker=t))
+                assert walk_affine_rank(rep) == _affine_rank(lam, t), (lam, t)
+                pairs += 1
+    assert pairs == 617
+
+
+def test_affine_rank_depends_on_the_unipotent_part_alone():
+    # the lemma: every representative at n <= 8, spectra and all (635 maps)
+    reps = 0
+    for n in range(1, 9):
+        for idx in enumerate_classes(n, 2):
+            for rep, _ in iter_class_representatives(idx):
+                assert walk_affine_rank(rep) == _affine_rank(idx.unipotent, idx.marker), idx
+                reps += 1
+    assert reps == 635
+
+
+def test_closed_form_coset_count_matches_theta():
+    for n in range(2, 10):
+        assert coset_class_count_M(n) == theta(n, 0, n - 2), n
+    assert coset_class_count_M(8, jobs=2) == coset_class_count_M(8)
 
 
 def test_both_quotient_readings_agree():
