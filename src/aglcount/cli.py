@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .compound import asymptotic_report, check_jordan_block_structure, check_kronecker_embedding, check_rank_bound
+from .compound import asymptotic_report, check_kronecker_embedding, check_rank_bound, jordan_structure_sweep
 from .conjugacy import enumerate_classes
 from .formulas import class_equation_total, count_function_classes
 from .linalg import GFMatrix
@@ -34,7 +34,7 @@ _STR_DIGITS_LIMIT = 4_000_000
 _REPS_STEP_LIMIT = 1 << 24
 # the Jordan sweep of verify --suite compound substitutes into 2**n monomials,
 # whose images are ints of 2**n bits each: time and memory about quadruple
-# per step of --n (n = 14 takes about 35 s and 300 MiB on 2 cores, Python 3.11)
+# per step of --n (n = 14 takes about 21 s and 320 MiB on 2 cores, Python 3.11)
 _COMPOUND_N_LIMIT = 14
 # verify --suite duality computes theta(n, s, r) once per 0 <= s <= r <= n;
 # each step of n costs 5 to 6 times the last (--n 9 takes 28 s and --n 10
@@ -254,9 +254,7 @@ def _suite_compound(args, report: RunReport) -> str | None:
     n_max = args.n
     if n_max > _COMPOUND_N_LIMIT:
         return f"n = {n_max} exceeds the compound sweep limit {_COMPOUND_N_LIMIT}"
-    ok = all(
-        check_jordan_block_structure(n, r) for n in range(1, n_max + 1) for r in range(1, n + 1)
-    )
+    ok = all(holds for _, _, holds in jordan_structure_sweep(n_max))
     report.add_check(f"jordan-structure n<={n_max}", ok)
     ok = all(
         check_rank_bound(n, r) for n in range(1, n_max + 1) for r in range(1, n + 1)

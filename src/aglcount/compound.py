@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Iterator
 
 from .fields import field
 from .linalg import AffineMap, GFMatrix, block_diagonal, jordan_block
@@ -23,11 +24,11 @@ __all__ = [
     "AsymptoticReport",
     "AsymptoticRow",
     "asymptotic_report",
-    "check_jordan_block_structure",
     "check_kronecker_embedding",
     "check_rank_bound",
     "compound_gf2",
     "format_significant",
+    "jordan_structure_sweep",
     "unit_product_constant",
 ]
 
@@ -83,32 +84,39 @@ def check_kronecker_embedding(a: GFMatrix, b: GFMatrix, k: int, l: int) -> bool:
     return True
 
 
-def _compound_jordan(n: int, r: int) -> GFMatrix:
-    return compound_gf2(jordan_block(field(2), n), r)
+def _block(entries, rows, cols) -> tuple[bytes, ...]:
+    return tuple(bytes([entries[i][j] for j in cols]) for i in rows)
 
 
-def _block(entries, rows, cols) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(entries[i][j] for j in cols) for i in rows)
-
-
-def check_jordan_block_structure(n: int, r: int) -> bool:
-    """Split the compound of the unipotent bidiagonal block by 'subset
-    contains n': the cross block below the diagonal must vanish and the
-    diagonal blocks must be the two smaller compounds."""
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got ({n}, {r})")
-    big = _compound_jordan(n, r).entries
-    subsets = _subsets(n, r)
-    without = [i for i, s in enumerate(subsets) if (n - 1) not in s]
-    with_n = [i for i, s in enumerate(subsets) if (n - 1) in s]
-    if any(any(row) for row in _block(big, with_n, without)):
-        return False
-    if n == 1:
-        return big[0][0] == 1
-    top = _compound_jordan(n - 1, r).entries if r <= n - 1 else ()
-    if _block(big, without, without) != top:
-        return False
-    return _block(big, with_n, with_n) == _compound_jordan(n - 1, r - 1).entries
+def jordan_structure_sweep(n_max: int) -> Iterator[tuple[int, int, bool]]:
+    """(n, r, ok) for 1 <= r <= n <= n_max: split C_r(J_n), the compound of
+    the unipotent bidiagonal block, by 'subset contains n'; ok says that the
+    cross block below the diagonal vanishes and that the diagonal blocks are
+    C_r(J_{n-1}) and C_{r-1}(J_{n-1}).  Each compound is built once: the
+    compounds of J_{n-1} are kept while n runs, and each is dropped once the
+    last r that needs it is checked; those of J_{n_max} are not kept."""
+    # C_r(J_{n-1}) by r, one bytes object per row; C_0 is the 1 x 1 identity
+    smaller = {0: (b"\x01",)}
+    for n in range(1, n_max + 1):
+        jordan = jordan_block(field(2), n)
+        current = {0: (b"\x01",)}
+        for r in range(1, n + 1):
+            big = compound_gf2(jordan, r).entries
+            subsets = _subsets(n, r)
+            without = [i for i, s in enumerate(subsets) if (n - 1) not in s]
+            with_n = [i for i, s in enumerate(subsets) if (n - 1) in s]
+            # C_r(J_{n-1}) is empty at r = n; no later r needs C_{r-1}(J_{n-1})
+            top, bottom = smaller.get(r, ()), smaller.pop(r - 1)
+            ok = (
+                not any(any(row) for row in _block(big, with_n, without))
+                and _block(big, without, without) == top
+                and _block(big, with_n, with_n) == bottom
+            )
+            yield n, r, ok
+            if n < n_max:
+                current[r] = tuple(map(bytes, big))
+            del big  # not alive while the next compound is built
+        smaller = current
 
 
 def check_rank_bound(n: int, r: int) -> bool:

@@ -25,7 +25,6 @@ from .partitions import (
     Partition,
     canon,
     enumerate_partitions,
-    largest_part,
     order_key,
     support,
     weight,
@@ -64,9 +63,6 @@ class PartitionTuple:
 
     def total_weight(self) -> int:
         return sum(weight(e) for e in self.entries)
-
-    def largest_part(self) -> int:
-        return max((largest_part(e) for e in self.entries), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +179,9 @@ def enumerate_omega(n: int, q: int) -> Iterator[ClassIndex]:
     Deterministic order: spectra weight ascending (so unipotent weight
     descending), then spectra by ascending d and tuple shape, then the
     unipotent partition in partition order.  Each spectra tuple is built
-    once and all its indices come out in one run, which is what lets the
-    per-spectra pieces in ``formulas`` be cached in a bounded cache.
+    once and all its indices come out in one run, sharing that tuple,
+    which is what lets the fold in ``formulas`` work out the per-spectra
+    pieces once per run.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

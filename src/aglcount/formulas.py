@@ -13,29 +13,33 @@ functions F_q**n -> F_q.
 
 ``burnside_total`` is the package's one Burnside fold and one process-pool
 path: every count (function classes, the class equation, the quotient codes
-of ``rm``) sums weight * |class| * q**e over the classes.  Every division
-asserts exactness; a failed assertion means an enumeration or formula bug,
-never a rounding issue.
+of ``rm``) sums weight * |class| * q**e over the classes.  Most of a class's
+work depends on its spectra tuple alone, and the enumeration yields all
+indices of one spectra tuple back to back, so the fold works out those
+pieces once per run; the unipotent side comes from one table of rows per
+unipotent weight.  The sum of c_e * q**e goes by halves, not by Horner.
+Every division asserts exactness; a failed assertion means an enumeration
+or formula bug, never a rounding issue.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
+from operator import attrgetter
 from typing import Sequence
 
-from .conjugacy import ClassIndex, PartitionTuple, enumerate_classes
+from .conjugacy import ClassIndex, enumerate_classes
 from .numtheory import (
     agl_group_order,
-    euler_phi,
     factorize,
     multiplicative_order,
     p_adic_valuation,
     prime_power,
 )
-from .partitions import Partition, largest_part
+from .partitions import Partition, enumerate_partitions, largest_part, support, weight
 
 __all__ = [
     "burnside_total",
@@ -59,10 +63,10 @@ def _pairwise_min_sum(lam: Sequence[int]) -> int:
     return total
 
 
-def _centralizer_factor(q: int, exponent: int, blocks, head: int = 1) -> int:
-    """q**(exponent - L) / head times the product of q**(o*u) - 1 over the
-    (o, lam) in blocks, the parts j of lam and u = 1..lam_j; L sums the o*u
-    (the denominators of the units 1 - q**-(o*u)).  Checked to be exact."""
+def _centralizer_factor(q: int, exponent: int, blocks) -> int:
+    """q**(exponent - L) times the product of q**(o*u) - 1 over the (o, lam)
+    in blocks, the parts j of lam and u = 1..lam_j; L sums the o*u (the
+    denominators of the units 1 - q**-(o*u)).  Checked to be exact."""
     denom_exp = 0
     units = 1
     for o, lam in blocks:
@@ -70,22 +74,9 @@ def _centralizer_factor(q: int, exponent: int, blocks, head: int = 1) -> int:
             for u in range(1, mj + 1):
                 units *= q ** (o * u) - 1
                 denom_exp += o * u
-    if units % head != 0:
-        raise AssertionError("translation-marked centralizer not integral")
     if exponent < denom_exp:
         raise AssertionError("centralizer q-power exponent went negative")
-    return q ** (exponent - denom_exp) * (units // head)
-
-
-@lru_cache(maxsize=None)
-def _unipotent_factor(lam: Partition, marker: int | None, q: int) -> int:
-    """Centralizer factor of the unipotent part: a marker t counts only the
-    parts of size >= t in the exponent and divides out q**lam_t - 1."""
-    if marker is None:
-        exponent, head = sum(lam), 1
-    else:
-        exponent, head = sum(lam[marker - 1 :]), q ** lam[marker - 1] - 1
-    return _centralizer_factor(q, exponent + _pairwise_min_sum(lam), ((1, lam),), head)
+    return q ** (exponent - denom_exp) * units
 
 
 def _ceil_log(p: int, m: int) -> int:
@@ -160,52 +151,134 @@ def _level_sums(parts: tuple[Partition, ...], p: int, a: int) -> tuple[int, ...]
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def _spectra_pieces(spectra: tuple[PartitionTuple, ...], q: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """What the class formulas take from one spectra tuple: its centralizer
-    factor, L = lcm of its orders d, its largest part m, and for
-    nu = 0..ceil(log_p m) the pattern sums
+# What the class formulas take from one spectra tuple: the centralizer factor
+# of its blocks, L = the lcm of its orders d, its largest part m, ceil(log_p m),
+# the pattern sums P(nu) of ``orbit_exponent`` for nu = 0..ceil(log_p n) + 1,
+# and the fold multiplicity of its indices.
+_Pieces = namedtuple("_Pieces", "centralizer lcm largest level sums multiplicity")
+
+
+def _spectra_pieces(idx: ClassIndex) -> _Pieces:
+    """The pieces of the spectra tuple of idx, with the pattern sums
 
         P(nu) = sum_S g_S q**(sum_{i in S} o_i S_i(nu))
 
-    of ``orbit_exponent``, which stay constant once p**nu >= m.  The cache
-    is bounded: the enumeration yields all indices of one spectra tuple in
-    one run.
+    of ``orbit_exponent``, which stay constant once p**nu >= m, up to the
+    largest p-adic valuation of an element order at dimension n.  The fold
+    builds them once per run of indices that share a spectra tuple (the
+    enumeration yields each tuple's indices back to back), so nothing is
+    cached or hashed per index.
     """
+    q, spectra = idx.q, idx.spectra
     p = prime_power(q).p
     orders = [multiplicative_order(q, spectrum.d) for spectrum in spectra]
     blocks = [(o, entry) for o, spectrum in zip(orders, spectra) for entry in spectrum.entries]
-    centralizer = _centralizer_factor(q, sum(o * _pairwise_min_sum(entry) for o, entry in blocks), blocks)
-    largest = max((spectrum.largest_part() for spectrum in spectra), default=0)
+    centralizer = _centralizer_factor(q, sum([o * _pairwise_min_sum(entry) for o, entry in blocks]), blocks)
+    largest = max([largest_part(entry) for _, entry in blocks], default=0)
     top = _ceil_log(p, largest)
-    lcm, patterns, weights = _divisibility_weights(tuple(spectrum.d for spectrum in spectra))
+    lcm, patterns, weights = _divisibility_weights(tuple([spectrum.d for spectrum in spectra]))
     levels = [_level_sums(spectrum.entries, p, top) for spectrum in spectra]
-    pattern_sums = tuple(
-        sum(g * q ** sum(orders[i] * levels[i][nu] for i in dividing) for dividing, g in zip(patterns, weights))
-        for nu in range(top + 1)
-    )
-    return centralizer, lcm, largest, pattern_sums
+    pattern_sums = []
+    for nu in range(top + 1):
+        exponents = [o * level[nu] for o, level in zip(orders, levels)]
+        total = 0
+        for dividing, g in zip(patterns, weights):
+            e = 0
+            for i in dividing:
+                e += exponents[i]
+            total += g * q**e
+        pattern_sums.append(total)
+    pattern_sums += pattern_sums[-1:] * (_ceil_log(p, idx.n) + 1 - top)
+    return _Pieces(centralizer, lcm, largest, top, tuple(pattern_sums), idx.multiplicity())
+
+
+# What the class formulas take from one unipotent partition and marker: the
+# centralizer factor of the unipotent part, its largest part m_uni,
+# ceil(log_p m_uni), the translation threshold (the least nu at which a power
+# fixes a point), whether the order gains a p (the marker is m_uni and a power
+# of p), and q**U(nu) for nu = 0..ceil(log_p n) + 1.
+_Row = namedtuple("_Row", "unipotent marker centralizer largest level threshold bump powers")
+
+
+@lru_cache(maxsize=None)
+def _unipotent_rows(m: int, q: int, top: int) -> tuple[_Row, ...]:
+    """The rows of weight m, in the order in which ``enumerate_classes``
+    yields the indices of one spectra tuple: each partition, then its
+    markers.  The powers reach nu = top, the largest p-adic valuation of an
+    element order at dimension n when top = ceil(log_p n) + 1, so every n
+    with the same top shares the table."""
+    p = prime_power(q).p
+    rows = []
+    for lam in enumerate_partitions(m):
+        largest = largest_part(lam)
+        level = _ceil_log(p, largest)
+        # U(nu) is the weight m once p**nu covers the largest part
+        powers = tuple(q**u for u in _level_sums((lam,), p, level)) + (q**m,) * (top - level)
+        unmarked = _centralizer_factor(q, sum(lam) + _pairwise_min_sum(lam), ((1, lam),))
+        rows.append(_Row(lam, None, unmarked, largest, level, 0, False, powers))
+        for t in support(lam):
+            # a marker t counts only the parts of size >= t in the q-exponent
+            # and divides out q**lam_t - 1
+            factor, rem = divmod(unmarked, q ** sum(lam[: t - 1]) * (q ** lam[t - 1] - 1))
+            if rem:
+                raise AssertionError("translation-marked centralizer not integral")
+            threshold = 1 + _floor_log(p, t)
+            bump = t == largest and p ** (threshold - 1) == t
+            rows.append(_Row(lam, t, factor, largest, level, threshold, bump, powers))
+    return tuple(rows)
+
+
+def _row_position(rows: tuple[_Row, ...], idx: ClassIndex) -> int:
+    """Where the (partition, marker) of idx sits among rows."""
+    for i, row in enumerate(rows):
+        if row.unipotent == idx.unipotent and row.marker == idx.marker:
+            return i
+    raise AssertionError("class index without a unipotent row")
+
+
+def _unipotent_row(idx: ClassIndex) -> _Row:
+    rows = _unipotent_rows(weight(idx.unipotent), idx.q, _ceil_log(prime_power(idx.q).p, idx.n) + 1)
+    return rows[_row_position(rows, idx)]
+
+
+def _order_exponent(row: _Row, pieces: _Pieces) -> int:
+    """a with element order L * p**a: the p-power that covers the largest
+    part, times p when the marked block is a largest one of p-power size."""
+    if not (row.largest or pieces.largest):
+        raise AssertionError("index has no parts at all")
+    a = max(row.level, pieces.level)
+    return a + 1 if row.bump and row.largest >= pieces.largest else a
+
+
+def _orbit_count(row: _Row, pieces: _Pieces, p: int, a: int) -> int:
+    """The divisor sum of ``orbit_exponent`` for the order L * p**a."""
+    threshold = row.threshold
+    if threshold > a:
+        raise AssertionError("translation threshold exceeds the p-adic valuation of the order")
+    if a >= len(row.powers):
+        raise AssertionError("p-adic valuation of the order beyond the levels at dimension n")
+    total = 0
+    pk = p ** (a - threshold)
+    for power, pattern_sum in zip(row.powers[threshold : a + 1], pieces.sums[threshold : a + 1]):
+        # phi(p**k) = p**k - p**(k - 1), and 1 at k = 0
+        total += (pk - pk // p) * power * pattern_sum
+        pk //= p
+    order = pieces.lcm * p**a
+    if total % order != 0:
+        raise AssertionError("orbit-count divisor sum not divisible by the order")
+    return total // order
 
 
 def centralizer_order(idx: ClassIndex) -> int:
     """Order of the centralizer of the class representative in AGL(n, F_q):
-    the unipotent part's factor times the spectra's, each cached."""
-    return _unipotent_factor(idx.unipotent, idx.marker, idx.q) * _spectra_pieces(idx.spectra, idx.q)[0]
+    the unipotent part's factor times the spectra's."""
+    return _unipotent_row(idx).centralizer * _spectra_pieces(idx).centralizer
 
 
 def element_order(idx: ClassIndex) -> int:
     """Order of the class representative as a group element."""
-    p = prime_power(idx.q).p
-    _, lcm, m_spectra, _ = _spectra_pieces(idx.spectra, idx.q)
-    m_uni = largest_part(idx.unipotent)
-    m_max = max(m_uni, m_spectra)
-    if m_max == 0:
-        raise AssertionError("index has no parts at all")
-    order = lcm * p ** _ceil_log(p, m_max)
-    t = idx.marker
-    if t is not None and t == m_uni and t >= m_spectra and p ** _floor_log(p, t) == t:
-        order *= p
-    return order
+    pieces = _spectra_pieces(idx)
+    return pieces.lcm * prime_power(idx.q).p ** _order_exponent(_unipotent_row(idx), pieces)
 
 
 def fix_exponent_at(idx: ClassIndex, k: int) -> int | None:
@@ -244,40 +317,73 @@ def orbit_exponent(idx: ClassIndex) -> int:
         P(nu) = sum_S g_S q**(sum_{d in S} o_d S_d(nu)),
 
     where g_S sums phi(L / k') over the divisors k' of L with pattern S.
-    P depends on the spectra alone and comes with their cached pieces.
+    P depends on the spectra alone and q**U(nu) on the unipotent row alone.
     """
-    q = idx.q
-    p = prime_power(q).p
+    p = prime_power(idx.q).p
+    pieces = _spectra_pieces(idx)
     b = element_order(idx)
-    _, lcm, _, sums = _spectra_pieces(idx.spectra, q)
-    a = _floor_log(p, b // lcm)
-    if b != lcm * p**a:
+    a = _floor_log(p, b // pieces.lcm)
+    if b != pieces.lcm * p**a:
         raise AssertionError("element order is not the lcm of the orders d times a power of p")
-    threshold = 0 if idx.marker is None else 1 + _floor_log(p, idx.marker)
-    if threshold > a:
-        raise AssertionError("translation threshold exceeds the p-adic valuation of the order")
-    unipotent = _level_sums((idx.unipotent,), p, a)
-    top = len(sums) - 1
-    total = 0
-    for nu in range(threshold, a + 1):
-        total += euler_phi(p ** (a - nu)) * q ** unipotent[nu] * sums[min(nu, top)]
-    if total % b != 0:
-        raise AssertionError("orbit-count divisor sum not divisible by the order")
-    return total // b
+    return _orbit_count(_unipotent_row(idx), pieces, p, a)
 
 
 def _fold_batch(args) -> tuple[int, Counter]:
     """Fold one batch of class indices: its length, and per exponent e the
-    sum of weight * class size over the (weight, e) terms of its classes."""
+    sum of weight * class size over the (weight, e) terms of its classes.
+
+    The batch goes by runs of one spectra tuple: each run builds its spectra
+    pieces once and walks the unipotent rows of its weight alongside.  Only
+    the batch's first run may start inside its rows and only its last may
+    stop short of them (a run cut between two batches)."""
     batch, group, terms = args
     coeffs: Counter = Counter()
-    for done, idx in enumerate(batch, start=1):
-        size, rem = divmod(group, centralizer_order(idx))
-        if rem:
-            raise AssertionError("centralizer does not divide the group order")
-        for weight, exponent in terms(idx):
-            coeffs[exponent] += weight * size
+    done = 0
+    short = False
+    for _, run in itertools.groupby(batch, attrgetter("spectra")):
+        if short:
+            raise AssertionError("a spectra run stopped short of its unipotent rows")
+        head = next(run)
+        p = prime_power(head.q).p
+        pieces = _spectra_pieces(head)
+        rows = _unipotent_rows(weight(head.unipotent), head.q, _ceil_log(p, head.n) + 1)
+        if not done:
+            rows = rows[_row_position(rows, head) :]
+        multiplicity, centralizer = pieces.multiplicity, pieces.centralizer
+        count = 0
+        # rows first: zip stops on them without drawing an index too many
+        for row, idx in zip(rows, itertools.chain((head,), run)):
+            # equality, not identity: pool workers get unpickled copies
+            if idx.unipotent != row.unipotent or idx.marker != row.marker:
+                raise AssertionError("class index out of step with its unipotent row")
+            size, rem = divmod(group, row.centralizer * centralizer)
+            if rem:
+                raise AssertionError("centralizer does not divide the group order")
+            orbits = _orbit_count(row, pieces, p, _order_exponent(row, pieces))
+            for w, exponent in terms(idx, multiplicity, orbits):
+                coeffs[exponent] += w * size
+            count += 1
+        if next(run, None) is not None:
+            raise AssertionError("a spectra run outran its unipotent rows")
+        short = count < len(rows)
+        done += count
     return done, coeffs
+
+
+def _power_sum(table, q: int) -> int:
+    """Sum of c * q**e over the (e, c) pairs, by halves: neighbours in the
+    sorted table pair up as lo + hi * q**(e_hi - e_lo), level by level, so
+    the few products of large numbers come last."""
+    level = sorted(table)
+    if not level:
+        return 0
+    while len(level) > 1:
+        paired = [(e, c + c_hi * q ** (e_hi - e)) for (e, c), (e_hi, c_hi) in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    exponent, total = level[0]
+    return total * q**exponent
 
 
 def _merge(results, q: int, progress) -> int:
@@ -288,31 +394,28 @@ def _merge(results, q: int, progress) -> int:
         done += count
         if progress is not None:
             progress(done)
-    # Horner from the top exponent down: one pass for the sum of c * q**e
-    total = 0
-    prev = max(coeffs, default=0)
-    for exponent in sorted(coeffs, reverse=True):
-        total = total * q ** (prev - exponent) + coeffs[exponent]
-        prev = exponent
-    return total * q**prev
+    return _power_sum(coeffs.items(), q)
 
 
 def burnside_total(n: int, q: int, terms, jobs: int = 1, progress=None, chunk: int = 2048) -> int:
     """Undivided Burnside sum over the conjugacy classes of AGL(n, F_q).
 
-    terms(idx) yields (weight, e) pairs: weight counts the classes or
-    representatives the pair stands for and q**e is their fixed count.  The
-    result is the sum of weight * |class| * q**e, collected per exponent.
-    Class indices go in batches of chunk, through a process pool when
-    jobs > 1 (terms must then pickle); progress, if given, gets the running
-    class-index count after every batch on either path.  The result is
-    identical for any jobs.
+    terms(idx, multiplicity, orbits) yields (weight, e) pairs, given the
+    index's fold multiplicity and its orbit count on points (the exponent
+    of its fixed functions): weight counts the classes or representatives
+    the pair stands for and q**e is their fixed count.  The result is the
+    sum of weight * |class| * q**e, collected per exponent.  Class indices
+    go in batches of chunk, through a process pool when jobs > 1 (terms
+    must then pickle); progress, if given, gets the running class-index
+    count after every batch on either path.  The result is identical for
+    any jobs and chunk.
     """
     group = agl_group_order(n, q)
-    position = itertools.count()
-    batches = (b for _, b in itertools.groupby(enumerate_classes(n, q), lambda _: next(position) // chunk))
+    stream = enumerate_classes(n, q)
+    # lazy batches, each drawn in full before the next begins: the serial
+    # path holds one class index at a time
+    batches = (itertools.chain((head,), itertools.islice(stream, chunk - 1)) for head in stream)
     if jobs <= 1:
-        # lazy batches: the serial path holds one class index at a time
         return _merge(map(_fold_batch, ((b, group, terms) for b in batches)), q, progress)
     import multiprocessing
 
@@ -321,12 +424,12 @@ def burnside_total(n: int, q: int, terms, jobs: int = 1, progress=None, chunk: i
         return _merge(pool.imap_unordered(_fold_batch, work), q, progress)
 
 
-def _orbit_terms(idx: ClassIndex):
-    return ((idx.multiplicity(), orbit_exponent(idx)),)
+def _orbit_terms(idx: ClassIndex, multiplicity: int, orbits: int):
+    return ((multiplicity, orbits),)
 
 
-def _class_terms(idx: ClassIndex):
-    return ((idx.multiplicity(), 0),)
+def _class_terms(idx: ClassIndex, multiplicity: int, orbits: int):
+    return ((multiplicity, 0),)
 
 
 def count_function_classes(n: int, q: int, jobs: int = 1, progress=None) -> int:

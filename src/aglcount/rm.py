@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .conjugacy import ClassIndex
-from .formulas import burnside_total, orbit_exponent
+from .formulas import burnside_total
 from .linalg import AffineMap, gf2_rank
 from .numtheory import agl_group_order
 from .partitions import Partition
@@ -157,7 +157,7 @@ def fix_on_quotient(sigma: AffineMap, basis: RMQuotientBasis) -> int:
     return 1 << (basis.dim - gf2_rank(rows))
 
 
-def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex):
+def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex, multiplicity: int, orbits: int):
     for rep, weight in iter_class_representatives(idx):
         yield weight, fix_on_quotient(rep, basis).bit_length() - 1
 
@@ -210,8 +210,8 @@ def _affine_rank(lam: Partition, marker: int | None) -> int:
     return (marker + 1 == level) + sum(lam[level - 1 :])
 
 
-def _coset_terms(idx: ClassIndex):
-    return ((idx.multiplicity(), orbit_exponent(idx) - _affine_rank(idx.unipotent, idx.marker)),)
+def _coset_terms(idx: ClassIndex, multiplicity: int, orbits: int):
+    return ((multiplicity, orbits - _affine_rank(idx.unipotent, idx.marker)),)
 
 
 def coset_class_count_M(n: int, jobs: int = 1, progress=None) -> int:

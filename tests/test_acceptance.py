@@ -11,10 +11,10 @@ sys.set_int_max_str_digits(4_000_000)
 
 from aglcount.compound import (
     asymptotic_report,
-    check_jordan_block_structure,
     check_kronecker_embedding,
     check_rank_bound,
     format_significant,
+    jordan_structure_sweep,
 )
 from aglcount.conjugacy import ClassIndex, PartitionTuple, enumerate_classes
 from aglcount.fields import field
@@ -113,10 +113,13 @@ def test_criterion_06_compound_lemma_sweeps():
             for k in range(m + 1):
                 for l in range(n + 1):
                     assert check_kronecker_embedding(a, b, k, l), (m, n, k, l)
-        for n in range(1, 13):
-            for r in range(1, n + 1):
-                assert check_jordan_block_structure(n, r), (n, r)
-                assert check_rank_bound(n, r), (n, r)
+        pairs = [(n, r) for n in range(1, 13) for r in range(1, n + 1)]
+        swept = list(jordan_structure_sweep(12))
+        assert [(n, r) for n, r, _ in swept] == pairs
+        for n, r, holds in swept:
+            assert holds, (n, r)
+        for n, r in pairs:
+            assert check_rank_bound(n, r), (n, r)
 
 
 def test_criterion_07_translation_fix_identity():

@@ -9,11 +9,11 @@ import pytest
 from aglcount import compound
 from aglcount.compound import (
     asymptotic_report,
-    check_jordan_block_structure,
     check_kronecker_embedding,
     check_rank_bound,
     compound_gf2,
     format_significant,
+    jordan_structure_sweep,
     unit_product_constant,
 )
 from aglcount.fields import field
@@ -157,11 +157,43 @@ def test_kronecker_embedding_random_sweep():
         check_kronecker_embedding(a, rand_matrix(rng, f2, 2), 1, 1)
 
 
+def fresh_jordan_structure(n, r):
+    # the split check of one (n, r) from three compounds built for it alone
+    big = compound_gf2(jordan_block(f2, n), r).entries
+    subsets = list(itertools.combinations(range(n), r))
+    without = [i for i, s in enumerate(subsets) if (n - 1) not in s]
+    with_n = [i for i, s in enumerate(subsets) if (n - 1) in s]
+    if any(big[i][j] for i in with_n for j in without):
+        return False
+    if n == 1:
+        return big[0][0] == 1
+    top = compound_gf2(jordan_block(f2, n - 1), r).entries if r < n else ()
+    bottom = compound_gf2(jordan_block(f2, n - 1), r - 1).entries
+    return tuple(tuple(big[i][j] for j in without) for i in without) == top and tuple(
+        tuple(big[i][j] for j in with_n) for i in with_n
+    ) == bottom
+
+
 def test_jordan_structure_sweep():
-    for n in range(1, 11):
-        for r in range(1, n + 1):
-            assert check_jordan_block_structure(n, r), (n, r)
-    assert check_jordan_block_structure(2, 1)
+    swept = list(jordan_structure_sweep(10))
+    assert swept == [(n, r, fresh_jordan_structure(n, r)) for n in range(1, 11) for r in range(1, n + 1)]
+    assert all(holds for _, _, holds in swept)
+    assert list(jordan_structure_sweep(0)) == []
+
+
+def test_jordan_sweep_compares_the_kept_compounds(monkeypatch):
+    # a wrong C_2(J_4) fails its own check and both checks of n = 5 that
+    # read it as a smaller compound, and no other
+    real = compound.compound_gf2
+
+    def wrong_at_4_2(mat, r):
+        if (mat.rows, r) == (4, 2):
+            return real(GFMatrix.identity(f2, 4), 2)
+        return real(mat, r)
+
+    monkeypatch.setattr(compound, "compound_gf2", wrong_at_4_2)
+    failed = [(n, r) for n, r, holds in jordan_structure_sweep(6) if not holds]
+    assert failed == [(4, 2), (5, 2), (5, 3)]
 
 
 def test_jordan_lower_left_block_is_zero():

@@ -1,12 +1,15 @@
 import math
+import random
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
+from aglcount import formulas
 from aglcount.conjugacy import ClassIndex, PartitionTuple, enumerate_classes
 from aglcount.formulas import (
+    burnside_total,
     centralizer_order,
     class_equation_total,
     count_function_classes,
@@ -25,6 +28,7 @@ from aglcount.numtheory import (
 )
 from aglcount.oracle import burnside_full, orbit_enumeration
 from aglcount.reps import build_representative
+from aglcount.rm import _coset_terms, coset_class_count_M
 from brute import brute_centralizer
 from test_conjugacy import permutation_count
 from test_linalg import affine_order, cyclic_orbit_count, fixed_point_count, then
@@ -86,7 +90,7 @@ def per_index_element_order(idx):
     # lcm of the orders d times the p-power covering the largest part
     p = prime_power(idx.q).p
     m_uni = len(idx.unipotent)
-    m_spectra = max((s.largest_part() for s in idx.spectra), default=0)
+    m_spectra = max((len(e) for s in idx.spectra for e in s.entries), default=0)
     lift = 0
     while p**lift < max(m_uni, m_spectra):
         lift += 1
@@ -174,6 +178,11 @@ def test_monotone_growth():
 
 def test_parallel_fold_is_identical():
     assert count_function_classes(8, 2, jobs=2) == count_function_classes(8, 2)
+    # odd q, with runs cut between the pool's batches at chunk 7
+    for terms in (formulas._orbit_terms, formulas._class_terms):
+        serial = burnside_total(5, 3, terms)
+        assert burnside_total(5, 3, terms, jobs=2) == serial
+        assert burnside_total(5, 3, terms, jobs=2, chunk=7) == serial
 
 
 def test_fold_progress_on_both_paths():
@@ -188,7 +197,7 @@ def test_fold_progress_on_both_paths():
 
 def test_fold_matches_reference_sum():
     # the plain per-class sum, one big power per class, with no grouping
-    for q, n in ((2, 10), (3, 5), (5, 4)):
+    for q, n in ((2, 10), (3, 5), (5, 4), (7, 3)):
         group = agl_group_order(n, q)
         reference = 0
         for idx in enumerate_classes(n, q):
@@ -196,6 +205,108 @@ def test_fold_matches_reference_sum():
             reference += idx.multiplicity() * size * q ** orbit_exponent(idx)
         assert reference % group == 0, (q, n)
         assert count_function_classes(n, q) == reference // group, (q, n)
+
+
+def spectra_runs(n, q):
+    """[start, length] of each run of class indices that share one spectra tuple."""
+    runs = []
+    previous = None
+    for position, idx in enumerate(enumerate_classes(n, q)):
+        if idx.spectra is previous:
+            runs[-1][1] += 1
+        else:
+            runs.append([position, 1])
+            previous = idx.spectra
+    return runs
+
+
+@pytest.mark.parametrize("q, n", [(2, 8), (3, 5), (5, 4)])
+def test_run_fold_is_independent_of_the_batch_cut(q, n):
+    # chunk 7 cuts runs between batches, chunk 1 cuts every run longer than 1
+    assert any(start // 7 != (start + length - 1) // 7 for start, length in spectra_runs(n, q))
+    group = agl_group_order(n, q)
+    expected = {
+        formulas._orbit_terms: count_function_classes(n, q) * group,
+        formulas._class_terms: group,
+    }
+    if q == 2:
+        expected[_coset_terms] = coset_class_count_M(n) * group
+    for terms, total in expected.items():
+        for chunk in (1, 7, 2048):
+            assert burnside_total(n, q, terms, chunk=chunk) == total, (q, n, terms, chunk)
+
+
+def edited_row_tables(monkeypatch, edit):
+    full = formulas._unipotent_rows
+
+    def edited(m, q, top):
+        return edit(full(m, q, top))
+
+    monkeypatch.setattr(formulas, "_unipotent_rows", edited)
+
+
+@pytest.mark.parametrize("which", ["middle", "last"])
+def test_row_table_missing_a_marker_row_raises(monkeypatch, which):
+    # a middle marker row puts the run out of step; the last row of every
+    # table is a marker row too, and then the run outruns its rows
+    def drop(rows):
+        marked = [i for i, row in enumerate(rows) if row.marker is not None]
+        if not marked:
+            return rows
+        i = marked[len(marked) // 2] if which == "middle" else marked[-1]
+        return rows[:i] + rows[i + 1 :]
+
+    edited_row_tables(monkeypatch, drop)
+    for chunk in (1, 7, 2048):
+        with pytest.raises(AssertionError):
+            burnside_total(5, 3, formulas._orbit_terms, chunk=chunk)
+
+
+def test_row_table_out_of_order_raises(monkeypatch):
+    # same length, two rows swapped: only the per-index match sees it (at
+    # chunk 1 every index is a batch's first and finds its row by search)
+    def swap(rows):
+        return rows[1:2] + rows[:1] + rows[2:] if len(rows) > 1 else rows
+
+    edited_row_tables(monkeypatch, swap)
+    for chunk in (7, 2048):
+        with pytest.raises(AssertionError, match="out of step"):
+            burnside_total(5, 3, formulas._orbit_terms, chunk=chunk)
+
+
+def test_run_that_stops_short_of_its_rows_raises(monkeypatch):
+    # one row too many: every run ends early, and the next run of the
+    # batch finds the previous one short
+    edited_row_tables(monkeypatch, lambda rows: rows + rows[-1:])
+    for chunk in (7, 2048):
+        with pytest.raises(AssertionError, match="stopped short"):
+            burnside_total(5, 3, formulas._orbit_terms, chunk=chunk)
+
+
+def horner_sum(table, q):
+    # the fold's earlier evaluation: Horner from the top exponent down
+    total = 0
+    prev = max((e for e, _ in table), default=0)
+    for e, c in sorted(table, reverse=True):
+        total = total * q ** (prev - e) + c
+        prev = e
+    return total * q**prev
+
+
+def test_split_sum_matches_horner():
+    rng = random.Random(1616)
+    for q in (2, 3, 509):
+        assert formulas._power_sum([], q) == 0
+        assert formulas._power_sum([(0, 5)], q) == 5
+        assert formulas._power_sum([(9, 4)], q) == 4 * q**9
+        for size in (2, 3, 4, 5, 16, 33, 200):
+            exponents = rng.sample(range(3000), size)
+            if size % 2:
+                exponents[rng.randrange(size)] = 0
+            table = [(e, rng.randrange(1, 1 << rng.randrange(1, 400))) for e in set(exponents)]
+            want = sum(c * q**e for e, c in table)
+            assert horner_sum(table, q) == want
+            assert formulas._power_sum(table, q) == want, (q, size)
 
 
 def test_evaluate_class_consistency():
