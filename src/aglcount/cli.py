@@ -9,6 +9,7 @@ across runs and parallelism levels.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -94,8 +95,7 @@ def _emit(report: RunReport, args) -> None:
     text = report.to_csv() if args.format == "csv" else report.to_json()
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        args.out.write(text)
 
 
 def _fail(report: RunReport, args, message: str) -> int:
@@ -371,23 +371,31 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     sys.set_int_max_str_digits(_STR_DIGITS_LIMIT)
     args = _build_parser().parse_args(argv)
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.parallelism <= cpus:
-        report = RunReport(command=args.command, parameters={"parallelism": str(args.parallelism)})
-        return _fail(report, args, f"parallelism = {args.parallelism} outside 1..{cpus}")
-    # a handler refuses by returning a message or raising; either way the
-    # report carries it, with exit 2
-    report = RunReport(command=args.command, parameters={})
-    start = time.perf_counter()
+    # --out is opened before any work, so an unwritable path is refused at
+    # once rather than after the count
+    path, args.out = args.out, None
     try:
-        error = args.handler(args, report)
-    except (ValueError, AssertionError) as exc:
-        return _fail(report, args, str(exc))
-    if error:
-        return _fail(report, args, error)
-    report.elapsed_seconds = time.perf_counter() - start
-    _emit(report, args)
-    return 0 if report.status == "ok" else 1
+        args.out = open(path, "w") if path else None
+    except OSError as exc:
+        return _fail(RunReport(command=args.command, parameters={}), args, f"cannot write --out: {exc}")
+    with args.out or contextlib.nullcontext():
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.parallelism <= cpus:
+            report = RunReport(command=args.command, parameters={"parallelism": str(args.parallelism)})
+            return _fail(report, args, f"parallelism = {args.parallelism} outside 1..{cpus}")
+        # a handler refuses by returning a message or raising; either way the
+        # report carries it, with exit 2
+        report = RunReport(command=args.command, parameters={})
+        start = time.perf_counter()
+        try:
+            error = args.handler(args, report)
+        except (ValueError, AssertionError) as exc:
+            return _fail(report, args, str(exc))
+        if error:
+            return _fail(report, args, error)
+        report.elapsed_seconds = time.perf_counter() - start
+        _emit(report, args)
+        return 0 if report.status == "ok" else 1
 
 
 if __name__ == "__main__":

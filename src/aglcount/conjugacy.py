@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 
+def _sorted_entries(entries) -> tuple[Partition, ...]:
+    """The nonempty entries, canonical and in partition order, as stored."""
+    return tuple(sorted(filter(None, map(canon, entries)), key=order_key))
+
+
 @dataclass(frozen=True)
 class PartitionTuple:
     """Nondecreasing tuple of partitions attached to one polynomial order d.
@@ -54,12 +59,10 @@ class PartitionTuple:
 
     @classmethod
     def make(cls, d: int, psi_d: int, entries) -> "PartitionTuple":
-        kept = sorted((canon(e) for e in entries if weight(canon(e)) > 0), key=order_key)
+        kept = _sorted_entries(entries)
         if len(kept) > psi_d:
-            raise ValueError(
-                f"{len(kept)} nonempty partitions but only psi({d}) = {psi_d} slots"
-            )
-        return cls(d=d, psi=psi_d, entries=tuple(kept))
+            raise ValueError(f"{len(kept)} nonempty partitions but only psi({d}) = {psi_d} slots")
+        return cls(d=d, psi=psi_d, entries=kept)
 
     def total_weight(self) -> int:
         return sum(weight(e) for e in self.entries)
@@ -94,6 +97,8 @@ class ClassIndex:
 
     def validate(self) -> None:
         pp = prime_power(self.q)
+        if self.unipotent != canon(self.unipotent):
+            raise ValueError(f"unipotent partition {self.unipotent} not canonical")
         total = weight(self.unipotent)
         seen = set()
         for t in self.spectra:
@@ -109,6 +114,8 @@ class ClassIndex:
                 raise ValueError(f"empty tuple stored for d = {t.d}")
             if len(t.entries) > t.psi:
                 raise ValueError(f"too many entries for d = {t.d}")
+            if t.entries != _sorted_entries(t.entries):
+                raise ValueError(f"entries for d = {t.d} not canonical and in partition order")
             total += o * t.total_weight()
         if total != self.n:
             raise ValueError(f"weights sum to {total}, expected n = {self.n}")
@@ -179,9 +186,9 @@ def enumerate_omega(n: int, q: int) -> Iterator[ClassIndex]:
     Deterministic order: spectra weight ascending (so unipotent weight
     descending), then spectra by ascending d and tuple shape, then the
     unipotent partition in partition order.  Each spectra tuple is built
-    once and all its indices come out in one run, sharing that tuple,
-    which is what lets the fold in ``formulas`` work out the per-spectra
-    pieces once per run.
+    once and all its indices come out in one run, sharing that tuple, so
+    the fold in ``formulas`` works out the per-spectra pieces once per run;
+    its sum does not depend on the order.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -14,12 +14,12 @@ functions F_q**n -> F_q.
 ``burnside_total`` is the package's one Burnside fold and one process-pool
 path: every count (function classes, the class equation, the quotient codes
 of ``rm``) sums weight * |class| * q**e over the classes.  Most of a class's
-work depends on its spectra tuple alone, and the enumeration yields all
-indices of one spectra tuple back to back, so the fold works out those
-pieces once per run; the unipotent side comes from one table of rows per
-unipotent weight.  The sum of c_e * q**e goes by halves, not by Horner.
-Every division asserts exactness; a failed assertion means an enumeration
-or formula bug, never a rounding issue.
+work depends on its spectra tuple alone, and the fold rebuilds those pieces
+whenever the tuple changes; the unipotent side is looked up by (partition,
+marker) in one table per unipotent weight.  So the indices may come in any
+order, and the enumeration's runs of one spectra tuple only save work.  The
+sum of c_e * q**e goes by halves, not by Horner.  Every division asserts
+exactness; a failed assertion means an enumeration or formula bug.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import itertools
 import math
 from collections import Counter, namedtuple
 from functools import lru_cache
-from operator import attrgetter
 from typing import Sequence
 
 from .conjugacy import ClassIndex, enumerate_classes
@@ -165,9 +164,8 @@ def _spectra_pieces(idx: ClassIndex) -> _Pieces:
 
     of ``orbit_exponent``, which stay constant once p**nu >= m, up to the
     largest p-adic valuation of an element order at dimension n.  The fold
-    builds them once per run of indices that share a spectra tuple (the
-    enumeration yields each tuple's indices back to back), so nothing is
-    cached or hashed per index.
+    builds them whenever the spectra tuple differs from the previous
+    index's, so nothing is cached or hashed per index.
     """
     q, spectra = idx.q, idx.spectra
     p = prime_power(q).p
@@ -197,25 +195,24 @@ def _spectra_pieces(idx: ClassIndex) -> _Pieces:
 # ceil(log_p m_uni), the translation threshold (the least nu at which a power
 # fixes a point), whether the order gains a p (the marker is m_uni and a power
 # of p), and q**U(nu) for nu = 0..ceil(log_p n) + 1.
-_Row = namedtuple("_Row", "unipotent marker centralizer largest level threshold bump powers")
+_Row = namedtuple("_Row", "centralizer largest level threshold bump powers")
 
 
 @lru_cache(maxsize=None)
-def _unipotent_rows(m: int, q: int, top: int) -> tuple[_Row, ...]:
-    """The rows of weight m, in the order in which ``enumerate_classes``
-    yields the indices of one spectra tuple: each partition, then its
-    markers.  The powers reach nu = top, the largest p-adic valuation of an
-    element order at dimension n when top = ceil(log_p n) + 1, so every n
-    with the same top shares the table."""
+def _unipotent_rows(m: int, q: int, top: int) -> dict[tuple[Partition, int | None], _Row]:
+    """The rows of weight m, keyed by (partition, marker), the marker None
+    for the unmarked row.  The powers reach nu = top, the largest p-adic
+    valuation of an element order at dimension n when top = ceil(log_p n) + 1,
+    so every n with the same top shares the table."""
     p = prime_power(q).p
-    rows = []
+    rows = {}
     for lam in enumerate_partitions(m):
         largest = largest_part(lam)
         level = _ceil_log(p, largest)
         # U(nu) is the weight m once p**nu covers the largest part
         powers = tuple(q**u for u in _level_sums((lam,), p, level)) + (q**m,) * (top - level)
         unmarked = _centralizer_factor(q, sum(lam) + _pairwise_min_sum(lam), ((1, lam),))
-        rows.append(_Row(lam, None, unmarked, largest, level, 0, False, powers))
+        rows[lam, None] = _Row(unmarked, largest, level, 0, False, powers)
         for t in support(lam):
             # a marker t counts only the parts of size >= t in the q-exponent
             # and divides out q**lam_t - 1
@@ -224,21 +221,21 @@ def _unipotent_rows(m: int, q: int, top: int) -> tuple[_Row, ...]:
                 raise AssertionError("translation-marked centralizer not integral")
             threshold = 1 + _floor_log(p, t)
             bump = t == largest and p ** (threshold - 1) == t
-            rows.append(_Row(lam, t, factor, largest, level, threshold, bump, powers))
-    return tuple(rows)
+            rows[lam, t] = _Row(factor, largest, level, threshold, bump, powers)
+    return rows
 
 
-def _row_position(rows: tuple[_Row, ...], idx: ClassIndex) -> int:
-    """Where the (partition, marker) of idx sits among rows."""
-    for i, row in enumerate(rows):
-        if row.unipotent == idx.unipotent and row.marker == idx.marker:
-            return i
-    raise AssertionError("class index without a unipotent row")
+def _rows_of(idx: ClassIndex) -> dict:
+    """The row table of the unipotent weight of idx at its n and q."""
+    return _unipotent_rows(weight(idx.unipotent), idx.q, _ceil_log(prime_power(idx.q).p, idx.n) + 1)
 
 
-def _unipotent_row(idx: ClassIndex) -> _Row:
-    rows = _unipotent_rows(weight(idx.unipotent), idx.q, _ceil_log(prime_power(idx.q).p, idx.n) + 1)
-    return rows[_row_position(rows, idx)]
+def _unipotent_row(rows: dict, idx: ClassIndex) -> _Row:
+    """The row of idx's (partition, marker) in its weight's table."""
+    try:
+        return rows[idx.unipotent, idx.marker]
+    except KeyError:
+        raise AssertionError("class index without a unipotent row") from None
 
 
 def _order_exponent(row: _Row, pieces: _Pieces) -> int:
@@ -272,13 +269,13 @@ def _orbit_count(row: _Row, pieces: _Pieces, p: int, a: int) -> int:
 def centralizer_order(idx: ClassIndex) -> int:
     """Order of the centralizer of the class representative in AGL(n, F_q):
     the unipotent part's factor times the spectra's."""
-    return _unipotent_row(idx).centralizer * _spectra_pieces(idx).centralizer
+    return _unipotent_row(_rows_of(idx), idx).centralizer * _spectra_pieces(idx).centralizer
 
 
 def element_order(idx: ClassIndex) -> int:
     """Order of the class representative as a group element."""
     pieces = _spectra_pieces(idx)
-    return pieces.lcm * prime_power(idx.q).p ** _order_exponent(_unipotent_row(idx), pieces)
+    return pieces.lcm * prime_power(idx.q).p ** _order_exponent(_unipotent_row(_rows_of(idx), idx), pieces)
 
 
 def fix_exponent_at(idx: ClassIndex, k: int) -> int | None:
@@ -325,49 +322,35 @@ def orbit_exponent(idx: ClassIndex) -> int:
     a = _floor_log(p, b // pieces.lcm)
     if b != pieces.lcm * p**a:
         raise AssertionError("element order is not the lcm of the orders d times a power of p")
-    return _orbit_count(_unipotent_row(idx), pieces, p, a)
+    return _orbit_count(_unipotent_row(_rows_of(idx), idx), pieces, p, a)
 
 
 def _fold_batch(args) -> tuple[int, Counter]:
     """Fold one batch of class indices: its length, and per exponent e the
     sum of weight * class size over the (weight, e) terms of its classes.
 
-    The batch goes by runs of one spectra tuple: each run builds its spectra
-    pieces once and walks the unipotent rows of its weight alongside.  Only
-    the batch's first run may start inside its rows and only its last may
-    stop short of them (a run cut between two batches)."""
+    The spectra pieces and the row table are rebuilt whenever an index's
+    spectra tuple is not the previous index's.  The enumeration shares one
+    tuple per run and a pool batch pickles as one list, which keeps that
+    sharing, so each run builds them once; any order gives the same sum."""
     batch, group, terms = args
     coeffs: Counter = Counter()
-    done = 0
-    short = False
-    for _, run in itertools.groupby(batch, attrgetter("spectra")):
-        if short:
-            raise AssertionError("a spectra run stopped short of its unipotent rows")
-        head = next(run)
-        p = prime_power(head.q).p
-        pieces = _spectra_pieces(head)
-        rows = _unipotent_rows(weight(head.unipotent), head.q, _ceil_log(p, head.n) + 1)
-        if not done:
-            rows = rows[_row_position(rows, head) :]
-        multiplicity, centralizer = pieces.multiplicity, pieces.centralizer
-        count = 0
-        # rows first: zip stops on them without drawing an index too many
-        for row, idx in zip(rows, itertools.chain((head,), run)):
-            # equality, not identity: pool workers get unpickled copies
-            if idx.unipotent != row.unipotent or idx.marker != row.marker:
-                raise AssertionError("class index out of step with its unipotent row")
-            size, rem = divmod(group, row.centralizer * centralizer)
-            if rem:
-                raise AssertionError("centralizer does not divide the group order")
-            orbits = _orbit_count(row, pieces, p, _order_exponent(row, pieces))
-            for w, exponent in terms(idx, multiplicity, orbits):
-                coeffs[exponent] += w * size
-            count += 1
-        if next(run, None) is not None:
-            raise AssertionError("a spectra run outran its unipotent rows")
-        short = count < len(rows)
-        done += count
-    return done, coeffs
+    count = 0
+    spectra = None
+    for count, idx in enumerate(batch, 1):
+        if idx.spectra is not spectra:
+            spectra = idx.spectra
+            p = prime_power(idx.q).p
+            pieces = _spectra_pieces(idx)
+            rows = _rows_of(idx)
+        row = _unipotent_row(rows, idx)
+        size, rem = divmod(group, row.centralizer * pieces.centralizer)
+        if rem:
+            raise AssertionError("centralizer does not divide the group order")
+        orbits = _orbit_count(row, pieces, p, _order_exponent(row, pieces))
+        for w, exponent in terms(idx, pieces.multiplicity, orbits):
+            coeffs[exponent] += w * size
+    return count, coeffs
 
 
 def _power_sum(table, q: int) -> int:

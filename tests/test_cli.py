@@ -130,6 +130,17 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert path.read_text() == out
 
 
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    code, out = run_cli(capsys, "count-functions", "--q", "2", "--n", "3", "--out", str(path))
+    body = json.loads(out)
+    assert code == 2
+    assert body["status"] == "error"
+    assert "--out" in body["results"]["error"]
+    assert "function_classes" not in body["results"]
+    assert not path.exists()
+
+
 def test_csv_format(capsys):
     code, out = run_cli(capsys, "count-functions", "--q", "2", "--n", "3", "--format", "csv")
     assert code == 0

@@ -211,6 +211,17 @@ def test_class_index_validation():
             spectra=(PartitionTuple.make(3, 1, [(1,)]),),
             marker=1,
         ).validate()
+    # an unsorted tuple would double its multiplicity (120 for the 60 of
+    # the sorted one) and so its representatives
+    unsorted = PartitionTuple(d=31, psi=6, entries=((1,), (2,), (1,)))
+    bad = ClassIndex(n=20, q=2, unipotent=(), spectra=(unsorted,))
+    sorted_ = ClassIndex(n=20, q=2, unipotent=(), spectra=(PartitionTuple.make(31, 6, unsorted.entries),))
+    sorted_.validate()
+    assert (bad.multiplicity(), sorted_.multiplicity()) == (120, 60)
+    with pytest.raises(ValueError, match="not canonical"):
+        bad.validate()
+    with pytest.raises(ValueError, match="not canonical"):
+        ClassIndex(n=2, q=2, unipotent=(2, 0), spectra=()).validate()
 
 
 def test_enumeration_is_deterministic():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import subprocess
@@ -220,10 +221,8 @@ def spectra_runs(n, q):
     return runs
 
 
-@pytest.mark.parametrize("q, n", [(2, 8), (3, 5), (5, 4)])
-def test_run_fold_is_independent_of_the_batch_cut(q, n):
-    # chunk 7 cuts runs between batches, chunk 1 cuts every run longer than 1
-    assert any(start // 7 != (start + length - 1) // 7 for start, length in spectra_runs(n, q))
+def fold_totals(n, q):
+    """The undivided Burnside total of each term function, from the counts."""
     group = agl_group_order(n, q)
     expected = {
         formulas._orbit_terms: count_function_classes(n, q) * group,
@@ -231,55 +230,58 @@ def test_run_fold_is_independent_of_the_batch_cut(q, n):
     }
     if q == 2:
         expected[_coset_terms] = coset_class_count_M(n) * group
-    for terms, total in expected.items():
+    return expected
+
+
+@pytest.mark.parametrize("q, n", [(2, 8), (3, 5), (5, 4)])
+def test_run_fold_is_independent_of_the_batch_cut(q, n):
+    # chunk 7 cuts runs between batches, chunk 1 cuts every run longer than 1
+    assert any(start // 7 != (start + length - 1) // 7 for start, length in spectra_runs(n, q))
+    for terms, total in fold_totals(n, q).items():
         for chunk in (1, 7, 2048):
             assert burnside_total(n, q, terms, chunk=chunk) == total, (q, n, terms, chunk)
 
 
-def edited_row_tables(monkeypatch, edit):
-    full = formulas._unipotent_rows
+@pytest.mark.parametrize("q, n", [(2, 8), (3, 5), (5, 4)])
+def test_fold_is_independent_of_the_index_order(monkeypatch, q, n):
+    # the fold keys its rows by (partition, marker), so a shuffle that
+    # breaks every spectra run changes no total, serial or pooled
+    expected = fold_totals(n, q)
+    shuffled = list(enumerate_classes(n, q))
+    random.Random(1717 + n).shuffle(shuffled)
+    monkeypatch.setattr(formulas, "enumerate_classes", lambda n_, q_: iter(shuffled))
+    for terms, total in expected.items():
+        for chunk in (1, 7, 2048):
+            assert burnside_total(n, q, terms, chunk=chunk) == total, (q, n, terms, chunk)
+        assert burnside_total(n, q, terms, jobs=2, chunk=7) == total, (q, n, terms)
 
-    def edited(m, q, top):
-        return edit(full(m, q, top))
 
-    monkeypatch.setattr(formulas, "_unipotent_rows", edited)
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_row_table_keys_are_the_unipotent_indices(q):
+    # the (partition, marker) pairs of the indices with empty spectra (the
+    # enumeration's first run, spectra weight 0) are the table's keys, each once
+    for m in range(1, 13):
+        unipotent = itertools.takewhile(lambda idx: not idx.spectra, enumerate_classes(m, q))
+        keys = [(idx.unipotent, idx.marker) for idx in unipotent]
+        assert len(keys) == len(set(keys)), (q, m)
+        top = formulas._ceil_log(prime_power(q).p, m) + 1
+        assert set(formulas._unipotent_rows(m, q, top)) == set(keys), (q, m)
 
 
 @pytest.mark.parametrize("which", ["middle", "last"])
 def test_row_table_missing_a_marker_row_raises(monkeypatch, which):
-    # a middle marker row puts the run out of step; the last row of every
-    # table is a marker row too, and then the run outruns its rows
-    def drop(rows):
-        marked = [i for i, row in enumerate(rows) if row.marker is not None]
-        if not marked:
-            return rows
-        i = marked[len(marked) // 2] if which == "middle" else marked[-1]
-        return rows[:i] + rows[i + 1 :]
+    full = formulas._unipotent_rows
 
-    edited_row_tables(monkeypatch, drop)
+    def without_a_marker(m, q, top):
+        rows = dict(full(m, q, top))
+        marked = [key for key in rows if key[1] is not None]
+        if marked:
+            del rows[marked[len(marked) // 2] if which == "middle" else marked[-1]]
+        return rows
+
+    monkeypatch.setattr(formulas, "_unipotent_rows", without_a_marker)
     for chunk in (1, 7, 2048):
-        with pytest.raises(AssertionError):
-            burnside_total(5, 3, formulas._orbit_terms, chunk=chunk)
-
-
-def test_row_table_out_of_order_raises(monkeypatch):
-    # same length, two rows swapped: only the per-index match sees it (at
-    # chunk 1 every index is a batch's first and finds its row by search)
-    def swap(rows):
-        return rows[1:2] + rows[:1] + rows[2:] if len(rows) > 1 else rows
-
-    edited_row_tables(monkeypatch, swap)
-    for chunk in (7, 2048):
-        with pytest.raises(AssertionError, match="out of step"):
-            burnside_total(5, 3, formulas._orbit_terms, chunk=chunk)
-
-
-def test_run_that_stops_short_of_its_rows_raises(monkeypatch):
-    # one row too many: every run ends early, and the next run of the
-    # batch finds the previous one short
-    edited_row_tables(monkeypatch, lambda rows: rows + rows[-1:])
-    for chunk in (7, 2048):
-        with pytest.raises(AssertionError, match="stopped short"):
+        with pytest.raises(AssertionError, match="without a unipotent row"):
             burnside_total(5, 3, formulas._orbit_terms, chunk=chunk)
 
 
