@@ -215,9 +215,9 @@ def test_class_index_validation():
     # the sorted one) and so its representatives
     unsorted = PartitionTuple(d=31, psi=6, entries=((1,), (2,), (1,)))
     bad = ClassIndex(n=20, q=2, unipotent=(), spectra=(unsorted,))
-    sorted_ = ClassIndex(n=20, q=2, unipotent=(), spectra=(PartitionTuple.make(31, 6, unsorted.entries),))
-    sorted_.validate()
-    assert (bad.multiplicity(), sorted_.multiplicity()) == (120, 60)
+    canonical = ClassIndex(n=20, q=2, unipotent=(), spectra=(PartitionTuple.make(31, 6, unsorted.entries),))
+    canonical.validate()
+    assert (bad.multiplicity(), canonical.multiplicity()) == (120, 60)
     with pytest.raises(ValueError, match="not canonical"):
         bad.validate()
     with pytest.raises(ValueError, match="not canonical"):
