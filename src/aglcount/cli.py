@@ -43,7 +43,7 @@ _COMPOUND_N_LIMIT = 14
 _DUALITY_N_LIMIT = 9
 # verify --suite asymptotic computes M(n) for n = 2 .. --n-max from the
 # per-class formulas, each step of n about twice the last (--n-max 18 takes
-# 2.8 s and --n-max 20 14.3 s; 2 cores, Python 3.11); count-cosets
+# 1.3-1.6 s and --n-max 20 5.4-6.2 s; 2 cores, Python 3.11); count-cosets
 # --coset-classes admits the same n by default, the theta paths n <= 10
 _ASYMPTOTIC_N_LIMIT = 20
 _THETA_MAX_N = 10
@@ -166,6 +166,8 @@ def _cmd_count_cosets(args, report: RunReport) -> str | None:
         "r": _text(args.r),
         "coset_classes": str(bool(args.coset_classes)),
     }
+    if args.coset_classes and (args.s is not None or args.r is not None):
+        return "--coset-classes counts the quotient by affine functions and takes no --s or --r"
     max_n = args.max_n
     if max_n is None:
         max_n = _ASYMPTOTIC_N_LIMIT if args.coset_classes else _THETA_MAX_N
@@ -289,11 +291,12 @@ def _suite_asymptotic(args, report: RunReport) -> str | None:
         report.results[f"ratio_n{row.n}"] = row.ratio_text
         report.results[f"ratio_excess_n{row.n}"] = row.excess_text
         report.results[f"limit_ratio_n{row.n}"] = row.limit_ratio_text
-    report.add_check("ratios-exceed-one", all(row.ratio > 1 for row in outcome.rows))
+    report.add_check("ratios-exceed-one", all(row.ratio[0] > row.ratio[1] for row in outcome.rows))
     tail = [row for row in outcome.rows if row.n >= 5]
     if len(tail) >= 2:
         # with fewer rows there is nothing to compare
-        decreasing = all(a.ratio > b.ratio for a, b in zip(tail, tail[1:]))
+        ratios = [row.ratio for row in tail]
+        decreasing = all(a_num * b_den > b_num * a_den for (a_num, a_den), (b_num, b_den) in zip(ratios, ratios[1:]))
         report.add_check(f"ratios-decreasing n>=5 (n_max={args.n_max})", decreasing)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Iterator
@@ -145,32 +144,31 @@ _REPORT_DIGITS = 32
 
 
 @lru_cache(maxsize=None)
-def unit_product_constant() -> tuple[Fraction, Fraction]:
-    """Bounds for prod_{i>=1} (1 - 2**-i), by partial products run until the
-    increment drops below 10**-_INCREMENT_DIGITS.
+def unit_product_constant() -> tuple[tuple[int, int], tuple[int, int]]:
+    """Bounds for prod_{i>=1} (1 - 2**-i) as (numerator, denominator) pairs
+    over powers of two, by partial products run until the increment drops
+    below 10**-_INCREMENT_DIGITS.
 
     The tail satisfies prod_{i>N} (1 - 2**-i) >= 1 - 2**-N, so the true
     value lies in [P_N * (1 - 2**-N), P_N].
     """
-    threshold = Fraction(1, 10**_INCREMENT_DIGITS)
-    product = Fraction(1)
+    num, den = 1, 1
     i = 0
     while True:
         i += 1
-        nxt = product * (1 - Fraction(1, 2**i))
-        increment = product - nxt
-        product = nxt
-        if increment < threshold:
+        # the increment P_{i-1} - P_i is P_{i-1} * 2**-i
+        small = num * 10**_INCREMENT_DIGITS < den << i
+        num, den = num * ((1 << i) - 1), den << i
+        if small:
             break
-    return product * (1 - Fraction(1, 2**i)), product
+    return (num * ((1 << i) - 1), den << i), (num, den)
 
 
-def format_significant(value: Fraction, digits: int) -> str:
-    """Decimal string with the given count of significant digits, truncated
-    toward zero.  Exact integer arithmetic only."""
-    if value <= 0:
+def format_significant(num: int, den: int, digits: int) -> str:
+    """Decimal string of num/den with the given count of significant digits,
+    truncated toward zero.  Exact integer arithmetic only."""
+    if num <= 0 or den <= 0:
         raise ValueError("positive values only")
-    num, den = value.numerator, value.denominator
 
     def below_pow10(e: int) -> bool:
         return num < den * 10**e if e >= 0 else num * 10**-e < den
@@ -194,14 +192,17 @@ def format_significant(value: Fraction, digits: int) -> str:
     return text[:e] + "." + text[e:]
 
 
-def _certified(lower: Fraction, upper: Fraction, digits: int) -> str:
-    lo = format_significant(lower, digits)
-    hi = format_significant(upper, digits)
+def _certified(lower: tuple[int, int], upper: tuple[int, int], digits: int) -> str:
+    lo = format_significant(*lower, digits)
+    hi = format_significant(*upper, digits)
     if lo != hi:
-        raise AssertionError(
-            f"bounds too loose to certify {digits} digits: {lo} vs {hi}"
-        )
+        raise AssertionError(f"bounds too loose to certify {digits} digits: {lo} vs {hi}")
     return lo
+
+
+def _scaled(num: int, den: int, exponent: int) -> tuple[int, int]:
+    """num/den times 2**-exponent, as a pair of ints."""
+    return (num, den << exponent) if exponent >= 0 else (num << -exponent, den)
 
 
 @dataclass(frozen=True)
@@ -209,28 +210,16 @@ class AsymptoticRow:
     n: int
     class_count: int
     power_exponent: int
-    ratio: Fraction
+    ratio: tuple[int, int]  # (numerator, denominator), unreduced
     ratio_text: str
     excess_text: str
-    limit_ratio_low: Fraction
-    limit_ratio_high: Fraction
     limit_ratio_text: str
 
 
 @dataclass(frozen=True)
 class AsymptoticReport:
     constant: str
-    constant_low: Fraction
-    constant_high: Fraction
     rows: tuple[AsymptoticRow, ...]
-
-
-def _partial_unit_product(n: int) -> Fraction:
-    """prod_{i=1}^{n} (1 - 2**-i), exactly."""
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        out *= 1 - Fraction(1, 2**i)
-    return out
 
 
 def asymptotic_report(n_max: int, jobs: int = 1) -> AsymptoticReport:
@@ -243,37 +232,33 @@ def asymptotic_report(n_max: int, jobs: int = 1) -> AsymptoticReport:
     over 1 decays monotonically.  ``limit_ratio`` scales by the certified
     infinite product instead; it tends to 1 but crosses below it once the
     non-identity mass drops under the product tail (measured at n = 7), so
-    no one-sided bound is asserted for it.
+    no one-sided bound is asserted for it.  Every value is a pair of ints
+    whose denominator is a power of two, kept unreduced.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    const_low, const_high = unit_product_constant()
+    low, high = unit_product_constant()
+    # prod_{i<=n} (2**i - 1) over 2**shift, shift = n(n+1)/2; here n = 1
+    units, shift = 1, 1
     rows = []
     for n in range(2, n_max + 1):
+        units *= (1 << n) - 1
+        shift += n
         m_n = coset_class_count_M(n, jobs=jobs)
         exponent = 2**n - n * n - 2 * n - 1
-        scale = Fraction(1, 2**exponent) if exponent >= 0 else Fraction(2**-exponent)
-        ratio = m_n * _partial_unit_product(n) * scale
-        if ratio <= 1:
+        num, den = _scaled(m_n * units, 1 << shift, exponent)
+        if num <= den:
             raise AssertionError(f"ratio at n={n} does not exceed 1: counting bug")
-        low = m_n * const_low * scale
-        high = m_n * const_high * scale
+        limit = [_scaled(m_n * bound_num, bound_den, exponent) for bound_num, bound_den in (low, high)]
         rows.append(
             AsymptoticRow(
                 n=n,
                 class_count=m_n,
                 power_exponent=exponent,
-                ratio=ratio,
-                ratio_text=format_significant(ratio, _REPORT_DIGITS),
-                excess_text=format_significant(ratio - 1, 12),
-                limit_ratio_low=low,
-                limit_ratio_high=high,
-                limit_ratio_text=_certified(low, high, _REPORT_DIGITS),
+                ratio=(num, den),
+                ratio_text=format_significant(num, den, _REPORT_DIGITS),
+                excess_text=format_significant(num - den, den, 12),
+                limit_ratio_text=_certified(*limit, _REPORT_DIGITS),
             )
         )
-    return AsymptoticReport(
-        constant=_certified(const_low, const_high, _REPORT_DIGITS),
-        constant_low=const_low,
-        constant_high=const_high,
-        rows=tuple(rows),
-    )
+    return AsymptoticReport(constant=_certified(low, high, _REPORT_DIGITS), rows=tuple(rows))

@@ -316,13 +316,9 @@ def orbit_exponent(idx: ClassIndex) -> int:
     where g_S sums phi(L / k') over the divisors k' of L with pattern S.
     P depends on the spectra alone and q**U(nu) on the unipotent row alone.
     """
-    p = prime_power(idx.q).p
     pieces = _spectra_pieces(idx)
-    b = element_order(idx)
-    a = _floor_log(p, b // pieces.lcm)
-    if b != pieces.lcm * p**a:
-        raise AssertionError("element order is not the lcm of the orders d times a power of p")
-    return _orbit_count(_unipotent_row(_rows_of(idx), idx), pieces, p, a)
+    row = _unipotent_row(_rows_of(idx), idx)
+    return _orbit_count(row, pieces, prime_power(idx.q).p, _order_exponent(row, pieces))
 
 
 def _fold_batch(args) -> tuple[int, Counter]:

@@ -1,7 +1,7 @@
 """Exact elementary number theory shared by every counting formula.
 
-All counts are plain Python ints (arbitrary precision, exact); the few
-rational intermediates elsewhere use :class:`fractions.Fraction`.
+All counts are plain Python ints (arbitrary precision, exact); the
+asymptotic report's ratios are pairs of ints over powers of two.
 Factorization is trial division with memoization.  It takes at least
 sqrt(p) steps for a number whose largest prime factor is p: quick for the
 q**i - 1 met at q = 2 up to n around 31, but not for every q <= 512, as

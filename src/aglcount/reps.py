@@ -138,11 +138,13 @@ def iter_class_representatives(idx: ClassIndex) -> Iterator[tuple[AffineMap, int
     """
     idx.validate()
     mult = idx.multiplicity()
+    assignments = itertools.product(*(_distinct_assignments(s) for s in idx.spectra))
     if mult == 1 or (len(idx.spectra) == 1 and len(idx.spectra[0].entries) == 1):
-        yield build_representative(idx), mult
+        # the first assignment is the one build_representative takes
+        yield _assemble(idx, next(assignments)), mult
         return
-    for assignments in itertools.product(*(_distinct_assignments(s) for s in idx.spectra)):
-        yield _assemble(idx, tuple(assignments)), 1
+    for assignment in assignments:
+        yield _assemble(idx, assignment), 1
 
 
 # verify_class walks every point of F_q**n to count orbits

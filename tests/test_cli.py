@@ -81,6 +81,15 @@ def test_count_cosets_range_errors(capsys):
     assert code == 2
 
 
+def test_coset_classes_refuse_s_and_r(capsys):
+    # M(n) is one quotient; naming another one in the report is refused
+    for extra in (("--s", "1"), ("--r", "3"), ("--s", "1", "--r", "3"), ("--s", "0")):
+        code, out = run_cli(capsys, "count-cosets", "--n", "5", "--coset-classes", *extra)
+        body = json.loads(out)
+        assert code == 2 and body["status"] == "error", extra
+        assert body["results"] == {"error": "--coset-classes counts the quotient by affine functions and takes no --s or --r"}
+
+
 def test_parallelism_yields_identical_report(capsys):
     _, first = run_cli(capsys, "count-functions", "--q", "2", "--n", "6", "--parallelism", "1")
     _, second = run_cli(capsys, "count-functions", "--q", "2", "--n", "6", "--parallelism", "2")

@@ -221,10 +221,13 @@ def test_rank_bound_sweep(monkeypatch):
 
 
 def test_constant_value_and_certification():
-    low, high = unit_product_constant()
+    (low_num, low_den), (high_num, high_den) = unit_product_constant()
+    for den in (low_den, high_den):
+        assert den & (den - 1) == 0  # a power of two
+    low, high = Fraction(low_num, low_den), Fraction(high_num, high_den)
     assert low < high
     assert high - low < Fraction(1, 10**39)
-    text = format_significant(low, 32)
+    text = format_significant(low_num, low_den, 32)
     # truncated digits; the common 12-digit rounded display is ...095087
     assert text.startswith("0.28878809508660")
     rounded = (low * 10**12 + Fraction(1, 2)).__floor__()
@@ -232,14 +235,17 @@ def test_constant_value_and_certification():
 
 
 def test_format_significant():
-    assert format_significant(Fraction(1, 3), 6) == "0.333333"
-    assert format_significant(Fraction(4, 3), 4) == "1.333"
-    assert format_significant(Fraction(1330, 1000), 5) == "1.3300"
-    assert format_significant(Fraction(1, 400), 3) == "0.00250"
-    assert format_significant(Fraction(221789, 1), 4) == "221700"
-    assert format_significant(Fraction(10, 1), 3) == "10.0"
-    with pytest.raises(ValueError):
-        format_significant(Fraction(0), 3)
+    assert format_significant(1, 3, 6) == "0.333333"
+    assert format_significant(4, 3, 4) == "1.333"
+    assert format_significant(1330, 1000, 5) == "1.3300"
+    assert format_significant(1, 400, 3) == "0.00250"
+    assert format_significant(221789, 1, 4) == "221700"
+    assert format_significant(10, 1, 3) == "10.0"
+    # unreduced pairs read as their value
+    assert format_significant(8, 6, 4) == "1.333"
+    for num, den in ((0, 1), (-1, 3), (1, 0), (1, -3), (-1, -3)):
+        with pytest.raises(ValueError):
+            format_significant(num, den, 3)
 
 
 def format_significant_by_str(value, digits):
@@ -279,12 +285,19 @@ def test_format_significant_matches_decimal_length_guess():
     try:
         # the bit-length guess never turns the huge parts into decimal
         sys.set_int_max_str_digits(4300)
-        got = [format_significant(v, d) for v, d in cases]
+        got = [format_significant(v.numerator, v.denominator, d) for v, d in cases]
         sys.set_int_max_str_digits(0)
         want = [format_significant_by_str(v, d) for v, d in cases]
     finally:
         sys.set_int_max_str_digits(limit)
     assert got == want
+
+
+def limit_ratio_bounds(row):
+    """The row's class count over 2**power_exponent times the bounds of the
+    constant, as Fractions."""
+    scale = row.class_count * Fraction(2) ** -row.power_exponent
+    return tuple(scale * Fraction(*bound) for bound in unit_product_constant())
 
 
 def test_asymptotic_report_small():
@@ -298,10 +311,11 @@ def test_asymptotic_report_small():
     assert by_n[2].power_exponent == -5
     assert by_n[6].power_exponent == 15
     for row in report.rows:
-        assert row.ratio > 1
+        assert Fraction(*row.ratio) > 1
     # both readings of the n = 6 ratio land near 1.33
-    assert Fraction(13, 10) < by_n[6].limit_ratio_low < by_n[6].limit_ratio_high < Fraction(14, 10)
-    assert Fraction(13, 10) < by_n[6].ratio < Fraction(14, 10)
+    low, high = limit_ratio_bounds(by_n[6])
+    assert Fraction(13, 10) < low < high < Fraction(14, 10)
+    assert Fraction(13, 10) < Fraction(*by_n[6].ratio) < Fraction(14, 10)
     # partial-product ratio is exactly 1 + nonidentity mass / code size
     from aglcount.numtheory import agl_group_order
 
@@ -309,7 +323,7 @@ def test_asymptotic_report_small():
     group = agl_group_order(n, 2)
     code = 2 ** (2**n - n - 1)
     mass = by_n[6].class_count * group - code
-    assert by_n[6].ratio == 1 + Fraction(mass, code)
+    assert Fraction(*by_n[6].ratio) == 1 + Fraction(mass, code)
     with pytest.raises(ValueError):
         asymptotic_report(1)
 
@@ -318,22 +332,54 @@ def test_ratio_tail_decreases():
     report = asymptotic_report(7)
     tail = [row for row in report.rows if row.n >= 5]
     for a, b in zip(tail, tail[1:]):
-        assert a.ratio > b.ratio
+        assert Fraction(*a.ratio) > Fraction(*b.ratio)
     # the excess over 1 at least halves per step from n = 6 on
     by_n = {row.n: row for row in report.rows}
-    assert (by_n[6].ratio - 1) > 2 * (by_n[7].ratio - 1)
+    assert (Fraction(*by_n[6].ratio) - 1) > 2 * (Fraction(*by_n[7].ratio) - 1)
     # the limit-normalized ratio has crossed below 1 by n = 7
-    assert by_n[7].limit_ratio_high < 1 < by_n[6].limit_ratio_low
+    assert limit_ratio_bounds(by_n[7])[1] < 1 < limit_ratio_bounds(by_n[6])[0]
 
 
 def test_ratio_excess_bit_length_pattern():
     # result (ii): from n = 7 on, the excess of the ratio over 1 is
     # num/den with num.bit_length() - den.bit_length() == 2n - 2**(n-2),
-    # so it lies within a factor of 2 of 2**(2n - 2**(n-2))
+    # so it lies within a factor of 2 of 2**(2n - 2**(n-2)); the gap is the
+    # same on the unreduced pair, as reducing by 2**k drops both lengths by k
     report = asymptotic_report(14)
     assert [row.n for row in report.rows] == list(range(2, 15))
     for row in report.rows:
         if row.n >= 7:
-            excess = row.ratio - 1
-            gap = excess.numerator.bit_length() - excess.denominator.bit_length()
+            num, den = row.ratio
+            gap = (num - den).bit_length() - den.bit_length()
             assert gap == 2 * row.n - 2 ** (row.n - 2), row.n
+
+
+def fraction_constant():
+    """The bounds of prod (1 - 2**-i) by Fraction partial products, with
+    the report's stop rule: the first increment below 10**-40."""
+    product = Fraction(1)
+    i = 0
+    while True:
+        i += 1
+        increment = product / 2**i
+        product -= increment
+        if increment < Fraction(1, 10**40):
+            return product * (1 - Fraction(1, 2**i)), product
+
+
+def test_asymptotic_report_matches_fraction_reference():
+    # the report's values recomputed with Fractions from its class counts;
+    # its texts are those of the str()-based reference formatter
+    report = asymptotic_report(14)
+    low, high = fraction_constant()
+    assert report.constant == format_significant_by_str(low, 32) == format_significant_by_str(high, 32)
+    for n, row in enumerate(report.rows, start=2):
+        assert row.n == n
+        partial = math.prod(1 - Fraction(1, 2**i) for i in range(1, n + 1))
+        scale = row.class_count * Fraction(2) ** -(2**n - n * n - 2 * n - 1)
+        ratio = scale * partial
+        assert Fraction(*row.ratio) == ratio, n
+        assert row.ratio_text == format_significant_by_str(ratio, 32), n
+        assert row.excess_text == format_significant_by_str(ratio - 1, 12), n
+        assert row.limit_ratio_text == format_significant_by_str(scale * low, 32), n
+        assert row.limit_ratio_text == format_significant_by_str(scale * high, 32), n

@@ -401,7 +401,8 @@ def test_orbit_exponent_matches_orbit_count_of_representative():
 
 
 def test_orbit_exponent_checks_the_order():
-    # an element order that is not lcm(d) * p**a must be caught
+    # an order off by a factor of 5 must be caught, also under -O: the
+    # divisor sum is then not divisible by it
     script = textwrap.dedent(
         """
         import sys
@@ -410,9 +411,9 @@ def test_orbit_exponent_checks_the_order():
 
         if not sys.flags.optimize:
             raise SystemExit("not running under -O")
-        order = formulas.element_order
-        formulas.element_order = lambda idx: 5 * order(idx)
-        idx = max(enumerate_classes(3, 2), key=order)
+        pieces = formulas._spectra_pieces
+        formulas._spectra_pieces = lambda idx: pieces(idx)._replace(lcm=5 * pieces(idx).lcm)
+        idx = max(enumerate_classes(3, 2), key=formulas.element_order)
         formulas.orbit_exponent(idx)
         """
     )
@@ -420,4 +421,4 @@ def test_orbit_exponent_checks_the_order():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode != 0
-    assert "AssertionError: element order" in proc.stderr, proc.stderr
+    assert "AssertionError: orbit-count divisor sum not divisible by the order" in proc.stderr, proc.stderr

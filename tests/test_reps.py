@@ -211,6 +211,16 @@ def test_expansion_weights_sum_to_multiplicity():
                 assert sum(weights) == idx.multiplicity()
 
 
+def test_expansion_validates_each_index_once(monkeypatch):
+    indices = list(enumerate_classes(6, 2))
+    calls = []
+    real = ClassIndex.validate
+    monkeypatch.setattr(ClassIndex, "validate", lambda idx: calls.append(idx) or real(idx))
+    for idx in indices:
+        list(iter_class_representatives(idx))
+    assert calls == indices
+
+
 def test_expansion_covers_distinct_classes():
     # every expanded representative for one index is non-conjugate to the
     # others, and together they exhaust the fold multiplicity
