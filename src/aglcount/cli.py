@@ -33,9 +33,10 @@ __all__ = ["RunReport", "main"]
 _STR_DIGITS_LIMIT = 4_000_000
 # verify --suite reps walks about q**n points per class index at the largest n
 _REPS_STEP_LIMIT = 1 << 24
-# the Jordan sweep of verify --suite compound substitutes into 2**n monomials,
-# whose images are ints of 2**n bits each: time and memory about quadruple
-# per step of --n (n = 14 takes about 21 s and 320 MiB on 2 cores, Python 3.11)
+# verify --suite compound substitutes into 2**n monomials, whose images are
+# ints of 2**n bits each: time and memory about triple per step of --n
+# (n = 14 takes about 1.3 s and 47 MiB, n = 15 3.5 s and 120 MiB; 2 cores,
+# Python 3.11)
 _COMPOUND_N_LIMIT = 14
 # verify --suite duality computes theta(n, s, r) once per 0 <= s <= r <= n;
 # each step of n costs 5 to 6 times the last (--n 9 takes 28 s and --n 10
@@ -226,9 +227,9 @@ def _suite_class_equation(args, report: RunReport) -> None:
 
 def _suite_oracle(args, report: RunReport) -> None:
     q, n = args.q, args.n
+    brute = burnside_full(n, q)  # its guards refuse before the fold runs
     value = count_function_classes(n, q)
     report.results["function_classes"] = str(value)
-    brute = burnside_full(n, q)
     report.add_check(f"oracle burnside q={q} n={n}", brute == value, f"{brute} vs {value}")
     try:
         orbits = orbit_enumeration(n, q)

@@ -83,39 +83,36 @@ def check_kronecker_embedding(a: GFMatrix, b: GFMatrix, k: int, l: int) -> bool:
     return True
 
 
-def _block(entries, rows, cols) -> tuple[bytes, ...]:
-    return tuple(bytes([entries[i][j] for j in cols]) for i in rows)
-
-
 def jordan_structure_sweep(n_max: int) -> Iterator[tuple[int, int, bool]]:
     """(n, r, ok) for 1 <= r <= n <= n_max: split C_r(J_n), the compound of
     the unipotent bidiagonal block, by 'subset contains n'; ok says that the
     cross block below the diagonal vanishes and that the diagonal blocks are
-    C_r(J_{n-1}) and C_{r-1}(J_{n-1}).  Each compound is built once: the
-    compounds of J_{n-1} are kept while n runs, and each is dropped once the
-    last r that needs it is checked; those of J_{n_max} are not kept."""
-    # C_r(J_{n-1}) by r, one bytes object per row; C_0 is the 1 x 1 identity
-    smaller = {0: (b"\x01",)}
+    C_r(J_{n-1}) and C_{r-1}(J_{n-1}).
+
+    Column T of C_r(J_n) is the packed image of X_T read on the degree-r
+    slots, so J_n is substituted once per n, for every r at once, and only
+    the images under J_{n-1} are kept.  Slots that contain x_{n-1} sit at
+    bit 2**(n-1) and above; shifted down by that much they are the
+    degree-(r-1) slots of n - 1 variables."""
+    smaller = [1]  # the images under J_0: X_{} |-> 1
     for n in range(1, n_max + 1):
-        jordan = jordan_block(field(2), n)
-        current = {0: (b"\x01",)}
+        images = monomial_images(jordan_block(field(2), n).entries, (0,) * n, n)
+        half = 1 << (n - 1)
         for r in range(1, n + 1):
-            big = compound_gf2(jordan, r).entries
-            subsets = _subsets(n, r)
-            without = [i for i, s in enumerate(subsets) if (n - 1) not in s]
-            with_n = [i for i, s in enumerate(subsets) if (n - 1) in s]
-            # C_r(J_{n-1}) is empty at r = n; no later r needs C_{r-1}(J_{n-1})
-            top, bottom = smaller.get(r, ()), smaller.pop(r - 1)
-            ok = (
-                not any(any(row) for row in _block(big, with_n, without))
-                and _block(big, without, without) == top
-                and _block(big, with_n, with_n) == bottom
+            degree_r = RMQuotientBasis(n, r - 1, r)
+            low = degree_r.slot_mask & ((1 << half) - 1)
+            high = degree_r.slot_mask >> half
+            # for T without x_{n-1}: the cross block is zero and the block
+            # is C_r(J_{n-1}); for T + x_{n-1}: the block is C_{r-1}(J_{n-1}),
+            # the 1 x 1 identity at r = 1
+            ok = all(
+                not (images[t] >> half) & high and images[t] & low == smaller[t] & low
+                if t < half
+                else (images[t] >> half) & high == smaller[t - half] & high
+                for t in degree_r.monomials
             )
             yield n, r, ok
-            if n < n_max:
-                current[r] = tuple(map(bytes, big))
-            del big  # not alive while the next compound is built
-        smaller = current
+        smaller = images
 
 
 def check_rank_bound(n: int, r: int) -> bool:

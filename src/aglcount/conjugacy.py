@@ -57,13 +57,6 @@ class PartitionTuple:
     psi: int
     entries: tuple[Partition, ...]
 
-    @classmethod
-    def make(cls, d: int, psi_d: int, entries) -> "PartitionTuple":
-        kept = _sorted_entries(entries)
-        if len(kept) > psi_d:
-            raise ValueError(f"{len(kept)} nonempty partitions but only psi({d}) = {psi_d} slots")
-        return cls(d=d, psi=psi_d, entries=kept)
-
     def total_weight(self) -> int:
         return sum(weight(e) for e in self.entries)
 

@@ -88,16 +88,6 @@ def _ceil_log(p: int, m: int) -> int:
     return e
 
 
-def _floor_log(p: int, m: int) -> int:
-    """Largest e with p**e <= m (m >= 1)."""
-    e = 0
-    power = p
-    while power <= m:
-        power *= p
-        e += 1
-    return e
-
-
 def _divisors_with_phi(fact: dict[int, int]) -> list[tuple[int, int]]:
     out = [(1, 1)]
     for prime, e in fact.items():
@@ -219,7 +209,7 @@ def _unipotent_rows(m: int, q: int, top: int) -> dict[tuple[Partition, int | Non
             factor, rem = divmod(unmarked, q ** sum(lam[: t - 1]) * (q ** lam[t - 1] - 1))
             if rem:
                 raise AssertionError("translation-marked centralizer not integral")
-            threshold = 1 + _floor_log(p, t)
+            threshold = _ceil_log(p, t + 1)
             bump = t == largest and p ** (threshold - 1) == t
             rows[lam, t] = _Row(factor, largest, level, threshold, bump, powers)
     return rows
@@ -288,7 +278,7 @@ def fix_exponent_at(idx: ClassIndex, k: int) -> int | None:
         raise ValueError(f"k must be >= 1, got {k}")
     p = prime_power(idx.q).p
     nu = p_adic_valuation(k, p)
-    if idx.marker is not None and nu < 1 + _floor_log(p, idx.marker):
+    if idx.marker is not None and nu < _ceil_log(p, idx.marker + 1):
         return None
     total = _level_sums((idx.unipotent,), p, nu)[nu]
     for spectrum in idx.spectra:

@@ -16,7 +16,7 @@ from aglcount.compound import (
     format_significant,
     jordan_structure_sweep,
 )
-from aglcount.conjugacy import ClassIndex, PartitionTuple, enumerate_classes
+from aglcount.conjugacy import ClassIndex, enumerate_classes
 from aglcount.fields import field
 from aglcount.formulas import (
     centralizer_order,
@@ -29,6 +29,7 @@ from aglcount.oracle import burnside_full, orbit_enumeration
 from aglcount.reps import iter_class_representatives, verify_class
 from aglcount.rm import RMQuotientBasis, coset_class_count_M, fix_on_quotient, theta
 from brute import burnside_full_theta
+from test_conjugacy import partition_tuple
 from test_linalg import identity_map, matmul, sub_matrix
 
 
@@ -44,7 +45,7 @@ def criterion(num, name):
 
 def test_criterion_01_worked_example_exact():
     with criterion(1, "worked-example centralizers"):
-        spec = PartitionTuple.make(7, psi(7, 2), [(1, 2), (2, 0, 1)])
+        spec = partition_tuple(7, psi(7, 2), [(1, 2), (2, 0, 1)])
         plain = ClassIndex(n=36, q=2, unipotent=(3, 0, 1), spectra=(spec,), marker=None)
         marked = ClassIndex(n=36, q=2, unipotent=(3, 0, 1), spectra=(spec,), marker=3)
         assert centralizer_order(plain) == 2**63 * 3**5 * 7**7

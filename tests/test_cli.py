@@ -299,9 +299,25 @@ def test_reps_suite_beyond_point_limit_fails_fast():
     assert json.loads(proc.stdout)["status"] == "ok"
 
 
+def test_oracle_suite_refuses_before_the_fold():
+    # the brute Burnside guard refuses N(3, 30) before the fold, which at
+    # this size would not end
+    proc = subprocess.run(
+        [sys.executable, "-m", "aglcount", "verify", "--suite", "oracle", "--q", "3", "--n", "30"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    body = json.loads(proc.stdout)
+    assert body["status"] == "error"
+    assert "burnside_full guard exceeded" in body["results"]["error"]
+    assert "function_classes" not in body["results"]
+
+
 def test_compound_suite_beyond_size_limit_fails_fast():
-    # n = 15 runs for minutes and n = 40 would never end: both are refused
-    # before the sweep starts
+    # n = 15 would take about 3.5 s and 120 MiB (2 cores, Python 3.11) and
+    # n = 40 would never end: both are refused before the sweep starts
     def verify(n):
         return subprocess.run(
             [sys.executable, "-m", "aglcount", "verify", "--suite", "compound", "--n", n],

@@ -181,19 +181,26 @@ def test_jordan_structure_sweep():
     assert list(jordan_structure_sweep(0)) == []
 
 
-def test_jordan_sweep_compares_the_kept_compounds(monkeypatch):
-    # a wrong C_2(J_4) fails its own check and both checks of n = 5 that
-    # read it as a smaller compound, and no other
-    real = compound.compound_gf2
+def test_jordan_sweep_compares_the_previous_images(monkeypatch):
+    # J_4 with the identity's degree-2 images fails its own check and both
+    # checks of n = 5 that read them as the images under J_{n-1}, and no other
+    real = compound.monomial_images
+    sizes = []
 
-    def wrong_at_4_2(mat, r):
-        if (mat.rows, r) == (4, 2):
-            return real(GFMatrix.identity(f2, 4), 2)
-        return real(mat, r)
+    def wrong_at_4_2(entries, translation, max_degree):
+        sizes.append(len(translation))
+        images = real(entries, translation, max_degree)
+        if len(translation) == 4:
+            for t in range(16):
+                if t.bit_count() == 2:
+                    images[t] = 1 << t
+        return images
 
-    monkeypatch.setattr(compound, "compound_gf2", wrong_at_4_2)
+    monkeypatch.setattr(compound, "monomial_images", wrong_at_4_2)
+    monkeypatch.setattr(compound, "compound_gf2", None)  # no dense compound
     failed = [(n, r) for n, r, holds in jordan_structure_sweep(6) if not holds]
     assert failed == [(4, 2), (5, 2), (5, 3)]
+    assert sizes == [1, 2, 3, 4, 5, 6]  # one substitution per n
 
 
 def test_jordan_lower_left_block_is_zero():

@@ -13,8 +13,15 @@ from aglcount.conjugacy import (
     enumerate_omega,
 )
 from aglcount.numtheory import multiplicative_order, psi
-from aglcount.partitions import enumerate_partitions, order_key, support, weight
+from aglcount.partitions import canon, enumerate_partitions, order_key, support, weight
 from brute import brute_conjugacy_classes
+
+
+def partition_tuple(d, psi_d, entries):
+    """The tuple for order d with the nonempty entries canonical and in
+    partition order, as the enumeration stores them (test helper)."""
+    kept = tuple(sorted(filter(None, map(canon, entries)), key=order_key))
+    return PartitionTuple(d=d, psi=psi_d, entries=kept)
 
 
 def test_compute_D_examples():
@@ -175,15 +182,15 @@ def permutation_count(t):
 
 
 def test_permutation_count_examples():
-    t = PartitionTuple.make(7, 2, [(1, 2), (2, 0, 1)])
+    t = partition_tuple(7, 2, [(1, 2), (2, 0, 1)])
     assert permutation_count(t) == 2
-    t = PartitionTuple.make(7, 2, [(1,), (1,)])
+    t = partition_tuple(7, 2, [(1,), (1,)])
     assert permutation_count(t) == 1
-    t = PartitionTuple.make(5, 3, [(), (), ()])
+    t = partition_tuple(5, 3, [(), (), ()])
     assert permutation_count(t) == 1
     assert t.entries == ()
     # one nonempty entry in 4 slots: 4 arrangements
-    t = PartitionTuple.make(15, 4, [(1,)])
+    t = partition_tuple(15, 4, [(1,)])
     assert permutation_count(t) == 4
     # the fold multiplicity of an index is the product over its tuples
     for q, n in ((2, 8), (3, 5), (4, 4)):
@@ -192,8 +199,10 @@ def test_permutation_count_examples():
 
 
 def test_partition_tuple_validation():
-    with pytest.raises(ValueError):
-        PartitionTuple.make(7, 2, [(1,), (1,), (2,)])  # 3 nonempty > psi = 2
+    # 3 nonempty > psi = 2
+    crowded = ClassIndex(n=12, q=2, unipotent=(), spectra=(partition_tuple(7, 2, [(1,), (1,), (2,)]),))
+    with pytest.raises(ValueError, match="too many entries"):
+        crowded.validate()
 
 
 def test_class_index_validation():
@@ -208,14 +217,14 @@ def test_class_index_validation():
             n=2,
             q=2,
             unipotent=(),
-            spectra=(PartitionTuple.make(3, 1, [(1,)]),),
+            spectra=(partition_tuple(3, 1, [(1,)]),),
             marker=1,
         ).validate()
     # an unsorted tuple would double its multiplicity (120 for the 60 of
     # the sorted one) and so its representatives
     unsorted = PartitionTuple(d=31, psi=6, entries=((1,), (2,), (1,)))
     bad = ClassIndex(n=20, q=2, unipotent=(), spectra=(unsorted,))
-    canonical = ClassIndex(n=20, q=2, unipotent=(), spectra=(PartitionTuple.make(31, 6, unsorted.entries),))
+    canonical = ClassIndex(n=20, q=2, unipotent=(), spectra=(partition_tuple(31, 6, unsorted.entries),))
     canonical.validate()
     assert (bad.multiplicity(), canonical.multiplicity()) == (120, 60)
     with pytest.raises(ValueError, match="not canonical"):

@@ -8,7 +8,7 @@ import textwrap
 import pytest
 
 from aglcount import formulas
-from aglcount.conjugacy import ClassIndex, PartitionTuple, enumerate_classes
+from aglcount.conjugacy import ClassIndex, enumerate_classes
 from aglcount.formulas import (
     burnside_total,
     centralizer_order,
@@ -31,12 +31,12 @@ from aglcount.oracle import burnside_full, orbit_enumeration
 from aglcount.reps import build_representative
 from aglcount.rm import _coset_terms, coset_class_count_M
 from brute import brute_centralizer
-from test_conjugacy import permutation_count
+from test_conjugacy import partition_tuple, permutation_count
 from test_linalg import affine_order, cyclic_orbit_count, fixed_point_count, then
 
 
 def worked_example(marker):
-    spec = PartitionTuple.make(7, psi(7, 2), [(1, 2), (2, 0, 1)])
+    spec = partition_tuple(7, psi(7, 2), [(1, 2), (2, 0, 1)])
     return ClassIndex(n=36, q=2, unipotent=(3, 0, 1), spectra=(spec,), marker=marker)
 
 
@@ -143,7 +143,7 @@ def test_orbit_exponent_examples():
     translation = ClassIndex(n=1, q=2, unipotent=(1,), spectra=(), marker=1)
     assert orbit_exponent(translation) == 1
     order3 = ClassIndex(
-        n=2, q=2, unipotent=(), spectra=(PartitionTuple.make(3, 1, [(1,)]),), marker=None
+        n=2, q=2, unipotent=(), spectra=(partition_tuple(3, 1, [(1,)]),), marker=None
     )
     assert orbit_exponent(order3) == 2
     assert cyclic_orbit_count(build_representative(order3)) == 2

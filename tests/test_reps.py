@@ -12,7 +12,7 @@ from aglcount.reps import (
 )
 from aglcount.linalg import GFMatrix, companion_matrix, jordan_block, point_permutation
 from brute import conjugacy_class, group_perms
-from test_conjugacy import permutation_count
+from test_conjugacy import partition_tuple, permutation_count
 from test_linalg import affine_powers, cyclic_orbit_count, fixed_point_count, identity_map
 
 
@@ -61,7 +61,7 @@ def test_build_representative_trivial_cases():
 
 
 def test_build_representative_worked_example_dimension():
-    spec = PartitionTuple.make(7, psi(7, 2), [(1, 2), (2, 0, 1)])
+    spec = partition_tuple(7, psi(7, 2), [(1, 2), (2, 0, 1)])
     for marker in (None, 3):
         idx = ClassIndex(n=36, q=2, unipotent=(3, 0, 1), spectra=(spec,), marker=marker)
         rep = build_representative(idx)
@@ -142,7 +142,7 @@ def test_verify_class_examples():
     assert report.orbit_matrix == 1
 
     order3 = ClassIndex(
-        n=2, q=2, unipotent=(), spectra=(PartitionTuple.make(3, 1, [(1,)]),), marker=None
+        n=2, q=2, unipotent=(), spectra=(partition_tuple(3, 1, [(1,)]),), marker=None
     )
     report = verify_class(order3)
     assert report.ok

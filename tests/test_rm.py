@@ -19,6 +19,7 @@ from aglcount.rm import (
     theta,
 )
 from brute import burnside_full_theta, orbit_enumeration_code
+from test_conjugacy import partition_tuple
 from test_linalg import affine_order, apply, identity_map, matmul, sub_matrix, then
 
 f2 = field(2)
@@ -328,7 +329,6 @@ def test_collapsed_assignments_share_the_fix_count():
     # the single-entry collapse weights one representative by psi(d); every
     # assignment must therefore have the same quotient fix count (they are
     # powers sigma**j of each other with j coprime to the order)
-    from aglcount.conjugacy import ClassIndex, PartitionTuple
     from aglcount.numtheory import psi as psi_of
     from aglcount.reps import _assemble, iter_class_representatives
 
@@ -341,7 +341,7 @@ def test_collapsed_assignments_share_the_fix_count():
         psi_d = psi_of(d, 2)
         idx = ClassIndex(
             n=n, q=2, unipotent=(),
-            spectra=(PartitionTuple.make(d, psi_d, [(1,)]),), marker=None,
+            spectra=(partition_tuple(d, psi_d, [(1,)]),), marker=None,
         )
         idx.validate()
         reps = list(iter_class_representatives(idx))
