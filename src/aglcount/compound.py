@@ -1,133 +1,110 @@
-"""Compound matrices, their structural checks, and the asymptotic ratio
-report for the quotient-code class counts.
+"""Compound-matrix checks and the asymptotic ratio report for the
+quotient-code class counts.
 
-Compounds are binary only and come from the packed monomial-substitution
-engine: the coefficient of X_S in the image of X_T under a linear
-substitution is the permanent of A(S, T), which over F_2 is det A(S, T);
-the tests check this against a compound built from minors.
+Compounds are binary only and are read off the packed monomial-substitution
+engine, with no dense compound built: the coefficient of X_S in the image
+of X_T under a linear substitution is the permanent of A(S, T), which over
+F_2 is det A(S, T), so column T of C_r(A) is the image of X_T on the
+degree-r slots.  Each check substitutes each matrix once, and the Jordan
+sweep reads every r off that one substitution; the tests check the images
+against a compound built from minors.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterator
 
 from .fields import field
-from .linalg import AffineMap, GFMatrix, block_diagonal, jordan_block
-from .rm import RMQuotientBasis, coset_class_count_M, fix_on_quotient, monomial_images
+from .linalg import GFMatrix, block_diagonal, gf2_rank, jordan_block
+from .rm import RMQuotientBasis, coset_class_count_M, monomial_images
 
 __all__ = [
     "AsymptoticReport",
     "AsymptoticRow",
     "asymptotic_report",
     "check_kronecker_embedding",
-    "check_rank_bound",
-    "compound_gf2",
     "format_significant",
     "jordan_structure_sweep",
     "unit_product_constant",
 ]
 
 
-@lru_cache(maxsize=None)
-def _subsets(n: int, r: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.combinations(range(n), r))
-
-
-def compound_gf2(mat: GFMatrix, r: int) -> GFMatrix:
-    """The matrix of r x r minors over F_2, C_0 being the 1 x 1 identity,
-    by monomial substitution: entry (S, T) is the coefficient of X_S in
-    prod_{i in T} (column i . X), i.e. the permanent of A(S, T), which
-    equals the determinant over F_2."""
-    if mat.field.q != 2:
-        raise ValueError("compound_gf2 needs a matrix over F_2")
-    n = mat.rows
-    if mat.cols != n:
-        raise ValueError("compound of a non-square matrix")
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r={r}")
-    images = monomial_images(mat.entries, (0,) * n, r)
-    masks = [sum(1 << i for i in s) for s in _subsets(n, r)]
-    columns = [[(images[t] >> s) & 1 for s in masks] for t in masks]
-    return GFMatrix(mat.field, list(zip(*columns)))
-
-
 def check_kronecker_embedding(a: GFMatrix, b: GFMatrix, k: int, l: int) -> bool:
     """Does the Kronecker product C_k(A) x C_l(B) sit inside C_{k+l} of the
     block-diagonal sum, on the row/column labels S union (shifted T)?
-    Binary matrices only, as for `compound_gf2`."""
+    Binary square matrices only.
+
+    A, B and their sum are substituted once each.  The label S union
+    (T + m) is slot S + 2**m T of the sum's images, so on the labels, column
+    ta union (tb + m) must be the A-image of X_ta times the B-image of X_tb
+    spread to stride 2**m: an integer product with no carries, as each
+    A-image is below 2**(2**m)."""
     m, n = a.rows, b.rows
     if not (0 <= k <= m and 0 <= l <= n):
         raise ValueError("minor sizes out of range")
-    big_index = {s: pos for pos, s in enumerate(_subsets(m + n, k + l))}
-    a_subsets = _subsets(m, k)
-    b_subsets = _subsets(n, l)
-    labels = [
-        big_index[tuple(sorted(s + tuple(m + j for j in t)))]
-        for s in a_subsets
-        for t in b_subsets
-    ]
-    big = compound_gf2(block_diagonal([a, b]), k + l)
-    ca = compound_gf2(a, k)
-    cb = compound_gf2(b, l)
-    for row_pos, row_label in enumerate(labels):
-        ra, rb = divmod(row_pos, len(b_subsets))
-        for col_pos, col_label in enumerate(labels):
-            ca_col, cb_col = divmod(col_pos, len(b_subsets))
-            want = ca.entries[ra][ca_col] & cb.entries[rb][cb_col]
-            if big.entries[row_label][col_label] != want:
+    big = block_diagonal([a, b])
+    if big.field.q != 2:
+        raise ValueError("compounds need matrices over F_2")
+    if a.cols != m or b.cols != n:
+        raise ValueError("compound of a non-square matrix")
+    degree_k, degree_l = RMQuotientBasis(m, k - 1, k), RMQuotientBasis(n, l - 1, l)
+    images_a = monomial_images(a.entries, (0,) * m, k)
+    images_b = monomial_images(b.entries, (0,) * n, l)
+    images = monomial_images(big.entries, (0,) * (m + n), k + l)
+
+    def spread(packed: int) -> int:
+        # the degree-l slots T of packed, moved to slot 2**m T
+        return sum(1 << (t << m) for t in degree_l.monomials if packed >> t & 1)
+
+    slots_a = degree_k.slot_mask
+    labels = slots_a * spread(degree_l.slot_mask)
+    for tb in degree_l.monomials:
+        column_b = spread(images_b[tb])
+        for ta in degree_k.monomials:
+            if images[ta | tb << m] & labels != (images_a[ta] & slots_a) * column_b:
                 return False
     return True
 
 
-def jordan_structure_sweep(n_max: int) -> Iterator[tuple[int, int, bool]]:
-    """(n, r, ok) for 1 <= r <= n <= n_max: split C_r(J_n), the compound of
-    the unipotent bidiagonal block, by 'subset contains n'; ok says that the
-    cross block below the diagonal vanishes and that the diagonal blocks are
-    C_r(J_{n-1}) and C_{r-1}(J_{n-1}).
+def jordan_structure_sweep(n_max: int) -> Iterator[tuple[int, int, bool, bool]]:
+    """(n, r, structure_ok, rank_ok) for 1 <= r <= n <= n_max, on C_r(J_n),
+    the compound of the unipotent bidiagonal block.
+
+    structure_ok: split C_r(J_n) by 'subset contains n'; the cross block
+    below the diagonal vanishes and the diagonal blocks are C_r(J_{n-1})
+    and C_{r-1}(J_{n-1}).  rank_ok: rank(C_r(J_n) - I) >= binom(n-1, r)
+    over F_2.
 
     Column T of C_r(J_n) is the packed image of X_T read on the degree-r
     slots, so J_n is substituted once per n, for every r at once, and only
     the images under J_{n-1} are kept.  Slots that contain x_{n-1} sit at
     bit 2**(n-1) and above; shifted down by that much they are the
-    degree-(r-1) slots of n - 1 variables."""
+    degree-(r-1) slots of n - 1 variables.  Column T of C_r(J_n) - I is the
+    image with bit T flipped."""
     smaller = [1]  # the images under J_0: X_{} |-> 1
     for n in range(1, n_max + 1):
         images = monomial_images(jordan_block(field(2), n).entries, (0,) * n, n)
         half = 1 << (n - 1)
         for r in range(1, n + 1):
             degree_r = RMQuotientBasis(n, r - 1, r)
-            low = degree_r.slot_mask & ((1 << half) - 1)
-            high = degree_r.slot_mask >> half
+            slots = degree_r.slot_mask
+            low = slots & ((1 << half) - 1)
+            high = slots >> half
             # for T without x_{n-1}: the cross block is zero and the block
             # is C_r(J_{n-1}); for T + x_{n-1}: the block is C_{r-1}(J_{n-1}),
             # the 1 x 1 identity at r = 1
-            ok = all(
+            structure_ok = all(
                 not (images[t] >> half) & high and images[t] & low == smaller[t] & low
                 if t < half
                 else (images[t] >> half) & high == smaller[t - half] & high
                 for t in degree_r.monomials
             )
-            yield n, r, ok
+            rank = gf2_rank((images[t] ^ 1 << t) & slots for t in degree_r.monomials)
+            yield n, r, structure_ok, rank >= comb(n - 1, r)
         smaller = images
-
-
-def check_rank_bound(n: int, r: int) -> bool:
-    """rank(C_r(J_n) - I) >= binom(n-1, r) over F_2.
-
-    C_r(J_n) is the action of J_n on the degree-r slots R(r, n)/R(r-1, n),
-    so the rank is the basis dimension minus the log2 of its fixed count.
-    """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    if r > n:
-        return True  # empty compound, bound is 0
-    degree_r = RMQuotientBasis(n, r - 1, r)
-    fixed = fix_on_quotient(AffineMap.linear(jordan_block(field(2), n)), degree_r)
-    return degree_r.dim - (fixed.bit_length() - 1) >= comb(n - 1, r)
 
 
 # ---------------------------------------------------------------------------

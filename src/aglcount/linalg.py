@@ -11,6 +11,7 @@ lengths, the brute-force oracle) works on codes alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .fields import FieldTable
 
@@ -69,9 +70,10 @@ class GFMatrix:
         return self._invertible
 
 
-def gf2_rank(rows: list[int]) -> int:
+def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) of rows packed as ints (bit j = column j), by
-    reduction against one pivot row per leading bit."""
+    reduction against one pivot row per leading bit; only the pivots are
+    kept, so the rows may come from a generator."""
     pivots: dict[int, int] = {}
     rank_ = 0
     for row in rows:

@@ -12,7 +12,6 @@ sys.set_int_max_str_digits(4_000_000)
 from aglcount.compound import (
     asymptotic_report,
     check_kronecker_embedding,
-    check_rank_bound,
     format_significant,
     jordan_structure_sweep,
 )
@@ -116,11 +115,10 @@ def test_criterion_06_compound_lemma_sweeps():
                     assert check_kronecker_embedding(a, b, k, l), (m, n, k, l)
         pairs = [(n, r) for n in range(1, 13) for r in range(1, n + 1)]
         swept = list(jordan_structure_sweep(12))
-        assert [(n, r) for n, r, _ in swept] == pairs
-        for n, r, holds in swept:
-            assert holds, (n, r)
-        for n, r in pairs:
-            assert check_rank_bound(n, r), (n, r)
+        assert [(n, r) for n, r, _, _ in swept] == pairs
+        for n, r, structure_ok, rank_ok in swept:
+            assert structure_ok, (n, r)
+            assert rank_ok, (n, r)
 
 
 def test_criterion_07_translation_fix_identity():

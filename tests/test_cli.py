@@ -243,9 +243,9 @@ def test_runs_without_numpy():
 import sys
 sys.modules["numpy"] = None
 import aglcount, aglcount.cli, aglcount.compound, aglcount.oracle
-from aglcount.compound import check_rank_bound
+from aglcount.compound import jordan_structure_sweep
 from aglcount.rm import theta
-print(theta(5, 1, 3), check_rank_bound(6, 3))
+print(theta(5, 1, 3), all(rank_ok for *_, rank_ok in jordan_structure_sweep(6)))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -270,6 +270,31 @@ def test_unprintable_count_fails_fast():
     proc = cli("2", "12")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def test_class_equation_suite_refuses_what_count_functions_refuses(capsys):
+    # q = 509 reaches the trial-division factoring of 509**i - 1, which at
+    # n = 6 already runs past 20 s: --n 10 is refused before any work
+    proc = subprocess.run(
+        [sys.executable, "-m", "aglcount", "verify", "--suite", "class-equation", "--q", "509", "--n", "10"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    body = json.loads(proc.stdout)
+    assert body["status"] == "error" and body["checks"] == []
+    assert "digits" in body["results"]["error"]
+    # the same (q, n) as count-functions at its default --max-n, with the
+    # same reason, less the flag that verify does not take
+    for q, n in (("509", "3"), ("7", "8"), ("2", "21"), ("6", "2"), ("1024", "1")):
+        code, out = run_cli(capsys, "verify", "--suite", "class-equation", "--q", q, "--n", n)
+        _, reference = run_cli(capsys, "count-functions", "--q", q, "--n", n)
+        assert code == 2, (q, n)
+        want = json.loads(reference)["results"]["error"].replace(" (raise --max-n to override)", "")
+        assert json.loads(out)["results"]["error"] == want
+    code, out = run_cli(capsys, "verify", "--suite", "class-equation", "--q", "509", "--n", "2")
+    assert code == 0 and json.loads(out)["status"] == "ok"
 
 
 def test_reps_suite_beyond_point_limit_fails_fast():

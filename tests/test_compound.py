@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -6,19 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from aglcount import compound
+from aglcount import compound, rm
 from aglcount.compound import (
     asymptotic_report,
     check_kronecker_embedding,
-    check_rank_bound,
-    compound_gf2,
     format_significant,
     jordan_structure_sweep,
     unit_product_constant,
 )
 from aglcount.fields import field
-from aglcount.linalg import GFMatrix, jordan_block
-from aglcount.rm import RMQuotientBasis
+from aglcount.linalg import GFMatrix, jordan_block, rank
+from aglcount.rm import RMQuotientBasis, monomial_images
 from test_linalg import leibniz_det, matmul
 from test_rm import action_matrix
 
@@ -53,6 +52,16 @@ def compound_matrix(mat, r):
     return GFMatrix(mat.field, [[minor(s, t) for t in index] for s in index])
 
 
+def compound_from_images(mat, r):
+    """C_r of a square binary matrix read off the packed substitution
+    images: entry (S, T) is the coefficient of X_S in the image of X_T, with
+    S and T over the degree-r slots in lexicographic order."""
+    n = mat.rows
+    images = monomial_images(mat.entries, (0,) * n, r)
+    slots = RMQuotientBasis(n, r - 1, r).monomials
+    return GFMatrix(f2, [[images[t] >> s & 1 for t in slots] for s in slots])
+
+
 def test_subset_index():
     # C_2 of diag(1, 2, 3, 4) over F_7 is diag(d_i d_j) with {i, j} in
     # lexicographic order; the six products are distinct mod 7
@@ -63,8 +72,6 @@ def test_subset_index():
     for r in (-1, 5):
         with pytest.raises(ValueError):
             compound_matrix(diag, r)
-        with pytest.raises(ValueError):
-            compound_gf2(GFMatrix.identity(f2, 4), r)
 
 
 def test_compound_of_non_square_matrix():
@@ -75,9 +82,6 @@ def test_compound_of_non_square_matrix():
             for r in (0, 1, 2):
                 with pytest.raises(ValueError, match="non-square"):
                     compound_matrix(m, r)
-                if f is f2:
-                    with pytest.raises(ValueError, match="non-square"):
-                        compound_gf2(m, r)
 
 
 def test_compound_edge_cases():
@@ -98,7 +102,8 @@ def test_compound_multiplicative():
                 assert compound_matrix(matmul(a, b), r) == matmul(compound_matrix(a, r), compound_matrix(b, r))
 
 
-def test_compound_gf2_matches_minors():
+def test_compound_from_images_matches_minors():
+    # the compound that every check in compound.py reads off the images
     rng = random.Random(3)
     singular = 0
     for n in range(1, 7):
@@ -106,10 +111,8 @@ def test_compound_gf2_matches_minors():
             m = rand_matrix(rng, f2, n)
             singular += not m.is_invertible()
             for r in range(n + 1):
-                assert compound_gf2(m, r) == compound_matrix(m, r)
+                assert compound_from_images(m, r) == compound_matrix(m, r)
     assert singular >= 3
-    with pytest.raises(ValueError, match="over F_2"):
-        compound_gf2(GFMatrix.identity(f3, 2), 1)
 
 
 def test_action_matrix_diagonal_blocks_are_compounds():
@@ -155,11 +158,53 @@ def test_kronecker_embedding_random_sweep():
         check_kronecker_embedding(a, a, 1, 1)
     with pytest.raises(ValueError, match="different fields"):
         check_kronecker_embedding(a, rand_matrix(rng, f2, 2), 1, 1)
+    wide = GFMatrix(f2, [[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(ValueError, match="non-square"):
+        check_kronecker_embedding(wide, rand_matrix(rng, f2, 2), 1, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        check_kronecker_embedding(rand_matrix(rng, f2, 2), rand_matrix(rng, f2, 2), 3, 0)
+
+
+def corrupt_image(monkeypatch, size, t, slot):
+    """Flip the coefficient of X_slot in the image of X_t under the
+    substitution in size variables, where that image is computed; record the
+    size of every substitution."""
+    real = compound.monomial_images
+    sizes = []
+
+    def corrupted(entries, translation, max_degree):
+        sizes.append(len(translation))
+        images = real(entries, translation, max_degree)
+        if len(translation) == size and images[t] is not None:
+            images[t] ^= 1 << slot
+        return images
+
+    monkeypatch.setattr(compound, "monomial_images", corrupted)
+    return sizes
+
+
+def test_kronecker_embedding_detects_a_corrupted_image(monkeypatch):
+    # A, B, k, l = 3, 2, 2, 1: the labels are S + {3 or 4} with S a pair of
+    # {0, 1, 2}, so X_{0,1,3} = bit 11 and X_{1,2,4} = bit 22 are label
+    # slots and X_{0,1,2} = bit 7 is not
+    rng = random.Random(7)
+    a, b = rand_invertible(rng, f2, 3), rand_invertible(rng, f2, 2)
+    assert check_kronecker_embedding(a, b, 2, 1)
+    for t, slot, detected in ((0b01011, 0b10110, True), (0b10110, 0b10110, True), (0b01011, 0b00111, False)):
+        with monkeypatch.context() as patch:
+            sizes = corrupt_image(patch, 5, t, slot)
+            assert check_kronecker_embedding(a, b, 2, 1) is not detected, (t, slot)
+        assert sorted(sizes) == [2, 3, 5]  # A, B and A + B substituted once each
+    # a corrupted image of A alone breaks the product on every label it feeds
+    with monkeypatch.context() as patch:
+        corrupt_image(patch, 3, 0b011, 0b101)
+        assert not check_kronecker_embedding(a, b, 2, 1)
+        assert check_kronecker_embedding(a, b, 1, 1)  # degree 2 unused at k = 1
 
 
 def fresh_jordan_structure(n, r):
     # the split check of one (n, r) from three compounds built for it alone
-    big = compound_gf2(jordan_block(f2, n), r).entries
+    big = compound_from_images(jordan_block(f2, n), r).entries
     subsets = list(itertools.combinations(range(n), r))
     without = [i for i, s in enumerate(subsets) if (n - 1) not in s]
     with_n = [i for i, s in enumerate(subsets) if (n - 1) in s]
@@ -167,23 +212,33 @@ def fresh_jordan_structure(n, r):
         return False
     if n == 1:
         return big[0][0] == 1
-    top = compound_gf2(jordan_block(f2, n - 1), r).entries if r < n else ()
-    bottom = compound_gf2(jordan_block(f2, n - 1), r - 1).entries
+    top = compound_from_images(jordan_block(f2, n - 1), r).entries if r < n else ()
+    bottom = compound_from_images(jordan_block(f2, n - 1), r - 1).entries
     return tuple(tuple(big[i][j] for j in without) for i in without) == top and tuple(
         tuple(big[i][j] for j in with_n) for i in with_n
     ) == bottom
 
 
+def fresh_rank_bound(n, r):
+    # rank(C_r(J_n) - I) >= binom(n - 1, r) from a compound built for (n, r)
+    big = compound_from_images(jordan_block(f2, n), r).entries
+    shifted = [[entry ^ (i == j) for j, entry in enumerate(row)] for i, row in enumerate(big)]
+    return rank(GFMatrix(f2, shifted)) >= math.comb(n - 1, r)
+
+
 def test_jordan_structure_sweep():
     swept = list(jordan_structure_sweep(10))
-    assert swept == [(n, r, fresh_jordan_structure(n, r)) for n in range(1, 11) for r in range(1, n + 1)]
-    assert all(holds for _, _, holds in swept)
+    assert swept == [
+        (n, r, fresh_jordan_structure(n, r), fresh_rank_bound(n, r)) for n in range(1, 11) for r in range(1, n + 1)
+    ]
+    assert all(structure_ok and rank_ok for _, _, structure_ok, rank_ok in swept)
     assert list(jordan_structure_sweep(0)) == []
 
 
 def test_jordan_sweep_compares_the_previous_images(monkeypatch):
     # J_4 with the identity's degree-2 images fails its own check and both
-    # checks of n = 5 that read them as the images under J_{n-1}, and no other
+    # checks of n = 5 that read them as the images under J_{n-1}, and no
+    # other; of the rank bounds only its own fails (rank 0 < binom(3, 2))
     real = compound.monomial_images
     sizes = []
 
@@ -196,17 +251,22 @@ def test_jordan_sweep_compares_the_previous_images(monkeypatch):
                     images[t] = 1 << t
         return images
 
+    def no_quotient_action(*args):
+        raise AssertionError("the sweep reads the rank off its own images")
+
     monkeypatch.setattr(compound, "monomial_images", wrong_at_4_2)
-    monkeypatch.setattr(compound, "compound_gf2", None)  # no dense compound
-    failed = [(n, r) for n, r, holds in jordan_structure_sweep(6) if not holds]
-    assert failed == [(4, 2), (5, 2), (5, 3)]
+    monkeypatch.setattr(rm, "fix_on_quotient", no_quotient_action)
+    swept = list(jordan_structure_sweep(6))
+    assert [(n, r) for n, r, structure_ok, _ in swept if not structure_ok] == [(4, 2), (5, 2), (5, 3)]
+    assert [(n, r) for n, r, _, rank_ok in swept if not rank_ok] == [(4, 2)]
     assert sizes == [1, 2, 3, 4, 5, 6]  # one substitution per n
+    assert not hasattr(compound, "fix_on_quotient")
 
 
 def test_jordan_lower_left_block_is_zero():
     for n in range(2, 9):
         for r in range(1, n + 1):
-            big = compound_gf2(jordan_block(f2, n), r).entries
+            big = compound_from_images(jordan_block(f2, n), r).entries
             subsets = list(itertools.combinations(range(n), r))
             without = [i for i, s in enumerate(subsets) if (n - 1) not in s]
             with_n = [i for i, s in enumerate(subsets) if (n - 1) in s]
@@ -214,17 +274,15 @@ def test_jordan_lower_left_block_is_zero():
 
 
 def test_rank_bound_sweep(monkeypatch):
-    for n in range(1, 11):
-        for r in range(1, n + 1):
-            assert check_rank_bound(n, r)
-    assert check_rank_bound(2, 1)
-    assert check_rank_bound(4, 6)  # r > n: empty compound, bound comb(3,6)=0
+    assert all(rank_ok for *_, rank_ok in jordan_structure_sweep(10))
     # the bound is tight at r = 1 and r = n (rank n - 1 and 0): raised by
-    # one, the check must fail exactly there
+    # one, the check must fail exactly there, and the structure check not
     monkeypatch.setattr(compound, "comb", lambda a, b: math.comb(a, b) + 1)
-    for n in range(1, 9):
-        for r in range(1, n + 1):
-            assert check_rank_bound(n, r) == (1 < r < n), (n, r)
+    swept = list(jordan_structure_sweep(8))
+    assert [(n, r) for n, r, _, rank_ok in swept if not rank_ok] == [
+        (n, r) for n in range(1, 9) for r in range(1, n + 1) if r in (1, n)
+    ]
+    assert all(structure_ok for _, _, structure_ok, _ in swept)
 
 
 def test_constant_value_and_certification():
@@ -255,9 +313,25 @@ def test_format_significant():
             format_significant(num, den, 3)
 
 
+@contextlib.contextmanager
+def int_str_digits(limit):
+    """Python's int-str conversion limit set to limit (0: none), then restored."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def format_significant_by_str(value, digits):
-    """Reference: the exponent guessed from decimal lengths."""
-    num, den = value.numerator, value.denominator
+    """Reference: the exponent guessed from decimal lengths, with no limit
+    on the int-str conversions it makes."""
+    with int_str_digits(0):
+        return _by_str(value.numerator, value.denominator, digits)
+
+
+def _by_str(num, den, digits):
 
     def below_pow10(e):
         return num < den * 10**e if e >= 0 else num * 10**-e < den
@@ -288,15 +362,10 @@ def test_format_significant_matches_decimal_length_guess():
         Fraction(1, 400), Fraction(221789, 1), Fraction(10, 1), Fraction(999, 1000),
     ]
     cases += [(v, d) for v in values for d in (1, 12, 32)]
-    limit = sys.get_int_max_str_digits()
-    try:
+    with int_str_digits(4300):
         # the bit-length guess never turns the huge parts into decimal
-        sys.set_int_max_str_digits(4300)
         got = [format_significant(v.numerator, v.denominator, d) for v, d in cases]
-        sys.set_int_max_str_digits(0)
-        want = [format_significant_by_str(v, d) for v, d in cases]
-    finally:
-        sys.set_int_max_str_digits(limit)
+    want = [format_significant_by_str(v, d) for v, d in cases]
     assert got == want
 
 
