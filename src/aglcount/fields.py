@@ -18,15 +18,18 @@ trailing zeros; () is the zero polynomial.
 
 `irreducibles(q, degree)` is the one enumerator of monic irreducibles: the
 pinned modulus is the least of `irreducibles(p, m)` under the key above,
-`poly_is_irreducible` trial-divides by the irreducibles of degree <= deg/2,
 and the class representatives take their irreducibles of each root order
-from it.
+from it.  It trial-divides each monic candidate by the irreducibles of
+degree <= deg/2.  At q = 2 this scan, and the powers of x in `poly_order`,
+run on packed ints (bit i the coefficient of x**i) with shift-xor
+remainders; larger q use the tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Iterator
 
 from .numtheory import factorize, prime_power
 
@@ -236,21 +239,34 @@ def poly_pow(f: FieldTable, a, e: int, mod=None) -> tuple[int, ...]:
 def irreducibles(q: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All monic irreducibles of one degree over F_q (x included at degree
     1), sorted by their ascending coefficient vectors."""
+    if q == 2:
+        small = [sum(c << i for i, c in enumerate(h)) for h in _trial_divisors(2, degree)]
+        # no candidate below x: the constant 1 is not irreducible
+        monic = range(max(2, 1 << degree), 2 << degree)
+        packed = (g for g in monic if all(_gf2_mod(g, h) for h in small))
+        return tuple(sorted(tuple(g >> i & 1 for i in range(degree + 1)) for g in packed))
     f = field(q)
     monic = (tail + (1,) for tail in itertools.product(f.elements(), repeat=degree))
     return tuple(poly for poly in monic if poly_is_irreducible(f, poly))
 
 
+def _gf2_mod(a: int, b: int) -> int:
+    """a mod b for packed binary polynomials, one shifted b per leading bit."""
+    top = b.bit_length()
+    while (length := a.bit_length()) >= top:
+        a ^= b << (length - top)
+    return a
+
+
+def _trial_divisors(q: int, degree: int) -> Iterator[tuple[int, ...]]:
+    """Every monic irreducible over F_q of degree <= degree/2."""
+    return itertools.chain.from_iterable(irreducibles(q, d) for d in range(1, degree // 2 + 1))
+
+
 def poly_is_irreducible(f: FieldTable, poly: tuple[int, ...]) -> bool:
     """Trial division by every monic irreducible of degree <= deg/2."""
     deg = len(poly) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for g in irreducibles(f.q, d):
-            if not poly_mod(f, poly, g):
-                return False
-    return True
+    return deg >= 1 and all(poly_mod(f, poly, g) for g in _trial_divisors(f.q, deg))
 
 
 @lru_cache(maxsize=None)
@@ -264,10 +280,21 @@ def poly_order(f: FieldTable, poly: tuple[int, ...]) -> int:
     deg = len(poly) - 1
     if poly[0] == 0:
         raise ValueError("order undefined: x divides the polynomial")
+
+    def is_one(k: int) -> bool:
+        """Whether x**k is 1 modulo poly; at q = 2 by square-and-multiply on
+        packed ints, where reading the bits of r in base 4 squares r."""
+        if f.q != 2:
+            return poly_pow(f, (0, 1), k, poly) == (1,)
+        r, packed = 1, sum(c << i for i, c in enumerate(poly))
+        for bit in bin(k)[2:]:
+            r = _gf2_mod(int(bin(r)[2:], 4) << (bit == "1"), packed)
+        return r == 1
+
     e = f.q**deg - 1
-    if poly_pow(f, (0, 1), e, poly) != (1,):
+    if not is_one(e):
         raise AssertionError("x**(q**deg - 1) is not 1: the polynomial is reducible")
     for p, _ in factorize(e):
-        while e % p == 0 and poly_pow(f, (0, 1), e // p, poly) == (1,):
+        while e % p == 0 and is_one(e // p):
             e //= p
     return e

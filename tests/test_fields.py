@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -120,7 +121,7 @@ def test_multiplication_table_is_the_schoolbook_product(q):
         assert f.mul(a, b) == want, (q, a, b)
 
 
-@pytest.mark.parametrize("q,kmax", [(2, 6), (3, 4), (4, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("q,kmax", [(2, 8), (3, 4), (4, 3), (5, 2), (7, 2)])
 def test_poly_order_matches_power_walk(q, kmax):
     # least e with x**e = 1 modulo the polynomial, one multiplication by x at a time
     f = field(q)
@@ -132,6 +133,41 @@ def test_poly_order_matches_power_walk(q, kmax):
             while power != (1,):
                 power, e = poly_mod(f, poly_mul(f, power, (0, 1)), poly), e + 1
             assert poly_order(f, poly) == e, (q, poly)
+
+
+@functools.lru_cache(maxsize=None)
+def table_irreducibles(k):
+    """Monic binary polynomials of degree k, in product order, that no
+    irreducible of degree <= k/2 divides, by the table poly_mod (test
+    reference for the packed scan)."""
+    f = field(2)
+    small = [h for d in range(1, k // 2 + 1) for h in table_irreducibles(d)]
+    monic = (tail + (1,) for tail in itertools.product((0, 1), repeat=k))
+    return tuple(g for g in monic if all(poly_mod(f, g, h) for h in small))
+
+
+def table_order(f, g):
+    """Order of x modulo g through the table poly_pow: from q**deg - 1, drop
+    a prime p of d while x**(d/p) = 1, until x**(d/p) != 1 for every prime
+    p | d (test reference for the packed powers)."""
+    def one(k):
+        return poly_pow(f, (0, 1), k, g) == (1,)
+
+    d = f.q ** (len(g) - 1) - 1
+    assert one(d)
+    while (p := next((p for p, _ in factorize(d) if one(d // p)), None)) is not None:
+        d //= p
+    return d
+
+
+def test_binary_irreducibles_and_orders_match_the_tables():
+    f = field(2)
+    assert irreducibles(2, 0) == ()  # the constant 1 is no irreducible
+    for k in range(1, 11):
+        assert irreducibles(2, k) == table_irreducibles(k), k
+        for g in irreducibles(2, k):
+            if g[0]:
+                assert poly_order(f, g) == table_order(f, g), g
 
 
 def _mobius(n: int) -> int:
@@ -260,6 +296,8 @@ def test_poly_irreducibility_and_order():
     assert poly_order(f2, (1, 1)) == 1  # x + 1, root 1
     with pytest.raises(AssertionError):
         poly_order(f2, (1, 0, 0, 1))  # x^7 = x mod x^3 + 1: no root order
+    with pytest.raises(ValueError, match="x divides"):
+        poly_order(f2, (0, 1, 1))  # x^2 + x
     f3 = field(3)
     assert poly_is_irreducible(f3, (1, 2, 0, 1))
     assert poly_pow(f3, (1, 1), 2) == (1, 2, 1)

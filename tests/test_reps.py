@@ -2,7 +2,7 @@ import pytest
 
 from aglcount import linalg, reps
 from aglcount.conjugacy import ClassIndex, PartitionTuple, enumerate_classes
-from aglcount.fields import field, poly_order, poly_pow
+from aglcount.fields import field, irreducibles, poly_order, poly_pow
 from aglcount.numtheory import divisors, multiplicative_order, psi
 from aglcount.reps import (
     build_representative,
@@ -13,6 +13,7 @@ from aglcount.reps import (
 from aglcount.linalg import GFMatrix, companion_matrix, jordan_block, point_permutation
 from brute import conjugacy_class, group_perms
 from test_conjugacy import partition_tuple, permutation_count
+from test_fields import table_irreducibles, table_order
 from test_linalg import affine_powers, cyclic_orbit_count, fixed_point_count, identity_map
 
 
@@ -38,6 +39,29 @@ def test_irreducible_counts_match_psi():
             for poly in polys:
                 assert len(poly) - 1 == degree
                 assert poly_order(field(q), poly) == d
+
+
+def test_binary_irreducibles_of_order_match_the_table_filter():
+    # every d with o_d(2) <= 10: the odd divisors of 2**m - 1, m <= 10
+    f = field(2)
+    orders = {g: table_order(f, g) for k in range(1, 11) for g in table_irreducibles(k) if g[0]}
+    for d in sorted({d for m in range(1, 11) for d in divisors(2**m - 1)}):
+        degree = multiplicative_order(2, d)
+        want = tuple(g for g in table_irreducibles(degree) if orders.get(g) == d)
+        assert irreducibles_of_order(d, 2) == want, d
+
+
+def test_missing_irreducible_fails_the_psi_count(monkeypatch):
+    # irreducibles(2, 3) without x^3 + x^2 + 1 leaves one of the psi(7) = 2
+    monkeypatch.setattr(reps, "irreducibles", lambda q, degree: irreducibles(q, degree)[1:])
+    reps.irreducibles_of_order.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="found 1 irreducibles of order 7"):
+            irreducibles_of_order(7, 2)
+    finally:
+        monkeypatch.undo()
+        reps.irreducibles_of_order.cache_clear()
+    assert len(irreducibles_of_order(7, 2)) == psi(7, 2)
 
 
 def test_irreducible_records_sorted_and_valid():
