@@ -3,7 +3,7 @@ Reed-Muller quotient codes, by Burnside sums over explicit conjugacy-class
 data of the affine linear group, cross-validated by brute-force oracles."""
 
 from .compound import asymptotic_report
-from .conjugacy import ClassIndex, PartitionTuple, compute_D, enumerate_classes, enumerate_omega
+from .conjugacy import ClassIndex, PartitionTuple, compute_D, enumerate_classes
 from .formulas import centralizer_order, count_function_classes, element_order, orbit_exponent
 from .linalg import AffineMap, GFMatrix
 from .numtheory import PrimePower, agl_group_order
@@ -29,7 +29,6 @@ __all__ = [
     "count_function_classes",
     "element_order",
     "enumerate_classes",
-    "enumerate_omega",
     "enumerate_partitions",
     "irreducibles_of_order",
     "orbit_exponent",

@@ -336,6 +336,10 @@ def _cmd_verify(args, report: RunReport) -> str | None:
             setattr(args, key, value)
     report.parameters = {"suite": args.suite}
     report.parameters.update((key, _text(getattr(args, key))) for key in ("q", "n", "n_max"))
+    # a suite reads exactly the flags it has defaults for
+    for key in ("q", "n", "n_max"):
+        if key not in defaults and getattr(args, key) is not None:
+            return f"suite {args.suite} takes no --{key.replace('_', '-')}"
     if args.suite in _SUITES_FROM_ONE and args.n < 1:
         return f"n = {args.n} must be >= 1 for suite {args.suite}"
     return handler(args, report)

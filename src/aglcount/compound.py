@@ -143,6 +143,8 @@ def format_significant(num: int, den: int, digits: int) -> str:
     truncated toward zero.  Exact integer arithmetic only."""
     if num <= 0 or den <= 0:
         raise ValueError("positive values only")
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
 
     def below_pow10(e: int) -> bool:
         return num < den * 10**e if e >= 0 else num * 10**-e < den

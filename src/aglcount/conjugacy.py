@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .numtheory import divisors, multiplicative_order, prime_power, psi
 from .partitions import (
@@ -35,7 +34,6 @@ __all__ = [
     "PartitionTuple",
     "compute_D",
     "enumerate_classes",
-    "enumerate_omega",
 ]
 
 
@@ -44,8 +42,7 @@ def _sorted_entries(entries) -> tuple[Partition, ...]:
     return tuple(sorted(filter(None, map(canon, entries)), key=order_key))
 
 
-@dataclass(frozen=True)
-class PartitionTuple:
+class PartitionTuple(NamedTuple):
     """Nondecreasing tuple of partitions attached to one polynomial order d.
 
     ``entries`` stores only the nonempty partitions; the remaining
@@ -72,8 +69,7 @@ def _permutation_count(psi_d: int, entries: tuple[Partition, ...]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ClassIndex:
+class ClassIndex(NamedTuple):
     """One folded conjugacy-class index of AGL(n, F_q)."""
 
     n: int
@@ -173,12 +169,14 @@ def _iter_spectra(dinfo, start: int, budget: int) -> Iterator[tuple[PartitionTup
                     yield (head, *tail)
 
 
-def enumerate_omega(n: int, q: int) -> Iterator[ClassIndex]:
-    """All (unipotent partition, spectra) indices with total weight n.
+def enumerate_classes(n: int, q: int) -> Iterator[ClassIndex]:
+    """All class indices with total weight n.
 
-    Deterministic order: spectra weight ascending (so unipotent weight
+    Deterministic order: spectra weight w ascending (so unipotent weight
     descending), then spectra by ascending d and tuple shape, then the
-    unipotent partition in partition order.  Each spectra tuple is built
+    unipotent partition in partition order, each unmarked first and then
+    translation-marked by ascending part size.  The (partition, marker)
+    pairs of weight n - w are listed once per w; each spectra tuple is built
     once and all its indices come out in one run, sharing that tuple, so
     the fold in ``formulas`` works out the per-spectra pieces once per run;
     its sum does not depend on the order.
@@ -188,17 +186,7 @@ def enumerate_omega(n: int, q: int) -> Iterator[ClassIndex]:
     prime_power(q)
     dinfo = _d_info(n, q)
     for w in range(n + 1):
-        unipotents = enumerate_partitions(n - w)
+        rows = [(lam, t) for lam in enumerate_partitions(n - w) for t in (None, *support(lam))]
         for spectra in _iter_spectra(dinfo, 0, w):
-            for lam in unipotents:
-                yield ClassIndex(n=n, q=q, unipotent=lam, spectra=spectra)
-
-
-def enumerate_classes(n: int, q: int) -> Iterator[ClassIndex]:
-    """All class indices: each omega index, then its translation-marked ones."""
-    for idx in enumerate_omega(n, q):
-        yield idx
-        for t in support(idx.unipotent):
-            yield ClassIndex(
-                n=n, q=q, unipotent=idx.unipotent, spectra=idx.spectra, marker=t
-            )
+            for lam, t in rows:
+                yield ClassIndex(n, q, lam, spectra, t)

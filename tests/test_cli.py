@@ -202,6 +202,29 @@ def test_verify_refuses_an_empty_range(capsys):
     assert body["results"]["function_classes"] == "2"
 
 
+@pytest.mark.parametrize(
+    "suite,flag",
+    [
+        ("reps", "n_max"),
+        ("class-equation", "n_max"),
+        ("oracle", "n_max"),
+        ("duality", "q"),
+        ("duality", "n_max"),
+        ("compound", "q"),
+        ("compound", "n_max"),
+        ("asymptotic", "q"),
+        ("asymptotic", "n"),
+    ],
+)
+def test_verify_refuses_a_flag_the_suite_never_reads(capsys, suite, flag):
+    option = "--" + flag.replace("_", "-")
+    code, out = run_cli(capsys, "verify", "--suite", suite, option, "3")
+    body = json.loads(out)
+    assert code == 2 and body["status"] == "error" and body["checks"] == []
+    assert body["results"] == {"error": f"suite {suite} takes no {option}"}
+    assert body["parameters"][flag] == "3"
+
+
 def test_raised_refusal_gets_a_report(tmp_path, capsys):
     # a ValueError from inside a handler ends as the same error report,
     # on stdout and in --out, as a refusal the handler returns

@@ -311,6 +311,9 @@ def test_format_significant():
     for num, den in ((0, 1), (-1, 3), (1, 0), (1, -3), (-1, -3)):
         with pytest.raises(ValueError):
             format_significant(num, den, 3)
+    for digits in (0, -2):
+        with pytest.raises(ValueError, match="digits must be >= 1"):
+            format_significant(1, 3, digits)
 
 
 @contextlib.contextmanager

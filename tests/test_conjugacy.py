@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from collections import Counter
 
 import pytest
@@ -10,7 +11,6 @@ from aglcount.conjugacy import (
     PartitionTuple,
     compute_D,
     enumerate_classes,
-    enumerate_omega,
 )
 from aglcount.numtheory import multiplicative_order, psi
 from aglcount.partitions import canon, enumerate_partitions, order_key, support, weight
@@ -39,6 +39,51 @@ def test_compute_D_definition():
                 if any((q**i - 1) % d == 0 for i in range(1, n + 1))
             }
             assert set(compute_D(n, q)) == expected
+
+
+def enumerate_omega(n, q):
+    """The unmarked indices: one per (unipotent partition, spectra) pair."""
+    return [idx for idx in enumerate_classes(n, q) if idx.marker is None]
+
+
+def two_layer_classes(n, q):
+    """Reference order: every (unipotent partition, spectra) pair by spectra
+    weight, spectra and partition, each followed at once by its
+    translation-marked copies, ascending."""
+    dinfo = conjugacy._d_info(n, q)
+    for w in range(n + 1):
+        for spectra in conjugacy._iter_spectra(dinfo, 0, w):
+            for lam in enumerate_partitions(n - w):
+                yield ClassIndex(n=n, q=q, unipotent=lam, spectra=spectra)
+                for t in support(lam):
+                    yield ClassIndex(n=n, q=q, unipotent=lam, spectra=spectra, marker=t)
+
+
+@pytest.mark.parametrize("q,n_max", [(2, 8), (3, 5), (4, 4), (5, 3)])
+def test_classes_follow_the_two_layer_order(q, n_max):
+    for n in range(1, n_max + 1):
+        ours = list(enumerate_classes(n, q))
+        assert ours == list(two_layer_classes(n, q)), n
+        # the fold rebuilds its spectra pieces when the tuple object changes
+        for _, run in itertools.groupby(ours, key=lambda idx: idx.spectra):
+            first, *rest = run
+            assert all(idx.spectra is first.spectra for idx in rest), n
+
+
+def test_class_index_value_semantics():
+    spec = (PartitionTuple(80, 8, ((1,),)),)
+    keyword = ClassIndex(n=4, q=3, unipotent=(), spectra=spec)
+    positional = ClassIndex(4, 3, (), spec, None)
+    assert keyword == positional and hash(keyword) == hash(positional)
+    with pytest.raises(AttributeError):
+        keyword.marker = 1
+    with pytest.raises(AttributeError):
+        spec[0].psi = 2
+    assert pickle.loads(pickle.dumps(keyword)) == keyword
+    assert repr(keyword) == (
+        "ClassIndex(n=4, q=3, unipotent=(), "
+        "spectra=(PartitionTuple(d=80, psi=8, entries=((1,),)),), marker=None)"
+    )
 
 
 def brute_omega(n, q):
