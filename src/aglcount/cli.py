@@ -206,13 +206,12 @@ def _suite_reps(args, report: RunReport) -> str | None:
     if q**args.n > _POINT_LIMIT:
         # the limit binds at the largest n: refuse before verifying any smaller n
         return f"point space {q}**{args.n} exceeds the check limit {_POINT_LIMIT}"
-    if args.n >= 1:
-        indices = sum(1 for _ in enumerate_classes(args.n, q))
-        if q**args.n * indices > _REPS_STEP_LIMIT:
-            return (
-                f"{indices} class indices at {q}**{args.n} points each exceed "
-                f"the check limit of {_REPS_STEP_LIMIT} point steps"
-            )
+    indices = sum(1 for _ in enumerate_classes(args.n, q))
+    if q**args.n * indices > _REPS_STEP_LIMIT:
+        return (
+            f"{indices} class indices at {q}**{args.n} points each exceed "
+            f"the check limit of {_REPS_STEP_LIMIT} point steps"
+        )
     checked = 0
     for n in range(1, args.n + 1):
         for idx in enumerate_classes(n, q):
@@ -336,10 +335,13 @@ def _cmd_verify(args, report: RunReport) -> str | None:
             setattr(args, key, value)
     report.parameters = {"suite": args.suite}
     report.parameters.update((key, _text(getattr(args, key))) for key in ("q", "n", "n_max"))
-    # a suite reads exactly the flags it has defaults for
+    # a suite reads exactly the flags it has defaults for, and --parallelism
+    # only if it folds through theta or M(n)
     for key in ("q", "n", "n_max"):
         if key not in defaults and getattr(args, key) is not None:
             return f"suite {args.suite} takes no --{key.replace('_', '-')}"
+    if args.parallelism != 1 and args.suite not in ("duality", "asymptotic"):
+        return f"suite {args.suite} takes no --parallelism"
     if args.suite in _SUITES_FROM_ONE and args.n < 1:
         return f"n = {args.n} must be >= 1 for suite {args.suite}"
     return handler(args, report)

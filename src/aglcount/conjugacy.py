@@ -169,8 +169,9 @@ def _iter_spectra(dinfo, start: int, budget: int) -> Iterator[tuple[PartitionTup
                     yield (head, *tail)
 
 
-def enumerate_classes(n: int, q: int) -> Iterator[ClassIndex]:
-    """All class indices with total weight n.
+def enumerate_classes(n: int, q: int, w: int | None = None) -> Iterator[ClassIndex]:
+    """All class indices with total weight n, or only those of spectra
+    weight w (0 <= w <= n), the fold's unit of work in ``formulas``.
 
     Deterministic order: spectra weight w ascending (so unipotent weight
     descending), then spectra by ascending d and tuple shape, then the
@@ -178,14 +179,16 @@ def enumerate_classes(n: int, q: int) -> Iterator[ClassIndex]:
     translation-marked by ascending part size.  The (partition, marker)
     pairs of weight n - w are listed once per w; each spectra tuple is built
     once and all its indices come out in one run, sharing that tuple, so
-    the fold in ``formulas`` works out the per-spectra pieces once per run;
-    its sum does not depend on the order.
+    the fold works out the per-spectra pieces once per run; its sum does
+    not depend on the order.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if w is not None and not 0 <= w <= n:
+        raise ValueError(f"spectra weight w = {w} outside 0..{n}")
     prime_power(q)
     dinfo = _d_info(n, q)
-    for w in range(n + 1):
+    for w in range(n + 1) if w is None else (w,):
         rows = [(lam, t) for lam in enumerate_partitions(n - w) for t in (None, *support(lam))]
         for spectra in _iter_spectra(dinfo, 0, w):
             for lam, t in rows:

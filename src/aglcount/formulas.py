@@ -17,14 +17,15 @@ of ``rm``) sums weight * |class| * q**e over the classes.  Most of a class's
 work depends on its spectra tuple alone, and the fold rebuilds those pieces
 whenever the tuple changes; the unipotent side is looked up by (partition,
 marker) in one table per unipotent weight.  So the indices may come in any
-order, and the enumeration's runs of one spectra tuple only save work.  The
-sum of c_e * q**e goes by halves, not by Horner.  Every division asserts
-exactness; a failed assertion means an enumeration or formula bug.
+order, and the enumeration's runs of one spectra tuple only save work.  One
+spectra weight, which owns one row table, is the unit of work on the
+serial and pool paths alike.  The sum of c_e * q**e goes by halves, not by
+Horner.  Every division asserts exactness; a failed assertion means an
+enumeration or formula bug.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter, namedtuple
 from functools import lru_cache
@@ -215,13 +216,11 @@ def _unipotent_rows(m: int, q: int, top: int) -> dict[tuple[Partition, int | Non
     return rows
 
 
-def _rows_of(idx: ClassIndex) -> dict:
-    """The row table of the unipotent weight of idx at its n and q."""
-    return _unipotent_rows(weight(idx.unipotent), idx.q, _ceil_log(prime_power(idx.q).p, idx.n) + 1)
-
-
-def _unipotent_row(rows: dict, idx: ClassIndex) -> _Row:
-    """The row of idx's (partition, marker) in its weight's table."""
+def _unipotent_row(idx: ClassIndex, rows: dict | None = None) -> _Row:
+    """The row of idx's (partition, marker) in rows, by default the table
+    of its unipotent weight at its n and q."""
+    if rows is None:
+        rows = _unipotent_rows(weight(idx.unipotent), idx.q, _ceil_log(prime_power(idx.q).p, idx.n) + 1)
     try:
         return rows[idx.unipotent, idx.marker]
     except KeyError:
@@ -259,13 +258,13 @@ def _orbit_count(row: _Row, pieces: _Pieces, p: int, a: int) -> int:
 def centralizer_order(idx: ClassIndex) -> int:
     """Order of the centralizer of the class representative in AGL(n, F_q):
     the unipotent part's factor times the spectra's."""
-    return _unipotent_row(_rows_of(idx), idx).centralizer * _spectra_pieces(idx).centralizer
+    return _unipotent_row(idx).centralizer * _spectra_pieces(idx).centralizer
 
 
 def element_order(idx: ClassIndex) -> int:
     """Order of the class representative as a group element."""
     pieces = _spectra_pieces(idx)
-    return pieces.lcm * prime_power(idx.q).p ** _order_exponent(_unipotent_row(_rows_of(idx), idx), pieces)
+    return pieces.lcm * prime_power(idx.q).p ** _order_exponent(_unipotent_row(idx), pieces)
 
 
 def fix_exponent_at(idx: ClassIndex, k: int) -> int | None:
@@ -307,35 +306,32 @@ def orbit_exponent(idx: ClassIndex) -> int:
     P depends on the spectra alone and q**U(nu) on the unipotent row alone.
     """
     pieces = _spectra_pieces(idx)
-    row = _unipotent_row(_rows_of(idx), idx)
+    row = _unipotent_row(idx)
     return _orbit_count(row, pieces, prime_power(idx.q).p, _order_exponent(row, pieces))
 
 
-def _fold_batch(args) -> tuple[int, Counter]:
-    """Fold one batch of class indices: its length, and per exponent e the
-    sum of weight * class size over the (weight, e) terms of its classes.
-
-    The spectra pieces and the row table are rebuilt whenever an index's
-    spectra tuple is not the previous index's.  The enumeration shares one
-    tuple per run and a pool batch pickles as one list, which keeps that
-    sharing, so each run builds them once; any order gives the same sum."""
-    batch, group, terms = args
+def _fold_weight(args) -> tuple[int, Counter]:
+    """Fold the indices of spectra weight w: their number, and per exponent
+    e the sum of weight * class size over their (weight, e) terms.  The row
+    table (weight n - w) is taken at the first index (none for an empty
+    weight), the spectra pieces once per run; any order gives the same sum."""
+    n, q, w, group, terms = args
+    p = prime_power(q).p
     coeffs: Counter = Counter()
     count = 0
-    spectra = None
-    for count, idx in enumerate(batch, 1):
+    spectra = rows = None
+    for count, idx in enumerate(enumerate_classes(n, q, w), 1):
         if idx.spectra is not spectra:
             spectra = idx.spectra
-            p = prime_power(idx.q).p
             pieces = _spectra_pieces(idx)
-            rows = _rows_of(idx)
-        row = _unipotent_row(rows, idx)
+            rows = rows or _unipotent_rows(n - w, q, _ceil_log(p, n) + 1)
+        row = _unipotent_row(idx, rows)
         size, rem = divmod(group, row.centralizer * pieces.centralizer)
         if rem:
             raise AssertionError("centralizer does not divide the group order")
         orbits = _orbit_count(row, pieces, p, _order_exponent(row, pieces))
-        for w, exponent in terms(idx, pieces.multiplicity, orbits):
-            coeffs[exponent] += w * size
+        for times, exponent in terms(idx, pieces.multiplicity, orbits):
+            coeffs[exponent] += times * size
     return count, coeffs
 
 
@@ -361,36 +357,35 @@ def _merge(results, q: int, progress) -> int:
     for count, part in results:
         coeffs.update(part)
         done += count
-        if progress is not None:
+        if progress is not None and count:
             progress(done)
     return _power_sum(coeffs.items(), q)
 
 
-def burnside_total(n: int, q: int, terms, jobs: int = 1, progress=None, chunk: int = 2048) -> int:
+def burnside_total(n: int, q: int, terms, jobs: int = 1, progress=None) -> int:
     """Undivided Burnside sum over the conjugacy classes of AGL(n, F_q).
 
     terms(idx, multiplicity, orbits) yields (weight, e) pairs, given the
     index's fold multiplicity and its orbit count on points (the exponent
     of its fixed functions): weight counts the classes or representatives
     the pair stands for and q**e is their fixed count.  The result is the
-    sum of weight * |class| * q**e, collected per exponent.  Class indices
-    go in batches of chunk, through a process pool when jobs > 1 (terms
-    must then pickle); progress, if given, gets the running class-index
-    count after every batch on either path.  The result is identical for
-    any jobs and chunk.
+    sum of weight * |class| * q**e, collected per exponent.  One task per
+    spectra weight w = n down to 0 enumerates and folds that weight's
+    indices, in process or, when jobs > 1, in a process pool (terms must
+    then pickle; the parent builds no class index).  The largest weight
+    caps useful parallelism at 1 / its share of the work (at N(2, 16..20)
+    10.7-11.8% of the indices, about 17% of the time).  progress, if
+    given, gets the running class-index count after each nonempty spectra
+    weight on either path.  The result is identical for any jobs.
     """
     group = agl_group_order(n, q)
-    stream = enumerate_classes(n, q)
-    # lazy batches, each drawn in full before the next begins: the serial
-    # path holds one class index at a time
-    batches = (itertools.chain((head,), itertools.islice(stream, chunk - 1)) for head in stream)
+    tasks = [(n, q, w, group, terms) for w in range(n, -1, -1)]
     if jobs <= 1:
-        return _merge(map(_fold_batch, ((b, group, terms) for b in batches)), q, progress)
+        return _merge(map(_fold_weight, tasks), q, progress)
     import multiprocessing
 
     with multiprocessing.Pool(jobs) as pool:
-        work = ((list(b), group, terms) for b in batches)
-        return _merge(pool.imap_unordered(_fold_batch, work), q, progress)
+        return _merge(pool.imap_unordered(_fold_weight, tasks), q, progress)
 
 
 def _orbit_terms(idx: ClassIndex, multiplicity: int, orbits: int):

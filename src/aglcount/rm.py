@@ -166,15 +166,14 @@ def theta(n: int, s: int, r: int, jobs: int = 1, progress=None) -> int:
     """Number of AGL(n, F_2) orbits of R(r, n)/R(s-1, n), by the per-class
     Burnside sum with fixed points from the quotient action matrices.
 
-    jobs and progress are passed to ``formulas.burnside_total``, in batches
-    of 16 class indices, since each index costs a rank per representative."""
+    jobs and progress go to ``formulas.burnside_total``, one task per spectra weight."""
     if not 0 <= s <= r <= n:
         raise ValueError(f"need 0 <= s <= r <= n, got ({n}, {s}, {r})")
     if n < 1:
         raise ValueError("n must be >= 1")
     basis = RMQuotientBasis(n, s - 1, r)
     terms = partial(_fixed_terms, basis)
-    total = burnside_total(n, 2, terms, jobs=jobs, progress=progress, chunk=16)
+    total = burnside_total(n, 2, terms, jobs=jobs, progress=progress)
     count, rem = divmod(total, agl_group_order(n, 2))
     if rem:
         raise AssertionError("quotient Burnside sum not divisible by the group order")

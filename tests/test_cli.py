@@ -97,7 +97,7 @@ def test_parallelism_yields_identical_report(capsys):
 
 
 def test_verbose_classes_counts_indices(capsys):
-    # 2239 indices at q = 2, n = 12: more than one batch of the fold
+    # 2239 indices at q = 2, n = 12, folded in 13 spectra-weight tasks
     for q, n in ((2, 12), (3, 4), (7, 2)):
         want = str(sum(1 for _ in enumerate_classes(n, q)))
         for jobs in ("1", "2"):
@@ -223,6 +223,17 @@ def test_verify_refuses_a_flag_the_suite_never_reads(capsys, suite, flag):
     assert code == 2 and body["status"] == "error" and body["checks"] == []
     assert body["results"] == {"error": f"suite {suite} takes no {option}"}
     assert body["parameters"][flag] == "3"
+
+
+@pytest.mark.parametrize("suite", ["class-equation", "reps", "oracle", "compound"])
+def test_verify_refuses_parallelism_the_suite_never_reads(capsys, suite):
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--n", "2", "--parallelism", "2")
+    body = json.loads(out)
+    assert code == 2 and body["status"] == "error" and body["checks"] == []
+    assert body["results"] == {"error": f"suite {suite} takes no --parallelism"}
+    # the in-process default is accepted
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--n", "2", "--parallelism", "1")
+    assert code == 0 and json.loads(out)["status"] == "ok"
 
 
 def test_raised_refusal_gets_a_report(tmp_path, capsys):

@@ -284,6 +284,20 @@ def test_enumeration_is_deterministic():
     assert first == second
 
 
+@pytest.mark.parametrize("q,n", [(2, 10), (3, 5), (5, 4)])
+def test_weight_parts_concatenate_to_the_full_stream(q, n):
+    parts = [idx for w in range(n + 1) for idx in enumerate_classes(n, q, w)]
+    assert parts == list(enumerate_classes(n, q))
+    for w in range(n + 1):
+        assert all(weight(idx.unipotent) == n - w for idx in enumerate_classes(n, q, w)), w
+
+
+@pytest.mark.parametrize("w", [-1, 5, 9])
+def test_spectra_weight_outside_range_raises(w):
+    with pytest.raises(ValueError, match=f"spectra weight w = {w} outside 0..4"):
+        list(enumerate_classes(4, 2, w))
+
+
 def unipotent_outer_classes(n, q):
     # the unipotent-outer order: every unipotent partition, then all spectra
     # tuples of the remaining weight, then the translation-marked copies

@@ -179,11 +179,10 @@ def test_monotone_growth():
 
 def test_parallel_fold_is_identical():
     assert count_function_classes(8, 2, jobs=2) == count_function_classes(8, 2)
-    # odd q, with runs cut between the pool's batches at chunk 7
+    # odd q, whose spectra weights are all nonempty
     for terms in (formulas._orbit_terms, formulas._class_terms):
         serial = burnside_total(5, 3, terms)
         assert burnside_total(5, 3, terms, jobs=2) == serial
-        assert burnside_total(5, 3, terms, jobs=2, chunk=7) == serial
 
 
 def test_fold_progress_on_both_paths():
@@ -208,11 +207,11 @@ def test_fold_matches_reference_sum():
         assert count_function_classes(n, q) == reference // group, (q, n)
 
 
-def spectra_runs(n, q):
+def spectra_runs(indices):
     """[start, length] of each run of class indices that share one spectra tuple."""
     runs = []
     previous = None
-    for position, idx in enumerate(enumerate_classes(n, q)):
+    for position, idx in enumerate(indices):
         if idx.spectra is previous:
             runs[-1][1] += 1
         else:
@@ -234,26 +233,54 @@ def fold_totals(n, q):
 
 
 @pytest.mark.parametrize("q, n", [(2, 8), (3, 5), (5, 4)])
-def test_run_fold_is_independent_of_the_batch_cut(q, n):
-    # chunk 7 cuts runs between batches, chunk 1 cuts every run longer than 1
-    assert any(start // 7 != (start + length - 1) // 7 for start, length in spectra_runs(n, q))
-    for terms, total in fold_totals(n, q).items():
-        for chunk in (1, 7, 2048):
-            assert burnside_total(n, q, terms, chunk=chunk) == total, (q, n, terms, chunk)
-
-
-@pytest.mark.parametrize("q, n", [(2, 8), (3, 5), (5, 4)])
 def test_fold_is_independent_of_the_index_order(monkeypatch, q, n):
-    # the fold keys its rows by (partition, marker), so a shuffle that
-    # breaks every spectra run changes no total, serial or pooled
+    # the fold keys its rows by (partition, marker), so a shuffle within
+    # each spectra weight that breaks the spectra runs changes no total,
+    # serial or pooled (forked workers see the stand-in)
     expected = fold_totals(n, q)
-    shuffled = list(enumerate_classes(n, q))
-    random.Random(1717 + n).shuffle(shuffled)
-    monkeypatch.setattr(formulas, "enumerate_classes", lambda n_, q_: iter(shuffled))
+    shuffled = {}
+    for w in range(n + 1):
+        shuffled[w] = list(enumerate_classes(n, q, w))
+        random.Random(1717 + 31 * n + w).shuffle(shuffled[w])
+    assert sum(len(spectra_runs(shuffled[w])) for w in shuffled) > len(spectra_runs(enumerate_classes(n, q)))
+    monkeypatch.setattr(formulas, "enumerate_classes", lambda n_, q_, w: iter(shuffled[w]))
     for terms, total in expected.items():
-        for chunk in (1, 7, 2048):
-            assert burnside_total(n, q, terms, chunk=chunk) == total, (q, n, terms, chunk)
-        assert burnside_total(n, q, terms, jobs=2, chunk=7) == total, (q, n, terms)
+        assert burnside_total(n, q, terms) == total, (q, n, terms)
+        assert burnside_total(n, q, terms, jobs=2) == total, (q, n, terms)
+
+
+def test_index_of_another_weight_raises(monkeypatch):
+    # a task draws only its own weight's indices; one from another weight
+    # has no row in the task's table
+    full = formulas.enumerate_classes
+    stray = next(full(5, 3, 1))
+
+    def with_a_stray(n, q, w):
+        yield from full(n, q, w)
+        if w == 3:
+            yield stray
+
+    monkeypatch.setattr(formulas, "enumerate_classes", with_a_stray)
+    for jobs in (1, 2):
+        with pytest.raises(AssertionError, match="class index without a unipotent row"):
+            burnside_total(5, 3, formulas._orbit_terms, jobs=jobs)
+
+
+def test_pooled_fold_builds_no_class_index_in_the_parent(monkeypatch):
+    # the parent sends (n, q, w, ...) only; forked workers count on their
+    # own copy of the counter, so the parent's stays at zero
+    full = formulas.enumerate_classes
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return full(*args)
+
+    monkeypatch.setattr(formulas, "enumerate_classes", counted)
+    assert burnside_total(6, 2, formulas._class_terms, jobs=2) == agl_group_order(6, 2)
+    assert calls == []
+    assert burnside_total(6, 2, formulas._class_terms) == agl_group_order(6, 2)
+    assert calls == [(6, 2, w) for w in range(6, -1, -1)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -280,9 +307,10 @@ def test_row_table_missing_a_marker_row_raises(monkeypatch, which):
         return rows
 
     monkeypatch.setattr(formulas, "_unipotent_rows", without_a_marker)
-    for chunk in (1, 7, 2048):
+    # the pool re-raises a worker's error in the caller
+    for jobs in (1, 2):
         with pytest.raises(AssertionError, match="without a unipotent row"):
-            burnside_total(5, 3, formulas._orbit_terms, chunk=chunk)
+            burnside_total(5, 3, formulas._orbit_terms, jobs=jobs)
 
 
 def horner_sum(table, q):
