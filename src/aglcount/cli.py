@@ -31,6 +31,12 @@ from .rm import coset_class_count_M, theta
 __all__ = ["RunReport", "main"]
 
 _STR_DIGITS_LIMIT = 4_000_000
+# _decimal keeps str() up to 2**16 bits where the int-str limit admits the
+# value (the default limit, 4,300 digits, admits about 14,000 bits): in a
+# fresh interpreter, where its first call also imports decimal (about 2 ms
+# and 0.5 MiB), the two break even at 50,000 to 65,000 bits (Python 3.11)
+_DECIMAL_MIN_BITS = 1 << 16
+_DECIMAL_LEAF_BITS = 1024
 # count-functions admits n up to 20 unless --max-n says otherwise
 _FUNCTIONS_MAX_N = 20
 # verify --suite reps walks about q**n points per class index at the largest n
@@ -46,7 +52,7 @@ _COMPOUND_N_LIMIT = 14
 _DUALITY_N_LIMIT = 9
 # verify --suite asymptotic computes M(n) for n = 2 .. --n-max from the
 # per-class formulas, each step of n about twice the last (--n-max 18 takes
-# 1.3-1.6 s and --n-max 20 5.4-6.2 s; 2 cores, Python 3.11); count-cosets
+# about 1.0 s and --n-max 20 1.9-2.1 s; 2 cores, Python 3.11); count-cosets
 # --coset-classes admits the same n by default, the theta paths n <= 10
 _ASYMPTOTIC_N_LIMIT = 20
 _THETA_MAX_N = 10
@@ -143,6 +149,55 @@ def _text(value) -> str:
     return "" if value is None else str(value)
 
 
+def _decimal(value: int) -> str:
+    """str(value), without Python's int-str conversion limit and, above
+    _DECIMAL_MIN_BITS, in subquadratic time.
+
+    str() of an int is quadratic on Python 3.11: at 2**20 bits it takes
+    1.7 s, and this 0.15 s (2 cores).  After CPython 3.12's
+    ``_pylong.int_to_decimal_string``: split the bits in halves down to
+    leaves of at most _DECIMAL_LEAF_BITS bits, and join the halves as
+    lo + hi * 2**w in ``decimal`` with an exact context (the Inexact trap
+    set), whose str() is linear.  Below the crossover str() stays, unless
+    the int-str limit refuses the value.
+    """
+    if value.bit_length() <= _DECIMAL_MIN_BITS:
+        try:
+            return str(value)
+        except ValueError:
+            pass  # above the int-str limit, which decimal does not have
+    import decimal
+
+    powers = {}
+
+    def power_of_two(w):
+        # 2**w, built from smaller cached powers; the halves of one level
+        # need only w and w + 1
+        if w not in powers:
+            if w <= _DECIMAL_LEAF_BITS:
+                powers[w] = decimal.Decimal(2) ** w
+            elif w - 1 in powers:
+                powers[w] = powers[w - 1] * 2
+            else:
+                half = w >> 1
+                powers[w] = power_of_two(half) * power_of_two(w - half)
+        return powers[w]
+
+    def convert(n, w):
+        if w <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, w - half) * power_of_two(half)
+
+    with decimal.localcontext() as context:
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.Emin = decimal.MIN_EMIN
+        context.traps[decimal.Inexact] = True
+        return str(convert(value, value.bit_length()))
+
+
 def _function_count_refusal(q: int, n: int, max_n: int, hint: str = "") -> str | None:
     """Why N(q, n) is refused before any work, or None: q must be a prime
     power up to 512, n at most max_n (hint says how to raise it), and the
@@ -165,9 +220,9 @@ def _cmd_count_functions(args, report: RunReport) -> str | None:
     _progress(args, f"counting function classes for q={args.q}, n={args.n}")
     folded = _FoldProgress(args)
     value = count_function_classes(args.n, args.q, jobs=args.parallelism, progress=folded)
-    report.results["function_classes"] = str(value)
+    report.results["function_classes"] = _decimal(value)
     if args.n >= 1:
-        report.results["group_order"] = str(agl_group_order(args.n, args.q))
+        report.results["group_order"] = _decimal(agl_group_order(args.n, args.q))
         if args.verbose_classes:
             report.results["class_indices"] = str(folded.done)
 
@@ -191,14 +246,14 @@ def _cmd_count_cosets(args, report: RunReport) -> str | None:
         if args.n < 2:
             return "coset classes need n >= 2"
         value = coset_class_count_M(args.n, jobs=args.parallelism, progress=callback)
-        report.results["coset_classes"] = str(value)
+        report.results["coset_classes"] = _decimal(value)
     else:
         s = 0 if args.s is None else args.s
         r = args.n if args.r is None else args.r
         if not 0 <= s <= r <= args.n:
             return f"need 0 <= s <= r <= n, got s={s}, r={r}, n={args.n}"
         value = theta(args.n, s, r, jobs=args.parallelism, progress=callback)
-        report.results["quotient_classes"] = str(value)
+        report.results["quotient_classes"] = _decimal(value)
 
 
 def _suite_reps(args, report: RunReport) -> str | None:
@@ -245,7 +300,7 @@ def _suite_oracle(args, report: RunReport) -> None:
     q, n = args.q, args.n
     brute = burnside_full(n, q)  # its guards refuse before the fold runs
     value = count_function_classes(n, q)
-    report.results["function_classes"] = str(value)
+    report.results["function_classes"] = _decimal(value)
     report.add_check(f"oracle burnside q={q} n={n}", brute == value, f"{brute} vs {value}")
     try:
         orbits = orbit_enumeration(n, q)
@@ -301,7 +356,7 @@ def _suite_asymptotic(args, report: RunReport) -> str | None:
     outcome = asymptotic_report(args.n_max, jobs=args.parallelism)
     report.results["constant"] = outcome.constant
     for row in outcome.rows:
-        report.results[f"classes_n{row.n}"] = str(row.class_count)
+        report.results[f"classes_n{row.n}"] = _decimal(row.class_count)
         report.results[f"ratio_n{row.n}"] = row.ratio_text
         report.results[f"ratio_excess_n{row.n}"] = row.excess_text
         report.results[f"limit_ratio_n{row.n}"] = row.limit_ratio_text
@@ -393,7 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    sys.set_int_max_str_digits(_STR_DIGITS_LIMIT)
     args = _build_parser().parse_args(argv)
     # --out is opened before any work, so an unwritable path is refused at
     # once rather than after the count

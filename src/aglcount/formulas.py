@@ -15,7 +15,9 @@ functions F_q**n -> F_q.
 path: every count (function classes, the class equation, the quotient codes
 of ``rm``) sums weight * |class| * q**e over the classes.  Most of a class's
 work depends on its spectra tuple alone, and the fold rebuilds those pieces
-whenever the tuple changes; the unipotent side is looked up by (partition,
+whenever the tuple changes, from parts cached once per partition tuple and
+from divisibility-pattern weights found by inclusion-exclusion over the
+orders d, with no factoring; the unipotent side is looked up by (partition,
 marker) in one table per unipotent weight.  So the indices may come in any
 order, and the enumeration's runs of one spectra tuple only save work.  One
 spectra weight, which owns one row table, is the unit of work on the
@@ -31,14 +33,8 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from typing import Sequence
 
-from .conjugacy import ClassIndex, enumerate_classes
-from .numtheory import (
-    agl_group_order,
-    factorize,
-    multiplicative_order,
-    p_adic_valuation,
-    prime_power,
-)
+from .conjugacy import ClassIndex, PartitionTuple, _permutation_count, enumerate_classes
+from .numtheory import agl_group_order, multiplicative_order, p_adic_valuation, prime_power
 from .partitions import Partition, enumerate_partitions, largest_part, support, weight
 
 __all__ = [
@@ -89,20 +85,6 @@ def _ceil_log(p: int, m: int) -> int:
     return e
 
 
-def _divisors_with_phi(fact: dict[int, int]) -> list[tuple[int, int]]:
-    out = [(1, 1)]
-    for prime, e in fact.items():
-        nxt = []
-        for d, ph in out:
-            nxt.append((d, ph))
-            pk = 1
-            for k in range(1, e + 1):
-                pk *= prime
-                nxt.append((d * pk, ph * (pk - pk // prime)))
-        out = nxt
-    return out
-
-
 @lru_cache(maxsize=None)
 def _positions(mask: int) -> tuple[int, ...]:
     """Bit positions of mask: one shared tuple per mask."""
@@ -113,22 +95,48 @@ def _positions(mask: int) -> tuple[int, ...]:
 def _divisibility_weights(ds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """L = lcm(ds), the patterns S (sets of positions in ds) for which some
     divisor k of L is divisible by exactly the ds[i], i in S, and per
-    pattern the sum g_S of phi(L / k) over those k.  The g_S add up to L."""
-    lcm = math.lcm(*ds)
-    fact: dict[int, int] = {}
-    for d in ds:
-        for prime, e in factorize(d):
-            fact[prime] = max(fact.get(prime, 0), e)
-    if math.prod(prime**e for prime, e in fact.items()) != lcm:
-        raise AssertionError("order factorization does not multiply back to the lcm of the orders d")
-    weights: Counter = Counter()
-    for cofactor, phi in _divisors_with_phi(fact):
-        k = lcm // cofactor
-        weights[sum(1 << i for i, d in enumerate(ds) if k % d == 0)] += phi
-    return lcm, tuple(map(_positions, weights)), tuple(weights.values())
+    pattern the sum g_S of phi(L / k) over those k.
+
+    By inclusion-exclusion, with no factorization: the divisors k of L
+    divisible by every ds[i], i in T, are the multiples of l_T = lcm(ds[i] :
+    i in T), and phi(L / k) summed over them is h(T) = L / l_T (the phi(j)
+    over the divisors j of m add up to m).  So h(T) is the sum of g_S over
+    the S that contain T, and g_S is the Moebius transform of h over the
+    supersets of S.  The g_S always add up to h({}) = L, so the checks are
+    others: every g_S >= 0, and every kept S (g_S > 0) is closed under
+    division, since a k divisible by ds[i] is divisible by each ds[j] that
+    divides ds[i].
+    """
+    size = 1 << len(ds)
+    lcms = [1] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        lcms[mask] = math.lcm(lcms[mask ^ low], ds[low.bit_length() - 1])
+    lcm = lcms[-1]
+    g = []
+    for sub in lcms:
+        h, rem = divmod(lcm, sub)
+        if rem:
+            raise AssertionError("lcm of some orders d does not divide the lcm of all")
+        g.append(h)
+    for i in range(len(ds)):
+        bit = 1 << i
+        for mask in range(size):
+            if not mask & bit:
+                g[mask] -= g[mask | bit]
+    # per position i, the positions j with ds[j] dividing ds[i]
+    dividing = [sum(1 << j for j, dj in enumerate(ds) if d % dj == 0) for d in ds]
+    kept = []
+    for mask, g_s in enumerate(g):
+        if g_s < 0:
+            raise AssertionError("divisibility pattern weight went negative")
+        if g_s:
+            if any(dividing[i] & ~mask for i in _positions(mask)):
+                raise AssertionError("divisibility pattern not closed under division of the orders d")
+            kept.append(mask)
+    return lcm, tuple(map(_positions, kept)), tuple([g[mask] for mask in kept])
 
 
-@lru_cache(maxsize=None)
 def _level_sums(parts: tuple[Partition, ...], p: int, a: int) -> tuple[int, ...]:
     """For nu = 0..a, the sum over the partitions of sum_j min(p**nu, j) * m_j:
     the fixed dimension of a unipotent power of p-adic valuation nu on
@@ -139,6 +147,26 @@ def _level_sums(parts: tuple[Partition, ...], p: int, a: int) -> tuple[int, ...]
         out.append(sum(min(cap, j) * mj for lam in parts for j, mj in enumerate(lam, start=1)))
         cap *= p
     return tuple(out)
+
+
+# What the class formulas take from one partition tuple of the spectra: the
+# centralizer factor of its blocks, its largest part m_d, its fold
+# multiplicity, and o_d * S_d(nu) for nu = 0..ceil(log_p m_d), after which
+# it stays at its last value.
+_Block = namedtuple("_Block", "centralizer largest multiplicity fixed")
+
+
+@lru_cache(maxsize=None)
+def _block(q: int, spectrum: PartitionTuple) -> _Block:
+    """The parts of one partition tuple, each worked out once per tuple."""
+    o = multiplicative_order(q, spectrum.d)
+    entries = spectrum.entries
+    exponent = o * sum([_pairwise_min_sum(entry) for entry in entries])
+    centralizer = _centralizer_factor(q, exponent, [(o, entry) for entry in entries])
+    largest = max([largest_part(entry) for entry in entries], default=0)
+    p = prime_power(q).p
+    fixed = tuple([o * s for s in _level_sums(entries, p, _ceil_log(p, largest))])
+    return _Block(centralizer, largest, _permutation_count(spectrum.psi, entries), fixed)
 
 
 # What the class formulas take from one spectra tuple: the centralizer factor
@@ -154,22 +182,26 @@ def _spectra_pieces(idx: ClassIndex) -> _Pieces:
         P(nu) = sum_S g_S q**(sum_{i in S} o_i S_i(nu))
 
     of ``orbit_exponent``, which stay constant once p**nu >= m, up to the
-    largest p-adic valuation of an element order at dimension n.  The fold
-    builds them whenever the spectra tuple differs from the previous
-    index's, so nothing is cached or hashed per index.
+    largest p-adic valuation of an element order at dimension n.  The
+    centralizer factor and the multiplicity are products, the largest part
+    a max, and o_i S_i(nu) a lookup, of the cached parts of each partition
+    tuple.  The fold builds the pieces whenever the spectra tuple differs
+    from the previous index's, so nothing is cached or hashed per index.
     """
     q, spectra = idx.q, idx.spectra
     p = prime_power(q).p
-    orders = [multiplicative_order(q, spectrum.d) for spectrum in spectra]
-    blocks = [(o, entry) for o, spectrum in zip(orders, spectra) for entry in spectrum.entries]
-    centralizer = _centralizer_factor(q, sum([o * _pairwise_min_sum(entry) for o, entry in blocks]), blocks)
-    largest = max([largest_part(entry) for _, entry in blocks], default=0)
+    blocks = [_block(q, spectrum) for spectrum in spectra]
+    centralizer = multiplicity = 1
+    largest = 0
+    for block in blocks:
+        centralizer *= block.centralizer
+        multiplicity *= block.multiplicity
+        largest = max(largest, block.largest)
     top = _ceil_log(p, largest)
     lcm, patterns, weights = _divisibility_weights(tuple([spectrum.d for spectrum in spectra]))
-    levels = [_level_sums(spectrum.entries, p, top) for spectrum in spectra]
     pattern_sums = []
     for nu in range(top + 1):
-        exponents = [o * level[nu] for o, level in zip(orders, levels)]
+        exponents = [block.fixed[min(nu, len(block.fixed) - 1)] for block in blocks]
         total = 0
         for dividing, g in zip(patterns, weights):
             e = 0
@@ -178,7 +210,7 @@ def _spectra_pieces(idx: ClassIndex) -> _Pieces:
             total += g * q**e
         pattern_sums.append(total)
     pattern_sums += pattern_sums[-1:] * (_ceil_log(p, idx.n) + 1 - top)
-    return _Pieces(centralizer, lcm, largest, top, tuple(pattern_sums), idx.multiplicity())
+    return _Pieces(centralizer, lcm, largest, top, tuple(pattern_sums), multiplicity)
 
 
 # What the class formulas take from one unipotent partition and marker: the
@@ -314,7 +346,8 @@ def _fold_weight(args) -> tuple[int, Counter]:
     """Fold the indices of spectra weight w: their number, and per exponent
     e the sum of weight * class size over their (weight, e) terms.  The row
     table (weight n - w) is taken at the first index (none for an empty
-    weight), the spectra pieces once per run; any order gives the same sum."""
+    weight), the spectra pieces and the group order over their centralizer
+    factor once per run; any order gives the same sum."""
     n, q, w, group, terms = args
     p = prime_power(q).p
     coeffs: Counter = Counter()
@@ -325,8 +358,12 @@ def _fold_weight(args) -> tuple[int, Counter]:
             spectra = idx.spectra
             pieces = _spectra_pieces(idx)
             rows = rows or _unipotent_rows(n - w, q, _ceil_log(p, n) + 1)
+            quotient, rem = divmod(group, pieces.centralizer)
+            if rem:
+                raise AssertionError("centralizer does not divide the group order")
         row = _unipotent_row(idx, rows)
-        size, rem = divmod(group, row.centralizer * pieces.centralizer)
+        # together with the check above: the product divides the group order
+        size, rem = divmod(quotient, row.centralizer)
         if rem:
             raise AssertionError("centralizer does not divide the group order")
         orbits = _orbit_count(row, pieces, p, _order_exponent(row, pieces))

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from aglcount import cli
 from aglcount.cli import main
 from aglcount.conjugacy import enumerate_classes
 from aglcount.rm import theta
+from test_compound import int_str_digits
 
 
 def run_cli(capsys, *argv):
@@ -430,3 +432,52 @@ def test_asymptotic_suite_compares_ratios_only_when_two_exist(capsys):
         names = [check["name"] for check in body["checks"]]
         decreasing = f"ratios-decreasing n>=5 (n_max={n_max})"
         assert names == ["ratios-exceed-one"] + [decreasing] * (n_max >= 6), n_max
+
+
+def test_decimal_matches_str():
+    # str() is the reference, so the int-str limit is lifted for this test only
+    values = [0, 1]
+    for k in (1, 2, 17, 308, 309, 310, 5000, 9864, 9865, 40000):
+        values += [10**k - 1, 10**k, 10**k + 1]
+    # around the leaf size of the split and the crossover to str()
+    for bits in (cli._DECIMAL_LEAF_BITS, cli._DECIMAL_MIN_BITS, 2 * cli._DECIMAL_MIN_BITS):
+        for k in (bits - 1, bits, bits + 1):
+            values += [2**k - 1, 2**k, 2**k + 1]
+    rng = random.Random(2026)
+    for top in range(4, 21):
+        values.append(rng.getrandbits(rng.randrange(2 ** (top - 1), 2**top + 1)))
+    with int_str_digits(0):
+        for value in values:
+            assert cli._decimal(value) == str(value), value.bit_length()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count-functions", "--q", "2", "--n", "14"),
+        ("count-cosets", "--coset-classes", "--n", "14"),
+        ("verify", "--suite", "asymptotic", "--n-max", "14"),
+    ],
+)
+def test_reports_do_not_depend_on_the_int_str_limit(argv):
+    # counts of about 4,900 digits, above the lowest limit Python allows;
+    # the cli sets no limit of its own, so an embedding program keeps its own
+    reports = []
+    for limit in ("640", "0"):
+        proc = subprocess.run(
+            [sys.executable, "-X", f"int_max_str_digits={limit}", "-m", "aglcount", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    assert strip_timing(reports[0]) == strip_timing(reports[1])
+    assert max(map(len, json.loads(reports[0])["results"].values())) > 4000
+
+
+def test_main_leaves_the_int_str_limit_alone(capsys):
+    with int_str_digits(640):
+        code, out = run_cli(capsys, "count-functions", "--q", "2", "--n", "14")
+        assert sys.get_int_max_str_digits() == 640
+    assert code == 0 and len(json.loads(out)["results"]["function_classes"]) == 4870

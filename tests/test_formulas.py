@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from aglcount.numtheory import (
     agl_group_order,
     divisors,
     euler_phi,
+    factorize,
     multiplicative_order,
     p_adic_valuation,
     prime_power,
@@ -347,27 +349,80 @@ def test_evaluate_class_consistency():
         assert idx.multiplicity() == math.prod(permutation_count(t) for t in idx.spectra)
 
 
-def test_order_factorization_check_survives_optimize():
-    # a factorization that loses a prime must still be caught under -O
+def divisor_walk_weights(ds):
+    """The former pattern weights: factor the lcm L of the d's, walk every
+    divisor k of L with phi(L / k), and add it to the pattern of the d
+    dividing k."""
+    lcm = math.lcm(*ds)
+    walk = [(1, 1)]  # (L / k, phi(L / k))
+    for prime, e in factorize(lcm):
+        walk = [(c * prime**j, ph * euler_phi(prime**j)) for c, ph in walk for j in range(e + 1)]
+    weights = Counter()
+    for cofactor, phi in walk:
+        k = lcm // cofactor
+        weights[tuple(i for i, d in enumerate(ds) if k % d == 0)] += phi
+    return lcm, dict(weights)
+
+
+def test_pattern_weights_match_the_divisor_walk():
+    # every tuple of orders d folded by N(2, 16), N(3, 9), N(5, 7) and N(7, 5)
+    for q, n in ((2, 16), (3, 9), (5, 7), (7, 5)):
+        orders = {tuple(s.d for s in idx.spectra) for idx in enumerate_classes(n, q)}
+        assert max(map(len, orders)) >= 3, (q, n)
+        for ds in orders:
+            lcm, patterns, weights = formulas._divisibility_weights(ds)
+            assert (lcm, dict(zip(patterns, weights))) == divisor_walk_weights(ds), (q, n, ds)
+            assert sum(weights) == lcm and all(weights), ds
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_pattern_weight_check_survives_optimize(corrupt):
+    # a product in place of the lcm, for the orders 2 and 4 at q = 3, n = 3,
+    # keeps every weight >= 0 and their sum at L, but gives weight to the
+    # pattern {4} without 2: the division check must catch it under -O
     script = textwrap.dedent(
-        """
+        f"""
+        import math
         import sys
         import aglcount.formulas as formulas
         from aglcount.conjugacy import enumerate_classes
 
         if not sys.flags.optimize:
             raise SystemExit("not running under -O")
-        full = formulas.factorize
-        formulas.factorize = lambda m: full(m)[1:]
-        idx = max(enumerate_classes(3, 2), key=formulas.element_order)
-        formulas.orbit_exponent(idx)
+        idx = next(i for i in enumerate_classes(3, 3) if [s.d for s in i.spectra] == [2, 4])
+        if {corrupt}:
+            math.lcm = lambda *ds: math.prod(ds)
+        print(formulas.orbit_exponent(idx))
         """
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
     )
+    if not corrupt:
+        assert proc.returncode == 0, proc.stderr
+        return
     assert proc.returncode != 0
-    assert "AssertionError: order factorization" in proc.stderr, proc.stderr
+    assert "AssertionError: divisibility pattern not closed under division" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("w", [5, 0])
+def test_fold_checks_each_centralizer_division(monkeypatch, w):
+    # a factor 1009 (a prime beyond every order at n = 5) on the spectra
+    # side at w = n, whose one row has factor 1, or on the row side at
+    # w = 0, whose spectra are empty: each division check alone sees it
+    if w:
+        block = formulas._block.__wrapped__
+        monkeypatch.setattr(formulas, "_block", lambda q, s: block(q, s)._replace(centralizer=1009))
+    else:
+        full = formulas._unipotent_rows.__wrapped__
+
+        def with_wrong_rows(m, q, top):
+            return {key: row._replace(centralizer=1009 * row.centralizer) for key, row in full(m, q, top).items()}
+
+        monkeypatch.setattr(formulas, "_unipotent_rows", with_wrong_rows)
+    task = (5, 3, w, agl_group_order(5, 3), formulas._class_terms)
+    with pytest.raises(AssertionError, match="centralizer does not divide the group order"):
+        formulas._fold_weight(task)
 
 
 def test_formula_matches_matrix_per_power():
