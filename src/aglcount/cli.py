@@ -23,7 +23,7 @@ from .compound import asymptotic_report, check_kronecker_embedding, jordan_struc
 from .conjugacy import enumerate_classes
 from .formulas import class_equation_total, count_function_classes
 from .linalg import GFMatrix
-from .numtheory import agl_group_order, is_prime_power
+from .numtheory import agl_group_order, is_prime_power, power_exceeds
 from .oracle import burnside_full, orbit_enumeration
 from .reps import _POINT_LIMIT, verify_class
 from .rm import coset_class_count_M, theta
@@ -37,8 +37,6 @@ _STR_DIGITS_LIMIT = 4_000_000
 # and 0.5 MiB), the two break even at 50,000 to 65,000 bits (Python 3.11)
 _DECIMAL_MIN_BITS = 1 << 16
 _DECIMAL_LEAF_BITS = 1024
-# count-functions admits n up to 20 unless --max-n says otherwise
-_FUNCTIONS_MAX_N = 20
 # verify --suite reps walks about q**n points per class index at the largest n
 _REPS_STEP_LIMIT = 1 << 24
 # verify --suite compound substitutes into 2**n monomials, whose images are
@@ -47,14 +45,11 @@ _REPS_STEP_LIMIT = 1 << 24
 # Python 3.11)
 _COMPOUND_N_LIMIT = 14
 # verify --suite duality computes theta(n, s, r) once per 0 <= s <= r <= n;
-# each step of n costs 5 to 6 times the last (--n 9 takes 28 s and --n 10
+# each step of n costs 5 to 6 times the last (--n 9 takes 21 s and --n 10
 # 155 s; 2 cores, Python 3.11)
 _DUALITY_N_LIMIT = 9
-# verify --suite asymptotic computes M(n) for n = 2 .. --n-max from the
-# per-class formulas, each step of n about twice the last (--n-max 18 takes
-# about 1.0 s and --n-max 20 1.9-2.1 s; 2 cores, Python 3.11); count-cosets
-# --coset-classes admits the same n by default, the theta paths n <= 10
-_ASYMPTOTIC_N_LIMIT = 20
+# the theta paths of count-cosets walk class representatives, whose cost no
+# digit bound sees: n <= 10 unless --max-n says otherwise
 _THETA_MAX_N = 10
 
 
@@ -136,15 +131,6 @@ class _FoldProgress:
             _progress(self.args, f"  {done} class indices folded, {rate:.0f} indices/s")
 
 
-def _count_digits_lower_bound(n: int, q: int) -> float:
-    """log10(q**(q**n) / |AGL(n, F_q)|), a lower bound on the number of
-    decimal digits of the count: no orbit has more elements than the group."""
-    try:
-        return q**n * math.log10(q) - math.log10(agl_group_order(n, q))
-    except OverflowError:
-        return math.inf
-
-
 def _text(value) -> str:
     return "" if value is None else str(value)
 
@@ -198,15 +184,23 @@ def _decimal(value: int) -> str:
         return str(convert(value, value.bit_length()))
 
 
-def _function_count_refusal(q: int, n: int, max_n: int, hint: str = "") -> str | None:
-    """Why N(q, n) is refused before any work, or None: q must be a prime
-    power up to 512, n at most max_n (hint says how to raise it), and the
-    count printable within _STR_DIGITS_LIMIT digits."""
-    if not is_prime_power(q) or q > 512:
+def _count_refusal(q: int, n: int, affine_quotient: bool = False) -> str | None:
+    """Why a count of the AGL(n, F_q) orbits on the q**dim functions
+    F_q**n -> F_q (dim = q**n) or on their quotient by the affine ones
+    (dim = q**n - n - 1) is refused before any work, or None.
+
+    q is a prime power up to 512 and n >= 0, and the count is printed with
+    at most _STR_DIGITS_LIMIT digits.  No orbit has more elements than
+    |AGL(n, F_q)| < q**(n*n + n), so the count has more than
+    (dim - n*n - n) * log10(q) digits.  That grows with n from n = 4 on and
+    is over the limit from n = 24 on for every q, so it is taken at
+    min(n, 64): O(1) for any n, and still a lower bound."""
+    if q > 512 or not is_prime_power(q):
         return f"q = {q} is not a prime power in 2..512"
-    if n < 0 or n > max_n:
-        return f"n = {n} outside 0..{max_n}{hint}"
-    digits = _count_digits_lower_bound(n, q)
+    if n < 0:
+        return f"n = {n} must be >= 0"
+    m = min(n, 64)
+    digits = (q**m - m * m - m - (m + 1 if affine_quotient else 0)) * math.log10(q)
     if digits > _STR_DIGITS_LIMIT:
         return f"the count has more than {digits:.4g} digits, above the limit {_STR_DIGITS_LIMIT}"
     return None
@@ -214,8 +208,7 @@ def _function_count_refusal(q: int, n: int, max_n: int, hint: str = "") -> str |
 
 def _cmd_count_functions(args, report: RunReport) -> str | None:
     report.parameters = {"q": str(args.q), "n": str(args.n)}
-    error = _function_count_refusal(args.q, args.n, args.max_n, " (raise --max-n to override)")
-    if error:
+    if error := _count_refusal(args.q, args.n):
         return error
     _progress(args, f"counting function classes for q={args.q}, n={args.n}")
     folded = _FoldProgress(args)
@@ -234,20 +227,22 @@ def _cmd_count_cosets(args, report: RunReport) -> str | None:
         "r": _text(args.r),
         "coset_classes": str(bool(args.coset_classes)),
     }
-    if args.coset_classes and (args.s is not None or args.r is not None):
-        return "--coset-classes counts the quotient by affine functions and takes no --s or --r"
-    max_n = args.max_n
-    if max_n is None:
-        max_n = _ASYMPTOTIC_N_LIMIT if args.coset_classes else _THETA_MAX_N
-    if args.n < 1 or args.n > max_n:
-        return f"n = {args.n} outside 1..{max_n} (raise --max-n to override)"
     callback = _FoldProgress(args)
     if args.coset_classes:
+        if args.s is not None or args.r is not None:
+            return "--coset-classes counts the quotient by affine functions and takes no --s or --r"
+        if args.max_n is not None:
+            return "--coset-classes is bounded by the digits of its count and takes no --max-n"
         if args.n < 2:
             return "coset classes need n >= 2"
+        if error := _count_refusal(2, args.n, affine_quotient=True):
+            return error
         value = coset_class_count_M(args.n, jobs=args.parallelism, progress=callback)
         report.results["coset_classes"] = _decimal(value)
     else:
+        max_n = _THETA_MAX_N if args.max_n is None else args.max_n
+        if args.n < 1 or args.n > max_n:
+            return f"n = {args.n} outside 1..{max_n} (raise --max-n to override)"
         s = 0 if args.s is None else args.s
         r = args.n if args.r is None else args.r
         if not 0 <= s <= r <= args.n:
@@ -258,7 +253,7 @@ def _cmd_count_cosets(args, report: RunReport) -> str | None:
 
 def _suite_reps(args, report: RunReport) -> str | None:
     q = args.q
-    if q**args.n > _POINT_LIMIT:
+    if power_exceeds(q, args.n, _POINT_LIMIT):
         # the limit binds at the largest n: refuse before verifying any smaller n
         return f"point space {q}**{args.n} exceeds the check limit {_POINT_LIMIT}"
     indices = sum(1 for _ in enumerate_classes(args.n, q))
@@ -282,9 +277,8 @@ def _suite_reps(args, report: RunReport) -> str | None:
 def _suite_class_equation(args, report: RunReport) -> str | None:
     q = args.q
     # the class equation folds the class indices of N(q, n) and factors the
-    # same q**i - 1, so it refuses what count-functions refuses by default
-    error = _function_count_refusal(q, args.n, _FUNCTIONS_MAX_N)
-    if error:
+    # same q**i - 1, so it refuses what count-functions refuses
+    if error := _count_refusal(q, args.n):
         return error
     for n in range(1, args.n + 1):
         total = class_equation_total(n, q)
@@ -351,8 +345,11 @@ def _suite_compound(args, report: RunReport) -> str | None:
 
 
 def _suite_asymptotic(args, report: RunReport) -> str | None:
-    if args.n_max > _ASYMPTOTIC_N_LIMIT:
-        return f"n_max = {args.n_max} exceeds the asymptotic sweep limit {_ASYMPTOTIC_N_LIMIT}"
+    # M(n) for n = 2 .. --n-max, each step of n about twice the last
+    # (--n-max 20 takes 3.2 s; 2 cores, Python 3.11): refused when M(n_max)
+    # is, as by count-cosets --coset-classes; the report refuses n_max < 2
+    if error := _count_refusal(2, max(args.n_max, 0), affine_quotient=True):
+        return f"n_max = {args.n_max}: {error}"
     outcome = asymptotic_report(args.n_max, jobs=args.parallelism)
     report.results["constant"] = outcome.constant
     for row in outcome.rows:
@@ -418,7 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count-functions", help="number of function classes under affine equivalence")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=_FUNCTIONS_MAX_N, dest="max_n")
     p.add_argument("--verbose-classes", action="store_true", dest="verbose_classes",
                    help="include the class-index count in the report")
     common(p)
@@ -431,8 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coset-classes", action="store_true", dest="coset_classes",
                    help="count classes of the quotient by affine functions")
     p.add_argument("--max-n", type=int, default=None, dest="max_n",
-                   help=f"largest n admitted (default {_ASYMPTOTIC_N_LIMIT} with --coset-classes, "
-                   f"else {_THETA_MAX_N})")
+                   help=f"largest n admitted for theta (default {_THETA_MAX_N}); not with --coset-classes")
     common(p)
     p.set_defaults(handler=_cmd_count_cosets)
 

@@ -38,6 +38,7 @@ from .numtheory import agl_group_order, multiplicative_order, p_adic_valuation, 
 from .partitions import Partition, enumerate_partitions, largest_part, support, weight
 
 __all__ = [
+    "burnside_count",
     "burnside_total",
     "centralizer_order",
     "class_equation_total",
@@ -425,6 +426,14 @@ def burnside_total(n: int, q: int, terms, jobs: int = 1, progress=None) -> int:
         return _merge(pool.imap_unordered(_fold_weight, tasks), q, progress)
 
 
+def burnside_count(n: int, q: int, terms, jobs: int = 1, progress=None) -> int:
+    """Number of orbits: ``burnside_total`` divided exactly by |AGL(n, F_q)|."""
+    count, rem = divmod(burnside_total(n, q, terms, jobs=jobs, progress=progress), agl_group_order(n, q))
+    if rem:
+        raise AssertionError("Burnside sum not divisible by the group order")
+    return count
+
+
 def _orbit_terms(idx: ClassIndex, multiplicity: int, orbits: int):
     return ((multiplicity, orbits),)
 
@@ -437,18 +446,14 @@ def count_function_classes(n: int, q: int, jobs: int = 1, progress=None) -> int:
     """Number of AGL(n, F_q) orbits of the q**(q**n) functions F_q**n -> F_q.
 
     n = 0 returns q by convention (q constant functions, trivial group).
-    jobs and progress go to ``burnside_total``, as for every count.
+    jobs and progress go to ``burnside_count``, as for every orbit count.
     """
     prime_power(q)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return q
-    total = burnside_total(n, q, _orbit_terms, jobs=jobs, progress=progress)
-    count, rem = divmod(total, agl_group_order(n, q))
-    if rem:
-        raise AssertionError("Burnside sum not divisible by the group order")
-    return count
+    return burnside_count(n, q, _orbit_terms, jobs=jobs, progress=progress)
 
 
 def class_equation_total(n: int, q: int) -> int:

@@ -24,6 +24,7 @@ __all__ = [
     "is_prime_power",
     "multiplicative_order",
     "p_adic_valuation",
+    "power_exceeds",
     "prime_power",
     "psi",
 ]
@@ -146,6 +147,12 @@ def p_adic_valuation(k: int, p: int) -> int:
         k //= p
         e += 1
     return e
+
+
+def power_exceeds(q: int, n: int, limit: int) -> bool:
+    """q**n > limit, without building q**n when n alone decides it: for
+    q >= 2, q**n >= 2**n > limit from n = limit.bit_length() on."""
+    return (q >= 2 and n >= limit.bit_length()) or q**n > limit
 
 
 @lru_cache(maxsize=None)

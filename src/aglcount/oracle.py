@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .fields import FieldTable, field
 from .linalg import AffineMap, GFMatrix, cycle_lengths, point_permutation
-from .numtheory import agl_group_order
+from .numtheory import agl_group_order, power_exceeds, prime_power
 
 __all__ = ["burnside_full", "generators", "orbit_enumeration"]
 
@@ -76,10 +76,11 @@ def burnside_full(n: int, q: int) -> int:
 
     Element x |-> x A + t is the linear point image of A followed by the
     shift by t, so the sum needs no point arithmetic beyond the helpers."""
-    group = agl_group_order(n, q)
-    points = q**n
-    if group > _BURNSIDE_GROUP_LIMIT or points > _BURNSIDE_POINT_LIMIT:
+    prime_power(q)
+    # the point space bounds n first, so the group order is built small
+    if power_exceeds(q, n, _BURNSIDE_POINT_LIMIT) or agl_group_order(n, q) > _BURNSIDE_GROUP_LIMIT:
         raise ValueError(f"burnside_full guard exceeded for n={n}, q={q}")
+    group = agl_group_order(n, q)
     f = field(q)
     _, shifts, _ = _point_actions(f, n)
     total = 0
@@ -140,8 +141,8 @@ def _count_orbits(universe, perms) -> int:
 def orbit_enumeration(n: int, q: int) -> int:
     """Number of orbits of the full function space, by explicit closure of
     every function under a generating set of the group."""
-    points = q**n
-    if q**points > 70000:
+    # q**(q**n) > 70000 once q**n > 16, so n is checked before q**n is built
+    if power_exceeds(q, n, 16) or power_exceeds(q, q**n, 70000):
         raise ValueError(f"function space too large for n={n}, q={q}")
     perms = [point_permutation(g) for g in generators(n, q)]
-    return _count_orbits(itertools.product(range(q), repeat=points), perms)
+    return _count_orbits(itertools.product(range(q), repeat=q**n), perms)

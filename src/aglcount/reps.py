@@ -31,7 +31,7 @@ from .linalg import (
     jordan_block,
     point_permutation,
 )
-from .numtheory import divisors, multiplicative_order, psi
+from .numtheory import divisors, multiplicative_order, power_exceeds, psi
 
 __all__ = [
     "ClassCheckReport",
@@ -191,7 +191,7 @@ def verify_class(idx: ClassIndex) -> ClassCheckReport:
     representative's point permutation: the order is their lcm, sigma**k
     fixes the points on cycles whose length divides k, and the orbits of
     the cyclic group are the cycles."""
-    if idx.q**idx.n > _POINT_LIMIT:
+    if power_exceeds(idx.q, idx.n, _POINT_LIMIT):
         raise ValueError(f"point space {idx.q}**{idx.n} exceeds the check limit")
     lengths = cycle_lengths(point_permutation(build_representative(idx)))
     order_f = element_order(idx)

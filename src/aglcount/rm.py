@@ -10,7 +10,7 @@ substitution engine.
 
 The quotient counts have no fold of their own: each class representative
 fixes 2**nullity cosets, so ``theta`` hands (weight, nullity) terms to the
-shared Burnside fold ``formulas.burnside_total``.  M(n), the orbits of all
+shared Burnside fold ``formulas.burnside_count``.  M(n), the orbits of all
 functions modulo the affine ones, does not go through ``theta``: its fixed
 counts come from the per-class orbit exponent and a closed-form rank
 (``_affine_rank``), with no representative at all.
@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .conjugacy import ClassIndex
-from .formulas import burnside_total
+from .formulas import burnside_count
 from .linalg import AffineMap, gf2_rank
-from .numtheory import agl_group_order
 from .partitions import Partition
 from .reps import iter_class_representatives
 
@@ -166,18 +165,13 @@ def theta(n: int, s: int, r: int, jobs: int = 1, progress=None) -> int:
     """Number of AGL(n, F_2) orbits of R(r, n)/R(s-1, n), by the per-class
     Burnside sum with fixed points from the quotient action matrices.
 
-    jobs and progress go to ``formulas.burnside_total``, one task per spectra weight."""
+    jobs and progress go to ``formulas.burnside_count``, one task per spectra weight."""
     if not 0 <= s <= r <= n:
         raise ValueError(f"need 0 <= s <= r <= n, got ({n}, {s}, {r})")
     if n < 1:
         raise ValueError("n must be >= 1")
     basis = RMQuotientBasis(n, s - 1, r)
-    terms = partial(_fixed_terms, basis)
-    total = burnside_total(n, 2, terms, jobs=jobs, progress=progress)
-    count, rem = divmod(total, agl_group_order(n, 2))
-    if rem:
-        raise AssertionError("quotient Burnside sum not divisible by the group order")
-    return count
+    return burnside_count(n, 2, partial(_fixed_terms, basis), jobs=jobs, progress=progress)
 
 
 def _affine_rank(lam: Partition, marker: int | None) -> int:
@@ -220,11 +214,7 @@ def coset_class_count_M(n: int, jobs: int = 1, progress=None) -> int:
     Each class fixes 2**(orbits - rho) cosets of R(1, n) (``_affine_rank``),
     so the fold needs the per-class formulas alone: no representative, no
     substitution and no rank.  jobs and progress go to
-    ``formulas.burnside_total``."""
+    ``formulas.burnside_count``."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    total = burnside_total(n, 2, _coset_terms, jobs=jobs, progress=progress)
-    count, rem = divmod(total, agl_group_order(n, 2))
-    if rem:
-        raise AssertionError("coset Burnside sum not divisible by the group order")
-    return count
+    return burnside_count(n, 2, _coset_terms, jobs=jobs, progress=progress)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -10,6 +11,7 @@ import pytest
 from aglcount import cli
 from aglcount.cli import main
 from aglcount.conjugacy import enumerate_classes
+from aglcount.numtheory import agl_group_order, is_prime_power
 from aglcount.rm import theta
 from test_compound import int_str_digits
 
@@ -45,10 +47,14 @@ def test_count_functions_rejects_non_prime_power(capsys):
 
 
 def test_count_functions_guard(capsys):
-    code, out = run_cli(capsys, "count-functions", "--q", "2", "--n", "25")
-    assert code != 0
-    code, out = run_cli(capsys, "count-functions", "--q", "2", "--n", "12", "--max-n", "10")
-    assert code != 0
+    code, out = run_cli(capsys, "count-functions", "--q", "2", "--n", "24")
+    assert code == 2
+    assert json.loads(out)["results"]["error"] == "the count has more than 5.05e+06 digits, above the limit 4000000"
+    # the digit bound is the only guard, so no flag raises it
+    with pytest.raises(SystemExit) as exc:
+        main(["count-functions", "--q", "2", "--n", "12", "--max-n", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-n" in capsys.readouterr().err
 
 
 def test_results_are_decimal_strings(capsys):
@@ -71,16 +77,20 @@ def test_count_cosets(capsys):
 def test_count_cosets_range_errors(capsys):
     code, _ = run_cli(capsys, "count-cosets", "--n", "4", "--s", "5", "--r", "3")
     assert code != 0
-    code, _ = run_cli(capsys, "count-cosets", "--n", "12")
-    assert code != 0  # default guard is 10
-    # coset classes come from the per-class formulas alone: n <= 20 by default
+    code, out = run_cli(capsys, "count-cosets", "--n", "12")
+    assert code == 2  # default guard is 10
+    assert json.loads(out)["results"]["error"] == "n = 12 outside 1..10 (raise --max-n to override)"
+    # coset classes come from the per-class formulas alone, bounded by the
+    # digits of M(n) as N(2, n) is: M(23) is admitted and M(24) refused
     code, out = run_cli(capsys, "count-cosets", "--n", "11", "--coset-classes")
     assert code == 0 and json.loads(out)["status"] == "ok"
-    code, out = run_cli(capsys, "count-cosets", "--n", "21", "--coset-classes")
+    code, out = run_cli(capsys, "count-cosets", "--n", "24", "--coset-classes")
     assert code == 2
-    assert json.loads(out)["results"]["error"] == "n = 21 outside 1..20 (raise --max-n to override)"
-    code, _ = run_cli(capsys, "count-cosets", "--n", "11", "--coset-classes", "--max-n", "10")
-    assert code == 2
+    assert json.loads(out)["results"]["error"] == "the count has more than 5.05e+06 digits, above the limit 4000000"
+    code, out = run_cli(capsys, "count-cosets", "--n", "11", "--coset-classes", "--max-n", "10")
+    body = json.loads(out)
+    assert code == 2 and body["status"] == "error"
+    assert body["results"] == {"error": "--coset-classes is bounded by the digits of its count and takes no --max-n"}
 
 
 def test_coset_classes_refuse_s_and_r(capsys):
@@ -321,14 +331,12 @@ def test_class_equation_suite_refuses_what_count_functions_refuses(capsys):
     body = json.loads(proc.stdout)
     assert body["status"] == "error" and body["checks"] == []
     assert "digits" in body["results"]["error"]
-    # the same (q, n) as count-functions at its default --max-n, with the
-    # same reason, less the flag that verify does not take
-    for q, n in (("509", "3"), ("7", "8"), ("2", "21"), ("6", "2"), ("1024", "1")):
+    # the same (q, n) as count-functions, with the same reason
+    for q, n in (("509", "3"), ("7", "8"), ("2", "24"), ("6", "2"), ("1024", "1")):
         code, out = run_cli(capsys, "verify", "--suite", "class-equation", "--q", q, "--n", n)
         _, reference = run_cli(capsys, "count-functions", "--q", q, "--n", n)
         assert code == 2, (q, n)
-        want = json.loads(reference)["results"]["error"].replace(" (raise --max-n to override)", "")
-        assert json.loads(out)["results"]["error"] == want
+        assert json.loads(out)["results"]["error"] == json.loads(reference)["results"]["error"]
     code, out = run_cli(capsys, "verify", "--suite", "class-equation", "--q", "509", "--n", "2")
     assert code == 0 and json.loads(out)["status"] == "ok"
 
@@ -405,8 +413,11 @@ def test_compound_suite_beyond_size_limit_fails_fast():
         # n = 10 takes minutes and n = 40 would never end
         (("--suite", "duality", "--n", "10"), "n = 10 exceeds the duality sweep limit 9"),
         (("--suite", "duality", "--n", "40"), "n = 40 exceeds the duality sweep limit 9"),
-        # --n-max 20 takes about 14 s, and each step of n doubles it
-        (("--suite", "asymptotic", "--n-max", "21"), "n_max = 21 exceeds the asymptotic sweep limit 20"),
+        # --n-max 23 takes about 20 s, and M(24) is over the digit limit
+        (
+            ("--suite", "asymptotic", "--n-max", "24"),
+            "n_max = 24: the count has more than 5.05e+06 digits, above the limit 4000000",
+        ),
     ],
 )
 def test_sweep_beyond_size_limit_fails_fast(argv, message):
@@ -421,6 +432,53 @@ def test_sweep_beyond_size_limit_fails_fast(argv, message):
     assert body["status"] == "error"
     assert body["checks"] == []
     assert body["results"]["error"] == message
+
+
+def test_digit_bound_decides_as_the_exact_formula():
+    # the reference takes log10 of the exact group order, which is O(n**2)
+    # digits long; the cli takes (dim - n*n - n) * log10(q) in O(1)
+    def exact_digits(n, q, dim):
+        return dim * math.log10(q) - math.log10(agl_group_order(n, q))
+
+    for q in filter(is_prime_power, range(2, 513)):
+        for n in range(31):
+            refused = exact_digits(n, q, q**n) > cli._STR_DIGITS_LIMIT
+            assert (cli._count_refusal(q, n) is not None) == refused, (q, n)
+    for n in range(2, 31):
+        refused = exact_digits(n, 2, 2**n - n - 1) > cli._STR_DIGITS_LIMIT
+        assert (cli._count_refusal(2, n, affine_quotient=True) is not None) == refused, n
+    assert cli._count_refusal(2, 23) is None and cli._count_refusal(2, 23, affine_quotient=True) is None
+    assert cli._count_refusal(2, 24) and cli._count_refusal(2, 24, affine_quotient=True)
+    # past n = 64 the message keeps the bound at 64, a finite lower bound
+    assert cli._count_refusal(2, 10**18) == cli._count_refusal(2, 64)
+
+
+_HUGE = str(10**18)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count-functions", "--q", "2", "--n", _HUGE),
+        ("count-cosets", "--coset-classes", "--n", _HUGE),
+        ("verify", "--suite", "asymptotic", "--n-max", _HUGE),
+        ("verify", "--suite", "class-equation", "--q", "2", "--n", _HUGE),
+        ("verify", "--suite", "reps", "--q", "3", "--n", _HUGE),
+        ("verify", "--suite", "oracle", "--q", "2", "--n", _HUGE),
+    ],
+)
+def test_huge_n_is_refused_at_once(argv):
+    # every guard checks n, or a logarithm, before it builds q**n
+    proc = subprocess.run(
+        [sys.executable, "-m", "aglcount", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    body = json.loads(proc.stdout)
+    assert body["status"] == "error" and body["checks"] == []
+    assert "inf" not in body["results"]["error"]
 
 
 def test_asymptotic_suite_compares_ratios_only_when_two_exist(capsys):

@@ -11,6 +11,7 @@ import pytest
 from aglcount import formulas
 from aglcount.conjugacy import ClassIndex, enumerate_classes
 from aglcount.formulas import (
+    burnside_count,
     burnside_total,
     centralizer_order,
     class_equation_total,
@@ -172,6 +173,19 @@ def test_class_equation_small():
     for q in (2, 3, 4, 5):
         for n in range(1, 6):
             assert class_equation_total(n, q) == agl_group_order(n, q), (q, n)
+
+
+def test_burnside_count_checks_the_division():
+    # the orbit terms give the count, the class terms one orbit (the group
+    # acting on one point), and the identity alone 1 / |AGL(1, F_2)|
+    assert burnside_count(4, 3, formulas._orbit_terms) == count_function_classes(4, 3)
+    assert burnside_count(4, 3, formulas._class_terms) == 1
+
+    def identity_terms(idx, multiplicity, orbits):
+        return ((multiplicity, 0),) if orbits == idx.q**idx.n else ()
+
+    with pytest.raises(AssertionError, match="Burnside sum not divisible by the group order"):
+        burnside_count(1, 2, identity_terms)
 
 
 def test_monotone_growth():

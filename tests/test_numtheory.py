@@ -12,6 +12,7 @@ from aglcount.numtheory import (
     is_prime_power,
     multiplicative_order,
     p_adic_valuation,
+    power_exceeds,
     prime_power,
     psi,
 )
@@ -99,6 +100,16 @@ def test_agl_group_order_divisibility():
             order = agl_group_order(n, q)
             assert order % q**n == 0
             assert order % agl_group_order(n - 1, q) == 0
+
+
+def test_power_exceeds_is_the_plain_comparison():
+    for limit in (0, 1, 2, 15, 16, 17, 70000, 2**16, 2**20 - 1, 2**20, 2**20 + 1):
+        for q in range(-3, 10):
+            for n in range(45):
+                assert power_exceeds(q, n, limit) == (q**n > limit), (q, n, limit)
+    # decided by n alone, so q**n is never built
+    assert power_exceeds(2, 10**18, 2**20)
+    assert power_exceeds(509, 10**18, 70000)
 
 
 def test_prime_power_decomposition():
