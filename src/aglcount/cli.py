@@ -21,6 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .compound import asymptotic_report, check_kronecker_embedding, jordan_structure_sweep
 from .conjugacy import enumerate_classes
+from .fields import field
 from .formulas import class_equation_total, count_function_classes
 from .linalg import GFMatrix
 from .numtheory import agl_group_order, is_prime_power, power_exceeds
@@ -39,18 +40,13 @@ _DECIMAL_MIN_BITS = 1 << 16
 _DECIMAL_LEAF_BITS = 1024
 # verify --suite reps walks about q**n points per class index at the largest n
 _REPS_STEP_LIMIT = 1 << 24
-# verify --suite compound substitutes into 2**n monomials, whose images are
-# ints of 2**n bits each: time and memory about triple per step of --n
-# (n = 14 takes about 0.5 s and 45 MiB, n = 15 1.4 s and 124 MiB; 2 cores,
-# Python 3.11)
-_COMPOUND_N_LIMIT = 14
-# verify --suite duality computes theta(n, s, r) once per 0 <= s <= r <= n;
-# each step of n costs 5 to 6 times the last (--n 9 takes 21 s and --n 10
-# 155 s; 2 cores, Python 3.11)
-_DUALITY_N_LIMIT = 9
-# the theta paths of count-cosets walk class representatives, whose cost no
-# digit bound sees: n <= 10 unless --max-n says otherwise
-_THETA_MAX_N = 10
+# the theta paths of count-cosets and the duality and compound suites run one
+# engine, rm.monomial_images and gf2_rank, and are admitted by one estimate
+# of its work.  The slowest admitted inputs, each in a fresh interpreter (2
+# cores, Python 3.11.7): theta(11; 0, 5) 11.3 s, theta(15; 0, 0) 10.8 s and
+# theta at n = 12..14 1.4-5.2 s, each under 22 MiB; duality --n 9 23-31 s
+# and 18 MiB; compound --n 15 1.1 s and 124 MiB
+_SUBSTITUTION_BUDGET = 6 * 10**10
 
 
 @dataclass
@@ -184,6 +180,13 @@ def _decimal(value: int) -> str:
         return str(convert(value, value.bit_length()))
 
 
+def _field_refusal(q: int) -> str | None:
+    """Why q is refused, or None: checked before any power of q or factoring."""
+    if not 2 <= q <= 512 or not is_prime_power(q):
+        return f"q = {q} is not a prime power in 2..512"
+    return None
+
+
 def _count_refusal(q: int, n: int, affine_quotient: bool = False) -> str | None:
     """Why a count of the AGL(n, F_q) orbits on the q**dim functions
     F_q**n -> F_q (dim = q**n) or on their quotient by the affine ones
@@ -195,14 +198,38 @@ def _count_refusal(q: int, n: int, affine_quotient: bool = False) -> str | None:
     (dim - n*n - n) * log10(q) digits.  That grows with n from n = 4 on and
     is over the limit from n = 24 on for every q, so it is taken at
     min(n, 64): O(1) for any n, and still a lower bound."""
-    if q > 512 or not is_prime_power(q):
-        return f"q = {q} is not a prime power in 2..512"
+    if error := _field_refusal(q):
+        return error
     if n < 0:
         return f"n = {n} must be >= 0"
     m = min(n, 64)
     digits = (q**m - m * m - m - (m + 1 if affine_quotient else 0)) * math.log10(q)
     if digits > _STR_DIGITS_LIMIT:
         return f"the count has more than {digits:.4g} digits, above the limit {_STR_DIGITS_LIMIT}"
+    return None
+
+
+def _theta_work(n: int, r: int) -> int:
+    """Substitution steps of theta(n; s, r): about 2**n representatives, each
+    substituting C(n, <= r) monomials into ints of 2**n bits, one shift per
+    variable.  As in _count_refusal, n is taken at min(n, 64): O(1) for any n."""
+    m = min(n, 64)
+    return m * 4**m * sum(math.comb(m, k) for k in range(min(r, m) + 1))
+
+
+def _duality_work(n: int) -> int:
+    """theta(n; s, r) for every 0 <= s <= r <= n: r + 1 values of s per r."""
+    return sum((r + 1) * _theta_work(n, r) for r in range(min(n, 64) + 1))
+
+
+def _compound_work(n: int) -> int:
+    """One substitution of the 2**m monomials of J_m for each m <= n."""
+    return sum(m * 4**m for m in range(1, min(n, 64) + 1))
+
+
+def _substitution_refusal(what: str, work: int) -> str | None:
+    if work > _SUBSTITUTION_BUDGET:
+        return f"{what}: an estimated {work:.3g} substitution steps or more, over the budget {_SUBSTITUTION_BUDGET:.0e}"
     return None
 
 
@@ -221,18 +248,12 @@ def _cmd_count_functions(args, report: RunReport) -> str | None:
 
 
 def _cmd_count_cosets(args, report: RunReport) -> str | None:
-    report.parameters = {
-        "n": str(args.n),
-        "s": _text(args.s),
-        "r": _text(args.r),
-        "coset_classes": str(bool(args.coset_classes)),
-    }
+    report.parameters = {"n": str(args.n), "s": _text(args.s), "r": _text(args.r)}
+    report.parameters["coset_classes"] = str(bool(args.coset_classes))
     callback = _FoldProgress(args)
     if args.coset_classes:
         if args.s is not None or args.r is not None:
             return "--coset-classes counts the quotient by affine functions and takes no --s or --r"
-        if args.max_n is not None:
-            return "--coset-classes is bounded by the digits of its count and takes no --max-n"
         if args.n < 2:
             return "coset classes need n >= 2"
         if error := _count_refusal(2, args.n, affine_quotient=True):
@@ -240,13 +261,13 @@ def _cmd_count_cosets(args, report: RunReport) -> str | None:
         value = coset_class_count_M(args.n, jobs=args.parallelism, progress=callback)
         report.results["coset_classes"] = _decimal(value)
     else:
-        max_n = _THETA_MAX_N if args.max_n is None else args.max_n
-        if args.n < 1 or args.n > max_n:
-            return f"n = {args.n} outside 1..{max_n} (raise --max-n to override)"
         s = 0 if args.s is None else args.s
         r = args.n if args.r is None else args.r
         if not 0 <= s <= r <= args.n:
             return f"need 0 <= s <= r <= n, got s={s}, r={r}, n={args.n}"
+        # theta itself refuses n = 0, before any work
+        if error := _substitution_refusal(f"theta({args.n}; {s}, {r})", _theta_work(args.n, r)):
+            return error
         value = theta(args.n, s, r, jobs=args.parallelism, progress=callback)
         report.results["quotient_classes"] = _decimal(value)
 
@@ -283,11 +304,7 @@ def _suite_class_equation(args, report: RunReport) -> str | None:
     for n in range(1, args.n + 1):
         total = class_equation_total(n, q)
         group = agl_group_order(n, q)
-        report.add_check(
-            f"class-equation q={q} n={n}",
-            total == group,
-            f"sum {total} vs group order {group}",
-        )
+        report.add_check(f"class-equation q={q} n={n}", total == group, f"sum {total} vs group order {group}")
 
 
 def _suite_oracle(args, report: RunReport) -> None:
@@ -296,51 +313,41 @@ def _suite_oracle(args, report: RunReport) -> None:
     value = count_function_classes(n, q)
     report.results["function_classes"] = _decimal(value)
     report.add_check(f"oracle burnside q={q} n={n}", brute == value, f"{brute} vs {value}")
-    try:
+    with contextlib.suppress(ValueError):  # the closure has its own, lower limits
         orbits = orbit_enumeration(n, q)
-    except ValueError:
-        orbits = None
-    if orbits is not None:
         report.add_check(f"oracle orbits q={q} n={n}", orbits == value, f"{orbits} vs {value}")
 
 
 def _suite_duality(args, report: RunReport) -> str | None:
     n = args.n
-    if n > _DUALITY_N_LIMIT:
-        return f"n = {n} exceeds the duality sweep limit {_DUALITY_N_LIMIT}"
+    if error := _substitution_refusal(f"the duality sweep at n = {n}", _duality_work(n)):
+        return error
     pairs = [(s, r) for s in range(n + 1) for r in range(s, n + 1)]
     values = {pair: theta(n, *pair, jobs=args.parallelism) for pair in pairs}
-    for s, r in pairs:
-        left, right = values[s, r], values[n - r, n - s]
-        if left != right:
-            report.add_check(f"duality n={n}", False, f"theta({n};{s},{r}) = {left} but dual gives {right}")
-            return None
-    report.add_check(f"duality n={n}", True, "all pairs")
+    broken = [
+        f"theta({n};{s},{r}) = {values[s, r]} but dual gives {values[n - r, n - s]}"
+        for s, r in pairs
+        if values[s, r] != values[n - r, n - s]
+    ]
+    report.add_check(f"duality n={n}", not broken, broken[0] if broken else "all pairs")
 
 
 def _suite_compound(args, report: RunReport) -> str | None:
     n_max = args.n
-    if n_max > _COMPOUND_N_LIMIT:
-        return f"n = {n_max} exceeds the compound sweep limit {_COMPOUND_N_LIMIT}"
+    if error := _substitution_refusal(f"the compound sweep at n = {n_max}", _compound_work(n_max)):
+        return error
     swept = list(jordan_structure_sweep(n_max))
     report.add_check(f"jordan-structure n<={n_max}", all(ok for _, _, ok, _ in swept))
     report.add_check(f"rank-bound n<={n_max}", all(ok for *_, ok in swept))
     import random
 
-    from .fields import field as field_table
-
     rng = random.Random(2024)
-    f2 = field_table(2)
+    f2 = field(2)
     ok = True
     for _ in range(10):
-        m = rng.randint(1, 4)
-        k2 = rng.randint(1, 4)
-        a = GFMatrix(f2, [[rng.randrange(2) for _ in range(m)] for _ in range(m)])
-        b = GFMatrix(f2, [[rng.randrange(2) for _ in range(k2)] for _ in range(k2)])
-        for k in range(m + 1):
-            for l in range(k2 + 1):
-                if not check_kronecker_embedding(a, b, k, l):
-                    ok = False
+        m, k2 = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = (GFMatrix(f2, [[rng.randrange(2) for _ in range(d)] for _ in range(d)]) for d in (m, k2))
+        ok &= all(check_kronecker_embedding(a, b, k, l) for k in range(m + 1) for l in range(k2 + 1))
     report.add_check("kronecker-embedding", ok)
 
 
@@ -358,10 +365,8 @@ def _suite_asymptotic(args, report: RunReport) -> str | None:
         report.results[f"ratio_excess_n{row.n}"] = row.excess_text
         report.results[f"limit_ratio_n{row.n}"] = row.limit_ratio_text
     report.add_check("ratios-exceed-one", all(row.ratio[0] > row.ratio[1] for row in outcome.rows))
-    tail = [row for row in outcome.rows if row.n >= 5]
-    if len(tail) >= 2:
-        # with fewer rows there is nothing to compare
-        ratios = [row.ratio for row in tail]
+    ratios = [row.ratio for row in outcome.rows if row.n >= 5]
+    if len(ratios) >= 2:  # with fewer rows there is nothing to compare
         decreasing = all(a_num * b_den > b_num * a_den for (a_num, a_den), (b_num, b_den) in zip(ratios, ratios[1:]))
         report.add_check(f"ratios-decreasing n>=5 (n_max={args.n_max})", decreasing)
 
@@ -374,10 +379,6 @@ _SUITES = {
     "compound": (_suite_compound, {"n": 12}),
     "asymptotic": (_suite_asymptotic, {"n_max": 8}),
 }
-
-
-# suites over n = 1 .. --n; n = 0 would pass with no check at all
-_SUITES_FROM_ONE = ("reps", "class-equation", "duality", "compound")
 
 
 def _cmd_verify(args, report: RunReport) -> str | None:
@@ -394,16 +395,17 @@ def _cmd_verify(args, report: RunReport) -> str | None:
             return f"suite {args.suite} takes no --{key.replace('_', '-')}"
     if args.parallelism != 1 and args.suite not in ("duality", "asymptotic"):
         return f"suite {args.suite} takes no --parallelism"
-    if args.suite in _SUITES_FROM_ONE and args.n < 1:
+    if "q" in defaults and (error := _field_refusal(args.q)):
+        return error
+    # every suite but oracle runs over n = 1 .. --n, and would pass n = 0 with no check
+    if "n" in defaults and args.suite != "oracle" and args.n < 1:
         return f"n = {args.n} must be >= 1 for suite {args.suite}"
     return handler(args, report)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="aglcount",
-        description="Exact affine-equivalence class counts and verification suites.",
-    )
+    description = "Exact affine-equivalence class counts and verification suites."
+    parser = argparse.ArgumentParser(prog="aglcount", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -426,8 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--coset-classes", action="store_true", dest="coset_classes",
                    help="count classes of the quotient by affine functions")
-    p.add_argument("--max-n", type=int, default=None, dest="max_n",
-                   help=f"largest n admitted for theta (default {_THETA_MAX_N}); not with --coset-classes")
     common(p)
     p.set_defaults(handler=_cmd_count_cosets)
 

@@ -77,9 +77,12 @@ def test_count_cosets(capsys):
 def test_count_cosets_range_errors(capsys):
     code, _ = run_cli(capsys, "count-cosets", "--n", "4", "--s", "5", "--r", "3")
     assert code != 0
+    # theta(12; 0, 12) is over the substitution budget
     code, out = run_cli(capsys, "count-cosets", "--n", "12")
-    assert code == 2  # default guard is 10
-    assert json.loads(out)["results"]["error"] == "n = 12 outside 1..10 (raise --max-n to override)"
+    assert code == 2
+    assert json.loads(out)["results"]["error"] == (
+        "theta(12; 0, 12): an estimated 8.25e+11 substitution steps or more, over the budget 6e+10"
+    )
     # coset classes come from the per-class formulas alone, bounded by the
     # digits of M(n) as N(2, n) is: M(23) is admitted and M(24) refused
     code, out = run_cli(capsys, "count-cosets", "--n", "11", "--coset-classes")
@@ -87,10 +90,12 @@ def test_count_cosets_range_errors(capsys):
     code, out = run_cli(capsys, "count-cosets", "--n", "24", "--coset-classes")
     assert code == 2
     assert json.loads(out)["results"]["error"] == "the count has more than 5.05e+06 digits, above the limit 4000000"
-    code, out = run_cli(capsys, "count-cosets", "--n", "11", "--coset-classes", "--max-n", "10")
-    body = json.loads(out)
-    assert code == 2 and body["status"] == "error"
-    assert body["results"] == {"error": "--coset-classes is bounded by the digits of its count and takes no --max-n"}
+    # no flag raises either bound
+    for extra in ((), ("--coset-classes",)):
+        with pytest.raises(SystemExit) as exc:
+            main(["count-cosets", "--n", "5", "--max-n", "10", *extra])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-n" in capsys.readouterr().err
 
 
 def test_coset_classes_refuse_s_and_r(capsys):
@@ -255,6 +260,7 @@ def test_raised_refusal_gets_a_report(tmp_path, capsys):
     for argv, message in (
         (("verify", "--suite", "oracle", "--q", "6", "--n", "2"), "not a prime power"),
         (("verify", "--suite", "asymptotic", "--n-max", "1"), "n_max must be >= 2"),
+        (("count-cosets", "--n", "0"), "n must be >= 1"),
     ):
         code = main([*argv, "--out", str(path)])
         captured = capsys.readouterr()
@@ -385,8 +391,9 @@ def test_oracle_suite_refuses_before_the_fold():
 
 
 def test_compound_suite_beyond_size_limit_fails_fast():
-    # n = 15 would take about 3.5 s and 120 MiB (2 cores, Python 3.11) and
-    # n = 40 would never end: both are refused before the sweep starts
+    # n = 16 takes 5.7 s and 425 MiB (2 cores, Python 3.11.7) and n = 40
+    # would never end: both are over the substitution budget, refused
+    # before the sweep starts
     def verify(n):
         return subprocess.run(
             [sys.executable, "-m", "aglcount", "verify", "--suite", "compound", "--n", n],
@@ -395,13 +402,15 @@ def test_compound_suite_beyond_size_limit_fails_fast():
             timeout=20,
         )
 
-    for n in ("15", "40"):
+    for n, work in (("16", "8.97e+10"), ("40", "6.39e+25")):
         proc = verify(n)
         assert proc.returncode == 2
         body = json.loads(proc.stdout)
         assert body["status"] == "error"
         assert body["checks"] == []
-        assert body["results"]["error"] == f"n = {n} exceeds the compound sweep limit 14"
+        assert body["results"]["error"] == (
+            f"the compound sweep at n = {n}: an estimated {work} substitution steps or more, over the budget 6e+10"
+        )
     proc = verify("4")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "ok"
@@ -411,8 +420,16 @@ def test_compound_suite_beyond_size_limit_fails_fast():
     "argv, message",
     [
         # n = 10 takes minutes and n = 40 would never end
-        (("--suite", "duality", "--n", "10"), "n = 10 exceeds the duality sweep limit 9"),
-        (("--suite", "duality", "--n", "40"), "n = 40 exceeds the duality sweep limit 9"),
+        pytest.param(
+            ("--suite", "duality", "--n", "10"),
+            "the duality sweep at n = 10: an estimated 5.34e+11 substitution steps or more, over the budget 6e+10",
+            id="duality-10",
+        ),
+        pytest.param(
+            ("--suite", "duality", "--n", "40"),
+            "the duality sweep at n = 40: an estimated 3.43e+40 substitution steps or more, over the budget 6e+10",
+            id="duality-40",
+        ),
         # --n-max 23 takes about 20 s, and M(24) is over the digit limit
         (
             ("--suite", "asymptotic", "--n-max", "24"),
@@ -453,7 +470,36 @@ def test_digit_bound_decides_as_the_exact_formula():
     assert cli._count_refusal(2, 10**18) == cli._count_refusal(2, 64)
 
 
+def test_substitution_budget_keeps_what_the_caps_admitted():
+    # the estimate alone decides, so nothing runs here
+    def admitted(work):
+        return cli._substitution_refusal("", work) is None
+
+    # every input that the n caps admitted: theta at n <= 10, duality at
+    # n <= 9 and compound at n <= 14
+    for n in range(1, 11):
+        for r in range(n + 1):
+            assert admitted(cli._theta_work(n, r)), (n, r)
+    assert all(admitted(cli._duality_work(n)) for n in range(1, 10))
+    assert all(admitted(cli._compound_work(n)) for n in range(1, 15))
+    # the boundary: theta(12; 1, 2) takes about 1.7 s and theta(12; 0, 12)
+    # minutes; duality at n = 10 takes 155 s, compound at n = 16 5.7 s and
+    # 425 MiB
+    assert admitted(cli._theta_work(11, 2)) and admitted(cli._theta_work(12, 2))
+    assert not admitted(cli._theta_work(12, 12))
+    assert admitted(cli._compound_work(15)) and not admitted(cli._compound_work(16))
+    assert not admitted(cli._duality_work(10))
+    # the duality sweep is one theta per pair 0 <= s <= r <= n
+    for n in range(1, 12):
+        pairs = [(s, r) for s in range(n + 1) for r in range(s, n + 1)]
+        assert cli._duality_work(n) == sum(cli._theta_work(n, r) for _, r in pairs)
+    # past n = 64 the estimate stays at 64, a finite lower bound
+    for work in (lambda n: cli._theta_work(n, n), lambda n: cli._theta_work(n, 2), cli._duality_work, cli._compound_work):
+        assert work(10**12) == work(64) > cli._SUBSTITUTION_BUDGET
+
+
 _HUGE = str(10**18)
+_TERA = str(10**12)
 
 
 @pytest.mark.parametrize(
@@ -465,10 +511,15 @@ _HUGE = str(10**18)
         ("verify", "--suite", "class-equation", "--q", "2", "--n", _HUGE),
         ("verify", "--suite", "reps", "--q", "3", "--n", _HUGE),
         ("verify", "--suite", "oracle", "--q", "2", "--n", _HUGE),
+        ("count-cosets", "--n", _TERA),
+        ("count-cosets", "--n", _TERA, "--s", "1", "--r", "2"),
+        ("verify", "--suite", "duality", "--n", _TERA),
+        ("verify", "--suite", "compound", "--n", _TERA),
     ],
 )
 def test_huge_n_is_refused_at_once(argv):
-    # every guard checks n, or a logarithm, before it builds q**n
+    # every guard checks n, or a logarithm, before it builds q**n or walks
+    # anything
     proc = subprocess.run(
         [sys.executable, "-m", "aglcount", *argv],
         capture_output=True,
@@ -479,6 +530,29 @@ def test_huge_n_is_refused_at_once(argv):
     body = json.loads(proc.stdout)
     assert body["status"] == "error" and body["checks"] == []
     assert "inf" not in body["results"]["error"]
+
+
+@pytest.mark.parametrize(
+    "suite, q, n",
+    [
+        # trial division of a prime near 10**18 does not end in minutes
+        ("oracle", "1000000000000000003", "1"),
+        # (-2)**100000 would be built before the point limit
+        ("reps", "-2", "100000"),
+        ("class-equation", "1024", "2"),
+    ],
+)
+def test_q_is_checked_first(suite, q, n):
+    proc = subprocess.run(
+        [sys.executable, "-m", "aglcount", "verify", "--suite", suite, "--q", q, "--n", n],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    body = json.loads(proc.stdout)
+    assert body["status"] == "error" and body["checks"] == []
+    assert body["results"] == {"error": f"q = {q} is not a prime power in 2..512"}
 
 
 def test_asymptotic_suite_compares_ratios_only_when_two_exist(capsys):
