@@ -175,8 +175,9 @@ class AffineMap:
 def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
     """The matrix with the given blocks down its diagonal, zeros elsewhere.
 
-    When every block has been found invertible, so is the result, and it
-    is not ranked again."""
+    The blocks' entries were checked when they were built, so the result is
+    laid out from their rows without a second check.  When every block has
+    been found invertible, so is the result, and it is not ranked again."""
     if not blocks:
         raise ValueError("block-diagonal matrix needs at least one block")
     f = blocks[0].field
@@ -189,9 +190,9 @@ def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
         before, after = (0,) * left, (0,) * (width - left - b.cols)
         rows.extend(before + row + after for row in b.entries)
         left += b.cols
-    out = GFMatrix(f, rows)
-    if all(b._invertible for b in blocks):
-        out._invertible = True
+    out = GFMatrix.__new__(GFMatrix)
+    out.field, out.rows, out.cols, out.entries = f, len(rows), width, tuple(rows)
+    out._invertible = True if all(b._invertible for b in blocks) else None
     return out
 
 

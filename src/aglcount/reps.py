@@ -9,6 +9,12 @@ nonzero partition.  The canonical representative puts the k nonempty
 partitions of one order on the first k irreducibles of that order, the
 first slot assignment `_distinct_assignments` yields; the other
 assignments are the other classes folded into the index.
+
+Those classes fall into orbits of the unit group: for j a unit mod the
+lcm of the orders, the classes of sigma and sigma**j differ only in where
+the slots sit, and share every fixed count (the Jordan decomposition
+argument is in `iter_class_representatives`).  The quotient counts build
+one representative per orbit, weighted by its size.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .linalg import (
     jordan_block,
     point_permutation,
 )
-from .numtheory import divisors, multiplicative_order, power_exceeds, psi
+from .numtheory import divisors, factorize, multiplicative_order, power_exceeds, psi
 
 __all__ = [
     "ClassCheckReport",
@@ -124,27 +130,168 @@ def _distinct_assignments(spectrum) -> Iterator[tuple[int, ...]]:
             yield slots
 
 
+def _minimal_polynomial(f, powers: list, exponents: list[int]) -> tuple[int, ...]:
+    """prod (X - alpha**e) over one cyclotomic coset of exponents, with
+    coefficients in F_q[alpha] as ``_slot_table`` holds its powers: y times
+    alpha**e is the sum of y_i * alpha**(e + i) over the coordinates of y.
+    The coset is closed under Frobenius, so every coefficient must lie in
+    F_q."""
+    binary = f.q == 2
+    zero = 0 if binary else (0,) * len(powers[0])
+    coeffs = [powers[0]]
+    for e in exponents:
+        # times (X - alpha**e): each coefficient loses alpha**e times its own
+        # and gains the one below it
+        out = []
+        for a, y in zip([zero, *coeffs], [*coeffs, zero]):
+            if binary:
+                while y:
+                    low = y & -y
+                    a ^= powers[e + low.bit_length() - 1]
+                    y ^= low
+            else:
+                for i, c in enumerate(y):
+                    if c:
+                        a = tuple(f.sub(u, f.mul(c, v)) for u, v in zip(a, powers[e + i]))
+            out.append(a)
+        coeffs = out
+    if any(c >> 1 if binary else any(c[1:]) for c in coeffs):
+        raise AssertionError(f"coset of {exponents[0]} gives a polynomial outside F_{f.q}[X]")
+    return tuple(c if binary else c[0] for c in coeffs)
+
+
+@lru_cache(maxsize=None)
+def _slot_table(d: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(slot, first): slot[c] is the index in irreducibles_of_order(d, q)
+    of the minimal polynomial of alpha**c, alpha a root of the first of
+    them, for each unit c mod d (-1 at the other residues); first[k] is the
+    least c of slot k.
+
+    The units split into cyclotomic cosets {c, c q, c q**2, ...}, one per
+    slot; the least c of each coset builds its product of (X - alpha**e)
+    once and looks it up in a dict, so no irreducible is tested at any
+    power."""
+    polys = irreducibles_of_order(d, q)
+    f, g0 = field(q), polys[0]
+    degree = len(g0) - 1
+    # alpha**k for k < d + degree, alpha the class of x modulo g0, as
+    # coordinates over 1, x, ..., x**(degree - 1): packed ints at q = 2 (bit
+    # i the coefficient of x**i), tuples otherwise; each step multiplies by
+    # x and folds x**degree back through the monic g0
+    powers = []
+    y = 1 if q == 2 else (1,) + (0,) * (degree - 1)
+    packed = sum(c << i for i, c in enumerate(g0))
+    for _ in range(d + degree):
+        powers.append(y)
+        if q == 2:
+            y = y << 1 ^ (packed if y >> degree - 1 else 0)
+        else:
+            y = tuple(f.sub(low, f.mul(y[-1], c)) for low, c in zip((0, *y[:-1]), g0))
+    lookup = {g: k for k, g in enumerate(polys)}
+    slot, first = [-1] * d, [0] * len(polys)
+    for c in range(1, d):
+        if slot[c] < 0 and math.gcd(c, d) == 1:
+            coset = [c * q**i % d for i in range(degree)]
+            k = lookup.get(_minimal_polynomial(f, powers, coset))
+            if k is None or first[k]:
+                raise AssertionError(f"alpha**{c} has no slot of its own among the order-{d} irreducibles")
+            first[k] = c
+            for e in coset:
+                slot[e] = k
+    return tuple(slot), tuple(first)
+
+
+@lru_cache(maxsize=None)
+def _unit_generators(m: int) -> tuple[int, ...]:
+    """Generators of (Z/m)*: one of each cyclic factor of each prime-power
+    part p**k (a primitive root for odd p; -1 and 5 for p = 2), lifted by
+    CRT to 1 modulo the rest of m."""
+    gens = []
+    for p, k in factorize(m):
+        pk = p**k
+        if p == 2:
+            local = [-1, 5][: min(k - 1, 2)]
+        else:
+            unit_count = pk // p * (p - 1)
+            local = [next(g for g in range(2, pk) if g % p and multiplicative_order(g, pk) == unit_count)]
+        rest = m // pk
+        gens.extend((g + pk * ((1 - g) * pow(pk, -1, rest))) % m for g in local)
+    return tuple(gens)
+
+
+@lru_cache(maxsize=4)
+def _assignment_orbits(q: int, spectra: tuple) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+    """The orbits of (Z/L)* on the slot assignments of every spectrum at
+    once: j moves each slot to the slot of the j-th powers of its roots, and
+    the equal entries of a moved assignment take their slots in increasing
+    order again.  L is the lcm of the orders d with psi(d) > 1; an order
+    with one slot never moves, and every unit mod L lifts to a unit mod
+    the lcm of all orders.  Each orbit is closed under the generators of
+    the unit group and starts with its first assignment in the order
+    `_distinct_assignments` yields them.  Indices of one run share their
+    spectra tuple, so a few cached tuples serve them all."""
+
+    def moved(t, j: int) -> tuple[int, ...]:
+        # slot k goes to the slot of the j-th powers of its roots
+        slot, first = _slot_table(t.d, q)
+        return tuple(slot[c * j % t.d] for c in first)
+
+    level = math.lcm(*(t.d for t in spectra if t.psi > 1))
+    moves = [tuple(moved(t, j) if t.psi > 1 else (0,) for t in spectra) for j in _unit_generators(level)]
+    # entry positions numbered by run of equal entries, the sort key that
+    # puts a moved assignment back in canonical order
+    runs = [
+        tuple(itertools.accumulate((a != b for a, b in zip(t.entries, t.entries[1:])), initial=0))
+        for t in spectra
+    ]
+    seen = set()
+    orbits = []
+    for start in itertools.product(*(_distinct_assignments(t) for t in spectra)):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for assignment in orbit:
+            for perms in moves:
+                image = tuple(
+                    tuple(s for _, s in sorted(zip(run, map(perm.__getitem__, slots))))
+                    for perm, run, slots in zip(perms, runs, assignment)
+                )
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
+
+
 def iter_class_representatives(idx: ClassIndex) -> Iterator[tuple[AffineMap, int]]:
     """(representative, weight) pairs covering all idx.multiplicity() classes
-    folded into this index.
+    folded into this index: one representative per orbit of
+    ``_assignment_orbits``, weighted by the orbit size.
 
-    When the index has a single active order d with a single nonempty
-    partition entry, all psi(d) assignments are powers sigma**j of one
-    another with gcd(j, order(sigma)) = 1 (choose j by CRT: the slot twist
-    mod d, 1 mod the p-part), and a power with exponent coprime to the
-    order has the same fixed space on any invariant subquotient; one
-    representative with weight psi(d) suffices.  Otherwise every distinct
-    assignment is yielded with weight 1.
+    Every class of one orbit has the same fixed count on every invariant
+    subquotient (the Jordan decomposition argument).  Let sigma = (A, t) be
+    a representative, F_q**n = U + W with U the generalized 1-eigenspace of
+    A, which holds t, and A = s u on W with s semisimple, u unipotent and
+    s u = u s.  Take j a unit mod L, the lcm of the orders d, and by CRT
+    j = 1 modulo the p-part of the order of sigma; then gcd(j,
+    order(sigma)) = 1, so sigma**j generates the same cyclic group as sigma
+    and fixes the same vectors.
+    - On U, sigma is an affine map of p-power order, so sigma**j is sigma
+      there: the unipotent partition, the marker and the translation stay.
+    - On W, A**j = s**j u, since u has p-power order.  On the primary part
+      of a slot's irreducible f, s**j has the minimal polynomial of the
+      j-th powers of f's roots, of the same order d and degree, and
+      F_q[s**j] = F_q[s], so u keeps its partition over that field.
+    sigma**j is therefore AGL-conjugate to the representative whose slots
+    are moved by j, and the fixed count is a class function.
     """
     idx.validate()
-    mult = idx.multiplicity()
-    assignments = itertools.product(*(_distinct_assignments(s) for s in idx.spectra))
-    if mult == 1 or (len(idx.spectra) == 1 and len(idx.spectra[0].entries) == 1):
-        # the first assignment is the one build_representative takes
-        yield _assemble(idx, next(assignments)), mult
-        return
-    for assignment in assignments:
-        yield _assemble(idx, assignment), 1
+    orbits = _assignment_orbits(idx.q, idx.spectra)
+    if sum(map(len, orbits)) != idx.multiplicity():
+        raise AssertionError(f"orbit sizes do not sum to the multiplicity of {idx}")
+    for orbit in orbits:
+        yield _assemble(idx, orbit[0]), len(orbit)
 
 
 # verify_class walks every point of F_q**n to count orbits

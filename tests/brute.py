@@ -1,17 +1,20 @@
 """Brute-force group references for the tests, at tiny sizes: every element
 of AGL(n, F_q) as a tuple of point codes, centralizers and conjugacy
-classes by scanning those tuples, and the two quotient-code oracles.
+classes by scanning those tuples, the two quotient-code oracles, and the
+full expansion of a class index into one representative per folded class.
 
 This is a helper, not a test module: pytest does not rewrite its asserts
 and `python -O` strips them, so every check here raises explicitly.
 """
 
+import itertools
 from functools import lru_cache
 
 from aglcount.fields import field
 from aglcount.linalg import AffineMap, GFMatrix, point_permutation
 from aglcount.numtheory import agl_group_order
 from aglcount.oracle import _count_orbits, _iter_linear_images, _point_actions, generators
+from aglcount.reps import _assemble, _distinct_assignments
 from aglcount.rm import RMQuotientBasis, fix_on_quotient
 
 _GROUP_LIMIT = 20000
@@ -104,3 +107,11 @@ def orbit_enumeration_code(n, r):
         words += [tuple(a ^ b for a, b in zip(word, table)) for word in words]
     perms = [point_permutation(g) for g in generators(n, 2)]
     return _count_orbits(words, perms)
+
+
+def full_expansion(idx):
+    """(representative, 1) for every distinct slot assignment of the index:
+    one map per class folded into it, with no orbit grouping."""
+    idx.validate()
+    for assignment in itertools.product(*(_distinct_assignments(t) for t in idx.spectra)):
+        yield _assemble(idx, assignment), 1

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from aglcount import linalg, reps
@@ -227,12 +229,52 @@ def test_representatives_pairwise_non_conjugate():
                 assert perms[j] not in classes[i], (i, j)
 
 
-def test_expansion_weights_sum_to_multiplicity():
-    for q, nmax in ((2, 5), (3, 3)):
+def test_expansion_weights_sum_to_multiplicity(monkeypatch):
+    for q, nmax in ((2, 8), (3, 4)):
         for n in range(1, nmax + 1):
             for idx in enumerate_classes(n, q):
                 weights = [w for _, w in iter_class_representatives(idx)]
                 assert sum(weights) == idx.multiplicity()
+    # an orbit lost from the cache is refused with an exception, which
+    # stripping asserts does not remove
+    idx = ClassIndex(n=10, q=2, unipotent=(), spectra=(partition_tuple(31, 6, [(1,), (1,)]),))
+    orbits = reps._assignment_orbits(2, idx.spectra)
+    assert len(orbits) == 3
+    monkeypatch.setattr(reps, "_assignment_orbits", lambda q, spectra: orbits[1:])
+    with pytest.raises(AssertionError, match="multiplicity"):
+        list(iter_class_representatives(idx))
+
+
+def test_slot_table_matches_root_substitution():
+    # slot[c] names the irreducible that has alpha**c as a root, alpha = x
+    # modulo the first irreducible of order d: the slow identification
+    # raises x to the c-th power modulo it and evaluates that irreducible
+    # there by Horner's rule
+    from aglcount.conjugacy import compute_D
+    from aglcount.fields import poly_mod, poly_mul, poly_trim
+    from aglcount.reps import _slot_table
+
+    checked = 0
+    for q, degree in ((2, 8), (3, 3)):
+        f = field(q)
+        for d in compute_D(degree, q):
+            polys = irreducibles_of_order(d, q)
+            slot, first = _slot_table(d, q)
+            units = [c for c in range(d) if math.gcd(c, d) == 1]
+            assert [c for c in range(d) if slot[c] >= 0] == units, (q, d)
+            assert [slot[c] for c in first] == list(range(len(polys))), (q, d)
+            assert first == tuple(min(c for c in units if slot[c] == k) for k in range(len(polys)))
+            for c in units:
+                root = poly_pow(f, (0, 1), c, polys[0])
+                value = ()
+                for coeff in reversed(polys[slot[c]]):
+                    value = poly_mul(f, value, root) or (0,)
+                    value = poly_mod(f, poly_trim((f.add(value[0], coeff), *value[1:])), polys[0])
+                assert value == (), (q, d, c)
+                checked += 1
+    # one check per root of every irreducible of degree <= 8 over F_2 and
+    # <= 3 over F_3, except x and x - 1
+    assert checked == (2 + 2 + 6 + 12 + 30 + 54 + 126 + 240 - 2) + (3 + 6 + 24 - 2)
 
 
 def test_expansion_validates_each_index_once(monkeypatch):

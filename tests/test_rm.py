@@ -18,7 +18,7 @@ from aglcount.rm import (
     monomial_images,
     theta,
 )
-from brute import burnside_full_theta, orbit_enumeration_code
+from brute import burnside_full_theta, full_expansion, orbit_enumeration_code
 from test_conjugacy import partition_tuple
 from test_linalg import affine_order, apply, identity_map, matmul, sub_matrix, then
 
@@ -326,11 +326,10 @@ def test_theta_matches_function_count_with_expansion():
 
 
 def test_collapsed_assignments_share_the_fix_count():
-    # the single-entry collapse weights one representative by psi(d); every
-    # assignment must therefore have the same quotient fix count (they are
-    # powers sigma**j of each other with j coprime to the order)
+    # a single entry of one order is one orbit of psi(d) slots: one
+    # representative weighted by psi(d), and every slot has its fix count
     from aglcount.numtheory import psi as psi_of
-    from aglcount.reps import _assemble, iter_class_representatives
+    from aglcount.reps import _assemble, _assignment_orbits, iter_class_representatives
 
     cases = [
         (5, 31, (0, 3)),   # five variables, order-31 companions, R(3,5)/R(-1,5)
@@ -353,6 +352,46 @@ def test_collapsed_assignments_share_the_fix_count():
         }
         assert len(values) == 1, (n, d, values)
         assert values == {fix_on_quotient(reps[0][0], basis)}
+    # several entries of one order, beyond the sweep below: x**3 + x + 1 and
+    # x**3 + x**2 + 1 swap under j = 3, the 15 pairs of the six order-31
+    # slots fall into orbits of 3, 6 and 6, and the two order-7 slots of a
+    # marked index of orders 3 and 7 swap their entries
+    several = [
+        (9, (), (partition_tuple(7, 2, [(1,), (2,)]),), [2], (1, 3)),
+        (10, (), (partition_tuple(31, 6, [(1,), (1,)]),), [3, 6, 6], (2, 3)),
+        (12, (1,), (partition_tuple(3, 1, [(1,)]), partition_tuple(7, 2, [(1,), (0, 1)])), [2], (1, 2)),
+    ]
+    for n, lam, spectra, sizes, (s, r) in several:
+        idx = ClassIndex(n=n, q=2, unipotent=lam, spectra=spectra, marker=1 if lam else None)
+        orbits = _assignment_orbits(2, idx.spectra)
+        assert [len(orbit) for orbit in orbits] == sizes, idx
+        assert [w for _, w in iter_class_representatives(idx)] == sizes
+        basis = RMQuotientBasis(n, s, r)
+        for orbit in orbits:
+            values = {fix_on_quotient(_assemble(idx, assignment), basis) for assignment in orbit}
+            assert len(values) == 1, (idx, orbit)
+
+
+def test_every_assignment_of_an_orbit_has_its_fix_count():
+    # the power-orbit argument in iter_class_representatives, on every
+    # quotient R(r, n)/R(s-1, n) with n <= 7; orbits of several orders
+    # merge assignments the single-entry collapse kept apart from n = 5 on
+    from aglcount.reps import _assemble, _assignment_orbits
+
+    merged = several_orders = 0
+    for n in range(1, 8):
+        bases = [RMQuotientBasis(n, s - 1, r) for r in range(n + 1) for s in range(r + 1)]
+        for idx in enumerate_classes(n, 2):
+            for orbit in _assignment_orbits(2, idx.spectra):
+                if len(orbit) == 1:
+                    continue
+                merged += 1
+                several_orders += len(idx.spectra) > 1
+                maps = [_assemble(idx, assignment) for assignment in orbit]
+                for basis in bases:
+                    values = {fix_on_quotient(sigma, basis) for sigma in maps}
+                    assert len(values) == 1, (idx, orbit, basis)
+    assert merged > several_orders > 0
 
 
 def test_theta_duality():
@@ -409,14 +448,15 @@ def test_affine_rank_closed_form_matches_walk():
 
 
 def test_affine_rank_depends_on_the_unipotent_part_alone():
-    # the lemma: every representative at n <= 8, spectra and all (635 maps)
+    # the lemma: every folded class at n <= 8, spectra and all: 911 maps,
+    # of which the old single-entry collapse walked 635
     reps = 0
     for n in range(1, 9):
         for idx in enumerate_classes(n, 2):
-            for rep, _ in iter_class_representatives(idx):
+            for rep, _ in full_expansion(idx):
                 assert walk_affine_rank(rep) == _affine_rank(idx.unipotent, idx.marker), idx
                 reps += 1
-    assert reps == 635
+    assert reps == 911
 
 
 def test_closed_form_coset_count_matches_theta():
@@ -449,19 +489,30 @@ def test_theta_progress_on_both_paths():
 
 
 def test_theta_matches_reference_sum():
-    # the plain per-representative sum of fixed-coset counts, no grouping
-    from aglcount.conjugacy import enumerate_classes
+    # the plain sum over every folded class, one map each with weight 1 and
+    # no orbit grouping, on every quotient with n <= 7, and on theta(9; 2, 3),
+    # where orders 7 and 21 (or 63) share a factor, so the unit group acts
+    # on their slots together and not independently
     from aglcount.formulas import centralizer_order
     from aglcount.numtheory import agl_group_order
-    from aglcount.reps import iter_class_representatives
 
-    for n, s, r in ((6, 1, 4), (7, 0, 5)):
-        basis = RMQuotientBasis(n, s - 1, r)
-        group = agl_group_order(n, 2)
-        reference = 0
-        for idx in enumerate_classes(n, 2):
-            size = group // centralizer_order(idx)
-            for rep, weight in iter_class_representatives(idx):
-                reference += weight * size * fix_on_quotient(rep, basis)
-        assert reference % group == 0, (n, s, r)
-        assert theta(n, s, r) == reference // group, (n, s, r)
+    pairs = [(n, s, r) for n in range(1, 8) for r in range(n + 1) for s in range(r + 1)]
+    for n, cases in itertools.groupby(pairs + [(9, 2, 3)], key=lambda case: case[0]):
+        order = agl_group_order(n, 2)
+        expanded = [
+            (order // centralizer_order(idx), [rep for rep, _ in full_expansion(idx)])
+            for idx in enumerate_classes(n, 2)
+        ]
+        for _, s, r in cases:
+            basis = RMQuotientBasis(n, s - 1, r)
+            reference = sum(size * fix_on_quotient(rep, basis) for size, maps in expanded for rep in maps)
+            assert reference % order == 0, (n, s, r)
+            assert theta(n, s, r) == reference // order, (n, s, r)
+
+
+def test_representatives_per_theta_call():
+    # one representative per power orbit: 260 of the 315 maps the old
+    # single-entry collapse built at n = 8, 790 of 1,252 at n = 10
+    for n, want in ((8, 260), (10, 790)):
+        got = sum(1 for idx in enumerate_classes(n, 2) for _ in iter_class_representatives(idx))
+        assert got == want, n
