@@ -17,11 +17,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 
 from .compound import asymptotic_report, check_kronecker_embedding, jordan_structure_sweep
 from .conjugacy import enumerate_classes
-from .fields import field
+from .fields import _MAX_Q, field
 from .formulas import class_equation_total, count_function_classes
 from .linalg import GFMatrix
 from .numtheory import agl_group_order, is_prime_power, power_exceeds
@@ -43,22 +42,18 @@ _REPS_STEP_LIMIT = 1 << 24
 # the theta paths of count-cosets and the duality and compound suites run one
 # engine, rm.monomial_images and gf2_rank, and are admitted by one estimate
 # of its work.  The slowest admitted inputs, each in a fresh interpreter (2
-# cores, Python 3.11.7): theta(11; 0, 5) 11.3 s, theta(15; 0, 0) 10.8 s and
-# theta at n = 12..14 1.4-5.2 s, each under 22 MiB; duality --n 9 23-31 s
-# and 18 MiB; compound --n 15 1.1 s and 124 MiB
+# cores, Python 3.11.7, one run each): theta(11; 0, 5) 4.0 s, theta(15; 0, 0)
+# 4.0 s and theta at n = 12..14 1.1-1.9 s; duality --n 9 16 s; compound
+# --n 15 1.1 s and 124 MiB
 _SUBSTITUTION_BUDGET = 6 * 10**10
 
 
-@dataclass
 class RunReport:
     """One command invocation: parameters, results, and check outcomes."""
 
-    command: str
-    parameters: dict
-    results: dict = dc_field(default_factory=dict)
-    checks: list = dc_field(default_factory=list)
-    status: str = "ok"
-    elapsed_seconds: float = 0.0
+    def __init__(self, command: str, parameters: dict) -> None:
+        self.command, self.parameters = command, parameters
+        self.results, self.checks, self.status, self.elapsed_seconds = {}, [], "ok", 0.0
 
     def add_check(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append({"name": name, "status": "pass" if passed else "fail", "detail": detail})
@@ -182,8 +177,8 @@ def _decimal(value: int) -> str:
 
 def _field_refusal(q: int) -> str | None:
     """Why q is refused, or None: checked before any power of q or factoring."""
-    if not 2 <= q <= 512 or not is_prime_power(q):
-        return f"q = {q} is not a prime power in 2..512"
+    if not 2 <= q <= _MAX_Q or not is_prime_power(q):
+        return f"q = {q} is not a prime power in 2..{_MAX_Q}"
     return None
 
 
@@ -210,9 +205,10 @@ def _count_refusal(q: int, n: int, affine_quotient: bool = False) -> str | None:
 
 
 def _theta_work(n: int, r: int) -> int:
-    """Substitution steps of theta(n; s, r): about 2**n representatives, each
-    substituting C(n, <= r) monomials into ints of 2**n bits, one shift per
-    variable.  As in _count_refusal, n is taken at min(n, 64): O(1) for any n."""
+    """Substitution steps of theta(n; s, r), taken as 2**n representatives
+    (theta builds fewer, 3,724 at n = 13), each substituting C(n, <= r)
+    monomials into ints of 2**n bits, one shift per variable.  As in
+    _count_refusal, n is taken at min(n, 64): O(1) for any n."""
     m = min(n, 64)
     return m * 4**m * sum(math.comb(m, k) for k in range(min(r, m) + 1))
 

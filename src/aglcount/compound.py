@@ -12,10 +12,9 @@ against a compound built from minors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .fields import field
 from .linalg import GFMatrix, block_diagonal, gf2_rank, jordan_block
@@ -181,8 +180,7 @@ def _scaled(num: int, den: int, exponent: int) -> tuple[int, int]:
     return (num, den << exponent) if exponent >= 0 else (num << -exponent, den)
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(NamedTuple):
     n: int
     class_count: int
     power_exponent: int
@@ -192,8 +190,7 @@ class AsymptoticRow:
     limit_ratio_text: str
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     constant: str
     rows: tuple[AsymptoticRow, ...]
 

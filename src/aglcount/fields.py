@@ -61,9 +61,10 @@ class FieldTable:
     __slots__ = ("q", "p", "m", "modulus", "_add", "_mul", "_neg", "_inv", "generator")
 
     def __init__(self, q: int):
-        pp = prime_power(q)
+        # the size first: prime_power trial-divides, about sqrt(q) steps for a prime q
         if q > _MAX_Q:
             raise ValueError(f"fields larger than {_MAX_Q} are unsupported, got {q}")
+        pp = prime_power(q)
         self.q = q
         self.p = p = pp.p
         self.m = pp.m

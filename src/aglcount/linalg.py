@@ -10,7 +10,7 @@ lengths, the brute-force oracle) works on codes alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .fields import FieldTable
@@ -144,20 +144,24 @@ def jordan_block(f: FieldTable, m: int) -> GFMatrix:
     return GFMatrix(f, rows)
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Invertible affine map x |-> x A + a on F_q**n."""
+class AffineMap(namedtuple("AffineMap", "matrix translation")):
+    """Invertible affine map x |-> x A + a on F_q**n, a named tuple checked
+    wherever one is built: by a call, by unpickling and by `_replace`."""
 
-    matrix: GFMatrix
-    translation: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.matrix.rows != self.matrix.cols:
+    def __new__(cls, matrix: GFMatrix, translation: tuple[int, ...]):
+        if matrix.rows != matrix.cols:
             raise ValueError("affine map needs a square matrix")
-        if len(self.translation) != self.matrix.rows:
+        if len(translation) != matrix.rows:
             raise ValueError("translation length mismatch")
-        if not self.matrix.is_invertible():
+        if not matrix.is_invertible():
             raise ValueError("affine map matrix must be invertible")
+        return super().__new__(cls, matrix, translation)
+
+    @classmethod
+    def _make(cls, fields) -> "AffineMap":
+        return cls(*fields)
 
     @classmethod
     def linear(cls, matrix: GFMatrix) -> "AffineMap":

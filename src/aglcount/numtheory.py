@@ -11,8 +11,8 @@ q**i - 1 met at q = 2 up to n around 31, but not for every q <= 512, as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "PrimePower",
@@ -67,8 +67,7 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(NamedTuple):
     """A field size q = p**m with p prime and m >= 1."""
 
     q: int

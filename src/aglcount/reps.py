@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .conjugacy import ClassIndex
 from .fields import field, irreducibles, poly_order, poly_pow
@@ -298,8 +297,7 @@ def iter_class_representatives(idx: ClassIndex) -> Iterator[tuple[AffineMap, int
 _POINT_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class ClassCheckReport:
+class ClassCheckReport(NamedTuple):
     """Outcome of checking one class index against its explicit matrix."""
 
     index: ClassIndex

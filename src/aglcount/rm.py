@@ -19,7 +19,7 @@ counts come from the per-class orbit exponent and a closed-form rank
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 
 from .conjugacy import ClassIndex
@@ -92,18 +92,21 @@ def monomial_images(entries, translation, max_degree: int) -> list[int | None]:
     return images
 
 
-@dataclass(frozen=True)
-class RMQuotientBasis:
+class RMQuotientBasis(namedtuple("RMQuotientBasis", "n s r")):
     """Monomial basis of R(r, n)/R(s, n): the X_S with s < |S| <= r,
-    grouped by degree descending, subsets lexicographic within a degree."""
+    grouped by degree descending, subsets lexicographic within a degree;
+    checked wherever one is built, as `linalg.AffineMap` is."""
 
-    n: int
-    s: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.n <= _MAX_VARS and -1 <= self.s < self.r <= self.n):
-            raise ValueError(f"invalid quotient basis ({self.n}, {self.s}, {self.r})")
+    def __new__(cls, n: int, s: int, r: int):
+        if not (0 <= n <= _MAX_VARS and -1 <= s < r <= n):
+            raise ValueError(f"invalid quotient basis ({n}, {s}, {r})")
+        return super().__new__(cls, n, s, r)
+
+    @classmethod
+    def _make(cls, fields) -> "RMQuotientBasis":
+        return cls(*fields)
 
     @property
     def monomials(self) -> tuple[int, ...]:

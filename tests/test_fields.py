@@ -1,6 +1,8 @@
 import functools
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +26,11 @@ def test_rejects_non_prime_powers_and_oversize():
             field(q)
     with pytest.raises(ValueError):
         field(1024)
+    # the size is checked before prime_power trial-divides q, which would not
+    # finish here; a subprocess, so that a regression fails instead of hanging
+    script = "from aglcount.fields import field\ntry:\n    field(10**18 + 3)\nexcept ValueError as exc:\n    print(exc)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10)
+    assert proc.stdout == "fields larger than 512 are unsupported, got 1000000000000000003\n", proc.stderr
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
