@@ -42,9 +42,9 @@ _REPS_STEP_LIMIT = 1 << 24
 # the theta paths of count-cosets and the duality and compound suites run one
 # engine, rm.monomial_images and gf2_rank, and are admitted by one estimate
 # of its work.  The slowest admitted inputs, each in a fresh interpreter (2
-# cores, Python 3.11.7, one run each): theta(11; 0, 5) 4.0 s, theta(15; 0, 0)
-# 4.0 s and theta at n = 12..14 1.1-1.9 s; duality --n 9 16 s; compound
-# --n 15 1.1 s and 124 MiB
+# cores, Python 3.11.7, medians of 3 runs): theta(11; 0, 5) 2.6 s,
+# theta(15; 0, 0) 2.9 s and theta at n = 12..14 0.8-1.7 s; duality --n 9
+# 13.5 s; compound --n 15 1.4 s and 123 MiB
 _SUBSTITUTION_BUDGET = 6 * 10**10
 
 
@@ -207,7 +207,9 @@ def _count_refusal(q: int, n: int, affine_quotient: bool = False) -> str | None:
 def _theta_work(n: int, r: int) -> int:
     """Substitution steps of theta(n; s, r), taken as 2**n representatives
     (theta builds fewer, 3,724 at n = 13), each substituting C(n, <= r)
-    monomials into ints of 2**n bits, one shift per variable.  As in
+    monomials into ints of 2**n bits, one shift per variable; a
+    representative with fixed coordinates substitutes fewer variables, so
+    theta(11; 0, 5), the slowest admitted theta, takes 2.6 s.  As in
     _count_refusal, n is taken at min(n, 64): O(1) for any n."""
     m = min(n, 64)
     return m * 4**m * sum(math.comb(m, k) for k in range(min(r, m) + 1))

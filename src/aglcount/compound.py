@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterator, NamedTuple
 
 from .fields import field
-from .linalg import GFMatrix, block_diagonal, gf2_rank, jordan_block
+from .linalg import GFMatrix, block_diagonal, gf2_rank, jordan_block, pack
 from .rm import RMQuotientBasis, coset_class_count_M, monomial_images
 
 __all__ = [
@@ -50,9 +50,9 @@ def check_kronecker_embedding(a: GFMatrix, b: GFMatrix, k: int, l: int) -> bool:
     if a.cols != m or b.cols != n:
         raise ValueError("compound of a non-square matrix")
     degree_k, degree_l = RMQuotientBasis(m, k - 1, k), RMQuotientBasis(n, l - 1, l)
-    images_a = monomial_images(a.entries, (0,) * m, k)
-    images_b = monomial_images(b.entries, (0,) * n, l)
-    images = monomial_images(big.entries, (0,) * (m + n), k + l)
+    images_a = monomial_images(pack(a.entries), k)
+    images_b = monomial_images(pack(b.entries), l)
+    images = monomial_images(pack(big.entries), k + l)
 
     def spread(packed: int) -> int:
         # the degree-l slots T of packed, moved to slot 2**m T
@@ -85,7 +85,7 @@ def jordan_structure_sweep(n_max: int) -> Iterator[tuple[int, int, bool, bool]]:
     image with bit T flipped."""
     smaller = [1]  # the images under J_0: X_{} |-> 1
     for n in range(1, n_max + 1):
-        images = monomial_images(jordan_block(field(2), n).entries, (0,) * n, n)
+        images = monomial_images(pack(jordan_block(field(2), n).entries), n)
         half = 1 << (n - 1)
         for r in range(1, n + 1):
             degree_r = RMQuotientBasis(n, r - 1, r)

@@ -85,27 +85,10 @@ class ClassIndex(NamedTuple):
         return out
 
     def validate(self) -> None:
-        pp = prime_power(self.q)
+        prime_power(self.q)
         if self.unipotent != canon(self.unipotent):
             raise ValueError(f"unipotent partition {self.unipotent} not canonical")
-        total = weight(self.unipotent)
-        seen = set()
-        for t in self.spectra:
-            if t.d in seen:
-                raise ValueError(f"duplicate order d = {t.d}")
-            seen.add(t.d)
-            o = multiplicative_order(self.q, t.d)
-            if t.d <= 1 or t.d % pp.p == 0:
-                raise ValueError(f"d = {t.d} not coprime to q or too small")
-            if t.psi != psi(t.d, self.q):
-                raise ValueError(f"psi mismatch for d = {t.d}")
-            if not t.entries:
-                raise ValueError(f"empty tuple stored for d = {t.d}")
-            if len(t.entries) > t.psi:
-                raise ValueError(f"too many entries for d = {t.d}")
-            if t.entries != _sorted_entries(t.entries):
-                raise ValueError(f"entries for d = {t.d} not canonical and in partition order")
-            total += o * t.total_weight()
+        total = weight(self.unipotent) + _spectra_weight(self.q, self.spectra)
         if total != self.n:
             raise ValueError(f"weights sum to {total}, expected n = {self.n}")
         if self.marker is not None:
@@ -113,6 +96,33 @@ class ClassIndex(NamedTuple):
                 raise ValueError("translation marker requires a unipotent part")
             if self.marker not in support(self.unipotent):
                 raise ValueError(f"marker {self.marker} not a part size of {self.unipotent}")
+
+
+@lru_cache(maxsize=None)
+def _spectra_weight(q: int, spectra: tuple[PartitionTuple, ...]) -> int:
+    """The dimension the spectra take, sum of o_d(q) times their weights,
+    once each tuple is checked; indices of one run share their spectra, so
+    each tuple is checked once.  A refused tuple raises and is not cached."""
+    p = prime_power(q).p
+    total = 0
+    seen = set()
+    for t in spectra:
+        if t.d in seen:
+            raise ValueError(f"duplicate order d = {t.d}")
+        seen.add(t.d)
+        o = multiplicative_order(q, t.d)
+        if t.d <= 1 or t.d % p == 0:
+            raise ValueError(f"d = {t.d} not coprime to q or too small")
+        if t.psi != psi(t.d, q):
+            raise ValueError(f"psi mismatch for d = {t.d}")
+        if not t.entries:
+            raise ValueError(f"empty tuple stored for d = {t.d}")
+        if len(t.entries) > t.psi:
+            raise ValueError(f"too many entries for d = {t.d}")
+        if t.entries != _sorted_entries(t.entries):
+            raise ValueError(f"entries for d = {t.d} not canonical and in partition order")
+        total += o * t.total_weight()
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -11,18 +11,20 @@ lengths, the brute-force oracle) works on codes alone.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .fields import FieldTable
 
 __all__ = [
     "AffineMap",
     "GFMatrix",
+    "PackedMap",
     "block_diagonal",
     "companion_matrix",
     "cycle_lengths",
     "gf2_rank",
     "jordan_block",
+    "pack",
     "point_permutation",
     "rank",
 ]
@@ -174,6 +176,26 @@ class AffineMap(namedtuple("AffineMap", "matrix translation")):
     @property
     def field(self) -> FieldTable:
         return self.matrix.field
+
+
+class PackedMap(NamedTuple):
+    """A binary affine map x |-> x A + a, packed: bit j of columns[i] is
+    A[j][i] and bit i of translation is a_i, so coordinate i of the image is
+    the parity of x & columns[i], plus a_i.  A need not be invertible."""
+
+    columns: tuple[int, ...]
+    translation: int
+
+
+def pack(entries, translation=()) -> PackedMap:
+    """The packed form of x |-> x A + a, from the 0/1 rows of A and the
+    bits of a (none for a linear map)."""
+    columns = [0] * (len(entries[0]) if entries else 0)
+    for j, row in enumerate(entries):
+        for i, x in enumerate(row):
+            if x:
+                columns[i] |= 1 << j
+    return PackedMap(tuple(columns), sum(a << i for i, a in enumerate(translation)))
 
 
 def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:

@@ -8,7 +8,10 @@ one companion block per power f**j of each irreducible f receiving a
 nonzero partition.  The canonical representative puts the k nonempty
 partitions of one order on the first k irreducibles of that order, the
 first slot assignment `_distinct_assignments` yields; the other
-assignments are the other classes folded into the index.
+assignments are the other classes folded into the index.  One block list
+serves two layouts: `_assemble` lays it out densely as an AffineMap, and
+`packed_representative`, for the binary quotient counts, shifts each
+shared block's cached packed columns into place, with no dense matrix.
 
 Those classes fall into orbits of the unit group: for j a unit mod the
 lcm of the orders, the classes of sigma and sigma**j differ only in where
@@ -30,10 +33,12 @@ from .formulas import element_order, fix_exponent_at, orbit_exponent
 from .linalg import (
     AffineMap,
     GFMatrix,
+    PackedMap,
     block_diagonal,
     companion_matrix,
     cycle_lengths,
     jordan_block,
+    pack,
     point_permutation,
 )
 from .numtheory import divisors, factorize, multiplicative_order, power_exceeds, psi
@@ -43,6 +48,7 @@ __all__ = [
     "build_representative",
     "irreducibles_of_order",
     "iter_class_representatives",
+    "packed_representative",
     "verify_class",
 ]
 
@@ -81,31 +87,53 @@ def _unipotent_block(q: int, size: int) -> GFMatrix:
     return _invertible_block(jordan_block(field(q), size))
 
 
-def _spectral_blocks(q: int, spectrum, assignment: tuple[int, ...]) -> Iterator[GFMatrix]:
-    polys = irreducibles_of_order(spectrum.d, q)
-    for slot, entry in zip(assignment, spectrum.entries):
-        for j, mj in enumerate(entry, start=1):
-            if mj:
-                yield from itertools.repeat(_companion_power(q, polys[slot], j), mj)
+@lru_cache(maxsize=None)
+def _packed_block(block: GFMatrix) -> tuple[int, ...]:
+    # the packed columns of a shared block, for the packed layout
+    return pack(block.entries).columns
+
+
+def _blocks(idx: ClassIndex, assignments: tuple[tuple[int, ...], ...]) -> list[GFMatrix]:
+    """The diagonal blocks of the representative, in layout order: the
+    unipotent blocks by size, then the companion powers of each spectrum."""
+    q = idx.q
+    blocks = [_unipotent_block(q, size) for size, count in enumerate(idx.unipotent, start=1) for _ in range(count)]
+    for spectrum, assignment in zip(idx.spectra, assignments):
+        polys = irreducibles_of_order(spectrum.d, q)
+        for slot, entry in zip(assignment, spectrum.entries):
+            for j, mj in enumerate(entry, start=1):
+                blocks += [_companion_power(q, polys[slot], j)] * mj
+    return blocks
+
+
+def _marked_coordinate(idx: ClassIndex) -> int:
+    # the first coordinate of the first unipotent block of the marked size
+    return sum(size * count for size, count in enumerate(idx.unipotent[: idx.marker - 1], start=1))
 
 
 def _assemble(idx: ClassIndex, assignments: tuple[tuple[int, ...], ...]) -> AffineMap:
-    blocks = [
-        _unipotent_block(idx.q, size)
-        for size, count in enumerate(idx.unipotent, start=1)
-        for _ in range(count)
-    ]
-    for spectrum, assignment in zip(idx.spectra, assignments):
-        blocks.extend(_spectral_blocks(idx.q, spectrum, assignment))
-    matrix = block_diagonal(blocks)
+    matrix = block_diagonal(_blocks(idx, assignments))
     if matrix.rows != idx.n:
         raise AssertionError(f"assembled dimension {matrix.rows}, expected {idx.n}")
     translation = [0] * idx.n
     if idx.marker is not None:
-        # (1, 0, ..., 0) on the first unipotent block of the marked size
-        sizes = enumerate(idx.unipotent[: idx.marker - 1], start=1)
-        translation[sum(size * count for size, count in sizes)] = 1
+        translation[_marked_coordinate(idx)] = 1
     return AffineMap(matrix, tuple(translation))
+
+
+def packed_representative(idx: ClassIndex, assignments: tuple[tuple[int, ...], ...]) -> PackedMap:
+    """The binary representative `_assemble` builds, laid out packed from
+    the blocks' cached columns, with no dense matrix."""
+    if idx.q != 2:
+        raise ValueError(f"packed representatives are binary, got q = {idx.q}")
+    columns: list[int] = []
+    for block in _blocks(idx, assignments):
+        shift = len(columns)
+        columns += [c << shift for c in _packed_block(block)]
+    if len(columns) != idx.n:
+        raise AssertionError(f"assembled dimension {len(columns)}, expected {idx.n}")
+    translation = 0 if idx.marker is None else 1 << _marked_coordinate(idx)
+    return PackedMap(tuple(columns), translation)
 
 
 def build_representative(idx: ClassIndex) -> AffineMap:
@@ -263,10 +291,12 @@ def _assignment_orbits(q: int, spectra: tuple) -> tuple[tuple[tuple[tuple[int, .
     return tuple(orbits)
 
 
-def iter_class_representatives(idx: ClassIndex) -> Iterator[tuple[AffineMap, int]]:
-    """(representative, weight) pairs covering all idx.multiplicity() classes
-    folded into this index: one representative per orbit of
-    ``_assignment_orbits``, weighted by the orbit size.
+def iter_class_representatives(idx: ClassIndex) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
+    """(slot assignments, weight) pairs covering all idx.multiplicity()
+    classes folded into this index: the assignments of one representative
+    per orbit of ``_assignment_orbits``, weighted by the orbit size.
+    `_assemble` lays a representative out densely, `packed_representative`
+    packed.
 
     Every class of one orbit has the same fixed count on every invariant
     subquotient (the Jordan decomposition argument).  Let sigma = (A, t) be
@@ -290,7 +320,7 @@ def iter_class_representatives(idx: ClassIndex) -> Iterator[tuple[AffineMap, int
     if sum(map(len, orbits)) != idx.multiplicity():
         raise AssertionError(f"orbit sizes do not sum to the multiplicity of {idx}")
     for orbit in orbits:
-        yield _assemble(idx, orbit[0]), len(orbit)
+        yield orbit[0], len(orbit)
 
 
 # verify_class walks every point of F_q**n to count orbits

@@ -11,7 +11,7 @@ import itertools
 from functools import lru_cache
 
 from aglcount.fields import field
-from aglcount.linalg import AffineMap, GFMatrix, point_permutation
+from aglcount.linalg import pack, point_permutation
 from aglcount.numtheory import agl_group_order
 from aglcount.oracle import _count_orbits, _iter_linear_images, _point_actions, generators
 from aglcount.reps import _assemble, _distinct_assignments
@@ -84,8 +84,8 @@ def burnside_full_theta(n, s, r):
     points, _, _ = _point_actions(f, n)
     total = 0
     for rows, _ in _iter_linear_images(f, n):
-        mat = GFMatrix(f, [points[c] for c in rows])
-        total += sum(fix_on_quotient(AffineMap(mat, t), basis) for t in points)
+        entries = [points[c] for c in rows]
+        total += sum(fix_on_quotient(pack(entries, t), basis) for t in points)
     count, rem = divmod(total, group)
     if rem:
         raise AssertionError("quotient Burnside sum not divisible by the group order")

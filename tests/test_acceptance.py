@@ -25,11 +25,11 @@ from aglcount.formulas import (
 from aglcount.linalg import AffineMap, GFMatrix
 from aglcount.numtheory import agl_group_order, psi
 from aglcount.oracle import burnside_full, orbit_enumeration
-from aglcount.reps import iter_class_representatives, verify_class
+from aglcount.reps import _assemble, iter_class_representatives, verify_class
 from aglcount.rm import RMQuotientBasis, coset_class_count_M, fix_on_quotient, theta
 from brute import burnside_full_theta
 from test_conjugacy import partition_tuple
-from test_linalg import identity_map, matmul, sub_matrix
+from test_linalg import identity_map, matmul, packed, sub_matrix
 
 
 @contextlib.contextmanager
@@ -127,7 +127,7 @@ def test_criterion_07_translation_fix_identity():
         for n in range(2, 9):
             basis = RMQuotientBasis(n, -1, n - 2)
             shift = AffineMap(GFMatrix.identity(f2, n), (0,) * (n - 1) + (1,))
-            assert fix_on_quotient(shift, basis) == 2 ** (2 ** (n - 1) - 1), n
+            assert fix_on_quotient(packed(shift), basis) == 2 ** (2 ** (n - 1) - 1), n
 
 
 def independent_constant(digits):
@@ -174,10 +174,11 @@ def test_criterion_09_case_bound_consistency():
             eigen_bound = 2 ** (2 ** (n - 1))
             unipotent_bound = 2 ** (2**n - math.comb(n // 2, 3))
             for idx in enumerate_classes(n, 2):
-                for rep, _ in iter_class_representatives(idx):
+                for assignments, _ in iter_class_representatives(idx):
+                    rep = _assemble(idx, assignments)
                     if rep == identity:
                         continue
-                    fix = fix_on_quotient(rep, basis)
+                    fix = fix_on_quotient(packed(rep), basis)
                     a_minus_i = sub_matrix(rep.matrix, GFMatrix.identity(f2, n))
                     nth_power = GFMatrix.identity(f2, n)
                     for _ in range(n):

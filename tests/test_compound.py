@@ -16,7 +16,7 @@ from aglcount.compound import (
     unit_product_constant,
 )
 from aglcount.fields import field
-from aglcount.linalg import GFMatrix, jordan_block, rank
+from aglcount.linalg import GFMatrix, jordan_block, pack, rank
 from aglcount.rm import RMQuotientBasis, monomial_images
 from test_linalg import leibniz_det, matmul
 from test_rm import action_matrix
@@ -57,7 +57,7 @@ def compound_from_images(mat, r):
     images: entry (S, T) is the coefficient of X_S in the image of X_T, with
     S and T over the degree-r slots in lexicographic order."""
     n = mat.rows
-    images = monomial_images(mat.entries, (0,) * n, r)
+    images = monomial_images(pack(mat.entries), r)
     slots = RMQuotientBasis(n, r - 1, r).monomials
     return GFMatrix(f2, [[images[t] >> s & 1 for t in slots] for s in slots])
 
@@ -172,10 +172,10 @@ def corrupt_image(monkeypatch, size, t, slot):
     real = compound.monomial_images
     sizes = []
 
-    def corrupted(entries, translation, max_degree):
-        sizes.append(len(translation))
-        images = real(entries, translation, max_degree)
-        if len(translation) == size and images[t] is not None:
+    def corrupted(sigma, max_degree):
+        sizes.append(len(sigma.columns))
+        images = real(sigma, max_degree)
+        if len(sigma.columns) == size and images[t] is not None:
             images[t] ^= 1 << slot
         return images
 
@@ -242,10 +242,10 @@ def test_jordan_sweep_compares_the_previous_images(monkeypatch):
     real = compound.monomial_images
     sizes = []
 
-    def wrong_at_4_2(entries, translation, max_degree):
-        sizes.append(len(translation))
-        images = real(entries, translation, max_degree)
-        if len(translation) == 4:
+    def wrong_at_4_2(sigma, max_degree):
+        sizes.append(len(sigma.columns))
+        images = real(sigma, max_degree)
+        if len(sigma.columns) == 4:
             for t in range(16):
                 if t.bit_count() == 2:
                     images[t] = 1 << t

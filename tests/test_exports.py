@@ -20,7 +20,7 @@ import aglcount
 from aglcount.compound import AsymptoticRow
 from aglcount.conjugacy import ClassIndex
 from aglcount.fields import field
-from aglcount.linalg import AffineMap, GFMatrix
+from aglcount.linalg import AffineMap, GFMatrix, PackedMap
 from aglcount.numtheory import PrimePower
 from aglcount.reps import ClassCheckReport
 from aglcount.rm import RMQuotientBasis
@@ -128,6 +128,7 @@ INDEX = ClassIndex(n=2, q=2, unipotent=(0, 1), spectra=())
 RECORDS = [
     (PrimePower, (8, 2, 3), None),
     (AffineMap, (SHEAR, (1, 0)), ("matrix", SINGULAR, "affine map matrix must be invertible")),
+    (PackedMap, ((0b01, 0b11), 0b01), None),
     (RMQuotientBasis, (4, 0, 2), ("s", 2, r"invalid quotient basis \(4, 2, 2\)")),
     (ClassCheckReport, (INDEX, 2, 2, 3, 3, ()), None),
     (AsymptoticRow, (5, 7, 6, (9, 8), "1.125", "0.125", "1.1"), None),

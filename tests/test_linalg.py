@@ -14,6 +14,7 @@ from aglcount.linalg import (
     cycle_lengths,
     gf2_rank,
     jordan_block,
+    pack,
     point_permutation,
     rank,
 )
@@ -92,6 +93,11 @@ def point_code(point, q):
 
 def identity_map(f, n):
     return AffineMap(GFMatrix.identity(f, n), (0,) * n)
+
+
+def packed(sigma):
+    """The packed form of a binary AffineMap."""
+    return pack(sigma.matrix.entries, sigma.translation)
 
 
 def then(s, t):
@@ -346,6 +352,25 @@ def test_block_diagonal_layout():
     )
     with pytest.raises(ValueError):
         block_diagonal([])
+
+
+def test_pack_reads_columns_and_translation_bits():
+    # bit j of column i is A[j][i]: x A has coordinate i = x . column i
+    shear = pack([[1, 1, 0], [0, 1, 0], [0, 1, 1]], (0, 1, 1))
+    assert shear.columns == (0b001, 0b111, 0b100) and shear.translation == 0b110
+    assert pack(((0, 1), (1, 1))) == ((0b10, 0b11), 0)
+    assert pack(()) == ((), 0)
+    rng = random.Random(24)
+    for n in range(1, 7):
+        for _ in range(10):
+            a = rand_matrix(rng, f2, n, n)
+            t = tuple(rng.randrange(2) for _ in range(n))
+            sigma = pack(a.entries, t)
+            for code in range(1 << n):
+                x = tuple(code >> j & 1 for j in range(n))
+                image = [(sum(x[j] * a.entries[j][i] for j in range(n)) + t[i]) & 1 for i in range(n)]
+                want = [((code & c).bit_count() + (sigma.translation >> i)) & 1 for i, c in enumerate(sigma.columns)]
+                assert image == want, (a, t, x)
 
 
 def test_block_diagonal_of_ranked_blocks_is_not_ranked_again(monkeypatch):

@@ -19,6 +19,11 @@ from test_fields import table_irreducibles, table_order
 from test_linalg import affine_powers, cyclic_orbit_count, fixed_point_count, identity_map
 
 
+def assemble_all(idx):
+    """(map, weight) for each yielded slot assignment, laid out densely."""
+    return [(reps._assemble(idx, a), weight) for a, weight in iter_class_representatives(idx)]
+
+
 def test_irreducibles_of_order_examples():
     polys = irreducibles_of_order(7, 2)
     assert set(polys) == {(1, 1, 0, 1), (1, 0, 1, 1)}  # x^3+x+1, x^3+x^2+1
@@ -122,10 +127,13 @@ def test_shared_blocks_match_a_fresh_build(monkeypatch):
 
     def sweep():
         return [
-            (build_representative(idx), list(iter_class_representatives(idx)))
+            (build_representative(idx), assemble_all(idx), packed_all(idx) if q == 2 else None)
             for q, n in ((2, 6), (3, 3), (5, 2))
             for idx in enumerate_classes(n, q)
         ]
+
+    def packed_all(idx):
+        return [reps.packed_representative(idx, a) for a, _ in iter_class_representatives(idx)]
 
     cached = sweep()
     monkeypatch.setattr(reps, "_companion_power", fresh_companion)
@@ -219,7 +227,7 @@ def test_representatives_pairwise_non_conjugate():
     for n in range(1, 4):
         reps = []
         for idx in enumerate_classes(n, 2):
-            for rep, _ in iter_class_representatives(idx):
+            for rep, _ in assemble_all(idx):
                 reps.append(rep)
         classes = [conjugacy_class(rep) for rep in reps]
         perms = [tuple(point_permutation(rep)) for rep in reps]
@@ -291,7 +299,7 @@ def test_expansion_covers_distinct_classes():
     # every expanded representative for one index is non-conjugate to the
     # others, and together they exhaust the fold multiplicity
     for idx in enumerate_classes(3, 2):
-        reps = list(iter_class_representatives(idx))
+        reps = assemble_all(idx)
         if len(reps) == 1:
             continue
         sets = [conjugacy_class(rep) for rep, _ in reps]
@@ -331,4 +339,41 @@ def test_distinct_assignments_enumerate_exactly_the_fold():
     for q, nmax in ((2, 7), (3, 4), (4, 3), (5, 3), (7, 2), (9, 2)):
         for n in range(1, nmax + 1):
             for idx in enumerate_classes(n, q):
-                assert build_representative(idx) == next(iter_class_representatives(idx))[0], idx
+                first, _ = next(iter_class_representatives(idx))
+                assert build_representative(idx) == reps._assemble(idx, first), idx
+
+
+def test_packed_layout_matches_the_dense_layout():
+    # every assignment of every orbit at q = 2, n <= 8: the packed layout
+    # from the blocks' cached columns is the packed dense layout
+    from test_linalg import packed
+
+    checked = 0
+    for n in range(1, 9):
+        for idx in enumerate_classes(n, 2):
+            for orbit in reps._assignment_orbits(2, idx.spectra):
+                for assignments in orbit:
+                    want = packed(reps._assemble(idx, assignments))
+                    assert reps.packed_representative(idx, assignments) == want, (idx, assignments)
+                    checked += 1
+    assert checked == sum(1 for n in range(1, 9) for idx in enumerate_classes(n, 2) for _ in range(idx.multiplicity()))
+    with pytest.raises(ValueError, match="binary"):
+        reps.packed_representative(next(enumerate_classes(2, 3)), ())
+
+
+def test_theta_builds_no_dense_map(monkeypatch):
+    # with the shared blocks cached, theta lays every representative out
+    # packed: no dense layout, block-diagonal, matrix or affine map
+    from aglcount.rm import theta
+
+    want = theta(6, 1, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense representative built")
+
+    monkeypatch.setattr(reps, "_assemble", refuse)
+    monkeypatch.setattr(reps, "block_diagonal", refuse)
+    monkeypatch.setattr(linalg, "block_diagonal", refuse)
+    monkeypatch.setattr(reps, "AffineMap", refuse)
+    monkeypatch.setattr(GFMatrix, "__init__", refuse)
+    assert theta(6, 1, 3) == want

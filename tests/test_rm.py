@@ -6,7 +6,7 @@ import pytest
 from aglcount.conjugacy import ClassIndex, enumerate_classes
 from aglcount.fields import field
 from aglcount.formulas import count_function_classes
-from aglcount.linalg import AffineMap, GFMatrix, gf2_rank, point_permutation, rank
+from aglcount.linalg import AffineMap, GFMatrix, gf2_rank, pack, point_permutation
 from aglcount.partitions import enumerate_partitions
 from aglcount.reps import build_representative, iter_class_representatives
 from aglcount.rm import (
@@ -20,7 +20,7 @@ from aglcount.rm import (
 )
 from brute import burnside_full_theta, full_expansion, orbit_enumeration_code
 from test_conjugacy import partition_tuple
-from test_linalg import affine_order, apply, identity_map, matmul, sub_matrix, then
+from test_linalg import affine_order, apply, identity_map, matmul, packed, then
 
 f2 = field(2)
 
@@ -34,7 +34,7 @@ def rand_affine(rng, n):
 
 
 def images_of(sigma, max_degree):
-    return monomial_images(sigma.matrix.entries, sigma.translation, max_degree)
+    return monomial_images(packed(sigma), max_degree)
 
 
 def evaluate(packed, point):
@@ -84,6 +84,26 @@ def degree(packed):
     return max((m.bit_count() for m in range(packed.bit_length()) if packed >> m & 1), default=-1)
 
 
+def dense_fixes(sigma, bases):
+    """2 ** nullity of the action matrix minus the identity on each basis
+    (test reference).  One action matrix covers every degree the bases
+    span; substitution never raises degree, so the matrix of R(r, n)/R(s, n)
+    is its block on the degrees s + 1 .. r, a run of rows and columns."""
+    whole = RMQuotientBasis(bases[0].n, min(b.s for b in bases), max(b.r for b in bases))
+    mat = action_matrix(sigma, whole)
+    rows = [sum(x << j for j, x in enumerate(row)) ^ 1 << i for i, row in enumerate(mat.entries)]
+    out = []
+    for basis in bases:
+        start = sum(1 for m in whole.monomials if m.bit_count() > basis.r)
+        block = [x >> start & (1 << basis.dim) - 1 for x in rows[start : start + basis.dim]]
+        out.append(2 ** (basis.dim - gf2_rank(block)))
+    return out
+
+
+def dense_fix(sigma, basis):
+    return dense_fixes(sigma, [basis])[0]
+
+
 def action_matrix(sigma, basis):
     """Matrix of f |-> f(sigma(x)) on the quotient, columns the images of
     the basis monomials.  Multiplicative over composition: the matrix of
@@ -111,7 +131,7 @@ def test_substitute_examples():
     shear = AffineMap.linear(GFMatrix(f2, [[1, 0], [1, 1]]))  # X1 -> X1 + X2
     assert images_of(shear, 2)[0b11] == 1 << 0b10 | 1 << 0b11
     assert images_of(shear, 1)[0b11] is None  # above max_degree
-    assert monomial_images((), (), 0) == [1]
+    assert monomial_images(pack(()), 0) == [1]
 
 
 def test_substitute_pointwise_oracle():
@@ -128,7 +148,7 @@ def test_substitute_pointwise_oracle():
                 entries = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
                 translation = tuple(rng.randrange(2) for _ in range(n))
             r = n - trial // 2 % (n + 1)  # both kinds of map at r = n and below
-            images = monomial_images(entries, translation, r)
+            images = monomial_images(pack(entries, translation), r)
             assert len(images) == 1 << n
             for m, image in enumerate(images):
                 if m.bit_count() > r:
@@ -147,7 +167,7 @@ def test_substitute_degree_behavior():
             # masking in fix_on_quotient is the reduction modulo R(s, n)
             entries = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
             translation = tuple(rng.randrange(2) for _ in range(n))
-            for m, image in enumerate(monomial_images(entries, translation, n)):
+            for m, image in enumerate(monomial_images(pack(entries, translation), n)):
                 assert degree(image) <= m.bit_count(), (n, m)
             # invertible: degree preserved, and the inverse substitutes back
             sigma = rand_affine(rng, n)
@@ -201,7 +221,7 @@ def test_degree_bounded_walk_matches_full_walk():
                 translation = tuple(rng.randrange(2) for _ in range(n))
             for r in range(n + 1):
                 want = full_walk_images(entries, translation, r)
-                assert monomial_images(entries, translation, r) == want, (n, trial, r)
+                assert monomial_images(pack(entries, translation), r) == want, (n, trial, r)
 
 
 def test_basis_layout():
@@ -254,14 +274,14 @@ def test_fix_on_quotient_examples():
     for n in (2, 3, 4, 5):
         basis = RMQuotientBasis(n, -1, n - 2)
         ident = identity_map(f2, n)
-        assert fix_on_quotient(ident, basis) == 2 ** (2**n - n - 1)
+        assert fix_on_quotient(packed(ident), basis) == 2 ** (2**n - n - 1)
         shift = AffineMap(GFMatrix.identity(f2, n), (0,) * (n - 1) + (1,))
-        assert fix_on_quotient(shift, basis) == 2 ** (2 ** (n - 1) - 1)
+        assert fix_on_quotient(packed(shift), basis) == 2 ** (2 ** (n - 1) - 1)
     # constants are fixed by everything
     rng = random.Random(35)
     basis = RMQuotientBasis(2, -1, 0)
     for _ in range(5):
-        assert fix_on_quotient(rand_affine(rng, 2), basis) == 2
+        assert fix_on_quotient(packed(rand_affine(rng, 2)), basis) == 2
 
 
 def test_fix_is_a_class_function():
@@ -272,7 +292,7 @@ def test_fix_is_a_class_function():
             sigma = rand_affine(rng, n)
             g = rand_affine(rng, n)
             conjugate = then(then(inverse(g), sigma), g)
-            assert fix_on_quotient(sigma, basis) == fix_on_quotient(conjugate, basis)
+            assert fix_on_quotient(packed(sigma), basis) == fix_on_quotient(packed(conjugate), basis)
 
 
 def test_fix_matches_nullity_of_action_matrix():
@@ -296,9 +316,87 @@ def test_fix_matches_nullity_of_action_matrix():
     for n, s, r in ((8, 0, 4), (8, 2, 6), (9, 1, 3), (9, -1, 9)):
         cases.append((rand_affine(rng, n), RMQuotientBasis(n, s, r)))
     for sigma, basis in cases:
-        mat = action_matrix(sigma, basis)
-        delta = sub_matrix(mat, GFMatrix.identity(f2, basis.dim))
-        assert fix_on_quotient(sigma, basis) == 2 ** (delta.cols - rank(delta)), (basis, sigma)
+        assert fix_on_quotient(packed(sigma), basis) == dense_fix(sigma, basis), (basis, sigma)
+
+
+def test_split_fix_matches_dense_on_every_representative():
+    # the split by fixed coordinates in fix_on_quotient: the unmarked 1 x 1
+    # Jordan blocks of every representative a theta call builds at n <= 7,
+    # on every quotient R(r, n)/R(s-1, n)
+    from aglcount.reps import _assemble
+
+    split = 0
+    for n in range(1, 8):
+        bases = [RMQuotientBasis(n, s - 1, r) for r in range(n + 1) for s in range(r + 1)]
+        for idx in enumerate_classes(n, 2):
+            for assignments, _ in iter_class_representatives(idx):
+                sigma = _assemble(idx, assignments)
+                split += idx.unipotent[:1] > (idx.marker == 1,)
+                got = [fix_on_quotient(packed(sigma), basis) for basis in bases]
+                assert got == dense_fixes(sigma, bases), idx
+    assert split > 100
+
+
+def planted(rng, n, k, translated):
+    """A random map of AGL(n, 2) that fixes k coordinates at scattered
+    positions: the block map diag(I_k, B) conjugated by a random coordinate
+    permutation, with a translation on one moved coordinate if asked."""
+    m = n - k
+    while True:
+        block = [[rng.randrange(2) for _ in range(m)] for _ in range(m)]
+        if m == 0 or GFMatrix(f2, block).is_invertible():
+            break
+    order = rng.sample(range(n), n)
+    entries = [[0] * n for _ in range(n)]
+    for i in range(k):
+        entries[order[i]][order[i]] = 1
+    for i in range(m):
+        for j in range(m):
+            entries[order[k + i]][order[k + j]] = block[i][j]
+    translation = [0] * n
+    if translated:
+        translation[order[k + rng.randrange(m)]] = 1
+    return AffineMap(GFMatrix(f2, entries), tuple(translation))
+
+
+def test_split_fix_matches_dense_on_planted_fixed_coordinates(monkeypatch):
+    # random maps with k planted fixed coordinates for n <= 9, with and
+    # without a translation on a moved coordinate; the substitution sees at
+    # most n - k variables
+    from aglcount import rm
+
+    sizes = []
+    real = rm.monomial_images
+    monkeypatch.setattr(rm, "monomial_images", lambda sigma, d: sizes.append(len(sigma.columns)) or real(sigma, d))
+    rng = random.Random(38)
+    for n in range(1, 10):
+        for trial in range(6):
+            k = rng.randint(1, n - 1) if n > 1 else 0
+            sigma = planted(rng, n, k, translated=trial % 2 == 1 and k < n)
+            if n <= 6:
+                bases = [RMQuotientBasis(n, s - 1, r) for r in range(n + 1) for s in range(r + 1)]
+            else:
+                bases = []
+                for _ in range(3):
+                    r = rng.randrange(n + 1)
+                    bases.append(RMQuotientBasis(n, rng.randrange(r + 1) - 1, r))
+            for basis in bases:
+                del sizes[:]
+                assert fix_on_quotient(packed(sigma), basis) == dense_fix(sigma, basis), (k, basis, sigma)
+                assert sizes and max(sizes) <= n - k, (k, sizes)
+
+
+def test_split_fix_of_the_identity_and_a_translation():
+    # the identity fixes every coset and substitutes no variable; a pure
+    # translation moves only its own coordinate
+    for n in range(1, 8):
+        bases = [RMQuotientBasis(n, s - 1, r) for r in range(n + 1) for s in range(r + 1)]
+        ident = identity_map(f2, n)
+        assert [fix_on_quotient(packed(ident), basis) for basis in bases] == [2**b.dim for b in bases]
+        for i in range(n):
+            shift = AffineMap(GFMatrix.identity(f2, n), tuple(int(j == i) for j in range(n)))
+            got = [fix_on_quotient(packed(shift), basis) for basis in bases]
+            assert got == dense_fixes(shift, bases), (n, i)
 
 
 def test_theta_examples():
@@ -347,11 +445,11 @@ def test_collapsed_assignments_share_the_fix_count():
         assert len(reps) == 1 and reps[0][1] == psi_d  # collapsed
         basis = RMQuotientBasis(n, s, r)
         values = {
-            fix_on_quotient(_assemble(idx, ((slot,),)), basis)
+            fix_on_quotient(packed(_assemble(idx, ((slot,),))), basis)
             for slot in range(psi_d)
         }
         assert len(values) == 1, (n, d, values)
-        assert values == {fix_on_quotient(reps[0][0], basis)}
+        assert values == {fix_on_quotient(packed(_assemble(idx, reps[0][0])), basis)}
     # several entries of one order, beyond the sweep below: x**3 + x + 1 and
     # x**3 + x**2 + 1 swap under j = 3, the 15 pairs of the six order-31
     # slots fall into orbits of 3, 6 and 6, and the two order-7 slots of a
@@ -368,7 +466,7 @@ def test_collapsed_assignments_share_the_fix_count():
         assert [w for _, w in iter_class_representatives(idx)] == sizes
         basis = RMQuotientBasis(n, s, r)
         for orbit in orbits:
-            values = {fix_on_quotient(_assemble(idx, assignment), basis) for assignment in orbit}
+            values = {fix_on_quotient(packed(_assemble(idx, assignment)), basis) for assignment in orbit}
             assert len(values) == 1, (idx, orbit)
 
 
@@ -387,7 +485,7 @@ def test_every_assignment_of_an_orbit_has_its_fix_count():
                     continue
                 merged += 1
                 several_orders += len(idx.spectra) > 1
-                maps = [_assemble(idx, assignment) for assignment in orbit]
+                maps = [packed(_assemble(idx, assignment)) for assignment in orbit]
                 for basis in bases:
                     values = {fix_on_quotient(sigma, basis) for sigma in maps}
                     assert len(values) == 1, (idx, orbit, basis)
@@ -505,7 +603,7 @@ def test_theta_matches_reference_sum():
         ]
         for _, s, r in cases:
             basis = RMQuotientBasis(n, s - 1, r)
-            reference = sum(size * fix_on_quotient(rep, basis) for size, maps in expanded for rep in maps)
+            reference = sum(size * fix_on_quotient(packed(rep), basis) for size, maps in expanded for rep in maps)
             assert reference % order == 0, (n, s, r)
             assert theta(n, s, r) == reference // order, (n, s, r)
 
