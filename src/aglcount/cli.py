@@ -40,11 +40,14 @@ _DECIMAL_LEAF_BITS = 1024
 # verify --suite reps walks about q**n points per class index at the largest n
 _REPS_STEP_LIMIT = 1 << 24
 # the theta paths of count-cosets and the duality and compound suites run one
-# engine, rm.monomial_images and gf2_rank, and are admitted by one estimate
-# of its work.  The slowest admitted inputs, each in a fresh interpreter (2
-# cores, Python 3.11.7, medians of 3 runs): theta(11; 0, 5) 2.6 s,
-# theta(15; 0, 0) 2.9 s and theta at n = 12..14 0.8-1.7 s; duality --n 9
-# 13.5 s; compound --n 15 1.4 s and 123 MiB
+# engine, rm.monomial_images and the GF(2) elimination, and are admitted by
+# one estimate of its work; at s = 0 a representative whose dual code is
+# smaller reads its count off orbit sums instead, which only makes an
+# admitted input faster.  The slowest admitted inputs, each in a fresh
+# interpreter (2 cores, Python 3.11.7, medians of 3 interleaved runs):
+# theta(11; 0, 5) 2.1 s (2.7 s substituting every representative),
+# theta(15; 0, 0) 2.3 s (2.5 s) and theta at n = 12..14 0.8-1.7 s;
+# duality --n 9 11.2 s (11.1 s); compound --n 15 1.4 s and 123 MiB
 _SUBSTITUTION_BUDGET = 6 * 10**10
 
 
@@ -208,8 +211,9 @@ def _theta_work(n: int, r: int) -> int:
     """Substitution steps of theta(n; s, r), taken as 2**n representatives
     (theta builds fewer, 3,724 at n = 13), each substituting C(n, <= r)
     monomials into ints of 2**n bits, one shift per variable; a
-    representative with fixed coordinates substitutes fewer variables, so
-    theta(11; 0, 5), the slowest admitted theta, takes 2.6 s.  As in
+    representative with fixed coordinates substitutes fewer variables, and
+    at s = 0 one whose dual code is smaller walks its points instead, so
+    theta(11; 0, 5), the slowest admitted theta, takes 2.1 s.  As in
     _count_refusal, n is taken at min(n, 64): O(1) for any n."""
     m = min(n, 64)
     return m * 4**m * sum(math.comb(m, k) for k in range(min(r, m) + 1))

@@ -4,8 +4,8 @@ elimination over F_q, or a packed-int GF(2) rank at q = 2.
 Row-vector convention throughout: a matrix acts on points by x |-> x A,
 an affine map by x |-> x A + a.  A point x of F_q**n has the code
 x_0 + x_1 q + ... + x_{n-1} q**(n-1); `point_permutation` is the one place
-that turns points into codes, and everything that walks points (cycle
-lengths, the brute-force oracle) works on codes alone.
+that turns points into codes, and everything that walks points (cycles,
+the brute-force oracle, orbit sums) works on codes alone.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ __all__ = [
     "block_diagonal",
     "companion_matrix",
     "cycle_lengths",
+    "cycles",
+    "gf2_extend",
     "gf2_rank",
     "jordan_block",
     "pack",
@@ -72,22 +74,30 @@ class GFMatrix:
         return self._invertible
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of rows packed as ints (bit j = column j), by
-    reduction against one pivot row per leading bit; only the pivots are
-    kept, so the rows may come from a generator."""
-    pivots: dict[int, int] = {}
-    rank_ = 0
+def gf2_extend(pivots: dict[int, int], rows: Iterable[int]) -> int:
+    """Top-bit elimination over GF(2) of rows packed as ints (bit j =
+    column j): each row is reduced against the pivots, one pivot row per
+    leading bit, and kept as a new pivot under its leading bit unless it
+    vanishes.  Returns the number of new pivots, the rank the rows add to
+    the pivots' span; so feeding rows a group at a time gives the rank of
+    every prefix.  Only the pivots are kept, so the rows may come from a
+    generator."""
+    added = 0
     for row in rows:
         while row:
             top = row.bit_length() - 1
             pivot = pivots.get(top)
             if pivot is None:
                 pivots[top] = row
-                rank_ += 1
+                added += 1
                 break
             row ^= pivot
-    return rank_
+    return added
+
+
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of rows packed as ints, by `gf2_extend`."""
+    return gf2_extend({}, rows)
 
 
 def rank(mat: GFMatrix) -> int:
@@ -222,14 +232,27 @@ def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
     return out
 
 
-def point_permutation(sigma: AffineMap) -> list[int]:
+def point_permutation(sigma: AffineMap | PackedMap) -> list[int]:
     """The map as a permutation of the point codes 0 .. q**n - 1.
 
     Coordinate j of the image is affine in the point, so it is built one
     input coordinate at a time: on the codes below q**(i+1) its values are
     those on the codes below q**i, followed by the same values plus
     x * A[i][j] for x = 1 .. q - 1.  The image code is the sum of
-    value_j * q**j."""
+    value_j * q**j.  A `PackedMap` is binary, where a point's code is its
+    own bits: the images of the codes below 2**(i+1) are those below 2**i,
+    followed by the same codes XOR row i of A, 2**n XORs in all."""
+    if isinstance(sigma, PackedMap):
+        rows = [0] * len(sigma.columns)
+        for j, column in enumerate(sigma.columns):
+            while column:
+                low = column & -column
+                rows[low.bit_length() - 1] |= 1 << j
+                column ^= low
+        codes = [sigma.translation]
+        for row in rows:
+            codes += [c ^ row for c in codes]
+        return codes
     f = sigma.field
     q = f.q
     codes = [0] * q**sigma.dim
@@ -248,19 +271,30 @@ def point_permutation(sigma: AffineMap) -> list[int]:
     return codes
 
 
+def cycles(perm) -> list[list[int]]:
+    """The cycles of a permutation of 0 .. len(perm) - 1, each as its points
+    in walk order, in the order of their smallest points; the one cycle
+    walker, for cycle lengths and for orbit sums.  Each point is visited
+    once, and a table that is not a permutation is refused: it has a point
+    on no cycle, and the walk from the smallest one never returns to it."""
+    seen = bytearray(len(perm))
+    out = []
+    for start, cur in enumerate(perm):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        cycle = [start]
+        while not seen[cur]:
+            seen[cur] = 1
+            cycle.append(cur)
+            cur = perm[cur]
+        if cur != start:
+            raise ValueError(f"not a permutation: {start} does not return to itself")
+        out.append(cycle)
+    return out
+
+
 def cycle_lengths(perm) -> list[int]:
     """Lengths of the cycles of a permutation of 0 .. len(perm) - 1, in the
     order of their smallest points."""
-    seen = bytearray(len(perm))
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = 1
-            cur = perm[cur]
-            length += 1
-        lengths.append(length)
-    return lengths
+    return [len(cycle) for cycle in cycles(perm)]

@@ -11,12 +11,16 @@ substitution engine.
 A fixed count splits off the coordinates sigma fixes: if sigma fixes k
 coordinates that no other coordinate's image reads, R(r, n)/R(s-1, n) is
 the sum of C(k, j) copies of R(r-j, n-k)/R(s-1-j, n-k) over j, so one
-substitution on n - k variables and one rank per j give the count
-(``fix_on_quotient``).  With that and representatives laid out packed,
-theta(11; 0, 5) takes 2.6 s against 3.6 s (fresh interpreters, medians of
-3 interleaved runs), and theta(9; 2, 3) plus theta(10; 1, 2) 0.165 s
-against 0.190 s (bench ``middle`` solve_s, medians of 10 interleaved
-runs; 2 cores of a shared machine, Python 3.11.7).
+substitution on n - k variables and one elimination per floor s-1-j give
+the count (``fix_on_quotient``).  With that and representatives laid out
+packed, theta(11; 0, 5) took 2.6 s against 3.6 s (fresh interpreters,
+medians of 3 interleaved runs), and theta(9; 2, 3) plus theta(10; 1, 2)
+0.165 s against 0.190 s (bench ``middle`` solve_s, medians of 10
+interleaved runs; 2 cores of a shared machine, Python 3.11.7).  At s = 0
+a map whose dual code R(n-k-r-1, n-k) has fewer monomials than R(r, n-k)
+is read off the orbit sums of its point walk instead, one elimination for
+every j (bench ``cosets`` solve_s, median of 10 alternating pairs,
+0.114 s against 0.135 s).
 
 The quotient counts have no fold of their own: each class representative
 fixes 2**nullity cosets, so ``theta`` hands (weight, nullity) terms to the
@@ -31,11 +35,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import xor
 
 from .conjugacy import ClassIndex
 from .formulas import burnside_count
-from .linalg import PackedMap, gf2_rank
+from .linalg import PackedMap, cycles, gf2_extend, point_permutation
 from .partitions import Partition
 from .reps import iter_class_representatives, packed_representative
 
@@ -146,7 +151,9 @@ def _slot_mask(n: int, s: int, r: int) -> int:
 
 def fix_on_quotient(sigma: PackedMap, basis: RMQuotientBasis) -> int:
     """2 ** nullity(action matrix - identity): the number of fixed vectors
-    of the induced linear action on the quotient R(r, n)/R(s, n).
+    of the induced linear action of sigma, an element of AGL(n, 2), on the
+    quotient R(r, n)/R(s, n).  The point walk of the dual side below
+    refuses a sigma that is not invertible.
 
     Row m of the transposed action matrix minus the identity is the packed
     image of monomial m plus m itself, kept on the basis slots.  The rank is
@@ -167,9 +174,41 @@ def fix_on_quotient(sigma: PackedMap, basis: RMQuotientBasis) -> int:
         log2 fix(sigma) = sum over j of C(k, j) nullity(sigma_R - I on
                           R(r - j, m)/R(s - j, m)),
     with the degrees clipped to -1 <= s - j and r - j <= m and empty
-    summands skipped.  So sigma_R is substituted once, on m variables up to
-    degree min(r, m), and each summand takes one rank.  For a class
-    representative, I is its unmarked 1 x 1 Jordan blocks.
+    summands skipped.  For a class representative, I is its unmarked 1 x 1
+    Jordan blocks.  Each summand's nullity then comes from one of two
+    sides.
+
+    The substitution side substitutes sigma_R once, on m variables up to
+    degree min(r, m).  Summands that share a floor s - j take one
+    elimination, its rows in ascending degree: a row of degree <= h reaches
+    only slots of degree <= h, so the rank after the rows of degree <= h is
+    the rank of the summand of top h.  With s = -1 every summand has floor
+    -1.
+
+    The dual side, for s = -1 only, where every summand is R(h, m) with
+    h = r - j, walks the 2**m points of sigma_R once:
+    (a) log2 fix(sigma_R on R(h, m)) = orbits - the rank of the orbit sums
+        over the monomials of degree <= K = m - h - 1, where the orbit sum
+        of O holds, per monomial t, the sum of X_t(x) over x in O.  Proof:
+        f is fixed iff f(sigma_R x) = f(x) for every x, iff f is constant on
+        the orbits of <sigma_R> on F_2**m, and those f = sum of c_O 1_O form
+        a space of dimension orbits.  R(h, m) is the dual of R(K, m) under
+        the form sum_x f(x) g(x) (MacWilliams & Sloane), so f lies in
+        R(h, m) iff sum_O c_O (orbit sum of O)_t = 0 for every t of degree
+        <= K; the fixed space is the kernel of c |-> sum c_O (orbit sum of
+        O).  K < 0 (h >= m) leaves no condition.
+    (b) With the columns graded, degree 0 as the top bit, the monomials of
+        degree <= K are the top columns for every K, and the rank of the
+        orbit sums on them is the number of pivots of one top-bit
+        elimination that lead inside them.  Proof: the pivots span the row
+        space and have distinct leads; cut to the top columns, those that
+        lead there stay independent, the others vanish, and cutting
+        commutes with the span.
+    So one elimination over the largest K gives every summand's rank, and
+    it stops once a pivot leads in every column.  Each map takes the dual
+    side when its columns for j = 0 are fewer than the rows the
+    substitution side ranks, C(m, <= m - r - 1) < C(m, <= min(r, m)); an
+    empty dual, r >= m, only counts orbits.
     """
     columns, translation = sigma
     n = len(columns)
@@ -195,16 +234,72 @@ def fix_on_quotient(sigma: PackedMap, basis: RMQuotientBasis) -> int:
             return out
 
         sigma = PackedMap(tuple(restrict(columns[i]) for i in position), restrict(translation))
-    images = monomial_images(sigma, min(basis.r, m))
-    nullity = 0
+    summands = []  # (multiplicity, floor, top) per nonempty summand, tops descending
     for j in range(k + 1):
         low, high = max(basis.s - j, -1), min(basis.r - j, m)
         if low < high:
-            keep = _slot_mask(m, low, high)
-            monomials = _basis_monomials(m, low, high)
-            rank = gf2_rank([(images[t] ^ (1 << t)) & keep for t in monomials])
-            nullity += math.comb(k, j) * (len(monomials) - rank)
-    return 1 << nullity
+            summands.append((math.comb(k, j), low, high))
+    if basis.s == -1 and _dual_is_smaller(m, basis.r):
+        return 1 << _orbit_nullity(sigma, m, summands)
+    return 1 << _substituted_nullity(sigma, m, min(basis.r, m), summands)
+
+
+def _dual_is_smaller(m: int, r: int) -> bool:
+    """C(m, <= m - r - 1) < C(m, <= min(r, m)): the orbit sums of sigma_R
+    on R(r, m) have fewer columns than its substitution has rows."""
+    return len(_basis_monomials(m, -1, m - r - 1)) < len(_basis_monomials(m, -1, min(r, m)))
+
+
+def _substituted_nullity(sigma: PackedMap, m: int, degree: int, summands) -> int:
+    images = monomial_images(sigma, degree)
+    nullity = 0
+    floor = None
+    for count, low, high in reversed(summands):  # tops ascending within a floor
+        if low != floor:
+            floor = below = low
+            pivots: dict[int, int] = {}
+            rank = dim = 0
+        keep = _slot_mask(m, low, high)
+        rows = [(images[t] ^ 1 << t) & keep for t in _basis_monomials(m, below, high)]
+        rank += gf2_extend(pivots, rows)
+        dim += len(rows)
+        below = high
+        nullity += count * (dim - rank)
+    return nullity
+
+
+def _orbit_nullity(sigma: PackedMap, m: int, summands) -> int:
+    orbits = cycles(point_permutation(sigma))
+    degree = m - summands[-1][2] - 1
+    if degree < 0:
+        return sum(count for count, _, _ in summands) * len(orbits)
+    values = _evaluations(m, degree)
+    width = len(_basis_monomials(m, -1, degree))
+    pivots: dict[int, int] = {}
+    # once a pivot leads in every column, the other orbit sums depend on them
+    gf2_extend(pivots, (reduce(xor, map(values.__getitem__, orbit)) for orbit in orbits if len(pivots) < width))
+    nullity = 0
+    for count, _, high in summands:
+        boundary = width - len(_basis_monomials(m, -1, m - high - 1))
+        nullity += count * (len(orbits) - sum(map(boundary.__le__, pivots)))
+    return nullity
+
+
+@lru_cache(maxsize=None)
+def _evaluations(m: int, degree: int) -> tuple[int, ...]:
+    """Per point x of F_2**m, the values X_t(x) of the monomials of degree
+    <= degree, bit j for monomial j of ``_basis_monomials(m, -1, degree)``:
+    graded, degree 0 the top bit.  X_t(x) = 1 iff t is a subset of x, so
+    these are the sums over the subsets of x of one bit per monomial."""
+    values = [0] * (1 << m)
+    for j, t in enumerate(_basis_monomials(m, -1, degree)):
+        values[t] = 1 << j
+    for i in range(m):
+        bit = 1 << i
+        for x in range(1 << m):
+            if x & bit:
+                values[x] |= values[x ^ bit]
+    return tuple(values)
 
 
 def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex, multiplicity: int, orbits: int):

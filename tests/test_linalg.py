@@ -12,6 +12,8 @@ from aglcount.linalg import (
     block_diagonal,
     companion_matrix,
     cycle_lengths,
+    cycles,
+    gf2_extend,
     gf2_rank,
     jordan_block,
     pack,
@@ -243,6 +245,38 @@ def test_gf2_rank_matches_naive_elimination():
         assert rank(m) == rank(transpose(m))
 
 
+def test_gf2_extend_ranks_every_prefix():
+    # rows fed a group at a time onto one pivot set: each call adds the rank
+    # its group adds, so the running total is the rank of every prefix
+    rng = random.Random(7)
+    for _ in range(40):
+        width = rng.randint(1, 40)
+        rows = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randint(0, 30))]
+        cuts = sorted(rng.sample(range(len(rows) + 1), min(4, len(rows) + 1)))
+        pivots, total, start = {}, 0, 0
+        for cut in cuts + [len(rows)]:
+            total += gf2_extend(pivots, iter(rows[start:cut]))
+            start = cut
+            assert total == len(pivots) == gf2_rank(rows[:cut]), (rows, cut)
+        assert all(lead == row.bit_length() - 1 for lead, row in pivots.items())
+
+
+def test_pivots_leading_in_a_top_segment_give_its_rank():
+    # lemma (b) of rm.fix_on_quotient: after one top-bit elimination, the
+    # rank of the rows cut to their top columns is the number of pivots that
+    # lead inside those columns, for every cut at once
+    rng = random.Random(8)
+    for _ in range(60):
+        width = rng.randint(1, 60)
+        rows = [rng.getrandbits(width) >> rng.randrange(width) for _ in range(rng.randint(0, 40))]
+        rows += [rows[i] ^ rows[j] for i, j in zip(range(0, len(rows), 3), range(1, len(rows), 4))]
+        pivots = {}
+        gf2_extend(pivots, rows)
+        for boundary in range(width + 1):
+            want = gf2_rank([row >> boundary for row in rows])
+            assert sum(lead >= boundary for lead in pivots) == want, (rows, boundary)
+
+
 def test_companion_matrix_shapes():
     assert companion_matrix(f2, (1, 1)).entries == ((1,),)  # x + 1 over F2
     c = companion_matrix(f2, (1, 1, 0, 1))  # x^3 + x + 1
@@ -458,6 +492,68 @@ def test_cycle_lengths_match_brute_force():
             k += 1
         assert math.lcm(*lengths) == k, perm
     assert cycle_lengths([1, 0, 3, 4, 2]) == [2, 3]
+
+
+def test_cycles_walk_each_cycle_once():
+    # each cycle starts at its smallest point and follows the permutation
+    # around; together they cover every point once
+    rng = random.Random(42)
+    for _ in range(40):
+        perm = list(range(rng.randint(0, 40)))
+        rng.shuffle(perm)
+        walked = list(cycles(perm))
+        assert sorted(x for cycle in walked for x in cycle) == list(range(len(perm)))
+        assert [cycle[0] for cycle in walked] == sorted(min(cycle) for cycle in walked)
+        for cycle in walked:
+            assert [perm[x] for x in cycle] == cycle[1:] + cycle[:1], perm
+        assert cycle_lengths(perm) == [len(cycle) for cycle in walked]
+    # a table that is not a permutation is refused, not walked forever
+    for table in ([1, 1], [0, 0], [1, 2, 1], [2, 0, 0], [0, 2, 3, 2]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            cycles(table)
+
+
+def test_orbit_sums_match_brute_per_orbit_sums():
+    # the XOR of per-point values over each cycle the walker yields equals
+    # the sum over the orbit found by brute closure of its smallest point
+    rng = random.Random(43)
+    for n in range(0, 7):
+        for _ in range(5):
+            sigma = AffineMap(rand_invertible(rng, f2, n), tuple(rng.randrange(2) for _ in range(n)))
+            perm = point_permutation(packed(sigma))
+            values = [rng.getrandbits(20) for _ in perm]
+            got = {cycle[0]: 0 for cycle in cycles(perm)}
+            for cycle in cycles(perm):
+                for x in cycle:
+                    got[cycle[0]] ^= values[x]
+            want = {}
+            for code in range(1 << n):
+                point = tuple(code >> i & 1 for i in range(n))
+                orbit = {point}
+                while (point := apply(sigma, point)) not in orbit:
+                    orbit.add(point)
+                codes = [point_code(x, 2) for x in orbit]
+                total = 0
+                for c in codes:
+                    total ^= values[c]
+                want[min(codes)] = total
+            assert got == want, sigma
+
+
+def test_packed_point_permutation_matches_pointwise_apply():
+    # any 0/1 matrix, singular or not, with any translation: the table is
+    # the image code of every point
+    rng = random.Random(44)
+    for n in range(0, 7):
+        for _ in range(6):
+            entries = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+            translation = tuple(rng.randrange(2) for _ in range(n))
+            table = point_permutation(pack(entries, translation))
+            assert len(table) == 1 << n
+            for code, image in enumerate(table):
+                point = [code >> j & 1 for j in range(n)]
+                want = [(a + sum(x * row[i] for x, row in zip(point, entries))) & 1 for i, a in enumerate(translation)]
+                assert image == point_code(want, 2), (entries, translation, code)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])

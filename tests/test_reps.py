@@ -361,12 +361,26 @@ def test_packed_layout_matches_the_dense_layout():
         reps.packed_representative(next(enumerate_classes(2, 3)), ())
 
 
+def test_packed_point_walk_matches_the_dense_walk():
+    # every binary representative a theta call builds at n <= 8: the point
+    # table of the packed map, by linearity in XORs, is the dense walk's
+    walked = 0
+    for n in range(1, 9):
+        for idx in enumerate_classes(n, 2):
+            for assignments, _ in iter_class_representatives(idx):
+                want = point_permutation(reps._assemble(idx, assignments))
+                assert point_permutation(reps.packed_representative(idx, assignments)) == want, idx
+                walked += 1
+    assert walked == 2 + 5 + 10 + 22 + 40 + 80 + 140 + 260
+
+
 def test_theta_builds_no_dense_map(monkeypatch):
     # with the shared blocks cached, theta lays every representative out
-    # packed: no dense layout, block-diagonal, matrix or affine map
+    # packed: no dense layout, block-diagonal, matrix or affine map, on the
+    # substitution side and on the point walk of the dual side
     from aglcount.rm import theta
 
-    want = theta(6, 1, 3)
+    want = theta(6, 1, 3), theta(6, 0, 3), theta(6, 0, 6)
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense representative built")
@@ -376,4 +390,4 @@ def test_theta_builds_no_dense_map(monkeypatch):
     monkeypatch.setattr(linalg, "block_diagonal", refuse)
     monkeypatch.setattr(reps, "AffineMap", refuse)
     monkeypatch.setattr(GFMatrix, "__init__", refuse)
-    assert theta(6, 1, 3) == want
+    assert (theta(6, 1, 3), theta(6, 0, 3), theta(6, 0, 6)) == want

@@ -23,6 +23,7 @@ from test_conjugacy import partition_tuple
 from test_linalg import affine_order, apply, identity_map, matmul, packed, then
 
 f2 = field(2)
+BITS = bytes.maketrans(b"\x00\x01", b"01")  # a 0/1 row as binary digits
 
 
 def rand_affine(rng, n):
@@ -90,8 +91,8 @@ def dense_fixes(sigma, bases):
     span; substitution never raises degree, so the matrix of R(r, n)/R(s, n)
     is its block on the degrees s + 1 .. r, a run of rows and columns."""
     whole = RMQuotientBasis(bases[0].n, min(b.s for b in bases), max(b.r for b in bases))
-    mat = action_matrix(sigma, whole)
-    rows = [sum(x << j for j, x in enumerate(row)) ^ 1 << i for i, row in enumerate(mat.entries)]
+    entries = action_entries(sigma, whole)
+    rows = [int(bytes(row[::-1]).translate(BITS), 2) ^ 1 << i for i, row in enumerate(entries)]
     out = []
     for basis in bases:
         start = sum(1 for m in whole.monomials if m.bit_count() > basis.r)
@@ -104,13 +105,18 @@ def dense_fix(sigma, basis):
     return dense_fixes(sigma, [basis])[0]
 
 
+def action_entries(sigma, basis):
+    """The 0/1 rows of `action_matrix`, unchecked."""
+    images = images_of(sigma, basis.r)
+    columns = [images[mono] for mono in basis.monomials]
+    return [[column >> pos & 1 for column in columns] for pos in basis.monomials]
+
+
 def action_matrix(sigma, basis):
     """Matrix of f |-> f(sigma(x)) on the quotient, columns the images of
     the basis monomials.  Multiplicative over composition: the matrix of
     "a, then b" is the matrix of a times the matrix of b, in that order."""
-    images = images_of(sigma, basis.r)
-    monomials = basis.monomials
-    return GFMatrix(f2, [[images[mono] >> pos & 1 for mono in monomials] for pos in monomials])
+    return GFMatrix(f2, action_entries(sigma, basis))
 
 
 def inverse(sigma):
@@ -361,13 +367,21 @@ def planted(rng, n, k, translated):
 
 def test_split_fix_matches_dense_on_planted_fixed_coordinates(monkeypatch):
     # random maps with k planted fixed coordinates for n <= 9, with and
-    # without a translation on a moved coordinate; the substitution sees at
-    # most n - k variables
+    # without a translation on a moved coordinate; whichever side runs, the
+    # substitution sees at most n - k variables and the point walk visits at
+    # most 2**(n - k) points
     from aglcount import rm
 
-    sizes = []
-    real = rm.monomial_images
-    monkeypatch.setattr(rm, "monomial_images", lambda sigma, d: sizes.append(len(sigma.columns)) or real(sigma, d))
+    sizes, walks = [], []
+    real_images, real_walk = rm.monomial_images, rm.point_permutation
+
+    def walk(sigma):
+        perm = real_walk(sigma)
+        walks.append(len(perm))
+        return perm
+
+    monkeypatch.setattr(rm, "monomial_images", lambda sigma, d: sizes.append(len(sigma.columns)) or real_images(sigma, d))
+    monkeypatch.setattr(rm, "point_permutation", walk)
     rng = random.Random(38)
     for n in range(1, 10):
         for trial in range(6):
@@ -381,9 +395,10 @@ def test_split_fix_matches_dense_on_planted_fixed_coordinates(monkeypatch):
                     r = rng.randrange(n + 1)
                     bases.append(RMQuotientBasis(n, rng.randrange(r + 1) - 1, r))
             for basis in bases:
-                del sizes[:]
+                del sizes[:], walks[:]
                 assert fix_on_quotient(packed(sigma), basis) == dense_fix(sigma, basis), (k, basis, sigma)
-                assert sizes and max(sizes) <= n - k, (k, sizes)
+                assert sizes or walks, (k, basis)
+                assert max(sizes, default=0) <= n - k and max(walks, default=0) <= 2 ** (n - k), (k, sizes, walks)
 
 
 def test_split_fix_of_the_identity_and_a_translation():
@@ -397,6 +412,113 @@ def test_split_fix_of_the_identity_and_a_translation():
             shift = AffineMap(GFMatrix.identity(f2, n), tuple(int(j == i) for j in range(n)))
             got = [fix_on_quotient(packed(shift), basis) for basis in bases]
             assert got == dense_fixes(shift, bases), (n, i)
+
+
+def record_sides(monkeypatch):
+    """The list fix_on_quotient appends the name of each side to as it runs."""
+    from aglcount import rm
+
+    ran = []
+    for name in ("_orbit_nullity", "_substituted_nullity"):
+        real = getattr(rm, name)
+        monkeypatch.setattr(rm, name, lambda *args, real=real, name=name: ran.append(name) or real(*args))
+    return ran
+
+
+@pytest.fixture
+def fix_by_side(monkeypatch):
+    """fix(sigma, basis, dual): fix_on_quotient with every map sent to the
+    dual side (dual true) or to the substitution side, checking that the
+    forced side, and only it, ran."""
+    from aglcount import rm
+
+    ran, choice = record_sides(monkeypatch), [False]
+    monkeypatch.setattr(rm, "_dual_is_smaller", lambda m, r: choice[0])
+
+    def fix(sigma, basis, dual):
+        choice[0] = dual
+        del ran[:]
+        out = fix_on_quotient(sigma, basis)
+        assert ran == ["_orbit_nullity" if dual else "_substituted_nullity"], (basis, ran)
+        return out
+
+    return fix
+
+
+def test_both_sides_match_dense_on_every_representative(fix_by_side):
+    # the orbit sums of the dual code and the substitution, each forced, on
+    # every representative a theta call builds at n <= 8 and every s = 0
+    # basis R(r, n), against the dense action matrix
+    from aglcount.reps import _assemble, packed_representative
+
+    checked = 0
+    for n in range(1, 9):
+        bases = [RMQuotientBasis(n, -1, r) for r in range(n + 1)]
+        for idx in enumerate_classes(n, 2):
+            for assignments, _ in iter_class_representatives(idx):
+                sigma = packed_representative(idx, assignments)
+                want = dense_fixes(_assemble(idx, assignments), bases)
+                for dual in (False, True):
+                    assert [fix_by_side(sigma, basis, dual) for basis in bases] == want, (idx, dual)
+                checked += 1
+    assert checked == 559
+
+
+def test_both_sides_match_dense_on_planted_maps(fix_by_side):
+    # random maps with k planted fixed coordinates for n <= 9, with and
+    # without a translation on a moved coordinate, each side forced
+    rng = random.Random(39)
+    for n in range(1, 10):
+        bases = [RMQuotientBasis(n, -1, r) for r in range(n + 1)]
+        for trial in range(6):
+            k = rng.randint(0, n - 1)
+            sigma = planted(rng, n, k, translated=trial % 2 == 1)
+            want = dense_fixes(sigma, bases)
+            for dual in (False, True):
+                assert [fix_by_side(packed(sigma), basis, dual) for basis in bases] == want, (k, dual, sigma)
+
+
+def test_dual_side_refuses_a_singular_map():
+    # fixed points are counted for group elements: the point walk of a
+    # singular map is no permutation, and the dual side refuses it
+    singular = pack([[1, 1, 0], [1, 1, 0], [0, 0, 1]], (1, 0, 0))
+    with pytest.raises(ValueError, match="not a permutation"):
+        fix_on_quotient(singular, RMQuotientBasis(3, -1, 3))
+
+
+def test_each_map_takes_the_side_with_fewer_columns(monkeypatch):
+    # theta(8; 0, 4) reads every representative off the orbit sums, theta(9;
+    # 0, 3) splits 80 to 367, theta(7; 0, 7) only counts orbits, and a middle
+    # quotient always substitutes
+    from aglcount import rm
+
+    ran = record_sides(monkeypatch)
+    monkeypatch.setattr(rm, "_evaluations", lambda m, degree, real=rm._evaluations: ran.append("columns") or real(m, degree))
+    for args, dual, substituted in (((8, 0, 4), 260, 0), ((9, 0, 3), 80, 367), ((7, 0, 7), 140, 0), ((8, 1, 4), 0, 260)):
+        del ran[:]
+        theta(*args)
+        assert (ran.count("_orbit_nullity"), ran.count("_substituted_nullity")) == (dual, substituted), args
+        if args[2] == args[0]:
+            assert "columns" not in ran
+
+
+def test_evaluations_are_graded_with_degree_zero_on_top():
+    # bit j of point x is X_t(x), t the j-th monomial of degree <= K in the
+    # basis order, degree descending: the monomials of degree <= K' < K are
+    # the top columns
+    from aglcount.rm import _basis_monomials, _evaluations
+
+    for m in range(0, 7):
+        for degree in range(0, m + 1):
+            monomials = _basis_monomials(m, -1, degree)
+            values = _evaluations(m, degree)
+            assert len(values) == 1 << m
+            for x, value in enumerate(values):
+                assert value == sum(1 << j for j, t in enumerate(monomials) if t & x == t), (m, degree, x)
+                assert value >> len(monomials) - 1 == 1  # the constant, on top
+            for low in range(degree):
+                top = len(_basis_monomials(m, -1, low))
+                assert _evaluations(m, low) == tuple(v >> len(monomials) - top for v in values)
 
 
 def test_theta_examples():
