@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -142,6 +143,14 @@ def _d_info(n: int, q: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((d, multiplicative_order(q, d), psi(d, q)) for d in compute_D(n, q))
 
 
+@lru_cache(maxsize=None)
+def _fitting(n: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Per budget b = 0..n, the ascending positions in ``_d_info(n, q)`` of
+    the orders d with o_d <= b, the only ones that fit in weight b."""
+    orders = [o for _, o, _ in _d_info(n, q)]
+    return tuple(tuple([j for j, o in enumerate(orders) if o <= b]) for b in range(n + 1))
+
+
 def _shapes_from(m: int, cap: int, min_key) -> Iterator[tuple[Partition, ...]]:
     if m == 0:
         yield ()
@@ -163,19 +172,19 @@ def _tuple_shapes(m: int, cap: int) -> tuple[tuple[Partition, ...], ...]:
     return tuple(_shapes_from(m, cap, None))
 
 
-def _iter_spectra(dinfo, start: int, budget: int) -> Iterator[tuple[PartitionTuple, ...]]:
+def _iter_spectra(dinfo, fitting, start: int, budget: int) -> Iterator[tuple[PartitionTuple, ...]]:
+    # bisects to start among the orders that fit, so it never sees one that cannot
     if budget == 0:
         yield ()
         return
-    for j in range(start, len(dinfo)):
+    positions = fitting[budget]
+    for j in positions[bisect_left(positions, start) :]:
         d, o, psi_d = dinfo[j]
-        if o > budget:
-            continue
         for m in range(1, budget // o + 1):
             rest = budget - o * m
             for entries in _tuple_shapes(m, min(psi_d, m)):
                 head = PartitionTuple(d=d, psi=psi_d, entries=entries)
-                for tail in _iter_spectra(dinfo, j + 1, rest):
+                for tail in _iter_spectra(dinfo, fitting, j + 1, rest):
                     yield (head, *tail)
 
 
@@ -197,9 +206,9 @@ def enumerate_classes(n: int, q: int, w: int | None = None) -> Iterator[ClassInd
     if w is not None and not 0 <= w <= n:
         raise ValueError(f"spectra weight w = {w} outside 0..{n}")
     prime_power(q)
-    dinfo = _d_info(n, q)
+    dinfo, fitting = _d_info(n, q), _fitting(n, q)
     for w in range(n + 1) if w is None else (w,):
         rows = [(lam, t) for lam in enumerate_partitions(n - w) for t in (None, *support(lam))]
-        for spectra in _iter_spectra(dinfo, 0, w):
+        for spectra in _iter_spectra(dinfo, fitting, 0, w):
             for lam, t in rows:
                 yield ClassIndex(n, q, lam, spectra, t)

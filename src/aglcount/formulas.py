@@ -11,19 +11,20 @@ For a class index this module evaluates, with exact integer arithmetic:
 and folds them into the total number of AGL(n, F_q) orbits of the space of
 functions F_q**n -> F_q.
 
-``burnside_total`` is the package's one Burnside fold and one process-pool
-path: every count (function classes, the class equation, the quotient codes
-of ``rm``) sums weight * |class| * q**e over the classes.  Most of a class's
-work depends on its spectra tuple alone, and the fold rebuilds those pieces
-whenever the tuple changes, from parts cached once per partition tuple and
-from divisibility-pattern weights found by inclusion-exclusion over the
-orders d, with no factoring; the unipotent side is looked up by (partition,
-marker) in one table per unipotent weight.  So the indices may come in any
-order, and the enumeration's runs of one spectra tuple only save work.  One
-spectra weight, which owns one row table, is the unit of work on the
-serial and pool paths alike.  The sum of c_e * q**e goes by halves, not by
-Horner.  Every division asserts exactness; a failed assertion means an
-enumeration or formula bug.
+``burnside_total`` is the package's one Burnside fold and one path to
+worker processes: every count (function classes, the class equation, the
+quotient codes of ``rm``) sums weight * |class| * q**e over the classes.
+Most of a class's work depends on its spectra tuple alone, and the fold
+rebuilds those pieces whenever the tuple changes, from parts cached once
+per partition tuple and from divisibility-pattern weights found by
+inclusion-exclusion over the orders d, with no factoring; the unipotent
+side is looked up by (partition, marker) in one table per unipotent
+weight, and one orbit-count step per index combines the two.  So the
+indices may come in any order, and the enumeration's runs of one spectra
+tuple only save work.  One spectra weight, which owns one row table, is
+the unit of work in process and in the workers alike.  The sum of
+c_e * q**e goes by halves, not by Horner.  Every division asserts
+exactness; a failed assertion means an enumeration or formula bug.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from functools import lru_cache
+from itertools import accumulate, zip_longest
 from typing import Sequence
 
 from .conjugacy import ClassIndex, PartitionTuple, _permutation_count, enumerate_classes
@@ -60,6 +62,12 @@ def _pairwise_min_sum(lam: Sequence[int]) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _unit_product(q: int, o: int, k: int) -> int:
+    """The product of q**(o*u) - 1 over u = 1..k."""
+    return math.prod([q ** (o * u) - 1 for u in range(1, k + 1)])
+
+
 def _centralizer_factor(q: int, exponent: int, blocks) -> int:
     """q**(exponent - L) times the product of q**(o*u) - 1 over the (o, lam)
     in blocks, the parts j of lam and u = 1..lam_j; L sums the o*u (the
@@ -68,9 +76,9 @@ def _centralizer_factor(q: int, exponent: int, blocks) -> int:
     units = 1
     for o, lam in blocks:
         for mj in lam:
-            for u in range(1, mj + 1):
-                units *= q ** (o * u) - 1
-                denom_exp += o * u
+            if mj:
+                units *= _unit_product(q, o, mj)
+                denom_exp += o * mj * (mj + 1) // 2
     if exponent < denom_exp:
         raise AssertionError("centralizer q-power exponent went negative")
     return q ** (exponent - denom_exp) * units
@@ -108,11 +116,13 @@ def _divisibility_weights(ds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ..
     division, since a k divisible by ds[i] is divisible by each ds[j] that
     divides ds[i].
     """
-    size = 1 << len(ds)
-    lcms = [1] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        lcms[mask] = math.lcm(lcms[mask ^ low], ds[low.bit_length() - 1])
+    # position by position: closure[mask] holds the j with ds[j] dividing a
+    # ds[i], i in mask
+    lcms, closure = [1], [0]
+    for d in ds:
+        dividing = sum([1 << j for j, dj in enumerate(ds) if d % dj == 0])
+        lcms += [math.lcm(sub, d) for sub in lcms]
+        closure += [need | dividing for need in closure]
     lcm = lcms[-1]
     g = []
     for sub in lcms:
@@ -120,19 +130,18 @@ def _divisibility_weights(ds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ..
         if rem:
             raise AssertionError("lcm of some orders d does not divide the lcm of all")
         g.append(h)
+    size = len(g)
     for i in range(len(ds)):
         bit = 1 << i
         for mask in range(size):
             if not mask & bit:
                 g[mask] -= g[mask | bit]
-    # per position i, the positions j with ds[j] dividing ds[i]
-    dividing = [sum(1 << j for j, dj in enumerate(ds) if d % dj == 0) for d in ds]
     kept = []
     for mask, g_s in enumerate(g):
         if g_s < 0:
             raise AssertionError("divisibility pattern weight went negative")
         if g_s:
-            if any(dividing[i] & ~mask for i in _positions(mask)):
+            if closure[mask] & ~mask:
                 raise AssertionError("divisibility pattern not closed under division of the orders d")
             kept.append(mask)
     return lcm, tuple(map(_positions, kept)), tuple([g[mask] for mask in kept])
@@ -141,13 +150,12 @@ def _divisibility_weights(ds: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ..
 def _level_sums(parts: tuple[Partition, ...], p: int, a: int) -> tuple[int, ...]:
     """For nu = 0..a, the sum over the partitions of sum_j min(p**nu, j) * m_j:
     the fixed dimension of a unipotent power of p-adic valuation nu on
-    Jordan blocks of these shapes."""
-    out = []
-    cap = 1
-    for _ in range(a + 1):
-        out.append(sum(min(cap, j) * mj for lam in parts for j, mj in enumerate(lam, start=1)))
-        cap *= p
-    return tuple(out)
+    Jordan blocks of these shapes, as the sum over i <= p**nu of the number
+    of parts of size >= i."""
+    counts = [sum(column) for column in zip_longest(*parts, fillvalue=0)]
+    at_least = list(accumulate(counts[::-1]))[::-1]
+    totals = [0, *accumulate(at_least)]
+    return tuple([totals[min(p**nu, len(at_least))] for nu in range(a + 1)])
 
 
 # What the class formulas take from one partition tuple of the spectra: the
@@ -249,43 +257,42 @@ def _unipotent_rows(m: int, q: int, top: int) -> dict[tuple[Partition, int | Non
     return rows
 
 
-def _unipotent_row(idx: ClassIndex, rows: dict | None = None) -> _Row:
-    """The row of idx's (partition, marker) in rows, by default the table
-    of its unipotent weight at its n and q."""
-    if rows is None:
-        rows = _unipotent_rows(weight(idx.unipotent), idx.q, _ceil_log(prime_power(idx.q).p, idx.n) + 1)
+def _unipotent_row(idx: ClassIndex) -> _Row:
+    """The row of idx's (partition, marker) in the table of its unipotent
+    weight at its n and q."""
+    rows = _unipotent_rows(weight(idx.unipotent), idx.q, _ceil_log(prime_power(idx.q).p, idx.n) + 1)
     try:
         return rows[idx.unipotent, idx.marker]
     except KeyError:
         raise AssertionError("class index without a unipotent row") from None
 
 
-def _order_exponent(row: _Row, pieces: _Pieces) -> int:
-    """a with element order L * p**a: the p-power that covers the largest
-    part, times p when the marked block is a largest one of p-power size."""
+def _orbit_count(row: _Row, pieces: _Pieces, p: int) -> tuple[int, int]:
+    """a with element order L * p**a (the p-power that covers the largest
+    part, times p when the marked block is a largest one of p-power size),
+    and the divisor sum of ``orbit_exponent`` for that order."""
     if not (row.largest or pieces.largest):
         raise AssertionError("index has no parts at all")
     a = max(row.level, pieces.level)
-    return a + 1 if row.bump and row.largest >= pieces.largest else a
-
-
-def _orbit_count(row: _Row, pieces: _Pieces, p: int, a: int) -> int:
-    """The divisor sum of ``orbit_exponent`` for the order L * p**a."""
+    if row.bump and row.largest >= pieces.largest:
+        a += 1
     threshold = row.threshold
     if threshold > a:
         raise AssertionError("translation threshold exceeds the p-adic valuation of the order")
-    if a >= len(row.powers):
+    powers, sums = row.powers, pieces.sums
+    if a >= len(powers):
         raise AssertionError("p-adic valuation of the order beyond the levels at dimension n")
     total = 0
     pk = p ** (a - threshold)
-    for power, pattern_sum in zip(row.powers[threshold : a + 1], pieces.sums[threshold : a + 1]):
+    for nu in range(threshold, a + 1):
         # phi(p**k) = p**k - p**(k - 1), and 1 at k = 0
-        total += (pk - pk // p) * power * pattern_sum
-        pk //= p
-    order = pieces.lcm * p**a
-    if total % order != 0:
+        lower = pk // p
+        total += (pk - lower) * powers[nu] * sums[nu]
+        pk = lower
+    orbits, rem = divmod(total, pieces.lcm * p**a)
+    if rem:
         raise AssertionError("orbit-count divisor sum not divisible by the order")
-    return total // order
+    return a, orbits
 
 
 def centralizer_order(idx: ClassIndex) -> int:
@@ -297,7 +304,8 @@ def centralizer_order(idx: ClassIndex) -> int:
 def element_order(idx: ClassIndex) -> int:
     """Order of the class representative as a group element."""
     pieces = _spectra_pieces(idx)
-    return pieces.lcm * prime_power(idx.q).p ** _order_exponent(_unipotent_row(idx), pieces)
+    p = prime_power(idx.q).p
+    return pieces.lcm * p ** _orbit_count(_unipotent_row(idx), pieces, p)[0]
 
 
 def fix_exponent_at(idx: ClassIndex, k: int) -> int | None:
@@ -338,9 +346,7 @@ def orbit_exponent(idx: ClassIndex) -> int:
     where g_S sums phi(L / k') over the divisors k' of L with pattern S.
     P depends on the spectra alone and q**U(nu) on the unipotent row alone.
     """
-    pieces = _spectra_pieces(idx)
-    row = _unipotent_row(idx)
-    return _orbit_count(row, pieces, prime_power(idx.q).p, _order_exponent(row, pieces))
+    return _orbit_count(_unipotent_row(idx), _spectra_pieces(idx), prime_power(idx.q).p)[1]
 
 
 def _fold_weight(args) -> tuple[int, Counter]:
@@ -362,12 +368,15 @@ def _fold_weight(args) -> tuple[int, Counter]:
             quotient, rem = divmod(group, pieces.centralizer)
             if rem:
                 raise AssertionError("centralizer does not divide the group order")
-        row = _unipotent_row(idx, rows)
+        try:
+            row = rows[idx.unipotent, idx.marker]
+        except KeyError:
+            raise AssertionError("class index without a unipotent row") from None
         # together with the check above: the product divides the group order
         size, rem = divmod(quotient, row.centralizer)
         if rem:
             raise AssertionError("centralizer does not divide the group order")
-        orbits = _orbit_count(row, pieces, p, _order_exponent(row, pieces))
+        orbits = _orbit_count(row, pieces, p)[1]
         for times, exponent in terms(idx, pieces.multiplicity, orbits):
             coeffs[exponent] += times * size
     return count, coeffs
@@ -409,21 +418,28 @@ def burnside_total(n: int, q: int, terms, jobs: int = 1, progress=None) -> int:
     the pair stands for and q**e is their fixed count.  The result is the
     sum of weight * |class| * q**e, collected per exponent.  One task per
     spectra weight w = n down to 0 enumerates and folds that weight's
-    indices, in process or, when jobs > 1, in a process pool (terms must
-    then pickle; the parent builds no class index).  The largest weight
-    caps useful parallelism at 1 / its share of the work (at N(2, 16..20)
-    10.7-11.8% of the indices, about 17% of the time).  progress, if
-    given, gets the running class-index count after each nonempty spectra
-    weight on either path.  The result is identical for any jobs.
+    indices, in process or, when jobs > 1, in jobs worker processes of a
+    ``concurrent.futures`` executor (terms must then pickle; the parent
+    builds no class index).  Its results merge as they complete; if one
+    raises, the pending tasks are cancelled, the running ones finish, and
+    the error reaches the caller.  The largest weight caps useful
+    parallelism at 1 / its share of the work (at N(2, 16..20) 10.7-11.8%
+    of the indices, about 17% of the time).  progress, if given, gets the
+    running class-index count after each nonempty spectra weight on
+    either path.  The result is identical for any jobs.
     """
     group = agl_group_order(n, q)
     tasks = [(n, q, w, group, terms) for w in range(n, -1, -1)]
     if jobs <= 1:
         return _merge(map(_fold_weight, tasks), q, progress)
-    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    with multiprocessing.Pool(jobs) as pool:
-        return _merge(pool.imap_unordered(_fold_weight, tasks), q, progress)
+    pool = ProcessPoolExecutor(jobs)
+    try:
+        futures = [pool.submit(_fold_weight, task) for task in tasks]
+        return _merge((future.result() for future in as_completed(futures)), q, progress)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def burnside_count(n: int, q: int, terms, jobs: int = 1, progress=None) -> int:

@@ -52,11 +52,41 @@ def two_layer_classes(n, q):
     translation-marked copies, ascending."""
     dinfo = conjugacy._d_info(n, q)
     for w in range(n + 1):
-        for spectra in conjugacy._iter_spectra(dinfo, 0, w):
+        for spectra in conjugacy._iter_spectra(dinfo, conjugacy._fitting(n, q), 0, w):
             for lam in enumerate_partitions(n - w):
                 yield ClassIndex(n=n, q=q, unipotent=lam, spectra=spectra)
                 for t in support(lam):
                     yield ClassIndex(n=n, q=q, unipotent=lam, spectra=spectra, marker=t)
+
+
+def unbisected_spectra(dinfo, start, budget):
+    """The former spectra walk: every order d from position start on, at
+    every level, skipping the ones with o_d > budget."""
+    if budget == 0:
+        yield ()
+        return
+    for j in range(start, len(dinfo)):
+        d, o, psi_d = dinfo[j]
+        if o > budget:
+            continue
+        for m in range(1, budget // o + 1):
+            for entries in conjugacy._tuple_shapes(m, min(psi_d, m)):
+                head = PartitionTuple(d=d, psi=psi_d, entries=entries)
+                for tail in unbisected_spectra(dinfo, j + 1, budget - o * m):
+                    yield (head, *tail)
+
+
+@pytest.mark.parametrize("q, n", [(2, 16), (3, 9), (4, 6), (5, 7), (7, 5), (8, 5), (9, 4)])
+def test_bisected_spectra_walk_matches_the_full_scan(q, n):
+    # the bench's sizes and the F_4, F_8, F_9 ones: the same tuples in the
+    # same order at every spectra weight
+    dinfo, fitting = conjugacy._d_info(n, q), conjugacy._fitting(n, q)
+    assert [len(positions) for positions in fitting] == [
+        sum(o <= b for _, o, _ in dinfo) for b in range(n + 1)
+    ]
+    for w in range(n + 1):
+        ours = list(conjugacy._iter_spectra(dinfo, fitting, 0, w))
+        assert ours == list(unbisected_spectra(dinfo, 0, w)), (q, n, w)
 
 
 @pytest.mark.parametrize("q,n_max", [(2, 8), (3, 5), (4, 4), (5, 3)])
@@ -304,7 +334,7 @@ def unipotent_outer_classes(n, q):
     dinfo = conjugacy._d_info(n, q)
     for w in range(n, -1, -1):
         for lam in enumerate_partitions(w):
-            for spectra in conjugacy._iter_spectra(dinfo, 0, n - w):
+            for spectra in conjugacy._iter_spectra(dinfo, conjugacy._fitting(n, q), 0, n - w):
                 for marker in (None, *support(lam)):
                     yield ClassIndex(n=n, q=q, unipotent=lam, spectra=spectra, marker=marker)
 

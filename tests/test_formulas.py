@@ -1,14 +1,16 @@
 import itertools
 import math
+import os
 import random
 import subprocess
 import sys
 import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from aglcount import formulas
+from aglcount import conjugacy, formulas
 from aglcount.conjugacy import ClassIndex, enumerate_classes
 from aglcount.formulas import (
     burnside_count,
@@ -31,8 +33,10 @@ from aglcount.numtheory import (
     psi,
 )
 from aglcount.oracle import burnside_full, orbit_enumeration
+from aglcount.partitions import enumerate_partitions
 from aglcount.reps import build_representative
 from aglcount.rm import _coset_terms, coset_class_count_M
+import planted
 from brute import brute_centralizer
 from test_conjugacy import partition_tuple, permutation_count
 from test_linalg import affine_order, cyclic_orbit_count, fixed_point_count, then
@@ -252,34 +256,25 @@ def fold_totals(n, q):
 def test_fold_is_independent_of_the_index_order(monkeypatch, q, n):
     # the fold keys its rows by (partition, marker), so a shuffle within
     # each spectra weight that breaks the spectra runs changes no total,
-    # serial or pooled (forked workers see the stand-in)
+    # serial or pooled (the workers get the stand-in with the terms)
     expected = fold_totals(n, q)
-    shuffled = {}
-    for w in range(n + 1):
-        shuffled[w] = list(enumerate_classes(n, q, w))
-        random.Random(1717 + 31 * n + w).shuffle(shuffled[w])
-    assert sum(len(spectra_runs(shuffled[w])) for w in shuffled) > len(spectra_runs(enumerate_classes(n, q)))
-    monkeypatch.setattr(formulas, "enumerate_classes", lambda n_, q_, w: iter(shuffled[w]))
+    runs = sum(len(spectra_runs(planted.shuffled(n, q, w))) for w in range(n + 1))
+    assert runs > len(spectra_runs(enumerate_classes(n, q)))
+    monkeypatch.setattr(formulas, "enumerate_classes", planted.shuffled)
     for terms, total in expected.items():
         assert burnside_total(n, q, terms) == total, (q, n, terms)
-        assert burnside_total(n, q, terms, jobs=2) == total, (q, n, terms)
+        pooled = planted.Planted("enumerate_classes", planted.shuffled, terms)
+        assert burnside_total(n, q, pooled, jobs=2) == total, (q, n, terms)
 
 
 def test_index_of_another_weight_raises(monkeypatch):
     # a task draws only its own weight's indices; one from another weight
     # has no row in the task's table
-    full = formulas.enumerate_classes
-    stray = next(full(5, 3, 1))
-
-    def with_a_stray(n, q, w):
-        yield from full(n, q, w)
-        if w == 3:
-            yield stray
-
-    monkeypatch.setattr(formulas, "enumerate_classes", with_a_stray)
-    for jobs in (1, 2):
-        with pytest.raises(AssertionError, match="class index without a unipotent row"):
-            burnside_total(5, 3, formulas._orbit_terms, jobs=jobs)
+    with pytest.raises(AssertionError, match=planted.NO_ROW):
+        burnside_total(5, 3, planted.FAULTS["stray"], jobs=2)
+    monkeypatch.setattr(formulas, "enumerate_classes", planted.with_a_stray)
+    with pytest.raises(AssertionError, match=planted.NO_ROW):
+        burnside_total(5, 3, formulas._orbit_terms)
 
 
 def test_pooled_fold_builds_no_class_index_in_the_parent(monkeypatch):
@@ -313,20 +308,23 @@ def test_row_table_keys_are_the_unipotent_indices(q):
 
 @pytest.mark.parametrize("which", ["middle", "last"])
 def test_row_table_missing_a_marker_row_raises(monkeypatch, which):
-    full = formulas._unipotent_rows
-
-    def without_a_marker(m, q, top):
-        rows = dict(full(m, q, top))
-        marked = [key for key in rows if key[1] is not None]
-        if marked:
-            del rows[marked[len(marked) // 2] if which == "middle" else marked[-1]]
-        return rows
-
-    monkeypatch.setattr(formulas, "_unipotent_rows", without_a_marker)
     # the pool re-raises a worker's error in the caller
-    for jobs in (1, 2):
-        with pytest.raises(AssertionError, match="without a unipotent row"):
-            burnside_total(5, 3, formulas._orbit_terms, jobs=jobs)
+    with pytest.raises(AssertionError, match=planted.NO_ROW):
+        burnside_total(5, 3, planted.FAULTS[which], jobs=2)
+    monkeypatch.setattr(formulas, "_unipotent_rows", planted.FAULTS[which].stand_in)
+    with pytest.raises(AssertionError, match=planted.NO_ROW):
+        burnside_total(5, 3, formulas._orbit_terms)
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver"])
+def test_worker_error_comes_back_in_time(method):
+    # a worker's error ends the pool instead of hanging its teardown; the
+    # subprocess's timeout is the bound
+    script = f"import multiprocessing, planted; multiprocessing.set_start_method({method!r}); planted.raise_in_pool(5)"
+    paths = [Path(formulas.__file__).parents[1], Path(__file__).parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def horner_sum(table, q):
@@ -387,6 +385,83 @@ def test_pattern_weights_match_the_divisor_walk():
             lcm, patterns, weights = formulas._divisibility_weights(ds)
             assert (lcm, dict(zip(patterns, weights))) == divisor_walk_weights(ds), (q, n, ds)
             assert sum(weights) == lcm and all(weights), ds
+
+
+def centralizer_factor_per_unit(q, exponent, blocks):
+    """The former centralizer factor: one factor and one power per u."""
+    denom_exp = 0
+    units = 1
+    for o, lam in blocks:
+        for mj in lam:
+            for u in range(1, mj + 1):
+                units *= q ** (o * u) - 1
+                denom_exp += o * u
+    if exponent < denom_exp:
+        raise AssertionError("centralizer q-power exponent went negative")
+    return q ** (exponent - denom_exp) * units
+
+
+def level_sums_per_cap(parts, p, a):
+    """The former level sums: min(p**nu, j) * m_j added up afresh per nu."""
+    return tuple(
+        sum(min(p**nu, j) * mj for lam in parts for j, mj in enumerate(lam, start=1)) for nu in range(a + 1)
+    )
+
+
+def divisibility_weights_per_mask(ds):
+    """The former pattern weights: each mask's lcm from the mask without its
+    lowest bit, and the closure checked per position of each kept pattern."""
+    size = 1 << len(ds)
+    lcms = [1] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        lcms[mask] = math.lcm(lcms[mask ^ low], ds[low.bit_length() - 1])
+    lcm = lcms[-1]
+    g = []
+    for sub in lcms:
+        h, rem = divmod(lcm, sub)
+        if rem:
+            raise AssertionError("lcm of some orders d does not divide the lcm of all")
+        g.append(h)
+    for i in range(len(ds)):
+        bit = 1 << i
+        for mask in range(size):
+            if not mask & bit:
+                g[mask] -= g[mask | bit]
+    dividing = [sum(1 << j for j, dj in enumerate(ds) if d % dj == 0) for d in ds]
+    kept = []
+    for mask, g_s in enumerate(g):
+        if g_s < 0:
+            raise AssertionError("divisibility pattern weight went negative")
+        if g_s:
+            if any(dividing[i] & ~mask for i in formulas._positions(mask)):
+                raise AssertionError("divisibility pattern not closed under division of the orders d")
+            kept.append(mask)
+    return lcm, tuple(map(formulas._positions, kept)), tuple([g[mask] for mask in kept])
+
+
+@pytest.mark.parametrize("q, n", [(2, 16), (3, 9), (4, 6), (5, 7), (7, 5), (8, 5), (9, 4)])
+def test_class_tables_match_their_former_builds(q, n):
+    # every partition tuple, unipotent partition and tuple of orders d that
+    # N(q, n) folds, at the bench's sizes and the F_4, F_8, F_9 ones
+    p = prime_power(q).p
+    dinfo, fitting = conjugacy._d_info(n, q), conjugacy._fitting(n, q)
+    spectra = [s for w in range(n + 1) for s in conjugacy._iter_spectra(dinfo, fitting, 0, w)]
+    unipotent = [lam for m in range(n + 1) for lam in enumerate_partitions(m)]
+    cases = [(sum(lam) + formulas._pairwise_min_sum(lam), ((1, lam),)) for lam in unipotent]
+    for t in {t for tuples in spectra for t in tuples}:
+        o = multiplicative_order(q, t.d)
+        cases.append((o * sum(map(formulas._pairwise_min_sum, t.entries)), tuple((o, e) for e in t.entries)))
+    for exponent, blocks in cases:
+        assert formulas._centralizer_factor(q, exponent, blocks) == centralizer_factor_per_unit(q, exponent, blocks)
+        for factor in (formulas._centralizer_factor, centralizer_factor_per_unit):
+            with pytest.raises(AssertionError, match="exponent went negative"):
+                factor(q, -1, blocks)
+        parts = tuple(lam for _, lam in blocks)
+        for a in range(formulas._ceil_log(p, n) + 2):
+            assert formulas._level_sums(parts, p, a) == level_sums_per_cap(parts, p, a), (parts, a)
+    for ds in {tuple(t.d for t in tuples) for tuples in spectra}:
+        assert formulas._divisibility_weights(ds) == divisibility_weights_per_mask(ds), ds
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
