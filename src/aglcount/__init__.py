@@ -9,7 +9,7 @@ from .linalg import AffineMap, GFMatrix
 from .numtheory import PrimePower, agl_group_order
 from .partitions import enumerate_partitions
 from .reps import build_representative, irreducibles_of_order, verify_class
-from .rm import RMQuotientBasis, coset_class_count_M, theta
+from .rm import RMQuotientBasis, theta
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "build_representative",
     "centralizer_order",
     "compute_D",
-    "coset_class_count_M",
     "count_function_classes",
     "element_order",
     "enumerate_classes",

@@ -26,7 +26,7 @@ from .linalg import GFMatrix
 from .numtheory import agl_group_order, is_prime_power, power_exceeds
 from .oracle import burnside_full, orbit_enumeration
 from .reps import _POINT_LIMIT, verify_class
-from .rm import coset_class_count_M, theta
+from .rm import _dual_degree, theta
 
 __all__ = ["RunReport", "main"]
 
@@ -43,8 +43,10 @@ _REPS_STEP_LIMIT = 1 << 24
 # engine, rm.monomial_images and the GF(2) elimination, and are admitted by
 # one estimate of its work; at s = 0 a representative whose dual code is
 # smaller reads its count off orbit sums instead, which only makes an
-# admitted input faster.  The slowest admitted inputs, each in a fresh
-# interpreter (2 cores, Python 3.11.7, medians of 3 interleaved runs):
+# admitted input faster, and count-cosets admits a quotient of dual degree
+# <= 1 (rm._dual_degree), which builds no representative, by the digit
+# bound.  The slowest admitted inputs, each in a fresh interpreter (2 cores,
+# Python 3.11.7, medians of 3 interleaved runs):
 # theta(11; 0, 5) 2.1 s (2.7 s substituting every representative),
 # theta(15; 0, 0) 2.3 s (2.5 s) and theta at n = 12..14 0.8-1.7 s;
 # duality --n 9 11.2 s (11.1 s); compound --n 15 1.4 s and 123 MiB
@@ -185,10 +187,10 @@ def _field_refusal(q: int) -> str | None:
     return None
 
 
-def _count_refusal(q: int, n: int, affine_quotient: bool = False) -> str | None:
+def _count_refusal(q: int, n: int, dual: int = -1) -> str | None:
     """Why a count of the AGL(n, F_q) orbits on the q**dim functions
-    F_q**n -> F_q (dim = q**n) or on their quotient by the affine ones
-    (dim = q**n - n - 1) is refused before any work, or None.
+    F_q**n -> F_q (dim = q**n) or, at q = 2, on their quotient by R(dual, n)
+    (dim = 2**n - C(n, <= dual)) is refused before any work, or None.
 
     q is a prime power up to 512 and n >= 0, and the count is printed with
     at most _STR_DIGITS_LIMIT digits.  No orbit has more elements than
@@ -201,7 +203,7 @@ def _count_refusal(q: int, n: int, affine_quotient: bool = False) -> str | None:
     if n < 0:
         return f"n = {n} must be >= 0"
     m = min(n, 64)
-    digits = (q**m - m * m - m - (m + 1 if affine_quotient else 0)) * math.log10(q)
+    digits = (q**m - sum(math.comb(m, k) for k in range(dual + 1)) - m * m - m) * math.log10(q)
     if digits > _STR_DIGITS_LIMIT:
         return f"the count has more than {digits:.4g} digits, above the limit {_STR_DIGITS_LIMIT}"
     return None
@@ -252,26 +254,26 @@ def _cmd_count_functions(args, report: RunReport) -> str | None:
 def _cmd_count_cosets(args, report: RunReport) -> str | None:
     report.parameters = {"n": str(args.n), "s": _text(args.s), "r": _text(args.r)}
     report.parameters["coset_classes"] = str(bool(args.coset_classes))
-    callback = _FoldProgress(args)
     if args.coset_classes:
         if args.s is not None or args.r is not None:
             return "--coset-classes counts the quotient by affine functions and takes no --s or --r"
         if args.n < 2:
             return "coset classes need n >= 2"
-        if error := _count_refusal(2, args.n, affine_quotient=True):
-            return error
-        value = coset_class_count_M(args.n, jobs=args.parallelism, progress=callback)
-        report.results["coset_classes"] = _decimal(value)
+        s, r = 2, args.n
     else:
         s = 0 if args.s is None else args.s
         r = args.n if args.r is None else args.r
         if not 0 <= s <= r <= args.n:
             return f"need 0 <= s <= r <= n, got s={s}, r={r}, n={args.n}"
-        # theta itself refuses n = 0, before any work
-        if error := _substitution_refusal(f"theta({args.n}; {s}, {r})", _theta_work(args.n, r)):
-            return error
-        value = theta(args.n, s, r, jobs=args.parallelism, progress=callback)
-        report.results["quotient_classes"] = _decimal(value)
+    # theta itself refuses n = 0, before any work
+    if (dual := _dual_degree(args.n, s, r)) is None:
+        error = _substitution_refusal(f"theta({args.n}; {s}, {r})", _theta_work(args.n, r))
+    else:
+        error = _count_refusal(2, args.n, dual)
+    if error:
+        return error
+    value = theta(args.n, s, r, jobs=args.parallelism, progress=_FoldProgress(args))
+    report.results["coset_classes" if args.coset_classes else "quotient_classes"] = _decimal(value)
 
 
 def _suite_reps(args, report: RunReport) -> str | None:
@@ -354,10 +356,10 @@ def _suite_compound(args, report: RunReport) -> str | None:
 
 
 def _suite_asymptotic(args, report: RunReport) -> str | None:
-    # M(n) for n = 2 .. --n-max, each step of n about twice the last
-    # (--n-max 20 takes 3.2 s; 2 cores, Python 3.11): refused when M(n_max)
-    # is, as by count-cosets --coset-classes; the report refuses n_max < 2
-    if error := _count_refusal(2, max(args.n_max, 0), affine_quotient=True):
+    # M(n) = theta(n; 2, n), of dual degree 1, for n = 2 .. --n-max, each
+    # step of n about twice the last (--n-max 20 takes 3.2 s; 2 cores, Python
+    # 3.11): refused when M(n_max) is; the report refuses n_max < 2
+    if error := _count_refusal(2, max(args.n_max, 0), 1):
         return f"n_max = {args.n_max}: {error}"
     outcome = asymptotic_report(args.n_max, jobs=args.parallelism)
     report.results["constant"] = outcome.constant

@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple
 
 from .fields import field
 from .linalg import GFMatrix, block_diagonal, gf2_rank, jordan_block, pack
-from .rm import RMQuotientBasis, coset_class_count_M, monomial_images
+from .rm import RMQuotientBasis, monomial_images, theta
 
 __all__ = [
     "AsymptoticReport",
@@ -217,7 +217,7 @@ def asymptotic_report(n_max: int, jobs: int = 1) -> AsymptoticReport:
     for n in range(2, n_max + 1):
         units *= (1 << n) - 1
         shift += n
-        m_n = coset_class_count_M(n, jobs=jobs)
+        m_n = theta(n, 2, n, jobs=jobs)
         exponent = 2**n - n * n - 2 * n - 1
         num, den = _scaled(m_n * units, 1 << shift, exponent)
         if num <= den:

@@ -22,12 +22,12 @@ is read off the orbit sums of its point walk instead, one elimination for
 every j (bench ``cosets`` solve_s, median of 10 alternating pairs,
 0.114 s against 0.135 s).
 
-The quotient counts have no fold of their own: each class representative
-fixes 2**nullity cosets, so ``theta`` hands (weight, nullity) terms to the
-shared Burnside fold ``formulas.burnside_count``.  M(n), the orbits of all
-functions modulo the affine ones, does not go through ``theta``: its fixed
-counts come from the per-class orbit exponent and a closed-form rank
-(``_affine_rank``), with no representative at all.
+The quotient counts have no fold of their own: ``theta`` hands (weight,
+log2 of the fixed count) terms to the shared Burnside fold
+``formulas.burnside_count``.  A quotient of dual degree K <= 1
+(``_dual_degree``), M(n) = theta(n; 2, n) among them, takes them from the
+per-class formulas alone (``_orbit_sum_rank``), with no representative;
+every other one from its class representatives' ``fix_on_quotient``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .reps import iter_class_representatives, packed_representative
 
 __all__ = [
     "RMQuotientBasis",
-    "coset_class_count_M",
     "fix_on_quotient",
     "monomial_images",
     "theta",
@@ -310,24 +309,45 @@ def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex, multiplicity: int, orb
 
 def theta(n: int, s: int, r: int, jobs: int = 1, progress=None) -> int:
     """Number of AGL(n, F_2) orbits of R(r, n)/R(s-1, n), by the per-class
-    Burnside sum with fixed points from the quotient action matrices.
+    Burnside sum with fixed points from the per-class formulas at dual degree
+    <= 1 (M(n) is theta(n, 2, n)), else from the quotient action matrices.
 
     jobs and progress go to ``formulas.burnside_count``, one task per spectra weight."""
     if not 0 <= s <= r <= n:
         raise ValueError(f"need 0 <= s <= r <= n, got ({n}, {s}, {r})")
     if n < 1:
         raise ValueError("n must be >= 1")
-    basis = RMQuotientBasis(n, s - 1, r)
-    return burnside_count(n, 2, partial(_fixed_terms, basis), jobs=jobs, progress=progress)
+    degree = _dual_degree(n, s, r)
+    terms = partial(_fixed_terms, RMQuotientBasis(n, s - 1, r)) if degree is None else partial(_rank_terms, degree)
+    return burnside_count(n, 2, terms, jobs=jobs, progress=progress)
 
 
-def _affine_rank(lam: Partition, marker: int | None) -> int:
-    """rho(sigma): the GF(2) rank of the rows (|O| mod 2, sum of the points
-    of O), one per orbit O of <sigma> on F_2**n, which depends only on the
-    unipotent partition lam and the marker t.  sigma fixes 2**(orbits - rho)
-    cosets of R(1, n): f + R(1, n) is fixed iff f(sigma x) - f(x) is affine,
-    these differences are the functions that sum to zero over every orbit,
-    and the affine forms c + x.v among them have dimension n + 1 - rho.
+def _dual_degree(n: int, s: int, r: int) -> int | None:
+    """K when R(r, n)/R(s-1, n) or its dual is R(n, n)/R(K, n), K <= 1, else
+    None: R(r, n) is dual to R(n, n)/R(n - r - 1, n) (MacWilliams & Sloane),
+    and a module and its dual have equally many fixed points."""
+    degree = n - r - 1 if s == 0 else s - 1 if r == n else 2
+    return degree if degree <= 1 else None
+
+
+def _rank_terms(degree: int, idx: ClassIndex, multiplicity: int, orbits: int):
+    return ((multiplicity, orbits - _orbit_sum_rank(degree, idx.unipotent, idx.marker)),)
+
+
+def _orbit_sum_rank(degree: int, lam: Partition, marker: int | None) -> int:
+    """rho_K(sigma), K = degree <= 1: the GF(2) rank of the orbit sums of
+    <sigma> on F_2**n over the monomials of degree <= K, which depends only
+    on the unipotent partition lam and the marker t; sigma fixes
+    2**(orbits - rho_K) words of R(n - K - 1, n) (lemma (a) of
+    ``fix_on_quotient``).  rho_-1 = 0, with no monomial, and rho_1 ranks
+    the rows (|O| mod 2, sum of the points of O), one per orbit O.
+
+    rho_0 = [t is None].  Proof: the one column, of X_0 = 1, holds |O| mod 2,
+    so rho_0 = 1 iff some orbit has odd length.  An orbit length divides the
+    order of sigma, so it is odd iff it divides L, the odd part of the order,
+    iff sigma**L fixes the orbit's points.  ``formulas.fix_exponent_at(idx,
+    L)`` is None, no point fixed, iff the index is marked and v_2(L) = 0 is
+    below ceil(log2(t + 1)), which is >= 1 for every marker t >= 1.
 
     Lemma: split F_2**n = U + W, U the generalized 1-eigenspace of A, with
     the translation moved into U.  On W, A - I is invertible, so the point
@@ -335,33 +355,18 @@ def _affine_rank(lam: Partition, marker: int | None) -> int:
     has length lcm(l_u, l_w), and an affine form sums over it to
     (lcm / l_u) (c l_u + sum of u.v_U over the u-orbit).  The point w = 0
     gives every U-condition with factor 1 and any other w repeats one or
-    gives nothing, so rho(sigma) = rho(sigma_U).
+    gives nothing, so rho_1(sigma) = rho_1(sigma_U).
 
-    Closed form, with L = t.bit_length(): rho(lam, none) = 1 + (number of
-    parts); rho(lam, t) = [t + 1 == 2**L] + (number of parts of size
+    Closed form, with L = t.bit_length(): rho_1(lam, none) = 1 + (number of
+    parts); rho_1(lam, t) = [t + 1 == 2**L] + (number of parts of size
     >= 2**L).  Found by fitting, not proved: it equals the rank from the
     point walk of the unipotent representative on all 1,770 pairs
     (lam, t) with |lam| <= 14, and the lemma equals the walk on all 2,506
     class representatives at n <= 10.
     """
+    if degree < 1:
+        return int(degree == 0 and marker is None)
     if marker is None:
         return 1 + sum(lam)
     level = 1 << marker.bit_length()
     return (marker + 1 == level) + sum(lam[level - 1 :])
-
-
-def _coset_terms(idx: ClassIndex, multiplicity: int, orbits: int):
-    return ((multiplicity, orbits - _affine_rank(idx.unipotent, idx.marker)),)
-
-
-def coset_class_count_M(n: int, jobs: int = 1, progress=None) -> int:
-    """Number of AGL orbits of R(n-2, n), which equals the number of orbits
-    of the quotient of all Boolean functions by the affine ones.
-
-    Each class fixes 2**(orbits - rho) cosets of R(1, n) (``_affine_rank``),
-    so the fold needs the per-class formulas alone: no representative, no
-    substitution and no rank.  jobs and progress go to
-    ``formulas.burnside_count``."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    return burnside_count(n, 2, _coset_terms, jobs=jobs, progress=progress)

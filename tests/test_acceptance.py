@@ -26,7 +26,7 @@ from aglcount.linalg import AffineMap, GFMatrix
 from aglcount.numtheory import agl_group_order, psi
 from aglcount.oracle import burnside_full, orbit_enumeration
 from aglcount.reps import _assemble, iter_class_representatives, verify_class
-from aglcount.rm import RMQuotientBasis, coset_class_count_M, fix_on_quotient, theta
+from aglcount.rm import RMQuotientBasis, fix_on_quotient, theta
 from brute import burnside_full_theta
 from test_conjugacy import partition_tuple
 from test_linalg import identity_map, matmul, packed, sub_matrix
@@ -88,10 +88,11 @@ def test_criterion_04_formula_vs_matrix():
 
 def test_criterion_05_quotient_oracle_equivalence():
     with criterion(5, "quotient-code oracle equivalence"):
-        assert coset_class_count_M(2) == 2
-        assert coset_class_count_M(3) == 3
+        # M(n) = theta(n; 2, n)
+        assert theta(2, 2, 2) == 2
+        assert theta(3, 2, 3) == 3
         for n in (2, 3, 4):
-            assert coset_class_count_M(n) == burnside_full_theta(n, 0, n - 2), n
+            assert theta(n, 2, n) == burnside_full_theta(n, 0, n - 2), n
         for n in range(1, 5):
             assert theta(n, 0, n) == count_function_classes(n, 2), n
         for n in range(1, 7):

@@ -77,19 +77,21 @@ def test_count_cosets(capsys):
 def test_count_cosets_range_errors(capsys):
     code, _ = run_cli(capsys, "count-cosets", "--n", "4", "--s", "5", "--r", "3")
     assert code != 0
-    # theta(12; 0, 12) is over the substitution budget
-    code, out = run_cli(capsys, "count-cosets", "--n", "12")
+    # theta(12; 0, 9), of dual degree 2, is over the substitution budget
+    code, out = run_cli(capsys, "count-cosets", "--n", "12", "--s", "0", "--r", "9")
     assert code == 2
     assert json.loads(out)["results"]["error"] == (
-        "theta(12; 0, 12): an estimated 8.25e+11 substitution steps or more, over the budget 6e+10"
+        "theta(12; 0, 9): an estimated 8.09e+11 substitution steps or more, over the budget 6e+10"
     )
-    # coset classes come from the per-class formulas alone, bounded by the
-    # digits of M(n) as N(2, n) is: M(23) is admitted and M(24) refused
+    # quotients of dual degree <= 1, M(n) among them, come from the per-class
+    # formulas alone, bounded by their digits as N(2, n) is: M(23) is
+    # admitted, and M(24) and theta(24; 0, 24) refused
     code, out = run_cli(capsys, "count-cosets", "--n", "11", "--coset-classes")
     assert code == 0 and json.loads(out)["status"] == "ok"
-    code, out = run_cli(capsys, "count-cosets", "--n", "24", "--coset-classes")
-    assert code == 2
-    assert json.loads(out)["results"]["error"] == "the count has more than 5.05e+06 digits, above the limit 4000000"
+    for extra in (("--coset-classes",), ()):
+        code, out = run_cli(capsys, "count-cosets", "--n", "24", *extra)
+        assert code == 2
+        assert json.loads(out)["results"]["error"] == "the count has more than 5.05e+06 digits, above the limit 4000000"
     # no flag raises either bound
     for extra in ((), ("--coset-classes",)):
         with pytest.raises(SystemExit) as exc:
@@ -461,11 +463,13 @@ def test_digit_bound_decides_as_the_exact_formula():
         for n in range(31):
             refused = exact_digits(n, q, q**n) > cli._STR_DIGITS_LIMIT
             assert (cli._count_refusal(q, n) is not None) == refused, (q, n)
-    for n in range(2, 31):
-        refused = exact_digits(n, 2, 2**n - n - 1) > cli._STR_DIGITS_LIMIT
-        assert (cli._count_refusal(2, n, affine_quotient=True) is not None) == refused, n
-    assert cli._count_refusal(2, 23) is None and cli._count_refusal(2, 23, affine_quotient=True) is None
-    assert cli._count_refusal(2, 24) and cli._count_refusal(2, 24, affine_quotient=True)
+    # the quotients of dual degree K <= 1: dim = 2**n - C(n, <= K)
+    for dual in (-1, 0, 1):
+        for n in range(2, 31):
+            dim = 2**n - sum(math.comb(n, k) for k in range(dual + 1))
+            refused = exact_digits(n, 2, dim) > cli._STR_DIGITS_LIMIT
+            assert (cli._count_refusal(2, n, dual) is not None) == refused, (n, dual)
+        assert cli._count_refusal(2, 23, dual) is None and cli._count_refusal(2, 24, dual)
     # past n = 64 the message keeps the bound at 64, a finite lower bound
     assert cli._count_refusal(2, 10**18) == cli._count_refusal(2, 64)
 
@@ -482,11 +486,11 @@ def test_substitution_budget_keeps_what_the_caps_admitted():
             assert admitted(cli._theta_work(n, r)), (n, r)
     assert all(admitted(cli._duality_work(n)) for n in range(1, 10))
     assert all(admitted(cli._compound_work(n)) for n in range(1, 15))
-    # the boundary: theta(12; 1, 2) takes about 1.7 s and theta(12; 0, 12)
-    # minutes; duality at n = 10 takes 155 s, compound at n = 16 5.7 s and
+    # the boundary: theta(12; 1, 2) takes about 1.7 s and theta(12; 0, 9) is
+    # refused; duality at n = 10 takes 155 s, compound at n = 16 5.7 s and
     # 425 MiB
     assert admitted(cli._theta_work(11, 2)) and admitted(cli._theta_work(12, 2))
-    assert not admitted(cli._theta_work(12, 12))
+    assert not admitted(cli._theta_work(12, 9))
     assert admitted(cli._compound_work(15)) and not admitted(cli._compound_work(16))
     assert not admitted(cli._duality_work(10))
     # the duality sweep is one theta per pair 0 <= s <= r <= n
@@ -515,6 +519,8 @@ _TERA = str(10**12)
         ("count-cosets", "--n", _TERA, "--s", "1", "--r", "2"),
         ("verify", "--suite", "duality", "--n", _TERA),
         ("verify", "--suite", "compound", "--n", _TERA),
+        # of dual degree 1, refused by the digit bound, as --n alone is
+        ("count-cosets", "--n", _TERA, "--s", "2"),
     ],
 )
 def test_huge_n_is_refused_at_once(argv):

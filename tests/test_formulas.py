@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from aglcount.numtheory import (
 from aglcount.oracle import burnside_full, orbit_enumeration
 from aglcount.partitions import enumerate_partitions
 from aglcount.reps import build_representative
-from aglcount.rm import _coset_terms, coset_class_count_M
+from aglcount.rm import _rank_terms, theta
 import planted
 from brute import brute_centralizer
 from test_conjugacy import partition_tuple, permutation_count
@@ -248,7 +249,9 @@ def fold_totals(n, q):
         formulas._class_terms: group,
     }
     if q == 2:
-        expected[_coset_terms] = coset_class_count_M(n) * group
+        # the per-class quotient terms of dual degree 0 and 1: theta(n; 1, n), M(n)
+        for degree in (0, 1):
+            expected[partial(_rank_terms, degree)] = theta(n, degree + 1, n) * group
     return expected
 
 

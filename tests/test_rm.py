@@ -1,19 +1,21 @@
 import itertools
 import random
+from functools import lru_cache, partial
 
 import pytest
 
 from aglcount.conjugacy import ClassIndex, enumerate_classes
 from aglcount.fields import field
-from aglcount.formulas import count_function_classes
+from aglcount.formulas import burnside_count, count_function_classes
 from aglcount.linalg import AffineMap, GFMatrix, gf2_rank, pack, point_permutation
 from aglcount.partitions import enumerate_partitions
 from aglcount.reps import build_representative, iter_class_representatives
 from aglcount.rm import (
     RMQuotientBasis,
-    _affine_rank,
+    _dual_degree,
+    _fixed_terms,
+    _orbit_sum_rank,
     _var_masks,
-    coset_class_count_M,
     fix_on_quotient,
     monomial_images,
     theta,
@@ -488,18 +490,20 @@ def test_dual_side_refuses_a_singular_map():
 
 def test_each_map_takes_the_side_with_fewer_columns(monkeypatch):
     # theta(8; 0, 4) reads every representative off the orbit sums, theta(9;
-    # 0, 3) splits 80 to 367, theta(7; 0, 7) only counts orbits, and a middle
-    # quotient always substitutes
+    # 0, 3) splits 80 to 367, a middle quotient always substitutes, and
+    # theta(7; 0, 7), of dual degree -1, builds no representative
     from aglcount import rm
 
     ran = record_sides(monkeypatch)
     monkeypatch.setattr(rm, "_evaluations", lambda m, degree, real=rm._evaluations: ran.append("columns") or real(m, degree))
-    for args, dual, substituted in (((8, 0, 4), 260, 0), ((9, 0, 3), 80, 367), ((7, 0, 7), 140, 0), ((8, 1, 4), 0, 260)):
+    for args, dual, substituted in (((8, 0, 4), 260, 0), ((9, 0, 3), 80, 367), ((8, 1, 4), 0, 260), ((7, 0, 7), 0, 0)):
         del ran[:]
         theta(*args)
         assert (ran.count("_orbit_nullity"), ran.count("_substituted_nullity")) == (dual, substituted), args
-        if args[2] == args[0]:
-            assert "columns" not in ran
+    # forced onto its representatives, R(7, 7), with an empty dual, only counts orbits
+    del ran[:]
+    burnside_count(7, 2, partial(_fixed_terms, RMQuotientBasis(7, -1, 7)))
+    assert ran == ["_orbit_nullity"] * 140
 
 
 def test_evaluations_are_graded_with_degree_zero_on_top():
@@ -537,12 +541,26 @@ def test_theta_linear_and_top_quotients():
         assert theta(n, n, n) == 2
 
 
+@lru_cache(maxsize=None)
+def representative_count(n, s, r):
+    """theta(n; s, r) by the representatives' fixed counts, forced where
+    theta would take the per-class formulas."""
+    return burnside_count(n, 2, partial(_fixed_terms, RMQuotientBasis(n, s - 1, r)))
+
+
+def per_class_families(n):
+    """The (s, r) of dual degree <= 1: (0, n), (0, n - 1), (0, n - 2),
+    (1, n) and (2, n), where they exist."""
+    pairs = {(0, n), (0, n - 1), (0, n - 2), (1, n), (2, n)}
+    return sorted((s, r) for s, r in pairs if 0 <= s <= r <= n)
+
+
 def test_theta_matches_function_count_with_expansion():
     # n = 7 and n = 9 force the assignment expansion (several irreducibles
-    # of one order carrying distinct partitions); the grand totals must
-    # still match the fold-proven function-class count
+    # of one order carrying distinct partitions); the grand totals of the
+    # representatives must still match the fold-proven function-class count
     for n in (7, 9):
-        assert theta(n, 0, n) == count_function_classes(n, 2), n
+        assert representative_count(n, 0, n) == count_function_classes(n, 2), n
 
 
 def test_collapsed_assignments_share_the_fix_count():
@@ -622,23 +640,27 @@ def test_theta_duality():
 
 
 def test_coset_class_count_values():
-    assert coset_class_count_M(2) == 2
-    assert coset_class_count_M(3) == 3
-    assert coset_class_count_M(3) == orbit_enumeration_code(3, 1)
-    assert coset_class_count_M(2) == orbit_enumeration_code(2, 0)
+    # M(n) = theta(n; 2, n)
+    assert theta(2, 2, 2) == 2
+    assert theta(3, 2, 3) == 3
+    assert theta(3, 2, 3) == orbit_enumeration_code(3, 1)
+    assert theta(2, 2, 2) == orbit_enumeration_code(2, 0)
     with pytest.raises(ValueError):
-        coset_class_count_M(1)
+        theta(1, 2, 1)
 
 
 def test_coset_count_matches_full_group_oracle():
-    for n in (2, 3):
-        assert coset_class_count_M(n) == burnside_full_theta(n, 0, n - 2)
+    # every per-class quotient, M(n) among them, against the sum over every
+    # element of the group
+    for n in (1, 2, 3):
+        for s, r in per_class_families(n):
+            assert theta(n, s, r) == burnside_full_theta(n, s, r), (n, s, r)
 
 
-def walk_affine_rank(sigma):
-    """rho from the point walk: the GF(2) rank of (|O| mod 2, sum of O),
-    one row per cycle O of the point permutation; on F_2**n the point sum
-    is the XOR of the codes."""
+def orbit_rows(sigma):
+    """The orbit sums over the monomials of degree <= 1 from the point walk:
+    (|O| mod 2, sum of O), one row per cycle O of the point permutation; on
+    F_2**n the point sum is the XOR of the codes."""
     perm = point_permutation(sigma)
     seen = bytearray(len(perm))
     rows = []
@@ -652,7 +674,7 @@ def walk_affine_rank(sigma):
             length += 1
         if length:
             rows.append(length & 1 | acc << 1)
-    return gf2_rank(rows)
+    return rows
 
 
 def test_affine_rank_closed_form_matches_walk():
@@ -662,27 +684,38 @@ def test_affine_rank_closed_form_matches_walk():
         for lam in enumerate_partitions(k):
             for t in [None] + [j for j, m in enumerate(lam, start=1) if m]:
                 rep = build_representative(ClassIndex(n=k, q=2, unipotent=lam, spectra=(), marker=t))
-                assert walk_affine_rank(rep) == _affine_rank(lam, t), (lam, t)
+                assert gf2_rank(orbit_rows(rep)) == _orbit_sum_rank(1, lam, t), (lam, t)
                 pairs += 1
     assert pairs == 617
 
 
 def test_affine_rank_depends_on_the_unipotent_part_alone():
     # the lemma: every folded class at n <= 8, spectra and all: 911 maps,
-    # of which the old single-entry collapse walked 635
+    # of which the old single-entry collapse walked 635; and rho_0, whether
+    # some orbit has odd length, is 1 exactly for the unmarked indices
     reps = 0
     for n in range(1, 9):
         for idx in enumerate_classes(n, 2):
             for rep, _ in full_expansion(idx):
-                assert walk_affine_rank(rep) == _affine_rank(idx.unipotent, idx.marker), idx
+                rows = orbit_rows(rep)
+                assert gf2_rank(rows) == _orbit_sum_rank(1, idx.unipotent, idx.marker), idx
+                assert any(row & 1 for row in rows) == _orbit_sum_rank(0, idx.unipotent, idx.marker), idx
+                assert _orbit_sum_rank(-1, idx.unipotent, idx.marker) == 0
                 reps += 1
     assert reps == 911
 
 
-def test_closed_form_coset_count_matches_theta():
-    for n in range(2, 10):
-        assert coset_class_count_M(n) == theta(n, 0, n - 2), n
-    assert coset_class_count_M(8, jobs=2) == coset_class_count_M(8)
+def test_per_class_quotients_match_representatives():
+    # the quotients of dual degree <= 1 are exactly the five families, and
+    # their per-class terms give the representatives' count, serial at
+    # n <= 9 and pooled at n = 8
+    for n in range(1, 10):
+        pairs = [(s, r) for r in range(n + 1) for s in range(r + 1)]
+        assert {pair for pair in pairs if _dual_degree(n, *pair) is not None} == set(per_class_families(n)), n
+        for s, r in per_class_families(n):
+            assert theta(n, s, r) == representative_count(n, s, r), (n, s, r)
+    for s, r in per_class_families(8):
+        assert theta(8, s, r, jobs=2) == representative_count(8, s, r), (s, r)
 
 
 def test_both_quotient_readings_agree():
