@@ -47,9 +47,9 @@ _REPS_STEP_LIMIT = 1 << 24
 # <= 1 (rm._dual_degree), which builds no representative, by the digit
 # bound.  The slowest admitted inputs, each in a fresh interpreter (2 cores,
 # Python 3.11.7, medians of 3 interleaved runs):
-# theta(11; 0, 5) 2.1 s (2.7 s substituting every representative),
-# theta(15; 0, 0) 2.3 s (2.5 s) and theta at n = 12..14 0.8-1.7 s;
-# duality --n 9 11.2 s (11.1 s); compound --n 15 1.4 s and 123 MiB
+# theta(11; 0, 5) 1.4 s (3.3 s counting every representative whole),
+# theta(15; 0, 0) 3.3 s (3.7 s) and theta at n = 12..14 0.6-1.7 s;
+# duality --n 9 5.9 s (12.0 s); compound --n 15 1.4 s and 123 MiB
 _SUBSTITUTION_BUDGET = 6 * 10**10
 
 
@@ -213,10 +213,12 @@ def _theta_work(n: int, r: int) -> int:
     """Substitution steps of theta(n; s, r), taken as 2**n representatives
     (theta builds fewer, 3,724 at n = 13), each substituting C(n, <= r)
     monomials into ints of 2**n bits, one shift per variable; a
-    representative with fixed coordinates substitutes fewer variables, and
-    at s = 0 one whose dual code is smaller walks its points instead, so
-    theta(11; 0, 5), the slowest admitted theta, takes 2.1 s.  As in
-    _count_refusal, n is taken at min(n, 64): O(1) for any n."""
+    representative with fixed coordinates substitutes fewer variables, at
+    s = 0 one whose dual code is smaller walks its points instead, and one
+    with an odd-order factor shares its factors' profiles with others, so
+    theta(11; 0, 5) takes 1.4 s and theta(15; 0, 0), the slowest admitted
+    theta, 3.3 s.  As in _count_refusal, n is taken at min(n, 64): O(1)
+    for any n."""
     m = min(n, 64)
     return m * 4**m * sum(math.comb(m, k) for k in range(min(r, m) + 1))
 

@@ -12,22 +12,29 @@ A fixed count splits off the coordinates sigma fixes: if sigma fixes k
 coordinates that no other coordinate's image reads, R(r, n)/R(s-1, n) is
 the sum of C(k, j) copies of R(r-j, n-k)/R(s-1-j, n-k) over j, so one
 substitution on n - k variables and one elimination per floor s-1-j give
-the count (``fix_on_quotient``).  With that and representatives laid out
-packed, theta(11; 0, 5) took 2.6 s against 3.6 s (fresh interpreters,
-medians of 3 interleaved runs), and theta(9; 2, 3) plus theta(10; 1, 2)
-0.165 s against 0.190 s (bench ``middle`` solve_s, medians of 10
-interleaved runs; 2 cores of a shared machine, Python 3.11.7).  At s = 0
-a map whose dual code R(n-k-r-1, n-k) has fewer monomials than R(r, n-k)
-is read off the orbit sums of its point walk instead, one elimination for
-every j (bench ``cosets`` solve_s, median of 10 alternating pairs,
-0.114 s against 0.135 s).
+the count (``_fix_profile``, behind ``fix_on_quotient``).  At s = 0 a map
+whose dual code R(n-k-r-1, n-k) has fewer monomials than R(r, n-k) is read
+off the orbit sums of its point walk instead, one elimination for every j.
+
+A class representative splits further, into its odd-order factor sigma_s,
+the companion blocks C(f) of orders prime to the rest, and the rest
+sigma_2: log2 fix(sigma) = sum over i of g_i y_i, with g_i the graded
+fixed dimensions of sigma_s and y_i those of sigma_2 on R(r-i, b)/
+R(s-1-i, b) (``_fixed_terms``, which proves it).  A factor recurs across
+representatives, so a theta call profiles each once, every i from one
+substitution or point walk, and a representative is a dot product.  Bench
+``middle`` (theta(9; 2, 3) plus theta(10; 1, 2)) solve_s fell from 0.171 s
+to 0.130 s and ``cosets`` from 0.115 s to 0.087 s (medians of 10 and 6
+alternating pairs, 2 cores of a shared machine, Python 3.11.7), and
+theta(11; 0, 5) takes 1.4 s against 3.3 s in a fresh interpreter (medians
+of 3 interleaved runs).
 
 The quotient counts have no fold of their own: ``theta`` hands (weight,
 log2 of the fixed count) terms to the shared Burnside fold
 ``formulas.burnside_count``.  A quotient of dual degree K <= 1
 (``_dual_degree``), M(n) = theta(n; 2, n) among them, takes them from the
 per-class formulas alone (``_orbit_sum_rank``), with no representative;
-every other one from its class representatives' ``fix_on_quotient``.
+every other one from its class representatives' factors (``_fixed_terms``).
 """
 
 from __future__ import annotations
@@ -36,11 +43,13 @@ import itertools
 import math
 from collections import namedtuple
 from functools import lru_cache, partial, reduce
-from operator import xor
+from itertools import compress
+from operator import mul, not_, xor
 
 from .conjugacy import ClassIndex
 from .formulas import burnside_count
 from .linalg import PackedMap, cycles, gf2_extend, point_permutation
+from .numtheory import multiplicative_order
 from .partitions import Partition
 from .reps import iter_class_representatives, packed_representative
 
@@ -151,31 +160,37 @@ def _slot_mask(n: int, s: int, r: int) -> int:
 def fix_on_quotient(sigma: PackedMap, basis: RMQuotientBasis) -> int:
     """2 ** nullity(action matrix - identity): the number of fixed vectors
     of the induced linear action of sigma, an element of AGL(n, 2), on the
-    quotient R(r, n)/R(s, n).  The point walk of the dual side below
-    refuses a sigma that is not invertible.
+    quotient R(r, n)/R(s, n), from ``_fix_profile``.  The point walk of its
+    dual side refuses a sigma that is not invertible.
 
     Row m of the transposed action matrix minus the identity is the packed
     image of monomial m plus m itself, kept on the basis slots.  The rank is
     taken over the packed slots as they stand: substitution never raises
     degree, so masking off the slots of degree <= s is exactly the reduction
     modulo R(s, n).
+    """
+    if len(sigma.columns) != basis.n:
+        raise ValueError("dimension mismatch")
+    return 1 << _fix_profile(sigma, basis.s, basis.r, 0)[0]
 
-    The coordinates sigma fixes are split off first.  Lemma: let I be the
-    coordinates i with column i = e_i, row i = e_i and a_i = 0, k = |I|,
-    and sigma_R sigma restricted to the other m = n - k coordinates.  Then
-    x_i |-> x_i for i in I and no other coordinate's image reads x_i, so
-    sigma(X_T g) = X_T sigma_R(g) for every T in I and every g in the other
-    variables, and sigma_R never raises degree.  X_T g lies in R(s, n) iff
-    deg g <= s - |T|, hence
-        R(r, n)/R(s, n) = sum over T in I of X_T R(r - |T|, m)/R(s - |T|, m)
-    as <sigma>-modules, the fixed space is the sum of the summands' fixed
-    spaces, and the C(k, j) summands with |T| = j are isomorphic:
-        log2 fix(sigma) = sum over j of C(k, j) nullity(sigma_R - I on
-                          R(r - j, m)/R(s - j, m)),
+
+def _fix_profile(sigma: PackedMap, s: int, r: int, depth: int) -> list[int]:
+    """log2 fix(sigma on R(r - i, n)/R(s - i, n)) for i = 0..depth, the
+    degrees clipped to -1 <= s - i and r - i <= n, 0 for an empty quotient;
+    one substitution or one point walk serves every i.
+
+    The coordinates sigma fixes are split off first, by the lemma of
+    ``_fixed_terms`` with the identity as the odd-order factor.  Let I be
+    the coordinates i with column i = e_i, row i = e_i and a_i = 0, k = |I|,
+    and sigma_R sigma restricted to the other m = n - k coordinates.  Every
+    function of the coordinates in I is fixed, so g_j = C(k, j), and
+        log2 fix(sigma on R(r, n)/R(s, n)) = sum over j of C(k, j)
+            nullity(sigma_R - I on R(r - j, m)/R(s - j, m)),
     with the degrees clipped to -1 <= s - j and r - j <= m and empty
     summands skipped.  For a class representative, I is its unmarked 1 x 1
-    Jordan blocks.  Each summand's nullity then comes from one of two
-    sides.
+    Jordan blocks.  Entry i of the profile is the sum over j of C(k, j)
+    times the nullity of the summand of shift i + j, so the summands of
+    shift 0..depth + k are ranked once, each on one of two sides.
 
     The substitution side substitutes sigma_R once, on m variables up to
     degree min(r, m).  Summands that share a floor s - j take one
@@ -211,8 +226,6 @@ def fix_on_quotient(sigma: PackedMap, basis: RMQuotientBasis) -> int:
     """
     columns, translation = sigma
     n = len(columns)
-    if n != basis.n:
-        raise ValueError("dimension mismatch")
     # a coordinate moves if it is translated, its column is not e_i, or
     # another column reads it
     moving = translation
@@ -233,14 +246,17 @@ def fix_on_quotient(sigma: PackedMap, basis: RMQuotientBasis) -> int:
             return out
 
         sigma = PackedMap(tuple(restrict(columns[i]) for i in position), restrict(translation))
-    summands = []  # (multiplicity, floor, top) per nonempty summand, tops descending
-    for j in range(k + 1):
-        low, high = max(basis.s - j, -1), min(basis.r - j, m)
+    summands = []  # (shift, floor, top) per nonempty summand, tops descending
+    for shift in range(depth + k + 1):
+        low, high = max(s - shift, -1), min(r - shift, m)
         if low < high:
-            summands.append((math.comb(k, j), low, high))
-    if basis.s == -1 and _dual_is_smaller(m, basis.r):
-        return 1 << _orbit_nullity(sigma, m, summands)
-    return 1 << _substituted_nullity(sigma, m, min(basis.r, m), summands)
+            summands.append((shift, low, high))
+    nullities = [0] * (depth + k + 1)
+    if summands:
+        side = _orbit_nullity if s == -1 and _dual_is_smaller(m, r) else _substituted_nullity
+        for (shift, _, _), nullity in zip(summands, side(sigma, m, summands)):
+            nullities[shift] = nullity
+    return [sum(math.comb(k, j) * nullities[i + j] for j in range(k + 1)) for i in range(depth + 1)]
 
 
 def _dual_is_smaller(m: int, r: int) -> bool:
@@ -249,11 +265,12 @@ def _dual_is_smaller(m: int, r: int) -> bool:
     return len(_basis_monomials(m, -1, m - r - 1)) < len(_basis_monomials(m, -1, min(r, m)))
 
 
-def _substituted_nullity(sigma: PackedMap, m: int, degree: int, summands) -> int:
-    images = monomial_images(sigma, degree)
-    nullity = 0
+def _substituted_nullity(sigma: PackedMap, m: int, summands) -> list[int]:
+    # the nullity of each summand, in the order given
+    images = monomial_images(sigma, summands[0][2])
+    out = []
     floor = None
-    for count, low, high in reversed(summands):  # tops ascending within a floor
+    for _, low, high in reversed(summands):  # tops ascending within a floor
         if low != floor:
             floor = below = low
             pivots: dict[int, int] = {}
@@ -263,25 +280,26 @@ def _substituted_nullity(sigma: PackedMap, m: int, degree: int, summands) -> int
         rank += gf2_extend(pivots, rows)
         dim += len(rows)
         below = high
-        nullity += count * (dim - rank)
-    return nullity
+        out.append(dim - rank)
+    return out[::-1]
 
 
-def _orbit_nullity(sigma: PackedMap, m: int, summands) -> int:
+def _orbit_nullity(sigma: PackedMap, m: int, summands) -> list[int]:
+    # the nullity of each summand, in the order given
     orbits = cycles(point_permutation(sigma))
     degree = m - summands[-1][2] - 1
     if degree < 0:
-        return sum(count for count, _, _ in summands) * len(orbits)
+        return [len(orbits)] * len(summands)
     values = _evaluations(m, degree)
     width = len(_basis_monomials(m, -1, degree))
     pivots: dict[int, int] = {}
     # once a pivot leads in every column, the other orbit sums depend on them
     gf2_extend(pivots, (reduce(xor, map(values.__getitem__, orbit)) for orbit in orbits if len(pivots) < width))
-    nullity = 0
-    for count, _, high in summands:
+    out = []
+    for _, _, high in summands:
         boundary = width - len(_basis_monomials(m, -1, m - high - 1))
-        nullity += count * (len(orbits) - sum(map(boundary.__le__, pivots)))
-    return nullity
+        out.append(len(orbits) - sum(map(boundary.__le__, pivots)))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -301,10 +319,88 @@ def _evaluations(m: int, degree: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex, multiplicity: int, orbits: int):
+def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex, multiplicity: int, orbits: int, caches=None):
+    """(weight, log2 fix) per representative of idx on R(r, n)/R(s, n),
+    from its odd-order factor sigma_s and the rest sigma_2.
+
+    sigma_s is the companion blocks C(f) of the orders ``_semisimple_split``
+    keeps, on a coordinates; sigma_2, on the other b = n - a, is the
+    unipotent blocks, with the marked one, and the blocks of the other
+    orders, those with a companion power C(f**j), j >= 2, and those that
+    share a factor with them.  Then
+        log2 fix(sigma) = sum over i of g_i y_i,
+        g_i = f_i - f_(i-1),  f_h = log2 fix(sigma_s on R(h, a)),  f_-1 = 0,
+        y_i = log2 fix(sigma_2 on R(r - i, b)/R(s - i, b)),
+    y_i from ``_fix_profile``, clipped as there.  Lemma: this holds
+    whenever sigma acts as sigma_s on U = F_2**a and as sigma_2 on
+    W = F_2**b, sigma_s of odd order prime to the order of sigma_2.
+    Proof: Fun(U + W) = Fun(U) (x) Fun(W), and the degree filtration is
+    F_d = sum over i of F_i(U) (x) F_(d-i)(W), F_h(U) = R(h, a) stable
+    under sigma_s.
+    1. By Maschke's theorem (odd order), F_i(U) = G_0 + ... + G_i with
+       every G_i sigma_s-stable, so F_d = sum of G_i (x) F_(d-i)(W) and
+       R(r, n)/R(s, n) = sum of G_i (x) Q_i, Q_i = F_(r-i)(W)/F_(s-i)(W).
+    2. The orders are coprime, so <sigma> holds sigma_s (x) 1 and
+       1 (x) sigma_2 (CRT on the exponent), and Fix(sigma) is the
+       intersection of their fixed spaces: Fix(G_i) (x) Fix(Q_i) on
+       G_i (x) Q_i, of dimension dim Fix(G_i) y_i.
+    3. F_h(U) is the sum of the stable G_i, i <= h, so f_h is the sum of
+       their dim Fix(G_i), and dim Fix(G_i) = f_i - f_(i-1).
+    g_i = 0 for i > a and y_i = 0 for i > r, so i runs to min(a, r).  The
+    fixed-coordinate split of ``_fix_profile`` is the case sigma_s = the
+    identity, g_j = C(k, j).
+
+    g depends only on the kept orders' slot assignments and y only on the
+    unipotent partition, the marker and the other orders' assignments.
+    With caches, a pair of dicts that live for one theta call, each factor
+    is profiled once per call and a representative is a dot product; a
+    representative with no odd-order factor is counted whole.
+    """
+    spectra_s, spectra_2, keep, a = _semisimple_split(idx.spectra)
+    if not a:
+        for assignments, weight in iter_class_representatives(idx):
+            yield weight, fix_on_quotient(packed_representative(idx, assignments), basis).bit_length() - 1
+        return
+    grades, profiles = ({}, {}) if caches is None else caches
+    n, s, r = basis
+    top = min(a, r)
     for assignments, weight in iter_class_representatives(idx):
-        sigma = packed_representative(idx, assignments)
-        yield weight, fix_on_quotient(sigma, basis).bit_length() - 1
+        kept = (spectra_s, tuple(compress(assignments, keep)))
+        g = grades.get(kept)
+        if g is None:
+            g = grades[kept] = _grades(packed_representative(ClassIndex(a, 2, (), spectra_s), kept[1]), top)
+        rest = (idx.unipotent, idx.marker, spectra_2, tuple(compress(assignments, map(not_, keep))))
+        y = profiles.get(rest)
+        if y is None:
+            sigma = packed_representative(ClassIndex(n - a, 2, idx.unipotent, spectra_2, idx.marker), rest[3])
+            y = profiles[rest] = _fix_profile(sigma, s, r, top)
+        yield weight, sum(map(mul, g, y))
+
+
+def _grades(sigma: PackedMap, top: int) -> list[int]:
+    """g_i = f_i - f_(i-1) for i = 0..top, f_h = log2 fix(sigma on R(h, a)),
+    f_-1 = 0: the profile of R(top - i, a)/R(-1, a), read backwards."""
+    f = [0, *reversed(_fix_profile(sigma, -1, top, top))]
+    return [high - low for low, high in zip(f, f[1:])]
+
+
+@lru_cache(maxsize=4)
+def _semisimple_split(spectra) -> tuple[tuple, tuple, tuple[bool, ...], int]:
+    """(kept spectra, the others, keep mask, a): the orders whose blocks
+    C(f) form sigma_s, of dimension a.  An order with a companion power
+    C(f**j), j >= 2, goes to sigma_2, and so does every order that shares a
+    factor with the lcm of those there, until none does, so sigma_s has odd
+    order prime to that of sigma_2, a power of 2 times that lcm.  An order
+    prime to the mixed ones alone is not enough: beside C(f**2) of order 3,
+    C(f) of order 15 goes to sigma_2, and then so does C(f) of order 5."""
+    mixed = math.lcm(*(t.d for t in spectra if any(len(e) > 1 for e in t.entries)))
+    grown = None
+    while grown != mixed:
+        grown, mixed = mixed, math.lcm(mixed, *(t.d for t in spectra if math.gcd(t.d, mixed) > 1))
+    keep = tuple(math.gcd(t.d, mixed) == 1 for t in spectra)
+    kept = tuple(compress(spectra, keep))
+    a = sum(multiplicative_order(2, t.d) * t.total_weight() for t in kept)
+    return kept, tuple(compress(spectra, map(not_, keep))), keep, a
 
 
 def theta(n: int, s: int, r: int, jobs: int = 1, progress=None) -> int:
@@ -318,7 +414,10 @@ def theta(n: int, s: int, r: int, jobs: int = 1, progress=None) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     degree = _dual_degree(n, s, r)
-    terms = partial(_fixed_terms, RMQuotientBasis(n, s - 1, r)) if degree is None else partial(_rank_terms, degree)
+    if degree is None:
+        terms = partial(_fixed_terms, RMQuotientBasis(n, s - 1, r), caches=({}, {}))
+    else:
+        terms = partial(_rank_terms, degree)
     return burnside_count(n, 2, terms, jobs=jobs, progress=progress)
 
 

@@ -6,6 +6,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 sys.set_int_max_str_digits(4_000_000)
 
@@ -18,6 +19,7 @@ from aglcount.compound import (
 from aglcount.conjugacy import ClassIndex, enumerate_classes
 from aglcount.fields import field
 from aglcount.formulas import (
+    burnside_count,
     centralizer_order,
     class_equation_total,
     count_function_classes,
@@ -26,7 +28,7 @@ from aglcount.linalg import AffineMap, GFMatrix
 from aglcount.numtheory import agl_group_order, psi
 from aglcount.oracle import burnside_full, orbit_enumeration
 from aglcount.reps import _assemble, iter_class_representatives, verify_class
-from aglcount.rm import RMQuotientBasis, fix_on_quotient, theta
+from aglcount.rm import RMQuotientBasis, _fixed_terms, fix_on_quotient, theta
 from brute import burnside_full_theta
 from test_conjugacy import partition_tuple
 from test_linalg import identity_map, matmul, packed, sub_matrix
@@ -93,8 +95,11 @@ def test_criterion_05_quotient_oracle_equivalence():
         assert theta(3, 2, 3) == 3
         for n in (2, 3, 4):
             assert theta(n, 2, n) == burnside_full_theta(n, 0, n - 2), n
-        for n in range(1, 5):
-            assert theta(n, 0, n) == count_function_classes(n, 2), n
+        # N(2, n) against the representatives' fixed counts; theta(n; 0, n)
+        # folds the same per-class orbit counts as N(2, n) does
+        for n in range(1, 6):
+            terms = partial(_fixed_terms, RMQuotientBasis(n, -1, n))
+            assert burnside_count(n, 2, terms) == count_function_classes(n, 2), n
         for n in range(1, 7):
             for s in range(n + 1):
                 for r in range(s, n + 1):

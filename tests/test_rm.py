@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from functools import lru_cache, partial
 
@@ -7,14 +8,17 @@ import pytest
 from aglcount.conjugacy import ClassIndex, enumerate_classes
 from aglcount.fields import field
 from aglcount.formulas import burnside_count, count_function_classes
-from aglcount.linalg import AffineMap, GFMatrix, gf2_rank, pack, point_permutation
+from aglcount.linalg import AffineMap, GFMatrix, PackedMap, companion_matrix, gf2_rank, pack, point_permutation
 from aglcount.partitions import enumerate_partitions
 from aglcount.reps import build_representative, iter_class_representatives
 from aglcount.rm import (
     RMQuotientBasis,
     _dual_degree,
+    _fix_profile,
     _fixed_terms,
+    _grades,
     _orbit_sum_rank,
+    _semisimple_split,
     _var_masks,
     fix_on_quotient,
     monomial_images,
@@ -489,21 +493,28 @@ def test_dual_side_refuses_a_singular_map():
 
 
 def test_each_map_takes_the_side_with_fewer_columns(monkeypatch):
-    # theta(8; 0, 4) reads every representative off the orbit sums, theta(9;
-    # 0, 3) splits 80 to 367, a middle quotient always substitutes, and
-    # theta(7; 0, 7), of dual degree -1, builds no representative
+    # theta profiles each factor of its representatives once per call, and
+    # a representative with no odd-order factor whole: theta(8; 0, 4) reads
+    # all 214 profiles off the orbit sums, theta(9; 0, 3) splits 167 to
+    # 171, a middle quotient substitutes its sigma_2 profiles and reads only
+    # sigma_s grades (floor -1) off orbit sums, and theta(7; 0, 7), of dual
+    # degree -1, profiles nothing
     from aglcount import rm
 
     ran = record_sides(monkeypatch)
     monkeypatch.setattr(rm, "_evaluations", lambda m, degree, real=rm._evaluations: ran.append("columns") or real(m, degree))
-    for args, dual, substituted in (((8, 0, 4), 260, 0), ((9, 0, 3), 80, 367), ((8, 1, 4), 0, 260), ((7, 0, 7), 0, 0)):
+    for args, dual, substituted in (((8, 0, 4), 214, 0), ((9, 0, 3), 167, 171), ((8, 1, 4), 37, 177), ((7, 0, 7), 0, 0)):
         del ran[:]
         theta(*args)
         assert (ran.count("_orbit_nullity"), ran.count("_substituted_nullity")) == (dual, substituted), args
-    # forced onto its representatives, R(7, 7), with an empty dual, only counts orbits
+    # forced onto its 140 representatives, with no profile shared between
+    # indices, R(7, 7) takes the dual side for the 58 whole maps and both
+    # factors of the other 82; a whole map or sigma_2, with an empty dual,
+    # only counts orbits, and only the grades of sigma_s, a variables, build
+    # columns, those of degree <= a - 1
     del ran[:]
     burnside_count(7, 2, partial(_fixed_terms, RMQuotientBasis(7, -1, 7)))
-    assert ran == ["_orbit_nullity"] * 140
+    assert (ran.count("_orbit_nullity"), ran.count("_substituted_nullity"), ran.count("columns")) == (222, 0, 82)
 
 
 def test_evaluations_are_graded_with_degree_zero_on_top():
@@ -526,9 +537,11 @@ def test_evaluations_are_graded_with_degree_zero_on_top():
 
 
 def test_theta_examples():
+    # theta(n; 0, n) folds the per-class orbit counts, as N(2, n) does, so
+    # N(2, n) is checked against the representatives' split fixed counts
     assert theta(2, 0, 0) == 2
-    for n in range(1, 5):
-        assert theta(n, 0, n) == count_function_classes(n, 2)
+    for n in range(1, 6):
+        assert representative_count(n, 0, n) == count_function_classes(n, 2), n
     with pytest.raises(ValueError):
         theta(4, 5, 3)
 
@@ -630,6 +643,139 @@ def test_every_assignment_of_an_orbit_has_its_fix_count():
                     values = {fix_on_quotient(sigma, basis) for sigma in maps}
                     assert len(values) == 1, (idx, orbit, basis)
     assert merged > several_orders > 0
+
+
+def split_terms(basis, idx, caches):
+    """_fixed_terms of idx against fix_on_quotient of each whole
+    representative: (split, whole) log2 fixed counts."""
+    from aglcount.reps import packed_representative
+
+    split = [e for _, e in _fixed_terms(basis, idx, idx.multiplicity(), 0, caches)]
+    whole = [
+        fix_on_quotient(packed_representative(idx, assignments), basis).bit_length() - 1
+        for assignments, _ in iter_class_representatives(idx)
+    ]
+    return split, whole
+
+
+def test_factor_split_matches_whole_representatives():
+    # every representative at n <= 7 on every quotient R(r, n)/R(s-1, n),
+    # the factors' profiles shared across the indices of one quotient as
+    # in a theta call
+    pairs = split = 0
+    for n in range(1, 8):
+        caches = {}
+        for idx in enumerate_classes(n, 2):
+            split += _semisimple_split(idx.spectra)[3] > 0
+            for r in range(n + 1):
+                for s in range(r + 1):
+                    basis = RMQuotientBasis(n, s - 1, r)
+                    got, whole = split_terms(basis, idx, caches.setdefault(basis, ({}, {})))
+                    assert got == whole, (idx, basis)
+                    pairs += len(whole)
+    assert pairs == 8586 and split == 157
+
+
+def test_factor_split_sends_orders_sharing_a_factor_to_sigma_2():
+    # at n = 8, C(f**2) of order 3 and C(f) of order 15: the 15 shares the
+    # factor 3 with the mixed order, and keeping it in sigma_s, as an order
+    # that is not itself mixed, fails 33 pairs of the n = 8 sweep; at n = 12
+    # an order 5 shares a factor only with the 15, and goes to sigma_2 too,
+    # though it is prime to every mixed order
+    cases = [
+        (8, (partition_tuple(3, 1, [(0, 1)]), partition_tuple(15, 2, [(1,)]))),
+        (12, (partition_tuple(3, 1, [(0, 1)]), partition_tuple(5, 1, [(1,)]), partition_tuple(15, 2, [(1,)]))),
+    ]
+    for n, spectra in cases:
+        idx = ClassIndex(n=n, q=2, unipotent=(), spectra=spectra)
+        idx.validate()
+        assert _semisimple_split(spectra)[2:] == ((False,) * len(spectra), 0)
+        bases = [RMQuotientBasis(n, s - 1, r) for r in range(n + 1) for s in range(r + 1)]
+        for basis in bases if n == 8 else bases[::7]:
+            split, whole = split_terms(basis, idx, ({}, {}))
+            assert split == whole, (idx, basis)
+    # in the chain 3 - 15 - 35 - 7, the 7 meets the lcm only once the 35 joins it
+    chain = [partition_tuple(3, 1, [(0, 1)])] + [partition_tuple(d, 2, [(1,)]) for d in (7, 15, 35)]
+    assert _semisimple_split(tuple(chain))[2:] == ((False,) * 4, 0)
+    # with a mixed order 3 and unrelated orders 5 and 7, sigma_s keeps both
+    spectra = (partition_tuple(3, 1, [(0, 1)]), partition_tuple(5, 1, [(1,)]), partition_tuple(7, 2, [(1,)]))
+    assert _semisimple_split(spectra)[2:] == ((False, True, True), 7)
+    idx = ClassIndex(n=11, q=2, unipotent=(), spectra=spectra)
+    idx.validate()
+    for s, r in ((1, 3), (0, 4), (2, 5), (3, 7)):
+        split, whole = split_terms(RMQuotientBasis(11, s - 1, r), idx, ({}, {}))
+        assert split == whole, (s, r)
+
+
+def direct_sum(*maps):
+    """The block-diagonal packed map of the given packed maps, in order."""
+    columns, translation = [], 0
+    for sigma in maps:
+        translation |= sigma.translation << len(columns)
+        columns += [c << len(columns) for c in sigma.columns]
+    return PackedMap(tuple(columns), translation)
+
+
+def conjugated(sigma, order):
+    """sigma with coordinate i renamed order[i]: the same map up to a
+    coordinate permutation, so the same fixed counts."""
+    n = len(sigma.columns)
+    columns = [0] * n
+    for i, c in enumerate(sigma.columns):
+        columns[order[i]] = sum(1 << order[j] for j in range(n) if c >> j & 1)
+    return PackedMap(tuple(columns), sum(1 << order[i] for i in range(n) if sigma.translation >> i & 1))
+
+
+def test_factor_split_lemma_on_random_maps():
+    # the lemma of _fixed_terms beyond representatives: sigma_s a random sum
+    # of one or two companion blocks of irreducibles of degree 2..4 (odd
+    # orders, a block may repeat),
+    # sigma_2 a random unitriangular affine map with a random translation
+    # (2-power order), the sum conjugated by a random coordinate permutation
+    from aglcount.fields import irreducibles
+
+    rng = random.Random(40)
+    blocks = [pack(companion_matrix(f2, g).entries) for degree in (2, 3, 4) for g in irreducibles(2, degree)]
+    checked = 0
+    for trial in range(40):
+        semisimple = direct_sum(*rng.choices(blocks, k=rng.randint(1, 2)))
+        b = rng.randint(0, 9 - len(semisimple.columns))
+        entries = [[int(i == j) if i >= j else rng.randrange(2) for j in range(b)] for i in range(b)]
+        unipotent = pack(entries, [rng.randrange(2) for _ in range(b)])
+        sigma = direct_sum(semisimple, unipotent)
+        n, a = len(sigma.columns), len(semisimple.columns)
+        whole = conjugated(sigma, rng.sample(range(n), n))
+        for r in range(n + 1):
+            for s in range(r + 1):
+                top = min(a, r)
+                g, y = _grades(semisimple, top), _fix_profile(unipotent, s - 1, r, top)
+                want = fix_on_quotient(whole, RMQuotientBasis(n, s - 1, r)).bit_length() - 1
+                assert sum(map(operator.mul, g, y)) == want, (trial, s, r)
+                checked += 1
+    assert checked > 1000
+
+
+def test_theta_profiles_each_factor_once_per_call(monkeypatch):
+    # the profile caches live for one theta call: the whole maps and
+    # profiles a call takes do not depend on an earlier call in the
+    # process, so a traced count cannot depend on the order of a run's cases
+    from aglcount import rm
+
+    calls = []
+    for name in ("fix_on_quotient", "_fix_profile"):
+        real = getattr(rm, name)
+        monkeypatch.setattr(rm, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+
+    def counts(*args):
+        del calls[:]
+        theta(*args)
+        return calls.count("fix_on_quotient"), len(calls)
+
+    first = counts(8, 2, 4)
+    assert 0 < first[0] < first[1], first
+    for other in ((8, 2, 4), (8, 1, 3), (7, 2, 4)):
+        counts(*other)
+        assert counts(8, 2, 4) == first, other
 
 
 def test_theta_duality():
