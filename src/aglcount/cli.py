@@ -41,15 +41,15 @@ _DECIMAL_LEAF_BITS = 1024
 _REPS_STEP_LIMIT = 1 << 24
 # the theta paths of count-cosets and the duality and compound suites run one
 # engine, rm.monomial_images and the GF(2) elimination, and are admitted by
-# one estimate of its work; at s = 0 a representative whose dual code is
-# smaller reads its count off orbit sums instead, which only makes an
-# admitted input faster, and count-cosets admits a quotient of dual degree
+# one estimate of its work; theta profiles each representative's odd-order
+# factor, which holds the coordinates it fixes, and the rest once per call,
+# at s = 0 off orbit sums where the dual code is smaller, which only makes
+# an admitted input faster, and count-cosets admits a quotient of dual degree
 # <= 1 (rm._dual_degree), which builds no representative, by the digit
 # bound.  The slowest admitted inputs, each in a fresh interpreter (2 cores,
-# Python 3.11.7, medians of 3 interleaved runs):
-# theta(11; 0, 5) 1.4 s (3.3 s counting every representative whole),
-# theta(15; 0, 0) 3.3 s (3.7 s) and theta at n = 12..14 0.6-1.7 s;
-# duality --n 9 5.9 s (12.0 s); compound --n 15 1.4 s and 123 MiB
+# Python 3.11.7, medians of 3 runs): theta at n = 11..14 0.3-0.9 s, the
+# slowest theta(14; 1, 1); duality --n 9 2.7 s; compound --n 15 0.8 s and
+# 123 MiB (one run)
 _SUBSTITUTION_BUDGET = 6 * 10**10
 
 
@@ -212,13 +212,12 @@ def _count_refusal(q: int, n: int, dual: int = -1) -> str | None:
 def _theta_work(n: int, r: int) -> int:
     """Substitution steps of theta(n; s, r), taken as 2**n representatives
     (theta builds fewer, 3,724 at n = 13), each substituting C(n, <= r)
-    monomials into ints of 2**n bits, one shift per variable; a
-    representative with fixed coordinates substitutes fewer variables, at
-    s = 0 one whose dual code is smaller walks its points instead, and one
-    with an odd-order factor shares its factors' profiles with others, so
-    theta(11; 0, 5) takes 1.4 s and theta(15; 0, 0), the slowest admitted
-    theta, 3.3 s.  As in _count_refusal, n is taken at min(n, 64): O(1)
-    for any n."""
+    monomials into ints of 2**n bits, one shift per variable; theta splits
+    a representative into its odd-order factor, which holds the coordinates
+    it fixes, and the rest, and profiles each factor once per call on fewer
+    variables, at s = 0 by a point walk where the dual code is smaller, so
+    theta(14; 1, 1), the slowest admitted theta, takes 0.9 s.  As in
+    _count_refusal, n is taken at min(n, 64): O(1) for any n."""
     m = min(n, 64)
     return m * 4**m * sum(math.comb(m, k) for k in range(min(r, m) + 1))
 

@@ -8,33 +8,25 @@ per monomial slot, so multiplying by an affine linear form is a handful
 of mask/shift/xor operations on that int.  ``monomial_images`` is the one
 substitution engine.
 
-A fixed count splits off the coordinates sigma fixes: if sigma fixes k
-coordinates that no other coordinate's image reads, R(r, n)/R(s-1, n) is
-the sum of C(k, j) copies of R(r-j, n-k)/R(s-1-j, n-k) over j, so one
-substitution on n - k variables and one elimination per floor s-1-j give
-the count (``_fix_profile``, behind ``fix_on_quotient``).  At s = 0 a map
-whose dual code R(n-k-r-1, n-k) has fewer monomials than R(r, n-k) is read
-off the orbit sums of its point walk instead, one elimination for every j.
-
-A class representative splits further, into its odd-order factor sigma_s,
-the companion blocks C(f) of orders prime to the rest, and the rest
-sigma_2: log2 fix(sigma) = sum over i of g_i y_i, with g_i the graded
-fixed dimensions of sigma_s and y_i those of sigma_2 on R(r-i, b)/
-R(s-1-i, b) (``_fixed_terms``, which proves it).  A factor recurs across
-representatives, so a theta call profiles each once, every i from one
-substitution or point walk, and a representative is a dot product.  Bench
-``middle`` (theta(9; 2, 3) plus theta(10; 1, 2)) solve_s fell from 0.171 s
-to 0.130 s and ``cosets`` from 0.115 s to 0.087 s (medians of 10 and 6
-alternating pairs, 2 cores of a shared machine, Python 3.11.7), and
-theta(11; 0, 5) takes 1.4 s against 3.3 s in a fresh interpreter (medians
-of 3 interleaved runs).
+A class representative splits into its odd-order factor tau, its
+unmarked 1 x 1 Jordan blocks (the coordinates it fixes) and the companion
+blocks C(f) of orders prime to the rest, and the rest sigma_2:
+log2 fix(sigma) = sum over i of g_i y_i, with g_i the graded fixed
+dimensions of tau and y_i those of sigma_2 on R(r-i, b)/R(s-1-i, b)
+(``_fixed_terms``, which proves it).  A factor recurs across
+representatives, so a theta call profiles each once (``_fix_profile``),
+every i from one substitution, or at s = 0 from one point walk whose
+orbit sums span the dual code when that has fewer monomials, and a
+representative is a dot product; one with an empty tau is counted whole
+(``fix_on_quotient``).
 
 The quotient counts have no fold of their own: ``theta`` hands (weight,
 log2 of the fixed count) terms to the shared Burnside fold
 ``formulas.burnside_count``.  A quotient of dual degree K <= 1
 (``_dual_degree``), M(n) = theta(n; 2, n) among them, takes them from the
-per-class formulas alone (``_orbit_sum_rank``), with no representative;
-every other one from its class representatives' factors (``_fixed_terms``).
+per-class formulas alone (``_orbit_sum_rank``), with no representative,
+one of dimension 1 has 2 orbits with no fold, and every other one takes
+them from its class representatives' factors (``_fixed_terms``).
 """
 
 from __future__ import annotations
@@ -44,13 +36,13 @@ import math
 from collections import namedtuple
 from functools import lru_cache, partial, reduce
 from itertools import compress
-from operator import mul, not_, xor
+from operator import not_, xor
 
 from .conjugacy import ClassIndex
 from .formulas import burnside_count
 from .linalg import PackedMap, cycles, gf2_extend, point_permutation
 from .numtheory import multiplicative_order
-from .partitions import Partition
+from .partitions import Partition, canon
 from .reps import iter_class_representatives, packed_representative
 
 __all__ = [
@@ -175,37 +167,24 @@ def fix_on_quotient(sigma: PackedMap, basis: RMQuotientBasis) -> int:
 
 
 def _fix_profile(sigma: PackedMap, s: int, r: int, depth: int) -> list[int]:
-    """log2 fix(sigma on R(r - i, n)/R(s - i, n)) for i = 0..depth, the
-    degrees clipped to -1 <= s - i and r - i <= n, 0 for an empty quotient;
-    one substitution or one point walk serves every i.
+    """log2 fix(sigma on R(r - i, m)/R(s - i, m)) for i = 0..depth, sigma on
+    m variables, the degrees clipped to -1 <= s - i and r - i <= m, 0 for an
+    empty quotient; one substitution or one point walk serves every i, so
+    the profile at depth d is a prefix of the one at any deeper depth.
 
-    The coordinates sigma fixes are split off first, by the lemma of
-    ``_fixed_terms`` with the identity as the odd-order factor.  Let I be
-    the coordinates i with column i = e_i, row i = e_i and a_i = 0, k = |I|,
-    and sigma_R sigma restricted to the other m = n - k coordinates.  Every
-    function of the coordinates in I is fixed, so g_j = C(k, j), and
-        log2 fix(sigma on R(r, n)/R(s, n)) = sum over j of C(k, j)
-            nullity(sigma_R - I on R(r - j, m)/R(s - j, m)),
-    with the degrees clipped to -1 <= s - j and r - j <= m and empty
-    summands skipped.  For a class representative, I is its unmarked 1 x 1
-    Jordan blocks.  Entry i of the profile is the sum over j of C(k, j)
-    times the nullity of the summand of shift i + j, so the summands of
-    shift 0..depth + k are ranked once, each on one of two sides.
+    The substitution side substitutes sigma once, up to degree min(r, m).
+    The quotients that share a floor s - i take one elimination, its rows
+    in ascending degree: a row of degree <= h reaches only slots of degree
+    <= h, so the rank after the rows of degree <= h is the rank of the
+    quotient of top h.  With s = -1 every quotient has floor -1.
 
-    The substitution side substitutes sigma_R once, on m variables up to
-    degree min(r, m).  Summands that share a floor s - j take one
-    elimination, its rows in ascending degree: a row of degree <= h reaches
-    only slots of degree <= h, so the rank after the rows of degree <= h is
-    the rank of the summand of top h.  With s = -1 every summand has floor
-    -1.
-
-    The dual side, for s = -1 only, where every summand is R(h, m) with
-    h = r - j, walks the 2**m points of sigma_R once:
-    (a) log2 fix(sigma_R on R(h, m)) = orbits - the rank of the orbit sums
+    The dual side, for s = -1 only, where every quotient is R(h, m) with
+    h = r - i, walks the 2**m points of sigma once:
+    (a) log2 fix(sigma on R(h, m)) = orbits - the rank of the orbit sums
         over the monomials of degree <= K = m - h - 1, where the orbit sum
         of O holds, per monomial t, the sum of X_t(x) over x in O.  Proof:
-        f is fixed iff f(sigma_R x) = f(x) for every x, iff f is constant on
-        the orbits of <sigma_R> on F_2**m, and those f = sum of c_O 1_O form
+        f is fixed iff f(sigma x) = f(x) for every x, iff f is constant on
+        the orbits of <sigma> on F_2**m, and those f = sum of c_O 1_O form
         a space of dimension orbits.  R(h, m) is the dual of R(K, m) under
         the form sum_x f(x) g(x) (MacWilliams & Sloane), so f lies in
         R(h, m) iff sum_O c_O (orbit sum of O)_t = 0 for every t of degree
@@ -218,59 +197,38 @@ def _fix_profile(sigma: PackedMap, s: int, r: int, depth: int) -> list[int]:
         space and have distinct leads; cut to the top columns, those that
         lead there stay independent, the others vanish, and cutting
         commutes with the span.
-    So one elimination over the largest K gives every summand's rank, and
+    So one elimination over the largest K gives every quotient's rank, and
     it stops once a pivot leads in every column.  Each map takes the dual
-    side when its columns for j = 0 are fewer than the rows the
+    side when its columns for i = 0 are fewer than the rows the
     substitution side ranks, C(m, <= m - r - 1) < C(m, <= min(r, m)); an
     empty dual, r >= m, only counts orbits.
     """
-    columns, translation = sigma
-    n = len(columns)
-    # a coordinate moves if it is translated, its column is not e_i, or
-    # another column reads it
-    moving = translation
-    for i, c in enumerate(columns):
-        if c != 1 << i:
-            moving |= c | 1 << i
-    m = moving.bit_count()
-    k = n - m
-    if k:
-        position = {i: p for p, i in enumerate(i for i in range(n) if moving >> i & 1)}
-
-        def restrict(x: int) -> int:
-            out = 0
-            while x:
-                low = x & -x
-                out |= 1 << position[low.bit_length() - 1]
-                x ^= low
-            return out
-
-        sigma = PackedMap(tuple(restrict(columns[i]) for i in position), restrict(translation))
-    summands = []  # (shift, floor, top) per nonempty summand, tops descending
-    for shift in range(depth + k + 1):
+    m = len(sigma.columns)
+    quotients = []  # (shift, floor, top) per nonempty quotient, tops descending
+    for shift in range(depth + 1):
         low, high = max(s - shift, -1), min(r - shift, m)
         if low < high:
-            summands.append((shift, low, high))
-    nullities = [0] * (depth + k + 1)
-    if summands:
+            quotients.append((shift, low, high))
+    profile = [0] * (depth + 1)
+    if quotients:
         side = _orbit_nullity if s == -1 and _dual_is_smaller(m, r) else _substituted_nullity
-        for (shift, _, _), nullity in zip(summands, side(sigma, m, summands)):
-            nullities[shift] = nullity
-    return [sum(math.comb(k, j) * nullities[i + j] for j in range(k + 1)) for i in range(depth + 1)]
+        for (shift, _, _), nullity in zip(quotients, side(sigma, m, quotients)):
+            profile[shift] = nullity
+    return profile
 
 
 def _dual_is_smaller(m: int, r: int) -> bool:
-    """C(m, <= m - r - 1) < C(m, <= min(r, m)): the orbit sums of sigma_R
+    """C(m, <= m - r - 1) < C(m, <= min(r, m)): the orbit sums of a map
     on R(r, m) have fewer columns than its substitution has rows."""
     return len(_basis_monomials(m, -1, m - r - 1)) < len(_basis_monomials(m, -1, min(r, m)))
 
 
-def _substituted_nullity(sigma: PackedMap, m: int, summands) -> list[int]:
-    # the nullity of each summand, in the order given
-    images = monomial_images(sigma, summands[0][2])
+def _substituted_nullity(sigma: PackedMap, m: int, quotients) -> list[int]:
+    # the nullity of each quotient, in the order given
+    images = monomial_images(sigma, quotients[0][2])
     out = []
     floor = None
-    for _, low, high in reversed(summands):  # tops ascending within a floor
+    for _, low, high in reversed(quotients):  # tops ascending within a floor
         if low != floor:
             floor = below = low
             pivots: dict[int, int] = {}
@@ -284,19 +242,19 @@ def _substituted_nullity(sigma: PackedMap, m: int, summands) -> list[int]:
     return out[::-1]
 
 
-def _orbit_nullity(sigma: PackedMap, m: int, summands) -> list[int]:
-    # the nullity of each summand, in the order given
+def _orbit_nullity(sigma: PackedMap, m: int, quotients) -> list[int]:
+    # the nullity of each quotient, in the order given
     orbits = cycles(point_permutation(sigma))
-    degree = m - summands[-1][2] - 1
+    degree = m - quotients[-1][2] - 1
     if degree < 0:
-        return [len(orbits)] * len(summands)
+        return [len(orbits)] * len(quotients)
     values = _evaluations(m, degree)
     width = len(_basis_monomials(m, -1, degree))
     pivots: dict[int, int] = {}
     # once a pivot leads in every column, the other orbit sums depend on them
     gf2_extend(pivots, (reduce(xor, map(values.__getitem__, orbit)) for orbit in orbits if len(pivots) < width))
     out = []
-    for _, _, high in summands:
+    for _, _, high in quotients:
         boundary = width - len(_basis_monomials(m, -1, m - high - 1))
         out.append(len(orbits) - sum(map(boundary.__le__, pivots)))
     return out
@@ -319,62 +277,67 @@ def _evaluations(m: int, degree: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex, multiplicity: int, orbits: int, caches=None):
+def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex, multiplicity: int, orbits: int, caches):
     """(weight, log2 fix) per representative of idx on R(r, n)/R(s, n),
-    from its odd-order factor sigma_s and the rest sigma_2.
+    from its odd-order factor tau and the rest sigma_2.
 
-    sigma_s is the companion blocks C(f) of the orders ``_semisimple_split``
-    keeps, on a coordinates; sigma_2, on the other b = n - a, is the
-    unipotent blocks, with the marked one, and the blocks of the other
-    orders, those with a companion power C(f**j), j >= 2, and those that
-    share a factor with them.  Then
+    tau, on a + k coordinates, is the k = lam_1 - [marker = 1] unmarked
+    1 x 1 unipotent blocks and sigma_s, the companion blocks C(f) of the
+    orders ``_semisimple_split`` keeps, on a coordinates; sigma_2, on the
+    other b = n - a - k, is the other unipotent blocks, with the marked
+    one, and the blocks of the other orders, those with a companion power
+    C(f**j), j >= 2, and those that share a factor with them.  Then
         log2 fix(sigma) = sum over i of g_i y_i,
-        g_i = f_i - f_(i-1),  f_h = log2 fix(sigma_s on R(h, a)),  f_-1 = 0,
+        g_i = f_i - f_(i-1),  f_h = log2 fix(tau on R(h, a + k)),  f_-1 = 0,
         y_i = log2 fix(sigma_2 on R(r - i, b)/R(s - i, b)),
     y_i from ``_fix_profile``, clipped as there.  Lemma: this holds
-    whenever sigma acts as sigma_s on U = F_2**a and as sigma_2 on
-    W = F_2**b, sigma_s of odd order prime to the order of sigma_2.
+    whenever sigma acts as tau on U = F_2**(a + k) and as sigma_2 on
+    W = F_2**b, tau of odd order prime to the order of sigma_2.
     Proof: Fun(U + W) = Fun(U) (x) Fun(W), and the degree filtration is
-    F_d = sum over i of F_i(U) (x) F_(d-i)(W), F_h(U) = R(h, a) stable
-    under sigma_s.
+    F_d = sum over i of F_i(U) (x) F_(d-i)(W), F_h(U) = R(h, a + k) stable
+    under tau.
     1. By Maschke's theorem (odd order), F_i(U) = G_0 + ... + G_i with
-       every G_i sigma_s-stable, so F_d = sum of G_i (x) F_(d-i)(W) and
+       every G_i tau-stable, so F_d = sum of G_i (x) F_(d-i)(W) and
        R(r, n)/R(s, n) = sum of G_i (x) Q_i, Q_i = F_(r-i)(W)/F_(s-i)(W).
-    2. The orders are coprime, so <sigma> holds sigma_s (x) 1 and
+    2. The orders are coprime, so <sigma> holds tau (x) 1 and
        1 (x) sigma_2 (CRT on the exponent), and Fix(sigma) is the
        intersection of their fixed spaces: Fix(G_i) (x) Fix(Q_i) on
        G_i (x) Q_i, of dimension dim Fix(G_i) y_i.
     3. F_h(U) is the sum of the stable G_i, i <= h, so f_h is the sum of
        their dim Fix(G_i), and dim Fix(G_i) = f_i - f_(i-1).
-    g_i = 0 for i > a and y_i = 0 for i > r, so i runs to min(a, r).  The
-    fixed-coordinate split of ``_fix_profile`` is the case sigma_s = the
-    identity, g_j = C(k, j).
+    g_i = 0 for i > a + k and y_i = 0 for i > r, so i runs to
+    min(a + k, r).  tau = sigma_s + id_k is itself such a sum, the
+    identity of order 1 fixing all C(k, <= h) functions of degree <= h, so
+    f_h = sum over j of g'_j C(k, <= h - j) and g_i = sum over j of
+    g'_j C(k, i - j), with g' the grades of sigma_s.
 
-    g depends only on the kept orders' slot assignments and y only on the
-    unipotent partition, the marker and the other orders' assignments.
-    With caches, a pair of dicts that live for one theta call, each factor
-    is profiled once per call and a representative is a dot product; a
-    representative with no odd-order factor is counted whole.
+    g' depends only on the kept orders' slot assignments and y only on
+    sigma_2, which fixes b and so the depth min(n - b, r).  The caches, a
+    pair of dicts that live for one theta call, profile each factor once
+    per call, and a representative is a dot product; one with neither an
+    odd-order factor nor a fixed coordinate, a = k = 0, is counted whole.
     """
     spectra_s, spectra_2, keep, a = _semisimple_split(idx.spectra)
-    if not a:
+    k = sum(idx.unipotent[:1]) - (idx.marker == 1)
+    if not a + k:
         for assignments, weight in iter_class_representatives(idx):
             yield weight, fix_on_quotient(packed_representative(idx, assignments), basis).bit_length() - 1
         return
-    grades, profiles = ({}, {}) if caches is None else caches
+    grades, profiles = caches
     n, s, r = basis
-    top = min(a, r)
+    top = min(a + k, r)
+    unipotent = canon((int(idx.marker == 1), *idx.unipotent[1:]))
     for assignments, weight in iter_class_representatives(idx):
         kept = (spectra_s, tuple(compress(assignments, keep)))
         g = grades.get(kept)
         if g is None:
-            g = grades[kept] = _grades(packed_representative(ClassIndex(a, 2, (), spectra_s), kept[1]), top)
-        rest = (idx.unipotent, idx.marker, spectra_2, tuple(compress(assignments, map(not_, keep))))
+            g = grades[kept] = _grades(packed_representative(ClassIndex(a, 2, (), spectra_s), kept[1]), min(a, r))
+        rest = (unipotent, idx.marker, spectra_2, tuple(compress(assignments, map(not_, keep))))
         y = profiles.get(rest)
         if y is None:
-            sigma = packed_representative(ClassIndex(n - a, 2, idx.unipotent, spectra_2, idx.marker), rest[3])
+            sigma = packed_representative(ClassIndex(n - a - k, 2, unipotent, spectra_2, idx.marker), rest[3])
             y = profiles[rest] = _fix_profile(sigma, s, r, top)
-        yield weight, sum(map(mul, g, y))
+        yield weight, sum(y[i] * gj * math.comb(k, i - j) for i in range(top + 1) for j, gj in enumerate(g[: i + 1]))
 
 
 def _grades(sigma: PackedMap, top: int) -> list[int]:
@@ -408,11 +371,17 @@ def theta(n: int, s: int, r: int, jobs: int = 1, progress=None) -> int:
     Burnside sum with fixed points from the per-class formulas at dual degree
     <= 1 (M(n) is theta(n, 2, n)), else from the quotient action matrices.
 
-    jobs and progress go to ``formulas.burnside_count``, one task per spectra weight."""
+    jobs and progress go to ``formulas.burnside_count``, one task per spectra
+    weight.  A quotient of dimension 1, s = r = 0 or s = r = n, has 2
+    orbits with no fold: every map fixes its one nonzero word, the constant
+    1, and x_1 ... x_n mod R(n - 1, n), whose image is det A x_1 ... x_n
+    plus lower terms, det A = 1."""
     if not 0 <= s <= r <= n:
         raise ValueError(f"need 0 <= s <= r <= n, got ({n}, {s}, {r})")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if s == r and r in (0, n):
+        return 2
     degree = _dual_degree(n, s, r)
     if degree is None:
         terms = partial(_fixed_terms, RMQuotientBasis(n, s - 1, r), caches=({}, {}))
@@ -438,7 +407,7 @@ def _orbit_sum_rank(degree: int, lam: Partition, marker: int | None) -> int:
     <sigma> on F_2**n over the monomials of degree <= K, which depends only
     on the unipotent partition lam and the marker t; sigma fixes
     2**(orbits - rho_K) words of R(n - K - 1, n) (lemma (a) of
-    ``fix_on_quotient``).  rho_-1 = 0, with no monomial, and rho_1 ranks
+    ``_fix_profile``).  rho_-1 = 0, with no monomial, and rho_1 ranks
     the rows (|O| mod 2, sum of the points of O), one per orbit O.
 
     rho_0 = [t is None].  Proof: the one column, of X_0 = 1, holds |O| mod 2,

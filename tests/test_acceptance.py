@@ -98,7 +98,7 @@ def test_criterion_05_quotient_oracle_equivalence():
         # N(2, n) against the representatives' fixed counts; theta(n; 0, n)
         # folds the same per-class orbit counts as N(2, n) does
         for n in range(1, 6):
-            terms = partial(_fixed_terms, RMQuotientBasis(n, -1, n))
+            terms = partial(_fixed_terms, RMQuotientBasis(n, -1, n), caches=({}, {}))
             assert burnside_count(n, 2, terms) == count_function_classes(n, 2), n
         for n in range(1, 7):
             for s in range(n + 1):

@@ -332,9 +332,9 @@ def test_fix_matches_nullity_of_action_matrix():
 
 
 def test_split_fix_matches_dense_on_every_representative():
-    # the split by fixed coordinates in fix_on_quotient: the unmarked 1 x 1
-    # Jordan blocks of every representative a theta call builds at n <= 7,
-    # on every quotient R(r, n)/R(s-1, n)
+    # fix_on_quotient of every representative a theta call builds at
+    # n <= 7, on every quotient R(r, n)/R(s-1, n), over 100 of them with
+    # unmarked 1 x 1 Jordan blocks, which _fixed_terms splits off
     from aglcount.reps import _assemble
 
     split = 0
@@ -373,21 +373,12 @@ def planted(rng, n, k, translated):
 
 def test_split_fix_matches_dense_on_planted_fixed_coordinates(monkeypatch):
     # random maps with k planted fixed coordinates for n <= 9, with and
-    # without a translation on a moved coordinate; whichever side runs, the
-    # substitution sees at most n - k variables and the point walk visits at
-    # most 2**(n - k) points
+    # without a translation on a moved coordinate, counted whole; and the
+    # maps theta profiles at n <= 8 never hold a fixed coordinate (column
+    # e_i, row e_i, a_i = 0), since _fixed_terms moves those into the
+    # odd-order factor
     from aglcount import rm
 
-    sizes, walks = [], []
-    real_images, real_walk = rm.monomial_images, rm.point_permutation
-
-    def walk(sigma):
-        perm = real_walk(sigma)
-        walks.append(len(perm))
-        return perm
-
-    monkeypatch.setattr(rm, "monomial_images", lambda sigma, d: sizes.append(len(sigma.columns)) or real_images(sigma, d))
-    monkeypatch.setattr(rm, "point_permutation", walk)
     rng = random.Random(38)
     for n in range(1, 10):
         for trial in range(6):
@@ -401,15 +392,24 @@ def test_split_fix_matches_dense_on_planted_fixed_coordinates(monkeypatch):
                     r = rng.randrange(n + 1)
                     bases.append(RMQuotientBasis(n, rng.randrange(r + 1) - 1, r))
             for basis in bases:
-                del sizes[:], walks[:]
                 assert fix_on_quotient(packed(sigma), basis) == dense_fix(sigma, basis), (k, basis, sigma)
-                assert sizes or walks, (k, basis)
-                assert max(sizes, default=0) <= n - k and max(walks, default=0) <= 2 ** (n - k), (k, sizes, walks)
+
+    profiled = []
+    real = rm._fix_profile
+    monkeypatch.setattr(rm, "_fix_profile", lambda sigma, *args: profiled.append(sigma) or real(sigma, *args))
+    for n, s, r in ((5, 1, 2), (6, 1, 3), (7, 2, 4), (8, 0, 4), (8, 1, 4), (8, 3, 5)):
+        del profiled[:]
+        theta(n, s, r)
+        assert len(profiled) > 20, (n, s, r)
+        for columns, translation in profiled:
+            for i, column in enumerate(columns):
+                row = sum(1 << j for j, c in enumerate(columns) if c >> i & 1)
+                assert (column, row, translation >> i & 1) != (1 << i, 1 << i, 0), (n, s, r, columns)
 
 
 def test_split_fix_of_the_identity_and_a_translation():
-    # the identity fixes every coset and substitutes no variable; a pure
-    # translation moves only its own coordinate
+    # the identity fixes every coset, and a pure translation, which fixes
+    # every coordinate but its own, matches the dense action matrix
     for n in range(1, 8):
         bases = [RMQuotientBasis(n, s - 1, r) for r in range(n + 1) for s in range(r + 1)]
         ident = identity_map(f2, n)
@@ -494,27 +494,27 @@ def test_dual_side_refuses_a_singular_map():
 
 def test_each_map_takes_the_side_with_fewer_columns(monkeypatch):
     # theta profiles each factor of its representatives once per call, and
-    # a representative with no odd-order factor whole: theta(8; 0, 4) reads
-    # all 214 profiles off the orbit sums, theta(9; 0, 3) splits 167 to
-    # 171, a middle quotient substitutes its sigma_2 profiles and reads only
-    # sigma_s grades (floor -1) off orbit sums, and theta(7; 0, 7), of dual
-    # degree -1, profiles nothing
+    # a representative with neither an odd-order factor nor a fixed
+    # coordinate whole: theta(8; 0, 4) reads all 136 profiles off the orbit
+    # sums, theta(9; 0, 3) splits 53 to 155, a middle quotient substitutes
+    # its sigma_2 profiles and reads only the grades of sigma_s (floor -1)
+    # off orbit sums, and theta(7; 0, 7), of dual degree -1, profiles nothing
     from aglcount import rm
 
     ran = record_sides(monkeypatch)
     monkeypatch.setattr(rm, "_evaluations", lambda m, degree, real=rm._evaluations: ran.append("columns") or real(m, degree))
-    for args, dual, substituted in (((8, 0, 4), 214, 0), ((9, 0, 3), 167, 171), ((8, 1, 4), 37, 177), ((7, 0, 7), 0, 0)):
+    for args, dual, substituted in (((8, 0, 4), 136, 0), ((9, 0, 3), 53, 155), ((8, 1, 4), 38, 98), ((7, 0, 7), 0, 0)):
         del ran[:]
         theta(*args)
         assert (ran.count("_orbit_nullity"), ran.count("_substituted_nullity")) == (dual, substituted), args
-    # forced onto its 140 representatives, with no profile shared between
-    # indices, R(7, 7) takes the dual side for the 58 whole maps and both
-    # factors of the other 82; a whole map or sigma_2, with an empty dual,
-    # only counts orbits, and only the grades of sigma_s, a variables, build
-    # columns, those of degree <= a - 1
+    # forced onto its 140 representatives, R(7, 7) takes the dual side for
+    # the 21 whole maps, the 21 grades of sigma_s and the 37 profiles of
+    # sigma_2; a whole map or sigma_2, with an empty dual, only counts
+    # orbits, and only the grades of the 20 nonempty sigma_s, a variables,
+    # build columns, those of degree <= a - 1
     del ran[:]
-    burnside_count(7, 2, partial(_fixed_terms, RMQuotientBasis(7, -1, 7)))
-    assert (ran.count("_orbit_nullity"), ran.count("_substituted_nullity"), ran.count("columns")) == (222, 0, 82)
+    burnside_count(7, 2, partial(_fixed_terms, RMQuotientBasis(7, -1, 7), caches=({}, {})))
+    assert (ran.count("_orbit_nullity"), ran.count("_substituted_nullity"), ran.count("columns")) == (79, 0, 20)
 
 
 def test_evaluations_are_graded_with_degree_zero_on_top():
@@ -546,19 +546,26 @@ def test_theta_examples():
         theta(4, 5, 3)
 
 
-def test_theta_linear_and_top_quotients():
+def test_theta_linear_and_top_quotients(monkeypatch):
     # R(1,n)/R(0,n): the zero functional and everything else
-    # R(n,n)/R(n-1,n): a one-dimensional trivial module
+    # R(n,n)/R(n-1,n) and R(0,n)/R(-1,n): one-dimensional trivial modules,
+    # counted with no fold, as the brute oracle confirms at n <= 3
+    from aglcount import rm
+
     for n in (2, 3, 4, 5):
         assert theta(n, 1, 1) == 2
-        assert theta(n, n, n) == 2
+    for n in (1, 2, 3):
+        assert burnside_full_theta(n, 0, 0) == burnside_full_theta(n, n, n) == 2, n
+    monkeypatch.setattr(rm, "burnside_count", None)
+    for n in range(1, 13):
+        assert theta(n, 0, 0) == theta(n, n, n) == 2, n
 
 
 @lru_cache(maxsize=None)
 def representative_count(n, s, r):
     """theta(n; s, r) by the representatives' fixed counts, forced where
     theta would take the per-class formulas."""
-    return burnside_count(n, 2, partial(_fixed_terms, RMQuotientBasis(n, s - 1, r)))
+    return burnside_count(n, 2, partial(_fixed_terms, RMQuotientBasis(n, s - 1, r), caches=({}, {})))
 
 
 def per_class_families(n):
