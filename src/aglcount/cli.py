@@ -47,9 +47,10 @@ _REPS_STEP_LIMIT = 1 << 24
 # an admitted input faster, and count-cosets admits a quotient of dual degree
 # <= 1 (rm._dual_degree), which builds no representative, by the digit
 # bound.  The slowest admitted inputs, each in a fresh interpreter (2 cores,
-# Python 3.11.7, medians of 3 runs): theta at n = 11..14 0.3-0.9 s, the
-# slowest theta(14; 1, 1); duality --n 9 2.7 s; compound --n 15 0.8 s and
-# 123 MiB (one run)
+# Python 3.11.7, medians of 3 runs): theta at n = 11..14 0.3-1.1 s, the
+# slowest theta(11; 3, 5) and theta(11; 4, 5) (theta(14; 1, 1) 0.6 s, its
+# irreducibles of degree 13 and 14 from cyclotomic cosets); duality --n 9
+# 2.7 s; compound --n 15 0.8 s and 123 MiB (one run)
 _SUBSTITUTION_BUDGET = 6 * 10**10
 
 
@@ -216,8 +217,9 @@ def _theta_work(n: int, r: int) -> int:
     a representative into its odd-order factor, which holds the coordinates
     it fixes, and the rest, and profiles each factor once per call on fewer
     variables, at s = 0 by a point walk where the dual code is smaller, so
-    theta(14; 1, 1), the slowest admitted theta, takes 0.9 s.  As in
-    _count_refusal, n is taken at min(n, 64): O(1) for any n."""
+    the slowest admitted theta, theta(11; 4, 5), takes about 1.1 s, and
+    theta(14; 1, 1) 0.6 s.  As in _count_refusal, n is taken at
+    min(n, 64): O(1) for any n."""
     m = min(n, 64)
     return m * 4**m * sum(math.comb(m, k) for k in range(min(r, m) + 1))
 
@@ -266,8 +268,11 @@ def _cmd_count_cosets(args, report: RunReport) -> str | None:
         r = args.n if args.r is None else args.r
         if not 0 <= s <= r <= args.n:
             return f"need 0 <= s <= r <= n, got s={s}, r={r}, n={args.n}"
-    # theta itself refuses n = 0, before any work
-    if (dual := _dual_degree(args.n, s, r)) is None:
+    # theta itself refuses n = 0, before any work, and counts a quotient of
+    # dimension 1, s = r in (0, n), with none
+    if s == r and r in (0, args.n):
+        error = None
+    elif (dual := _dual_degree(args.n, s, r)) is None:
         error = _substitution_refusal(f"theta({args.n}; {s}, {r})", _theta_work(args.n, r))
     else:
         error = _count_refusal(2, args.n, dual)

@@ -19,18 +19,22 @@ trailing zeros; () is the zero polynomial.
 `irreducibles(q, degree)` is the one enumerator of monic irreducibles: the
 pinned modulus is the least of `irreducibles(p, m)` under the key above,
 and the class representatives take their irreducibles of each root order
-from it.  It trial-divides each monic candidate by the irreducibles of
-degree <= deg/2.  At q = 2 this scan, and the powers of x in `poly_order`,
-run on packed ints (bit i the coefficient of x**i) with shift-xor
-remainders; larger q use the tables.
+from it.  It scans no candidate for irreducibility: from one primitive
+element alpha of F_(q**deg), x modulo the first h modulo which x has order
+q**deg - 1, every irreducible but x is the minimal polynomial of alpha**c
+over one cyclotomic coset of c, and the least c of each coset, kept in
+`_root_exponents`, gives its root order (Lidl & Niederreiter, Finite
+Fields, ch. 2-3).  At q = 2 the powers of alpha and the eliminations run on
+packed ints (bit i the coefficient of x**i); larger q use the tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator
+from types import MappingProxyType
 
+from .linalg import gf2_extend
 from .numtheory import factorize, prime_power
 
 __all__ = [
@@ -38,10 +42,8 @@ __all__ = [
     "field",
     "irreducibles",
     "poly_divmod",
-    "poly_is_irreducible",
     "poly_mod",
     "poly_mul",
-    "poly_order",
     "poly_pow",
     "poly_trim",
 ]
@@ -104,9 +106,6 @@ class FieldTable:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def _generator_powers(self) -> tuple[int, list[int]]:
         """The least g of order q - 1 and its powers 1, g, ..., g**(q-2), each
@@ -238,17 +237,99 @@ def poly_pow(f: FieldTable, a, e: int, mod=None) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def irreducibles(q: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All monic irreducibles of one degree over F_q (x included at degree
-    1), sorted by their ascending coefficient vectors."""
-    if q == 2:
-        small = [sum(c << i for i, c in enumerate(h)) for h in _trial_divisors(2, degree)]
-        # no candidate below x: the constant 1 is not irreducible
-        monic = range(max(2, 1 << degree), 2 << degree)
-        packed = (g for g in monic if all(_gf2_mod(g, h) for h in small))
-        return tuple(sorted(tuple(g >> i & 1 for i in range(degree + 1)) for g in packed))
-    f = field(q)
-    monic = (tail + (1,) for tail in itertools.product(f.elements(), repeat=degree))
-    return tuple(poly for poly in monic if poly_is_irreducible(f, poly))
+    """All monic irreducibles of one degree over F_q (x, which sorts first,
+    included at degree 1), sorted by their ascending coefficient vectors."""
+    return tuple([(0, 1)] * (degree == 1) + sorted(_root_exponents(q, degree)))
+
+
+@lru_cache(maxsize=None)
+def _root_exponents(q: int, degree: int) -> MappingProxyType[tuple[int, ...], int]:
+    """Each monic irreducible of the degree but x, with the least c such that
+    alpha**c is a root, alpha = x modulo h and h the first monic polynomial
+    of the degree, in the order of `irreducibles`, modulo which x has order
+    q**degree - 1: its roots have order (q**degree - 1)/gcd(c, q**degree - 1).
+
+    That order also proves h irreducible: the units of F_q[x]/(h) number
+    q**degree - 1, so the ring is the field F_(q**degree), and alpha
+    generates its units.  A root alpha**c of an irreducible of the degree
+    has the conjugates alpha**(c q**i), so each of them but x is the minimal
+    polynomial of alpha**c over one cyclotomic coset {c q**i} of `degree`
+    elements (smaller cosets lie in subfields); its coefficients are the
+    one F_q-linear dependency of alpha**(c degree) on the independent
+    alpha**(c j), j < degree, read off the powers of alpha, walked once."""
+    if degree < 1:
+        return MappingProxyType({})
+    f, size = field(q), q**degree - 1
+    primes, units = ([p for p, _ in factorize(k)] for k in (size, q - 1))
+    # h(0), the most significant in the sort order, is (-1)**degree times the
+    # norm alpha**(size/(q - 1)) of alpha, which generates F_q*: x - norm
+    # passes the same order test
+    sign = 1 if degree % 2 else f.neg(1)
+    lows = [a for a in range(1, q) if _generates(f, (f.mul(sign, a), 1), q - 1, units)]
+    tails = itertools.product(lows, *[range(q)] * (degree - 1))
+    h = next(tail + (1,) for tail in tails if _generates(f, tail + (1,), size, primes))
+    # alpha**k for k < size, as coordinates over 1, x, ..., x**(degree - 1):
+    # packed ints at q = 2 (bit i the coefficient of x**i), tuples otherwise;
+    # each step multiplies by x and folds x**degree back through the monic h
+    powers = [1 if q == 2 else (1,) + (0,) * (degree - 1)]
+    packed = sum(c << i for i, c in enumerate(h))
+    for _ in range(size - 1):
+        y = powers[-1]
+        if q == 2:
+            powers.append(y << 1 ^ (packed if y >> degree - 1 else 0))
+        else:
+            powers.append(tuple(f.sub(low, f.mul(y[-1], c)) for low, c in zip((0, *y[:-1]), h)))
+    out, seen = {}, bytearray(size)
+    for c in range(size):
+        if not seen[c]:
+            coset = [c * q**i % size for i in range(degree)]
+            for e in coset:
+                seen[e] = 1
+            if len(set(coset)) == degree:
+                out[_relation(f, [powers[c * j % size] for j in range(degree + 1)])] = c
+    return MappingProxyType(out)
+
+
+def _generates(f: FieldTable, h: tuple[int, ...], size: int, primes) -> bool:
+    """Whether x has order size modulo h: x**size is 1 and no x**(size/p)
+    is, for the primes p of size; at q = 2 by square-and-multiply on packed
+    ints, where reading the bits of r in base 4 squares r."""
+
+    def power(k: int):
+        if f.q != 2:
+            return poly_pow(f, (0, 1), k, h)
+        r = 1
+        for bit in bin(k)[2:]:
+            r = _gf2_mod(int(bin(r)[2:], 4) << (bit == "1"), packed)
+        return r
+
+    one = 1 if f.q == 2 else (1,)
+    packed = sum(c << i for i, c in enumerate(h))
+    return power(size) == one and all(power(size // p) != one for p in primes)
+
+
+def _relation(f: FieldTable, vectors: list) -> tuple[int, ...]:
+    """(m_0, ..., m_(k-1), 1) with sum of m_j vectors[j] = 0, the vectors
+    but the last, k of them, independent: forward elimination of each
+    vector with a unit tag, whose tag records the combination, until the
+    last one vanishes.  At q = 2 the vectors are packed ints, shifted above
+    their tag bits for `linalg.gf2_extend`."""
+    k = len(vectors) - 1
+    if f.q == 2:
+        pivots: dict[int, int] = {}
+        gf2_extend(pivots, (v << k + 1 | 1 << j for j, v in enumerate(vectors)))
+        return tuple(pivots[k] >> j & 1 for j in range(k + 1))
+    reduced: list[tuple[int, list[int]]] = []  # (lead, row scaled to 1 there)
+    for j, v in enumerate(vectors):
+        row = [*v, *(int(i == j) for i in range(k + 1))]
+        for lead, pivot in reduced:
+            if c := row[lead]:
+                row = [f.sub(a, f.mul(c, b)) for a, b in zip(row, pivot)]
+        lead = next((i for i in range(k) if row[i]), None)
+        if lead is None:
+            return tuple(row[k:])
+        reduced.append((lead, [f.mul(f.inv(row[lead]), a) for a in row]))
+    raise AssertionError("the last vector is independent of the others")
 
 
 def _gf2_mod(a: int, b: int) -> int:
@@ -257,45 +338,3 @@ def _gf2_mod(a: int, b: int) -> int:
     while (length := a.bit_length()) >= top:
         a ^= b << (length - top)
     return a
-
-
-def _trial_divisors(q: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """Every monic irreducible over F_q of degree <= degree/2."""
-    return itertools.chain.from_iterable(irreducibles(q, d) for d in range(1, degree // 2 + 1))
-
-
-def poly_is_irreducible(f: FieldTable, poly: tuple[int, ...]) -> bool:
-    """Trial division by every monic irreducible of degree <= deg/2."""
-    deg = len(poly) - 1
-    return deg >= 1 and all(poly_mod(f, poly, g) for g in _trial_divisors(f.q, deg))
-
-
-@lru_cache(maxsize=None)
-def poly_order(f: FieldTable, poly: tuple[int, ...]) -> int:
-    """Multiplicative order of the roots: least e with poly | x**e - 1.
-
-    Requires poly irreducible with nonzero constant term, so that e divides
-    q**deg - 1; strips each prime factor of q**deg - 1 while x**(e/p) is
-    still 1 modulo poly.
-    """
-    deg = len(poly) - 1
-    if poly[0] == 0:
-        raise ValueError("order undefined: x divides the polynomial")
-
-    def is_one(k: int) -> bool:
-        """Whether x**k is 1 modulo poly; at q = 2 by square-and-multiply on
-        packed ints, where reading the bits of r in base 4 squares r."""
-        if f.q != 2:
-            return poly_pow(f, (0, 1), k, poly) == (1,)
-        r, packed = 1, sum(c << i for i, c in enumerate(poly))
-        for bit in bin(k)[2:]:
-            r = _gf2_mod(int(bin(r)[2:], 4) << (bit == "1"), packed)
-        return r == 1
-
-    e = f.q**deg - 1
-    if not is_one(e):
-        raise AssertionError("x**(q**deg - 1) is not 1: the polynomial is reducible")
-    for p, _ in factorize(e):
-        while e % p == 0 and is_one(e // p):
-            e //= p
-    return e

@@ -11,9 +11,10 @@ the brute-force oracle, orbit sums) works on codes alone.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .fields import FieldTable
+if TYPE_CHECKING:  # fields takes its GF(2) eliminations from here
+    from .fields import FieldTable
 
 __all__ = [
     "AffineMap",

@@ -17,7 +17,10 @@ Those classes fall into orbits of the unit group: for j a unit mod the
 lcm of the orders, the classes of sigma and sigma**j differ only in where
 the slots sit, and share every fixed count (the Jordan decomposition
 argument is in `iter_class_representatives`).  The quotient counts build
-one representative per orbit, weighted by its size.
+one representative per orbit, weighted by its size.  The irreducibles of
+each order and the slot moves are read off the root exponents of one
+primitive element per degree (`fields._root_exponents`), and the orbits
+are worked out once per spectrum shape.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .conjugacy import ClassIndex
-from .fields import field, irreducibles, poly_order, poly_pow
+from .fields import _root_exponents, field, poly_pow
 from .formulas import element_order, fix_exponent_at, orbit_exponent
 from .linalg import (
     AffineMap,
@@ -56,12 +59,14 @@ __all__ = [
 @lru_cache(maxsize=None)
 def irreducibles_of_order(d: int, q: int) -> tuple[tuple[int, ...], ...]:
     """The psi(d) monic irreducibles of degree o_d(q) whose roots have
-    multiplicative order exactly d, in the order of `fields.irreducibles`."""
+    multiplicative order exactly d, in the order of `fields.irreducibles`:
+    the minimal polynomials of the alpha**c of `fields._root_exponents` of
+    order (q**o - 1)/gcd(c, q**o - 1) = d."""
     if d < 1:
         raise ValueError(f"order must be >= 1, got {d}")
     degree = multiplicative_order(q, d)  # also validates gcd(d, q) = 1
-    f = field(q)
-    polys = tuple(g for g in irreducibles(q, degree) if g[0] and poly_order(f, g) == d)
+    size = q**degree - 1
+    polys = tuple(sorted(g for g, c in _root_exponents(q, degree).items() if size // math.gcd(c, size) == d))
     if len(polys) != psi(d, q):
         raise AssertionError(f"found {len(polys)} irreducibles of order {d}, expected psi")
     return polys
@@ -140,91 +145,54 @@ def build_representative(idx: ClassIndex) -> AffineMap:
     """The canonical representative of the class index on F_q**n: the first
     assignment of every spectrum, as `iter_class_representatives` yields first."""
     idx.validate()
-    return _assemble(idx, tuple(next(_distinct_assignments(s)) for s in idx.spectra))
+    return _assemble(idx, tuple(tuple(range(len(s.entries))) for s in idx.spectra))
 
 
-def _distinct_assignments(spectrum) -> Iterator[tuple[int, ...]]:
-    """Slot choices producing pairwise distinct representatives.
-
-    The entries are sorted, so equal entries sit side by side; they take
-    increasing slots, and the number of yields is the fold multiplicity
-    of the tuple.
-    """
+def _shape(spectrum) -> tuple[int, int, tuple[int, ...]]:
+    """(d, psi, runs): the entries are sorted, so equal ones sit side by
+    side, in a run labelled by its first position."""
     entries = spectrum.entries
-    ties = [i for i in range(len(entries) - 1) if entries[i] == entries[i + 1]]
-    for slots in itertools.permutations(range(spectrum.psi), len(entries)):
+    return spectrum.d, spectrum.psi, tuple(map(entries.index, entries))
+
+
+def _distinct_assignments(shape) -> Iterator[tuple[int, ...]]:
+    """Slot choices producing pairwise distinct representatives, for a
+    spectrum of this `_shape`: the entries of one run take increasing slots,
+    and the number of yields is the fold multiplicity of the tuple."""
+    _, psi, runs = shape
+    ties = [i for i in range(len(runs) - 1) if runs[i] == runs[i + 1]]
+    for slots in itertools.permutations(range(psi), len(runs)):
         if all(slots[i] < slots[i + 1] for i in ties):
             yield slots
-
-
-def _minimal_polynomial(f, powers: list, exponents: list[int]) -> tuple[int, ...]:
-    """prod (X - alpha**e) over one cyclotomic coset of exponents, with
-    coefficients in F_q[alpha] as ``_slot_table`` holds its powers: y times
-    alpha**e is the sum of y_i * alpha**(e + i) over the coordinates of y.
-    The coset is closed under Frobenius, so every coefficient must lie in
-    F_q."""
-    binary = f.q == 2
-    zero = 0 if binary else (0,) * len(powers[0])
-    coeffs = [powers[0]]
-    for e in exponents:
-        # times (X - alpha**e): each coefficient loses alpha**e times its own
-        # and gains the one below it
-        out = []
-        for a, y in zip([zero, *coeffs], [*coeffs, zero]):
-            if binary:
-                while y:
-                    low = y & -y
-                    a ^= powers[e + low.bit_length() - 1]
-                    y ^= low
-            else:
-                for i, c in enumerate(y):
-                    if c:
-                        a = tuple(f.sub(u, f.mul(c, v)) for u, v in zip(a, powers[e + i]))
-            out.append(a)
-        coeffs = out
-    if any(c >> 1 if binary else any(c[1:]) for c in coeffs):
-        raise AssertionError(f"coset of {exponents[0]} gives a polynomial outside F_{f.q}[X]")
-    return tuple(c if binary else c[0] for c in coeffs)
 
 
 @lru_cache(maxsize=None)
 def _slot_table(d: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(slot, first): slot[c] is the index in irreducibles_of_order(d, q)
-    of the minimal polynomial of alpha**c, alpha a root of the first of
-    them, for each unit c mod d (-1 at the other residues); first[k] is the
-    least c of slot k.
+    of the minimal polynomial of beta**c, beta a root of the first of them,
+    for each unit c mod d (-1 at the other residues); first[k] is the least
+    c of slot k.
 
-    The units split into cyclotomic cosets {c, c q, c q**2, ...}, one per
-    slot; the least c of each coset builds its product of (X - alpha**e)
-    once and looks it up in a dict, so no irreducible is tested at any
-    power."""
+    With alpha the generator behind `fields._root_exponents` for the degree
+    o and beta = alpha**b, b the first one's exponent, beta**c = alpha**(b c),
+    a root of the irreducible whose cyclotomic coset {e q**i} mod q**o - 1
+    holds b c.  The units mod d split into cosets {c q**i} mod d, one per
+    slot, so the least c of each reads its slot off the least element of the
+    coset of b c, and no polynomial is built."""
     polys = irreducibles_of_order(d, q)
-    f, g0 = field(q), polys[0]
-    degree = len(g0) - 1
-    # alpha**k for k < d + degree, alpha the class of x modulo g0, as
-    # coordinates over 1, x, ..., x**(degree - 1): packed ints at q = 2 (bit
-    # i the coefficient of x**i), tuples otherwise; each step multiplies by
-    # x and folds x**degree back through the monic g0
-    powers = []
-    y = 1 if q == 2 else (1,) + (0,) * (degree - 1)
-    packed = sum(c << i for i, c in enumerate(g0))
-    for _ in range(d + degree):
-        powers.append(y)
-        if q == 2:
-            y = y << 1 ^ (packed if y >> degree - 1 else 0)
-        else:
-            y = tuple(f.sub(low, f.mul(y[-1], c)) for low, c in zip((0, *y[:-1]), g0))
-    lookup = {g: k for k, g in enumerate(polys)}
+    degree = len(polys[0]) - 1
+    size, exponents = q**degree - 1, _root_exponents(q, degree)
+    lookup = {exponents[g]: k for k, g in enumerate(polys)}
+    b = exponents[polys[0]]
     slot, first = [-1] * d, [0] * len(polys)
     for c in range(1, d):
         if slot[c] < 0 and math.gcd(c, d) == 1:
-            coset = [c * q**i % d for i in range(degree)]
-            k = lookup.get(_minimal_polynomial(f, powers, coset))
+            k = lookup.get(min(b * c * q**i % size for i in range(degree)))
             if k is None or first[k]:
-                raise AssertionError(f"alpha**{c} has no slot of its own among the order-{d} irreducibles")
+                raise AssertionError(f"beta**{c} has no slot of its own among the order-{d} irreducibles")
             first[k] = c
-            for e in coset:
-                slot[e] = k
+            for i in range(degree):
+                slot[c * q**i % d] = k
     return tuple(slot), tuple(first)
 
 
@@ -246,43 +214,45 @@ def _unit_generators(m: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-@lru_cache(maxsize=4)
-def _assignment_orbits(q: int, spectra: tuple) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+@lru_cache(maxsize=None)
+def _assignment_orbits(q: int, shapes: tuple) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
     """The orbits of (Z/L)* on the slot assignments of every spectrum at
-    once: j moves each slot to the slot of the j-th powers of its roots, and
-    the equal entries of a moved assignment take their slots in increasing
-    order again.  L is the lcm of the orders d with psi(d) > 1; an order
-    with one slot never moves, and every unit mod L lifts to a unit mod
-    the lcm of all orders.  Each orbit is closed under the generators of
-    the unit group and starts with its first assignment in the order
-    `_distinct_assignments` yields them.  Indices of one run share their
-    spectra tuple, so a few cached tuples serve them all."""
+    once, for spectra of these `_shape`s: j moves each slot to the slot of
+    the j-th powers of its roots, and the equal entries of a moved
+    assignment take their slots in increasing order again.  L is the lcm of
+    the orders d with psi(d) > 1; an order with one slot never moves, and
+    every unit mod L lifts to a unit mod the lcm of all orders.  Each orbit
+    is closed under the generators of the unit group and starts with its
+    first assignment in the order `_distinct_assignments` yields them.
 
-    def moved(t, j: int) -> tuple[int, ...]:
+    An orbit holds slot indices alone, and everything that makes it reads
+    only the shapes: the assignments come from psi and the runs, the moves
+    from the slot table of (d, q) and the unit generators of the lcm of the
+    d, and the reordering from the runs.  So spectra of one shape, whatever
+    their partitions, share their orbits (39 shapes for the 72 spectra
+    tuples at n = 9, 61 for 129 at n = 10), and the cache holds one entry
+    per shape."""
+
+    def moved(d: int, j: int) -> tuple[int, ...]:
         # slot k goes to the slot of the j-th powers of its roots
-        slot, first = _slot_table(t.d, q)
-        return tuple(slot[c * j % t.d] for c in first)
+        slot, first = _slot_table(d, q)
+        return tuple(slot[c * j % d] for c in first)
 
-    level = math.lcm(*(t.d for t in spectra if t.psi > 1))
-    moves = [tuple(moved(t, j) if t.psi > 1 else (0,) for t in spectra) for j in _unit_generators(level)]
-    # entry positions numbered by run of equal entries, the sort key that
-    # puts a moved assignment back in canonical order
-    runs = [
-        tuple(itertools.accumulate((a != b for a, b in zip(t.entries, t.entries[1:])), initial=0))
-        for t in spectra
-    ]
+    level = math.lcm(*(d for d, psi, _ in shapes if psi > 1))
+    moves = [tuple(moved(d, j) if psi > 1 else (0,) for d, psi, _ in shapes) for j in _unit_generators(level)]
     seen = set()
     orbits = []
-    for start in itertools.product(*(_distinct_assignments(t) for t in spectra)):
+    for start in itertools.product(*map(_distinct_assignments, shapes)):
         if start in seen:
             continue
         seen.add(start)
         orbit = [start]
         for assignment in orbit:
             for perms in moves:
+                # runs are the sort key that puts a moved assignment back in canonical order
                 image = tuple(
-                    tuple(s for _, s in sorted(zip(run, map(perm.__getitem__, slots))))
-                    for perm, run, slots in zip(perms, runs, assignment)
+                    tuple(s for _, s in sorted(zip(runs, map(perm.__getitem__, slots))))
+                    for perm, (_, _, runs), slots in zip(perms, shapes, assignment)
                 )
                 if image not in seen:
                     seen.add(image)
@@ -316,7 +286,7 @@ def iter_class_representatives(idx: ClassIndex) -> Iterator[tuple[tuple[tuple[in
     are moved by j, and the fixed count is a class function.
     """
     idx.validate()
-    orbits = _assignment_orbits(idx.q, idx.spectra)
+    orbits = _assignment_orbits(idx.q, tuple(map(_shape, idx.spectra)))
     if sum(map(len, orbits)) != idx.multiplicity():
         raise AssertionError(f"orbit sizes do not sum to the multiplicity of {idx}")
     for orbit in orbits:

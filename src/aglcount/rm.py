@@ -36,7 +36,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache, partial, reduce
 from itertools import compress
-from operator import not_, xor
+from operator import mul, not_, xor
 
 from .conjugacy import ClassIndex
 from .formulas import burnside_count
@@ -314,8 +314,9 @@ def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex, multiplicity: int, orb
     g' depends only on the kept orders' slot assignments and y only on
     sigma_2, which fixes b and so the depth min(n - b, r).  The caches, a
     pair of dicts that live for one theta call, profile each factor once
-    per call, and a representative is a dot product; one with neither an
-    odd-order factor nor a fixed coordinate, a = k = 0, is counted whole.
+    per call, g' under the kept factor and g under (kept factor, k), and a
+    representative is a dot product; one with neither an odd-order factor
+    nor a fixed coordinate, a = k = 0, is counted whole.
     """
     spectra_s, spectra_2, keep, a = _semisimple_split(idx.spectra)
     k = sum(idx.unipotent[:1]) - (idx.marker == 1)
@@ -329,15 +330,20 @@ def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex, multiplicity: int, orb
     unipotent = canon((int(idx.marker == 1), *idx.unipotent[1:]))
     for assignments, weight in iter_class_representatives(idx):
         kept = (spectra_s, tuple(compress(assignments, keep)))
-        g = grades.get(kept)
+        primed = grades.get(kept)
+        if primed is None:
+            primed = grades[kept] = _grades(packed_representative(ClassIndex(a, 2, (), spectra_s), kept[1]), min(a, r))
+        g = grades.get((kept, k))
         if g is None:
-            g = grades[kept] = _grades(packed_representative(ClassIndex(a, 2, (), spectra_s), kept[1]), min(a, r))
+            g = grades[kept, k] = [
+                sum(x * math.comb(k, i - j) for j, x in enumerate(primed[: i + 1])) for i in range(top + 1)
+            ]
         rest = (unipotent, idx.marker, spectra_2, tuple(compress(assignments, map(not_, keep))))
         y = profiles.get(rest)
         if y is None:
             sigma = packed_representative(ClassIndex(n - a - k, 2, unipotent, spectra_2, idx.marker), rest[3])
             y = profiles[rest] = _fix_profile(sigma, s, r, top)
-        yield weight, sum(y[i] * gj * math.comb(k, i - j) for i in range(top + 1) for j, gj in enumerate(g[: i + 1]))
+        yield weight, sum(map(mul, y, g))
 
 
 def _grades(sigma: PackedMap, top: int) -> list[int]:

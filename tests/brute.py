@@ -14,7 +14,7 @@ from aglcount.fields import field
 from aglcount.linalg import pack, point_permutation
 from aglcount.numtheory import agl_group_order
 from aglcount.oracle import _count_orbits, _iter_linear_images, _point_actions, generators
-from aglcount.reps import _assemble, _distinct_assignments
+from aglcount.reps import _assemble, _distinct_assignments, _shape
 from aglcount.rm import RMQuotientBasis, fix_on_quotient
 
 _GROUP_LIMIT = 20000
@@ -113,5 +113,5 @@ def full_expansion(idx):
     """(representative, 1) for every distinct slot assignment of the index:
     one map per class folded into it, with no orbit grouping."""
     idx.validate()
-    for assignment in itertools.product(*(_distinct_assignments(t) for t in idx.spectra)):
+    for assignment in itertools.product(*(_distinct_assignments(_shape(t)) for t in idx.spectra)):
         yield _assemble(idx, assignment), 1

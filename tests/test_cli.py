@@ -74,6 +74,17 @@ def test_count_cosets(capsys):
     assert json.loads(out)["results"]["quotient_classes"] == "2"
 
 
+def test_dimension_one_quotients_are_admitted(capsys):
+    # the constants and the top degree have 2 orbits with no work, so no
+    # estimate refuses them, at any n; n = 0 is still refused, by theta
+    for n in ("16", "40"):
+        for s in ("0", n):
+            code, out = run_cli(capsys, "count-cosets", "--n", n, "--s", s, "--r", s)
+            assert code == 0 and json.loads(out)["results"] == {"quotient_classes": "2"}, (n, s)
+    code, out = run_cli(capsys, "count-cosets", "--n", "0", "--s", "0", "--r", "0")
+    assert code == 2 and json.loads(out)["results"] == {"error": "n must be >= 1"}
+
+
 def test_count_cosets_range_errors(capsys):
     code, _ = run_cli(capsys, "count-cosets", "--n", "4", "--s", "5", "--r", "3")
     assert code != 0

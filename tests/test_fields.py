@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -7,13 +8,12 @@ import sys
 import pytest
 
 from aglcount.fields import (
+    _root_exponents,
     field,
     irreducibles,
     poly_divmod,
-    poly_is_irreducible,
     poly_mod,
     poly_mul,
-    poly_order,
     poly_pow,
     poly_trim,
 )
@@ -36,7 +36,7 @@ def test_rejects_non_prime_powers_and_oversize():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
 def test_field_axioms_exhaustive(q):
     f = field(q)
-    elems = list(f.elements())
+    elems = list(range(q))
     for a in elems:
         assert f.add(a, 0) == a and f.mul(a, 1) == a and f.mul(a, 0) == 0
         assert f.add(a, f.neg(a)) == 0
@@ -128,18 +128,87 @@ def test_multiplication_table_is_the_schoolbook_product(q):
         assert f.mul(a, b) == want, (q, a, b)
 
 
+def root_orders(q, k):
+    """The root order of each irreducible of degree k but x, from its
+    exponent in the enumerator's table."""
+    size = q**k - 1
+    return {g: size // math.gcd(c, size) for g, c in _root_exponents(q, k).items()}
+
+
+# reference copies of the former enumerator, which scanned every monic
+# candidate: trial division by the irreducibles of degree <= deg/2 (packed
+# at q = 2), and the order of x modulo each result by prime stripping
+
+
+def gf2_mod(a, b):
+    """a mod b for packed binary polynomials (test reference)."""
+    top = b.bit_length()
+    while (length := a.bit_length()) >= top:
+        a ^= b << (length - top)
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def scan_irreducibles(q, degree):
+    """Monic irreducibles of the degree over F_q, in product order, that no
+    irreducible of degree <= degree/2 divides (test reference)."""
+    small = [h for d in range(1, degree // 2 + 1) for h in scan_irreducibles(q, d)]
+    if q == 2:
+        small = [sum(c << i for i, c in enumerate(h)) for h in small]
+        packed = (g for g in range(max(2, 1 << degree), 2 << degree) if all(gf2_mod(g, h) for h in small))
+        return tuple(sorted(tuple(g >> i & 1 for i in range(degree + 1)) for g in packed))
+    f = field(q)
+    monic = (tail + (1,) for tail in itertools.product(range(q), repeat=degree))
+    return tuple(g for g in monic if all(poly_mod(f, g, h) for h in small))
+
+
+def root_order(f, poly):
+    """Least e with x**e = 1 modulo the irreducible poly: strip each prime
+    of q**deg - 1 while x**(e/p) is 1 (test reference, packed at q = 2)."""
+
+    def is_one(k):
+        if f.q != 2:
+            return poly_pow(f, (0, 1), k, poly) == (1,)
+        r, packed = 1, sum(c << i for i, c in enumerate(poly))
+        for bit in bin(k)[2:]:
+            r = gf2_mod(int(bin(r)[2:], 4) << (bit == "1"), packed)
+        return r == 1
+
+    e = f.q ** (len(poly) - 1) - 1
+    assert is_one(e)
+    for p, _ in factorize(e):
+        while e % p == 0 and is_one(e // p):
+            e //= p
+    return e
+
+
+# q**k <= 2**12, proper prime powers included, and q = 2 to k = 14
+SCANNED = [(q, k) for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27) for k in range(1, 13) if q**k <= 4096]
+SCANNED += [(2, 13), (2, 14)]
+
+
+@pytest.mark.parametrize("q,k", SCANNED)
+def test_enumerator_matches_the_trial_division_scan(q, k):
+    assert irreducibles(q, k) == scan_irreducibles(q, k)
+    orders = root_orders(q, k)
+    assert set(orders) == set(irreducibles(q, k)) - {(0, 1)}
+    f = field(q)
+    for g, order in orders.items():
+        assert order == root_order(f, g), (q, g)
+
+
 @pytest.mark.parametrize("q,kmax", [(2, 6), (2, 8), (3, 4), (4, 3), (5, 2), (7, 2)])
 def test_poly_order_matches_power_walk(q, kmax):
-    # least e with x**e = 1 modulo the polynomial, one multiplication by x at a time
+    # the least e with x**e = 1 modulo the polynomial, one multiplication by
+    # x at a time, is the root order of the enumerator's table and of the
+    # reference
     f = field(q)
     for k in range(1, kmax + 1):
-        for poly in irreducibles(q, k):
-            if poly == (0, 1):
-                continue
+        for poly, order in root_orders(q, k).items():
             power, e = poly_mod(f, (0, 1), poly), 1
             while power != (1,):
                 power, e = poly_mod(f, poly_mul(f, power, (0, 1)), poly), e + 1
-            assert poly_order(f, poly) == e, (q, poly)
+            assert order == root_order(f, poly) == e, (q, poly)
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,9 +241,8 @@ def test_binary_irreducibles_and_orders_match_the_tables():
     assert irreducibles(2, 0) == ()  # the constant 1 is no irreducible
     for k in range(1, 11):
         assert irreducibles(2, k) == table_irreducibles(k), k
-        for g in irreducibles(2, k):
-            if g[0]:
-                assert poly_order(f, g) == table_order(f, g), g
+        for g, order in root_orders(2, k).items():
+            assert order == table_order(f, g), g
 
 
 def _mobius(n: int) -> int:
@@ -296,16 +364,17 @@ def test_poly_kernels_match_schoolbook_reference(q):
 
 def test_poly_irreducibility_and_order():
     f2 = field(2)
-    assert poly_is_irreducible(f2, (1, 1, 0, 1))  # x^3 + x + 1
-    assert not poly_is_irreducible(f2, (1, 0, 0, 1))  # x^3 + 1 = (x+1)(x^2+x+1)
-    assert poly_order(f2, (1, 1, 0, 1)) == 7
-    assert poly_order(f2, (1, 1, 1)) == 3
-    assert poly_order(f2, (1, 1)) == 1  # x + 1, root 1
-    with pytest.raises(AssertionError):
-        poly_order(f2, (1, 0, 0, 1))  # x^7 = x mod x^3 + 1: no root order
-    with pytest.raises(ValueError, match="x divides"):
-        poly_order(f2, (0, 1, 1))  # x^2 + x
+    assert (1, 1, 0, 1) in irreducibles(2, 3)  # x^3 + x + 1
+    assert (1, 0, 0, 1) not in irreducibles(2, 3)  # x^3 + 1 = (x+1)(x^2+x+1)
+    assert root_orders(2, 3)[1, 1, 0, 1] == 7
+    assert root_orders(2, 2)[1, 1, 1] == 3
+    assert root_orders(2, 1) == {(1, 1): 1}  # x + 1, root 1; x has no root order
+    # alpha = x modulo x^4 + x^3 + 1, the first primitive quartic in the
+    # order of irreducibles: x^4 + x + 1 has the root alpha**7 = alpha**-1,
+    # x^4 + x^3 + x^2 + x + 1 the root alpha**3 of order 5
+    assert _root_exponents(2, 4) == {(1, 0, 0, 1, 1): 1, (1, 1, 0, 0, 1): 7, (1, 1, 1, 1, 1): 3}
+    assert root_order(f2, (1, 1, 1, 1, 1)) == 5
     f3 = field(3)
-    assert poly_is_irreducible(f3, (1, 2, 0, 1))
+    assert (1, 2, 0, 1) in irreducibles(3, 3)
     assert poly_pow(f3, (1, 1), 2) == (1, 2, 1)
     assert poly_mod(f3, (1, 2, 1), (1, 1)) == ()

@@ -329,7 +329,7 @@ def poly_factor_candidates(f, poly):
     deg = len(poly) - 1
     out = []
     for d in range(1, deg):
-        for tail in it.product(f.elements(), repeat=d):
+        for tail in it.product(range(f.q), repeat=d):
             g = tuple(tail) + (1,)
             _, rem = poly_divmod(f, poly, g)
             if not rem:

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import pytest
 
-from aglcount import linalg, reps
+from aglcount import fields, linalg, reps
 from aglcount.conjugacy import ClassIndex, PartitionTuple, enumerate_classes
-from aglcount.fields import field, irreducibles, poly_order, poly_pow
+from aglcount.fields import field, poly_pow
 from aglcount.numtheory import divisors, multiplicative_order, psi
 from aglcount.reps import (
     build_representative,
@@ -15,8 +16,13 @@ from aglcount.reps import (
 from aglcount.linalg import GFMatrix, companion_matrix, jordan_block, point_permutation
 from brute import conjugacy_class, group_perms
 from test_conjugacy import partition_tuple, permutation_count
-from test_fields import table_irreducibles, table_order
+from test_fields import root_order, table_irreducibles, table_order
 from test_linalg import affine_powers, cyclic_orbit_count, fixed_point_count, identity_map
+
+
+def shapes(idx):
+    """The key of the index's slot orbits in `reps._assignment_orbits`."""
+    return tuple(map(reps._shape, idx.spectra))
 
 
 def assemble_all(idx):
@@ -45,7 +51,7 @@ def test_irreducible_counts_match_psi():
             assert len(polys) == psi(d, q), (q, d)
             for poly in polys:
                 assert len(poly) - 1 == degree
-                assert poly_order(field(q), poly) == d
+                assert root_order(field(q), poly) == d
 
 
 def test_binary_irreducibles_of_order_match_the_table_filter():
@@ -59,8 +65,11 @@ def test_binary_irreducibles_of_order_match_the_table_filter():
 
 
 def test_missing_irreducible_fails_the_psi_count(monkeypatch):
-    # irreducibles(2, 3) without x^3 + x^2 + 1 leaves one of the psi(7) = 2
-    monkeypatch.setattr(reps, "irreducibles", lambda q, degree: irreducibles(q, degree)[1:])
+    # the cubics without x^3 + x^2 + 1 leave one of the psi(7) = 2
+    def dropped(q, degree):
+        return {g: c for g, c in fields._root_exponents(q, degree).items() if g != (1, 0, 1, 1)}
+
+    monkeypatch.setattr(reps, "_root_exponents", dropped)
     reps.irreducibles_of_order.cache_clear()
     try:
         with pytest.raises(AssertionError, match="found 1 irreducibles of order 7"):
@@ -76,7 +85,7 @@ def test_irreducible_records_sorted_and_valid():
     polys = irreducibles_of_order(15, 2)
     assert list(polys) == sorted(polys)
     for poly in polys:
-        assert poly_order(f, poly) == 15
+        assert root_order(f, poly) == 15
         # divisor ladder double-check: x^15 = 1 mod f, x^5 != 1, x^3 != 1
         assert poly_pow(f, (0, 1), 15, poly) == (1,)
         assert poly_pow(f, (0, 1), 5, poly) != (1,)
@@ -246,9 +255,9 @@ def test_expansion_weights_sum_to_multiplicity(monkeypatch):
     # an orbit lost from the cache is refused with an exception, which
     # stripping asserts does not remove
     idx = ClassIndex(n=10, q=2, unipotent=(), spectra=(partition_tuple(31, 6, [(1,), (1,)]),))
-    orbits = reps._assignment_orbits(2, idx.spectra)
+    orbits = reps._assignment_orbits(2, shapes(idx))
     assert len(orbits) == 3
-    monkeypatch.setattr(reps, "_assignment_orbits", lambda q, spectra: orbits[1:])
+    monkeypatch.setattr(reps, "_assignment_orbits", lambda q, shapes: orbits[1:])
     with pytest.raises(AssertionError, match="multiplicity"):
         list(iter_class_representatives(idx))
 
@@ -283,6 +292,131 @@ def test_slot_table_matches_root_substitution():
     # one check per root of every irreducible of degree <= 8 over F_2 and
     # <= 3 over F_3, except x and x - 1
     assert checked == (2 + 2 + 6 + 12 + 30 + 54 + 126 + 240 - 2) + (3 + 6 + 24 - 2)
+
+
+def minimal_polynomial(f, powers, exponents):
+    """prod (X - alpha**e) over one cyclotomic coset of exponents, with
+    coefficients in F_q[alpha] held as the powers are: packed ints at q = 2,
+    coordinate tuples otherwise (test reference)."""
+    binary = f.q == 2
+    zero = 0 if binary else (0,) * len(powers[0])
+    coeffs = [powers[0]]
+    for e in exponents:
+        out = []
+        for a, y in zip([zero, *coeffs], [*coeffs, zero]):
+            if binary:
+                while y:
+                    low = y & -y
+                    a ^= powers[e + low.bit_length() - 1]
+                    y ^= low
+            else:
+                for i, c in enumerate(y):
+                    if c:
+                        a = tuple(f.sub(u, f.mul(c, v)) for u, v in zip(a, powers[e + i]))
+            out.append(a)
+        coeffs = out
+    assert not any(c >> 1 if binary else any(c[1:]) for c in coeffs)
+    return tuple(c if binary else c[0] for c in coeffs)
+
+
+def coset_product_slot_table(d, q):
+    """The slot table by coset products: alpha = x modulo the first
+    irreducible of order d, and each unit coset of c mod d multiplies out
+    prod (X - alpha**e) and looks the product up (test reference)."""
+    polys = irreducibles_of_order(d, q)
+    f, g0 = field(q), polys[0]
+    degree = len(g0) - 1
+    powers = []
+    y = 1 if q == 2 else (1,) + (0,) * (degree - 1)
+    packed = sum(c << i for i, c in enumerate(g0))
+    for _ in range(d + degree):
+        powers.append(y)
+        if q == 2:
+            y = y << 1 ^ (packed if y >> degree - 1 else 0)
+        else:
+            y = tuple(f.sub(low, f.mul(y[-1], c)) for low, c in zip((0, *y[:-1]), g0))
+    lookup = {g: k for k, g in enumerate(polys)}
+    slot, first = [-1] * d, [0] * len(polys)
+    for c in range(1, d):
+        if slot[c] < 0 and math.gcd(c, d) == 1:
+            coset = [c * q**i % d for i in range(degree)]
+            k = lookup[minimal_polynomial(f, powers, coset)]
+            assert not first[k]
+            first[k] = c
+            for e in coset:
+                slot[e] = k
+    return tuple(slot), tuple(first)
+
+
+def test_slot_table_matches_the_coset_products():
+    # every d with o_d(2) <= 12, and with o_d(q) <= 3 at q = 3, 4, 5 and 9
+    checked = 0
+    for q, top in ((2, 12), (3, 3), (4, 3), (5, 3), (9, 3)):
+        for d in sorted({d for m in range(1, top + 1) for d in divisors(q**m - 1)}):
+            assert reps._slot_table(d, q) == coset_product_slot_table(d, q), (q, d)
+            checked += 1
+    assert checked == 40 + 6 + 8 + 11 + 22
+
+
+def spectra_orbits(q, spectra):
+    """The orbits of the slot assignments of these spectra under the unit
+    generators, computed from the spectra themselves: their entries tie
+    slots and sort the moved assignments (test reference)."""
+
+    def assignments(t):
+        ties = [i for i in range(len(t.entries) - 1) if t.entries[i] == t.entries[i + 1]]
+        for slots in itertools.permutations(range(t.psi), len(t.entries)):
+            if all(slots[i] < slots[i + 1] for i in ties):
+                yield slots
+
+    def moved(t, j):
+        slot, first = reps._slot_table(t.d, q)
+        return tuple(slot[c * j % t.d] for c in first)
+
+    level = math.lcm(*(t.d for t in spectra if t.psi > 1))
+    moves = [tuple(moved(t, j) if t.psi > 1 else (0,) for t in spectra) for j in reps._unit_generators(level)]
+    # entry positions numbered by run of equal entries
+    runs = [tuple(itertools.accumulate((a != b for a, b in zip(t.entries, t.entries[1:])), initial=0)) for t in spectra]
+    seen, orbits = set(), []
+    for start in itertools.product(*map(assignments, spectra)):
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for assignment in orbit:
+            for perms in moves:
+                image = tuple(
+                    tuple(s for _, s in sorted(zip(run, map(perm.__getitem__, slots))))
+                    for perm, run, slots in zip(perms, runs, assignment)
+                )
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
+
+
+def test_assignment_orbits_match_the_per_spectra_orbits():
+    # every spectra tuple at n <= 10 over F_2 and n <= 5 over F_3 and F_4
+    tuples = 0
+    for q, nmax in ((2, 10), (3, 5), (4, 5)):
+        for spectra in {idx.spectra for n in range(1, nmax + 1) for idx in enumerate_classes(n, q)}:
+            assert reps._assignment_orbits(q, tuple(map(reps._shape, spectra))) == spectra_orbits(q, spectra), spectra
+            tuples += 1
+    assert tuples == 317
+
+
+def test_one_shape_computes_its_orbits_once():
+    # the order-7 slots of x^3 + x + 1 and x^3 + x^2 + 1 take two distinct
+    # entries the same way, whatever the partitions: one shape, one orbit
+    # computation, and the second index reads the cached orbits
+    first = ClassIndex(n=9, q=2, unipotent=(), spectra=(partition_tuple(7, 2, [(1,), (2,)]),))
+    second = ClassIndex(n=12, q=2, unipotent=(), spectra=(partition_tuple(7, 2, [(1,), (0, 0, 1)]),))
+    assert first.spectra != second.spectra and shapes(first) == shapes(second)
+    reps._assignment_orbits.cache_clear()
+    assert list(iter_class_representatives(first)) == list(iter_class_representatives(second))
+    info = reps._assignment_orbits.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_expansion_validates_each_index_once(monkeypatch):
@@ -324,7 +458,7 @@ def test_distinct_assignments_enumerate_exactly_the_fold():
     ]
     for d, psi_d, entries in cases:
         tup = PartitionTuple(d=d, psi=psi_d, entries=tuple(sorted(entries)))
-        assignments = list(_distinct_assignments(tup))
+        assignments = list(_distinct_assignments(reps._shape(tup)))
         assert len(assignments) == permutation_count(tup), (d, entries)
         maps = set()
         for assignment in assignments:
@@ -351,7 +485,7 @@ def test_packed_layout_matches_the_dense_layout():
     checked = 0
     for n in range(1, 9):
         for idx in enumerate_classes(n, 2):
-            for orbit in reps._assignment_orbits(2, idx.spectra):
+            for orbit in reps._assignment_orbits(2, shapes(idx)):
                 for assignments in orbit:
                     want = packed(reps._assemble(idx, assignments))
                     assert reps.packed_representative(idx, assignments) == want, (idx, assignments)
