@@ -421,7 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="also write the report to this path")
-        p.add_argument("--parallelism", type=int, default=1, help="worker processes, 1..cpu count (1 = in-process)")
+        p.add_argument("--parallelism", type=int, default=1, metavar="K",
+                       help="processes that fold: the parent and K - 1 workers, 1..cpu count (1 = in-process)")
         p.add_argument("--verbose", action="store_true", help="progress on stderr")
 
     p = sub.add_parser("count-functions", help="number of function classes under affine equivalence")

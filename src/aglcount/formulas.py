@@ -22,8 +22,9 @@ side is looked up by (partition, marker) in one table per unipotent
 weight, and one orbit-count step per index combines the two.  So the
 indices may come in any order, and the enumeration's runs of one spectra
 tuple only save work.  One spectra weight, which owns one row table, is
-the unit of work in process and in the workers alike.  The sum of
-c_e * q**e goes by halves, not by Horner.  Every division asserts
+the unit of work in process and in the workers alike; with a pool, the
+parent folds the tasks no worker has started.  The sum of c_e * q**e goes
+by halves, not by Horner.  Every division asserts
 exactness; a failed assertion means an enumeration or formula bug.
 """
 
@@ -409,6 +410,18 @@ def _merge(results, q: int, progress) -> int:
     return _power_sum(coeffs.items(), q)
 
 
+def _fold_beside(futures, tasks):
+    """Results of the pooled tasks: each one the parent can still cancel,
+    which no worker has started, folded in process from w = 0 up (never
+    w = n), then the workers' as they complete."""
+    from concurrent.futures import as_completed
+
+    for future, task in zip(futures[:0:-1], tasks[:0:-1]):
+        if future.cancel():
+            yield _fold_weight(task)
+    yield from (future.result() for future in as_completed(f for f in futures if not f.cancelled()))
+
+
 def burnside_total(n: int, q: int, terms, jobs: int = 1, progress=None) -> int:
     """Undivided Burnside sum over the conjugacy classes of AGL(n, F_q).
 
@@ -418,26 +431,30 @@ def burnside_total(n: int, q: int, terms, jobs: int = 1, progress=None) -> int:
     the pair stands for and q**e is their fixed count.  The result is the
     sum of weight * |class| * q**e, collected per exponent.  One task per
     spectra weight w = n down to 0 enumerates and folds that weight's
-    indices, in process or, when jobs > 1, in jobs worker processes of a
-    ``concurrent.futures`` executor (terms must then pickle; the parent
-    builds no class index).  Its results merge as they complete; if one
-    raises, the pending tasks are cancelled, the running ones finish, and
-    the error reaches the caller.  The largest weight caps useful
-    parallelism at 1 / its share of the work (at N(2, 16..20) 10.7-11.8%
-    of the indices, about 17% of the time).  progress, if given, gets the
-    running class-index count after each nonempty spectra weight on
-    either path.  The result is identical for any jobs.
+    indices, in process or, when jobs > 1, in jobs processes: jobs - 1
+    workers of a ``concurrent.futures`` executor and the parent.  Every task
+    goes to the executor (terms must then pickle); the parent walks the
+    tasks from w = 0 up, short of w = n, and folds in process each one it
+    can cancel, which no worker has started, so the two ends meet in the
+    middle.  The workers' results then merge as they complete; if a task
+    raises, in a worker or in the parent, the pending tasks are cancelled,
+    the running ones finish, and the error reaches the caller.  The largest
+    weight caps useful parallelism at 1 / its share of the work (at
+    N(2, 16..20) 10.7-11.8% of the indices, about 17% of the time).
+    progress, if given, gets the running class-index count after each
+    nonempty spectra weight on either path.  The result is identical for
+    any jobs.
     """
     group = agl_group_order(n, q)
     tasks = [(n, q, w, group, terms) for w in range(n, -1, -1)]
     if jobs <= 1:
         return _merge(map(_fold_weight, tasks), q, progress)
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(jobs)
+    pool = ProcessPoolExecutor(jobs - 1)
     try:
         futures = [pool.submit(_fold_weight, task) for task in tasks]
-        return _merge((future.result() for future in as_completed(futures)), q, progress)
+        return _merge(_fold_beside(futures, tasks), q, progress)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

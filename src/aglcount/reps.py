@@ -217,29 +217,45 @@ def _unit_generators(m: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _assignment_orbits(q: int, shapes: tuple) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
     """The orbits of (Z/L)* on the slot assignments of every spectrum at
-    once, for spectra of these `_shape`s: j moves each slot to the slot of
-    the j-th powers of its roots, and the equal entries of a moved
-    assignment take their slots in increasing order again.  L is the lcm of
-    the orders d with psi(d) > 1; an order with one slot never moves, and
-    every unit mod L lifts to a unit mod the lcm of all orders.  Each orbit
-    is closed under the generators of the unit group and starts with its
-    first assignment in the order `_distinct_assignments` yields them.
+    once, for spectra of these `_shape`s: those of `_moving_orbits` for the
+    spectra with psi(d) > 1, with the one assignment (0,) of each other
+    spectrum put back at its position."""
+    orbits = _moving_orbits(q, tuple(shape for shape in shapes if shape[1] > 1))
+
+    def full(assignment):
+        rest = iter(assignment)
+        return tuple(next(rest) if psi > 1 else (0,) for _, psi, _ in shapes)
+
+    return tuple(tuple(map(full, orbit)) for orbit in orbits)
+
+
+@lru_cache(maxsize=None)
+def _moving_orbits(q: int, shapes: tuple) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+    """The orbits of (Z/L)* on the slot assignments of every spectrum at
+    once, for spectra of these `_shape`s, each with psi(d) > 1: j moves each
+    slot to the slot of the j-th powers of its roots, and the equal entries
+    of a moved assignment take their slots in increasing order again.  L is
+    the lcm of the orders d; an order with one slot never moves, and every
+    unit mod L lifts to a unit mod the lcm of all orders, so the spectra
+    with psi(d) = 1 are left out.  Each orbit is closed under the
+    generators of the unit group and starts with its first assignment in
+    the order `_distinct_assignments` yields them.
 
     An orbit holds slot indices alone, and everything that makes it reads
     only the shapes: the assignments come from psi and the runs, the moves
     from the slot table of (d, q) and the unit generators of the lcm of the
     d, and the reordering from the runs.  So spectra of one shape, whatever
-    their partitions, share their orbits (39 shapes for the 72 spectra
-    tuples at n = 9, 61 for 129 at n = 10), and the cache holds one entry
-    per shape."""
+    their partitions and their orders with one slot, share their orbits
+    (21 keys for the 72 spectra tuples at n = 9, 30 for 129 at n = 10), and
+    the cache holds one entry per key."""
 
     def moved(d: int, j: int) -> tuple[int, ...]:
         # slot k goes to the slot of the j-th powers of its roots
         slot, first = _slot_table(d, q)
         return tuple(slot[c * j % d] for c in first)
 
-    level = math.lcm(*(d for d, psi, _ in shapes if psi > 1))
-    moves = [tuple(moved(d, j) if psi > 1 else (0,) for d, psi, _ in shapes) for j in _unit_generators(level)]
+    level = math.lcm(*(d for d, _, _ in shapes))
+    moves = [tuple(moved(d, j) for d, _, _ in shapes) for j in _unit_generators(level)]
     seen = set()
     orbits = []
     for start in itertools.product(*map(_distinct_assignments, shapes)):

@@ -390,10 +390,20 @@ def theta(n: int, s: int, r: int, jobs: int = 1, progress=None) -> int:
         return 2
     degree = _dual_degree(n, s, r)
     if degree is None:
-        terms = partial(_fixed_terms, RMQuotientBasis(n, s - 1, r), caches=({}, {}))
+        terms = partial(_fixed_terms, RMQuotientBasis(n, s - 1, r), caches=_CallCaches(({}, {})))
     else:
         terms = partial(_rank_terms, degree)
     return burnside_count(n, 2, terms, jobs=jobs, progress=progress)
+
+
+class _CallCaches(tuple):
+    """The two caches of ``_fixed_terms`` for one theta call.  A pooled
+    task pickles copies taken at once by ``dict``, so the parent, which
+    folds beside its workers, may fill the caches while the executor's
+    feeder thread pickles a task."""
+
+    def __reduce__(self):
+        return _CallCaches, (tuple(map(dict, self)),)
 
 
 def _dual_degree(n: int, s: int, r: int) -> int | None:

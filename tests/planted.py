@@ -1,11 +1,18 @@
-"""Faults planted in the pooled Burnside fold through its pickled task data.
+"""Faults planted in the Burnside fold, wherever its tasks run.
 
-The pool path pickles the term function with every task.  A ``Planted``
-term function unpickles as a call of ``_plant``, which installs a stand-in
-for one global of ``formulas`` in the process that unpickles it.  So every
-worker folds with the fault, whatever the start method, while the parent,
-which only pickles, keeps the real global.  The stand-ins are module-level,
-so they pickle by reference.
+With jobs > 1 the parent folds the tasks that no worker has started, and
+the workers fold the rest.  The pool path pickles the term function with
+every task.  A ``Planted`` term function unpickles as a call of
+``_plant``, which installs its workers' stand-in for one global of
+``formulas`` in the process that unpickles it.  So every worker folds with
+the fault, whatever the start method.  The parent only pickles; the caller
+plants the parent's stand-in there for the duration of a call
+(``in_the_parent``, or pytest's monkeypatch) and restores the real global
+after it.  The stand-ins are module-level, so they pickle by reference.
+
+Most faults fire in the parent and the workers alike.  ``worker`` fires in
+a worker only, on the first task (w = n), which the parent never claims;
+``parent`` fires in the parent only, while the workers fold slowly.
 
 ``raise_in_pool`` repeats the raising pooled fold; CI runs it under
 ``timeout``, so a teardown that hangs fails the job:
@@ -15,8 +22,11 @@ so they pickle by reference.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import multiprocessing
 import random
+import time
 
 from aglcount import formulas
 
@@ -31,6 +41,26 @@ def with_a_stray(n, q, w):
     yield from REAL_ENUMERATE(n, q, w)
     if w == 3:
         yield next(REAL_ENUMERATE(n, q, 1))
+
+
+def with_a_stray_on_top(n, q, w):
+    """As `with_a_stray`, at w = n instead."""
+    yield from REAL_ENUMERATE(n, q, w)
+    if w == n:
+        yield next(REAL_ENUMERATE(n, q, 1))
+
+
+def with_a_stray_everywhere(n, q, w):
+    """The indices of spectra weight w and one of another weight, at every w."""
+    yield from REAL_ENUMERATE(n, q, w)
+    yield next(REAL_ENUMERATE(n, q, 0 if w else 1))
+
+
+def slowed(n, q, w):
+    """The indices of spectra weight w, after a pause: a worker still folds
+    when the parent has finished its first task."""
+    time.sleep(0.01)
+    yield from REAL_ENUMERATE(n, q, w)
 
 
 def without_a_marker(which, m, q, top):
@@ -51,27 +81,57 @@ def shuffled(n, q, w):
 
 
 class Planted:
-    """terms, carrying the stand-in for formulas.<name> into each worker."""
+    """terms, carrying the workers' stand-in for formulas.<name> into each
+    worker; in_parent is the stand-in for the parent."""
 
-    def __init__(self, name, stand_in, terms=formulas._orbit_terms):
-        self.name, self.stand_in, self.terms = name, stand_in, terms
+    def __init__(self, name, stand_in, in_parent, terms=formulas._orbit_terms):
+        self.name, self.stand_in, self.in_parent, self.terms = name, stand_in, in_parent, terms
 
     def __call__(self, idx, multiplicity, orbits):
         return self.terms(idx, multiplicity, orbits)
 
     def __reduce__(self):
-        return _plant, (self.name, self.stand_in, self.terms)
+        return _plant, (self.name, self.stand_in, self.in_parent, self.terms)
 
 
-def _plant(name, stand_in, terms):
+def _plant(name, stand_in, in_parent, terms):
     setattr(formulas, name, stand_in)
-    return Planted(name, stand_in, terms)
+    return Planted(name, stand_in, in_parent, terms)
+
+
+@contextlib.contextmanager
+def in_the_parent(fault):
+    """fault's parent stand-in in place of the real global of this process
+    for the duration of the block."""
+    real = getattr(formulas, fault.name)
+    setattr(formulas, fault.name, fault.in_parent)
+    try:
+        yield fault
+    finally:
+        setattr(formulas, fault.name, real)
+
+
+@contextlib.contextmanager
+def start_method(method):
+    """method as the default multiprocessing start method for the block."""
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        yield
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+
+
+def _everywhere(name, stand_in):
+    return Planted(name, stand_in, stand_in)
 
 
 FAULTS = {
-    "stray": Planted("enumerate_classes", with_a_stray),
-    "middle": Planted("_unipotent_rows", functools.partial(without_a_marker, "middle")),
-    "last": Planted("_unipotent_rows", functools.partial(without_a_marker, "last")),
+    "stray": _everywhere("enumerate_classes", with_a_stray),
+    "middle": _everywhere("_unipotent_rows", functools.partial(without_a_marker, "middle")),
+    "last": _everywhere("_unipotent_rows", functools.partial(without_a_marker, "last")),
+    "worker": Planted("enumerate_classes", with_a_stray_on_top, REAL_ENUMERATE),
+    "parent": Planted("enumerate_classes", slowed, with_a_stray_everywhere),
 }
 
 
@@ -79,9 +139,10 @@ def raise_in_pool(loops: int, jobs: int = 2) -> None:
     """Fold N(3, 5) loops times with each planted fault on the pool path;
     every run must raise the row-lookup error."""
     for _ in range(loops):
-        for name, terms in FAULTS.items():
+        for name, fault in FAULTS.items():
             try:
-                formulas.burnside_total(5, 3, terms, jobs=jobs)
+                with in_the_parent(fault):
+                    formulas.burnside_total(5, 3, fault, jobs=jobs)
             except AssertionError as err:
                 if NO_ROW not in str(err):
                     raise

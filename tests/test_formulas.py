@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import os
@@ -199,21 +200,29 @@ def test_monotone_growth():
 
 
 def test_parallel_fold_is_identical():
-    assert count_function_classes(8, 2, jobs=2) == count_function_classes(8, 2)
+    # one worker and the parent, and two workers and the parent, under
+    # either start method
+    serial = count_function_classes(8, 2)
     # odd q, whose spectra weights are all nonempty
-    for terms in (formulas._orbit_terms, formulas._class_terms):
-        serial = burnside_total(5, 3, terms)
-        assert burnside_total(5, 3, terms, jobs=2) == serial
+    odd = {terms: burnside_total(5, 3, terms) for terms in (formulas._orbit_terms, formulas._class_terms)}
+    for method in ("fork", "forkserver"):
+        with planted.start_method(method):
+            for jobs in (2, 3):
+                assert count_function_classes(8, 2, jobs=jobs) == serial, (method, jobs)
+                for terms, total in odd.items():
+                    assert burnside_total(5, 3, terms, jobs=jobs) == total, (method, jobs, terms)
 
 
 def test_fold_progress_on_both_paths():
     indices = sum(1 for _ in enumerate_classes(8, 2))
-    for jobs in (1, 2):
+    runs = [(None, 1)] + [(method, jobs) for method in ("fork", "forkserver") for jobs in (2, 3)]
+    for method, jobs in runs:
         seen = []
-        count_function_classes(8, 2, jobs=jobs, progress=seen.append)
+        with planted.start_method(method) if method else contextlib.nullcontext():
+            count_function_classes(8, 2, jobs=jobs, progress=seen.append)
         assert seen, jobs
-        assert all(a < b for a, b in zip(seen, seen[1:])), (jobs, seen)
-        assert seen[-1] == indices, (jobs, seen)
+        assert all(a < b for a, b in zip(seen, seen[1:])), (method, jobs, seen)
+        assert seen[-1] == indices, (method, jobs, seen)
 
 
 def test_fold_matches_reference_sum():
@@ -266,23 +275,25 @@ def test_fold_is_independent_of_the_index_order(monkeypatch, q, n):
     monkeypatch.setattr(formulas, "enumerate_classes", planted.shuffled)
     for terms, total in expected.items():
         assert burnside_total(n, q, terms) == total, (q, n, terms)
-        pooled = planted.Planted("enumerate_classes", planted.shuffled, terms)
+        pooled = planted.Planted("enumerate_classes", planted.shuffled, planted.shuffled, terms)
         assert burnside_total(n, q, pooled, jobs=2) == total, (q, n, terms)
 
 
 def test_index_of_another_weight_raises(monkeypatch):
     # a task draws only its own weight's indices; one from another weight
-    # has no row in the task's table
-    with pytest.raises(AssertionError, match=planted.NO_ROW):
-        burnside_total(5, 3, planted.FAULTS["stray"], jobs=2)
+    # has no row in the task's table, in a worker or in the parent
     monkeypatch.setattr(formulas, "enumerate_classes", planted.with_a_stray)
+    for jobs in (2, 3):
+        with pytest.raises(AssertionError, match=planted.NO_ROW):
+            burnside_total(5, 3, planted.FAULTS["stray"], jobs=jobs)
     with pytest.raises(AssertionError, match=planted.NO_ROW):
         burnside_total(5, 3, formulas._orbit_terms)
 
 
-def test_pooled_fold_builds_no_class_index_in_the_parent(monkeypatch):
-    # the parent sends (n, q, w, ...) only; forked workers count on their
-    # own copy of the counter, so the parent's stays at zero
+def test_pooled_parent_folds_only_weights_below_n(monkeypatch):
+    # the parent folds the tasks it cancels before a worker starts them, at
+    # most once each, and never the first one (w = n); forked workers count
+    # on their own copy of the counter
     full = formulas.enumerate_classes
     calls = []
 
@@ -291,10 +302,34 @@ def test_pooled_fold_builds_no_class_index_in_the_parent(monkeypatch):
         return full(*args)
 
     monkeypatch.setattr(formulas, "enumerate_classes", counted)
-    assert burnside_total(6, 2, formulas._class_terms, jobs=2) == agl_group_order(6, 2)
-    assert calls == []
+    for jobs in (2, 3):
+        calls.clear()
+        assert burnside_total(6, 2, formulas._class_terms, jobs=jobs) == agl_group_order(6, 2)
+        assert len(calls) == len(set(calls)), (jobs, calls)
+        assert set(calls) <= {(6, 2, w) for w in range(6)}, (jobs, calls)
+    calls.clear()
     assert burnside_total(6, 2, formulas._class_terms) == agl_group_order(6, 2)
     assert calls == [(6, 2, w) for w in range(6, -1, -1)]
+
+
+def test_a_worker_error_reaches_the_caller():
+    # the fault fires only in a worker, on the first task, which the parent
+    # never claims; the parent's own fold is right
+    fault = planted.FAULTS["worker"]
+    assert burnside_total(5, 3, fault) == burnside_total(5, 3, formulas._orbit_terms)
+    for jobs in (2, 3):
+        with pytest.raises(AssertionError, match=planted.NO_ROW):
+            burnside_total(5, 3, fault, jobs=jobs)
+
+
+def test_the_parents_error_ends_the_pool(monkeypatch):
+    # the fault fires only in the parent, in the first task it folds, while
+    # the workers still fold theirs; the pool ends and the error comes back
+    fault = planted.FAULTS["parent"]
+    monkeypatch.setattr(formulas, "enumerate_classes", fault.in_parent)
+    for jobs in (2, 3):
+        with pytest.raises(AssertionError, match=planted.NO_ROW):
+            burnside_total(5, 3, fault, jobs=jobs)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -311,19 +346,24 @@ def test_row_table_keys_are_the_unipotent_indices(q):
 
 @pytest.mark.parametrize("which", ["middle", "last"])
 def test_row_table_missing_a_marker_row_raises(monkeypatch, which):
-    # the pool re-raises a worker's error in the caller
-    with pytest.raises(AssertionError, match=planted.NO_ROW):
-        burnside_total(5, 3, planted.FAULTS[which], jobs=2)
-    monkeypatch.setattr(formulas, "_unipotent_rows", planted.FAULTS[which].stand_in)
+    # the pool re-raises the error of a worker or of the parent in the caller
+    monkeypatch.setattr(formulas, "_unipotent_rows", planted.FAULTS[which].in_parent)
+    for jobs in (2, 3):
+        with pytest.raises(AssertionError, match=planted.NO_ROW):
+            burnside_total(5, 3, planted.FAULTS[which], jobs=jobs)
     with pytest.raises(AssertionError, match=planted.NO_ROW):
         burnside_total(5, 3, formulas._orbit_terms)
 
 
 @pytest.mark.parametrize("method", ["fork", "forkserver"])
 def test_worker_error_comes_back_in_time(method):
-    # a worker's error ends the pool instead of hanging its teardown; the
-    # subprocess's timeout is the bound
-    script = f"import multiprocessing, planted; multiprocessing.set_start_method({method!r}); planted.raise_in_pool(5)"
+    # an error in a worker or in the parent ends the pool instead of
+    # hanging its teardown, with one worker or two; the subprocess's
+    # timeout is the bound
+    script = (
+        f"import multiprocessing, planted; multiprocessing.set_start_method({method!r}); "
+        "planted.raise_in_pool(5); planted.raise_in_pool(5, jobs=3)"
+    )
     paths = [Path(formulas.__file__).parents[1], Path(__file__).parent]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)

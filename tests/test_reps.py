@@ -419,6 +419,30 @@ def test_one_shape_computes_its_orbits_once():
     assert (info.misses, info.hits) == (1, 1)
 
 
+def test_orders_with_one_slot_share_the_orbits():
+    # beside the two order-7 slots, an order with one slot (psi = 1: d = 3,
+    # 5 or 9 over F_2), before or after them, never moves: three full keys,
+    # one orbit computation, and the same orbits with (0,) in its place
+    seven = partition_tuple(7, 2, [(1,), (2,)])
+    indices = [
+        ClassIndex(n=11, q=2, unipotent=(), spectra=(partition_tuple(3, 1, [(1,)]), seven)),
+        ClassIndex(n=13, q=2, unipotent=(), spectra=(partition_tuple(5, 1, [(1,)]), seven)),
+        ClassIndex(n=15, q=2, unipotent=(), spectra=(seven, partition_tuple(9, 1, [(1,)]))),
+    ]
+    reps._assignment_orbits.cache_clear()
+    reps._moving_orbits.cache_clear()
+    for idx in indices:
+        idx.validate()
+    orbits = [reps._assignment_orbits(2, shapes(idx)) for idx in indices]
+    assert reps._assignment_orbits.cache_info().misses == 3
+    info = reps._moving_orbits.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    moving = reps._moving_orbits(2, (reps._shape(seven),))
+    assert [len(orbit) for orbit in moving] == [2]
+    assert orbits[0] == orbits[1] == tuple(tuple(((0,), a) for (a,) in orbit) for orbit in moving)
+    assert orbits[2] == tuple(tuple((a, (0,)) for (a,) in orbit) for orbit in moving)
+
+
 def test_expansion_validates_each_index_once(monkeypatch):
     indices = list(enumerate_classes(6, 2))
     calls = []

@@ -25,6 +25,7 @@ from aglcount.rm import (
     theta,
 )
 from brute import burnside_full_theta, full_expansion, orbit_enumeration_code
+from planted import start_method
 from test_conjugacy import partition_tuple
 from test_linalg import affine_order, apply, identity_map, matmul, packed, then
 
@@ -785,6 +786,29 @@ def test_theta_profiles_each_factor_once_per_call(monkeypatch):
         assert counts(8, 2, 4) == first, other
 
 
+def test_a_pooled_task_pickles_a_copy_of_the_caches():
+    # the parent fills theta's caches while the executor's feeder thread
+    # pickles the tasks; a key whose pickling adds an entry stands for the
+    # parent's fold between two bytecodes of that thread, which a plain
+    # dict refuses in mid-iteration
+    import pickle
+
+    from aglcount.rm import _CallCaches
+
+    class Intruder(tuple):
+        def __reduce__(self):
+            target[object()] = 0
+            return tuple, (tuple(self),)
+
+    target = {Intruder((1,)): 1, Intruder((2,)): 2}
+    with pytest.raises(RuntimeError, match="changed size"):
+        pickle.dumps(target)
+    target = {Intruder((1,)): 1, Intruder((2,)): 2}
+    copy = pickle.loads(pickle.dumps(_CallCaches((target, {3: 4}))))
+    assert type(copy) is _CallCaches and copy == ({(1,): 1, (2,): 2}, {3: 4})
+    assert len(target) == 4
+
+
 def test_theta_duality():
     for n in range(1, 5):
         for s in range(n + 1):
@@ -861,14 +885,20 @@ def test_affine_rank_depends_on_the_unipotent_part_alone():
 def test_per_class_quotients_match_representatives():
     # the quotients of dual degree <= 1 are exactly the five families, and
     # their per-class terms give the representatives' count, serial at
-    # n <= 9 and pooled at n = 8
+    # n <= 9 and pooled at n = 8, with one worker and the parent, and with
+    # two workers and the parent under either start method
     for n in range(1, 10):
         pairs = [(s, r) for r in range(n + 1) for s in range(r + 1)]
         assert {pair for pair in pairs if _dual_degree(n, *pair) is not None} == set(per_class_families(n)), n
         for s, r in per_class_families(n):
             assert theta(n, s, r) == representative_count(n, s, r), (n, s, r)
-    for s, r in per_class_families(8):
-        assert theta(8, s, r, jobs=2) == representative_count(8, s, r), (s, r)
+    counts = {(s, r): representative_count(8, s, r) for s, r in per_class_families(8)}
+    for (s, r), count in counts.items():
+        assert theta(8, s, r, jobs=2) == count, (s, r)
+    for method in ("fork", "forkserver"):
+        with start_method(method):
+            for (s, r), count in counts.items():
+                assert theta(8, s, r, jobs=3) == count, (method, s, r)
 
 
 def test_both_quotient_readings_agree():
@@ -878,15 +908,19 @@ def test_both_quotient_readings_agree():
 
 
 def test_theta_parallel_identical():
-    assert theta(5, 0, 3, jobs=2) == theta(5, 0, 3)
-    assert theta(6, 1, 4, jobs=2) == theta(6, 1, 4)
+    serial = {args: theta(*args) for args in ((5, 0, 3), (6, 1, 4))}
+    for method in ("fork", "forkserver"):
+        with start_method(method):
+            for jobs in (2, 3):
+                for args, count in serial.items():
+                    assert theta(*args, jobs=jobs) == count, (method, jobs, args)
 
 
 def test_theta_progress_on_both_paths():
     from aglcount.conjugacy import enumerate_classes
 
     indices = sum(1 for _ in enumerate_classes(6, 2))
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         seen = []
         theta(6, 1, 4, jobs=jobs, progress=seen.append)
         assert len(seen) > 1, jobs
