@@ -34,7 +34,7 @@ import itertools
 from functools import lru_cache
 from types import MappingProxyType
 
-from .linalg import gf2_extend
+from .linalg import extend, gf2_extend
 from .numtheory import factorize, prime_power
 
 __all__ = [
@@ -310,26 +310,24 @@ def _generates(f: FieldTable, h: tuple[int, ...], size: int, primes) -> bool:
 
 def _relation(f: FieldTable, vectors: list) -> tuple[int, ...]:
     """(m_0, ..., m_(k-1), 1) with sum of m_j vectors[j] = 0, the vectors
-    but the last, k of them, independent: forward elimination of each
-    vector with a unit tag, whose tag records the combination, until the
-    last one vanishes.  At q = 2 the vectors are packed ints, shifted above
-    their tag bits for `linalg.gf2_extend`."""
+    but the last, k of them, independent: one forward elimination of the
+    vectors, each tagged with a unit vector that records the combination;
+    the last one, reduced to its tags, leads at the first tag column.  At
+    q = 2 the vectors are packed ints, shifted above their tag bits for
+    `linalg.gf2_extend`; larger q put the tags after them, reversed, for
+    `linalg.extend`."""
     k = len(vectors) - 1
+    pivots: dict = {}
     if f.q == 2:
-        pivots: dict[int, int] = {}
         gf2_extend(pivots, (v << k + 1 | 1 << j for j, v in enumerate(vectors)))
-        return tuple(pivots[k] >> j & 1 for j in range(k + 1))
-    reduced: list[tuple[int, list[int]]] = []  # (lead, row scaled to 1 there)
-    for j, v in enumerate(vectors):
-        row = [*v, *(int(i == j) for i in range(k + 1))]
-        for lead, pivot in reduced:
-            if c := row[lead]:
-                row = [f.sub(a, f.mul(c, b)) for a, b in zip(row, pivot)]
-        lead = next((i for i in range(k) if row[i]), None)
-        if lead is None:
-            return tuple(row[k:])
-        reduced.append((lead, [f.mul(f.inv(row[lead]), a) for a in row]))
-    raise AssertionError("the last vector is independent of the others")
+        lead = k
+    else:
+        lead = len(vectors[-1])
+        extend(f, pivots, ([*v, *(int(i == j) for i in range(k, -1, -1))] for j, v in enumerate(vectors)))
+    if lead not in pivots:
+        raise AssertionError("the last vector is independent of the others")
+    row = pivots[lead]
+    return tuple(row >> j & 1 for j in range(k + 1)) if f.q == 2 else tuple(reversed(row[lead:]))
 
 
 def _gf2_mod(a: int, b: int) -> int:

@@ -1,5 +1,6 @@
-"""Dense matrices and affine maps over F_q, and their rank: forward
-elimination over F_q, or a packed-int GF(2) rank at q = 2.
+"""Dense matrices and affine maps over F_q, and their rank: the one F_q
+forward elimination `extend`, or at q = 2 its packed-int form `gf2_extend`.
+A matrix keeps no state but its entries, so each invertibility check ranks.
 
 Row-vector convention throughout: a matrix acts on points by x |-> x A,
 an affine map by x |-> x A + a.  A point x of F_q**n has the code
@@ -22,8 +23,8 @@ __all__ = [
     "PackedMap",
     "block_diagonal",
     "companion_matrix",
-    "cycle_lengths",
     "cycles",
+    "extend",
     "gf2_extend",
     "gf2_rank",
     "jordan_block",
@@ -34,10 +35,9 @@ __all__ = [
 
 
 class GFMatrix:
-    """Immutable dense matrix over a FieldTable.  Its invertibility is
-    ranked at most once and then kept, since the entries never change."""
+    """Immutable dense matrix over a FieldTable."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "_invertible")
+    __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, f: FieldTable, entries):
         rows = tuple(tuple(map(int, row)) for row in entries)
@@ -49,7 +49,6 @@ class GFMatrix:
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         self.entries = rows
-        self._invertible = None
 
     @classmethod
     def identity(cls, f: FieldTable, n: int) -> "GFMatrix":
@@ -70,9 +69,7 @@ class GFMatrix:
         return f"GFMatrix(q={self.field.q}, [{body}])"
 
     def is_invertible(self) -> bool:
-        if self._invertible is None:
-            self._invertible = self.rows == self.cols and rank(self) == self.rows
-        return self._invertible
+        return self.rows == self.cols and rank(self) == self.rows
 
 
 def gf2_extend(pivots: dict[int, int], rows: Iterable[int]) -> int:
@@ -101,32 +98,31 @@ def gf2_rank(rows: Iterable[int]) -> int:
     return gf2_extend({}, rows)
 
 
+def extend(f: FieldTable, pivots: dict[int, list[int]], rows: Iterable) -> int:
+    """Forward elimination over F_q, the F_q form of `gf2_extend`: each row
+    is reduced against the pivots, one pivot row per leading column, scaled
+    to 1 there, and a row that does not vanish is scaled and kept as a new
+    pivot under its leading column.  Returns the number of new pivots, the
+    rank the rows add to the pivots' span."""
+    added = 0
+    for row in rows:
+        for lead in range(len(row)):
+            if c := row[lead]:
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    inv = f.inv(c)
+                    pivots[lead] = [f.mul(inv, a) for a in row]
+                    added += 1
+                    break
+                row = [f.sub(a, f.mul(c, b)) for a, b in zip(row, pivot)]
+    return added
+
+
 def rank(mat: GFMatrix) -> int:
-    """Rank over F_q: the packed GF(2) rank at q = 2, else forward
-    elimination on a copy of the rows, each column pivoting on the first
-    nonzero entry at or below the current row."""
+    """Rank over F_q: the packed GF(2) rank at q = 2, else `extend`."""
     if mat.field.q == 2:
         return gf2_rank([sum(b << j for j, b in enumerate(row)) for row in mat.entries])
-    f = mat.field
-    rows = [list(r) for r in mat.entries]
-    rk = 0
-    for col in range(mat.cols):
-        pivot = next((r for r in range(rk, mat.rows) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        row_p = rows[rk]
-        inv = f.inv(row_p[col])
-        for row_r in rows[rk + 1:]:
-            factor = row_r[col]
-            if factor:
-                c = f.mul(factor, inv)
-                for k in range(col, mat.cols):
-                    row_r[k] = f.sub(row_r[k], f.mul(c, row_p[k]))
-        rk += 1
-        if rk == mat.rows:
-            break
-    return rk
+    return extend(mat.field, {}, mat.entries)
 
 
 def companion_matrix(f: FieldTable, poly: tuple[int, ...]) -> GFMatrix:
@@ -168,6 +164,8 @@ class AffineMap(namedtuple("AffineMap", "matrix translation")):
             raise ValueError("affine map needs a square matrix")
         if len(translation) != matrix.rows:
             raise ValueError("translation length mismatch")
+        if not all(isinstance(t, int) and 0 <= t < matrix.field.q for t in translation):
+            raise ValueError("translation entry out of field range")
         if not matrix.is_invertible():
             raise ValueError("affine map matrix must be invertible")
         return super().__new__(cls, matrix, translation)
@@ -210,11 +208,7 @@ def pack(entries, translation=()) -> PackedMap:
 
 
 def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
-    """The matrix with the given blocks down its diagonal, zeros elsewhere.
-
-    The blocks' entries were checked when they were built, so the result is
-    laid out from their rows without a second check.  When every block has
-    been found invertible, so is the result, and it is not ranked again."""
+    """The matrix with the given blocks down its diagonal, zeros elsewhere."""
     if not blocks:
         raise ValueError("block-diagonal matrix needs at least one block")
     f = blocks[0].field
@@ -227,10 +221,7 @@ def block_diagonal(blocks: list[GFMatrix]) -> GFMatrix:
         before, after = (0,) * left, (0,) * (width - left - b.cols)
         rows.extend(before + row + after for row in b.entries)
         left += b.cols
-    out = GFMatrix.__new__(GFMatrix)
-    out.field, out.rows, out.cols, out.entries = f, len(rows), width, tuple(rows)
-    out._invertible = True if all(b._invertible for b in blocks) else None
-    return out
+    return GFMatrix(f, rows)
 
 
 def point_permutation(sigma: AffineMap | PackedMap) -> list[int]:
@@ -293,9 +284,3 @@ def cycles(perm) -> list[list[int]]:
             raise ValueError(f"not a permutation: {start} does not return to itself")
         out.append(cycle)
     return out
-
-
-def cycle_lengths(perm) -> list[int]:
-    """Lengths of the cycles of a permutation of 0 .. len(perm) - 1, in the
-    order of their smallest points."""
-    return [len(cycle) for cycle in cycles(perm)]

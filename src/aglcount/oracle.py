@@ -16,7 +16,7 @@ import itertools
 from typing import Iterator
 
 from .fields import FieldTable, field
-from .linalg import AffineMap, GFMatrix, cycle_lengths, point_permutation
+from .linalg import AffineMap, GFMatrix, cycles, point_permutation
 from .numtheory import agl_group_order, power_exceeds, prime_power
 
 __all__ = ["burnside_full", "generators", "orbit_enumeration"]
@@ -86,7 +86,7 @@ def burnside_full(n: int, q: int) -> int:
     total = 0
     for _, image in _iter_linear_images(f, n):
         for shift in shifts:
-            total += q ** len(cycle_lengths([shift[v] for v in image]))
+            total += q ** len(cycles([shift[v] for v in image]))
     count, rem = divmod(total, group)
     if rem:
         raise AssertionError("full Burnside sum not divisible by the group order")

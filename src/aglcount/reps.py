@@ -39,7 +39,7 @@ from .linalg import (
     PackedMap,
     block_diagonal,
     companion_matrix,
-    cycle_lengths,
+    cycles,
     jordan_block,
     pack,
     point_permutation,
@@ -80,7 +80,7 @@ def _invertible_block(block: GFMatrix) -> GFMatrix:
 
 # GFMatrix is immutable, so representatives share these blocks: one entry
 # per (irreducible, power) and one per unipotent block size.  Each is
-# ranked once here, and a block-diagonal of them is then known invertible.
+# ranked once here, the one invertibility check of the packed layout.
 @lru_cache(maxsize=None)
 def _companion_power(q: int, poly: tuple[int, ...], j: int) -> GFMatrix:
     f = field(q)
@@ -354,7 +354,7 @@ def verify_class(idx: ClassIndex) -> ClassCheckReport:
     the cyclic group are the cycles."""
     if power_exceeds(idx.q, idx.n, _POINT_LIMIT):
         raise ValueError(f"point space {idx.q}**{idx.n} exceeds the check limit")
-    lengths = cycle_lengths(point_permutation(build_representative(idx)))
+    lengths = [len(cycle) for cycle in cycles(point_permutation(build_representative(idx)))]
     order_f = element_order(idx)
     order_m = math.lcm(*lengths)
     mismatches = []

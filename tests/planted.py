@@ -18,6 +18,7 @@ a worker only, on the first task (w = n), which the parent never claims;
 ``timeout``, so a teardown that hangs fails the job:
 
     PYTHONPATH=src:tests python -c "import planted; planted.raise_in_pool(300)"
+    PYTHONPATH=src:tests python -c "import planted; planted.raise_in_pool(150, method='forkserver')"
 """
 
 from __future__ import annotations
@@ -135,16 +136,18 @@ FAULTS = {
 }
 
 
-def raise_in_pool(loops: int, jobs: int = 2) -> None:
-    """Fold N(3, 5) loops times with each planted fault on the pool path;
-    every run must raise the row-lookup error."""
-    for _ in range(loops):
-        for name, fault in FAULTS.items():
-            try:
-                with in_the_parent(fault):
-                    formulas.burnside_total(5, 3, fault, jobs=jobs)
-            except AssertionError as err:
-                if NO_ROW not in str(err):
-                    raise
-            else:
-                raise AssertionError(f"planted fault {name} did not raise")
+def raise_in_pool(loops: int, jobs: int = 2, method: str | None = None) -> None:
+    """Fold N(3, 5) loops times with each planted fault on the pool path,
+    under the given start method or the default one; every run must raise
+    the row-lookup error."""
+    with start_method(method) if method else contextlib.nullcontext():
+        for _ in range(loops):
+            for name, fault in FAULTS.items():
+                try:
+                    with in_the_parent(fault):
+                        formulas.burnside_total(5, 3, fault, jobs=jobs)
+                except AssertionError as err:
+                    if NO_ROW not in str(err):
+                        raise
+                else:
+                    raise AssertionError(f"planted fault {name} did not raise")

@@ -355,3 +355,24 @@ def test_gl_class_counts_match_known_sequence():
     # conjugacy classes of the general linear group over F_2, n = 1..8
     got = [sum(i.multiplicity() for i in enumerate_omega(n, 2)) for n in range(1, 9)]
     assert got == [1, 3, 6, 14, 27, 60, 117, 246]
+
+
+def gl_class_counts(q, top):
+    """k(GL(n, q)) for n = 0 .. top: the coefficients of the power series
+    prod_{i >= 1} (1 - x**i) / (1 - q x**i) (Feit & Fine 1960)."""
+    series = [1] + [0] * top
+    for i in range(1, top + 1):
+        series = [c - (series[n - i] if n >= i else 0) for n, c in enumerate(series)]
+        for n in range(i, top + 1):  # divided by 1 - q x**i
+            series[n] += q * series[n - i]
+    return series
+
+
+def test_multiplicities_sum_to_the_gl_class_count():
+    # the unmarked indices fold the classes of GL(n, q), so their
+    # multiplicities add up to k(GL(n, q)), with no centralizer formula
+    assert gl_class_counts(2, 12)[1:] == [1, 3, 6, 14, 27, 60, 117, 246, 490, 1002, 1998, 4053]
+    for q, top in ((2, 12), (3, 7), (4, 5), (5, 5), (7, 4), (8, 4), (9, 4)):
+        want = gl_class_counts(q, top)
+        for n in range(1, top + 1):
+            assert sum(idx.multiplicity() for idx in enumerate_omega(n, q)) == want[n], (q, n)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from aglcount.fields import (
+    _relation,
     _root_exponents,
     field,
     irreducibles,
@@ -17,6 +18,7 @@ from aglcount.fields import (
     poly_pow,
     poly_trim,
 )
+from aglcount.linalg import GFMatrix, rank
 from aglcount.numtheory import divisors, factorize
 
 
@@ -378,3 +380,40 @@ def test_poly_irreducibility_and_order():
     assert (1, 2, 0, 1) in irreducibles(3, 3)
     assert poly_pow(f3, (1, 1), 2) == (1, 2, 1)
     assert poly_mod(f3, (1, 2, 1), (1, 1)) == ()
+
+
+def combine(f, coefficients, vectors):
+    """sum of c_j vectors[j] over F_q, entry by entry (test reference)."""
+    out = [0] * len(vectors[0])
+    for c, v in zip(coefficients, vectors):
+        out = [f.add(a, f.mul(c, b)) for a, b in zip(out, v)]
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_relation_of_a_dependent_last_vector(q):
+    # k independent vectors and a random combination of them: the relation
+    # ends in 1 and combines all k + 1 to zero
+    rng = random.Random(80 + q)
+    f = field(q)
+    for _ in range(30):
+        width = rng.randint(1, 5)
+        k = rng.randint(0, width)
+        vectors = [[rng.randrange(q) for _ in range(width)] for _ in range(k)]
+        if k and rank(GFMatrix(f, vectors)) < k:
+            continue
+        vectors.append(combine(f, [rng.randrange(q) for _ in range(k)], vectors) if k else [0] * width)
+        relation = _relation(f, vectors)
+        assert len(relation) == k + 1 and relation[-1] == 1, vectors
+        assert combine(f, relation, vectors) == [0] * width, (vectors, relation)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_relation_refuses_an_independent_last_vector(q):
+    # at q = 2 the vectors are packed ints
+    f = field(q)
+    for k in range(4):
+        units = [[int(i == j) for i in range(k + 1)] for j in range(k + 1)]
+        vectors = [sum(b << i for i, b in enumerate(v)) for v in units] if q == 2 else units
+        with pytest.raises(AssertionError, match="independent"):
+            _relation(f, vectors)

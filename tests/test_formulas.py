@@ -361,8 +361,8 @@ def test_worker_error_comes_back_in_time(method):
     # hanging its teardown, with one worker or two; the subprocess's
     # timeout is the bound
     script = (
-        f"import multiprocessing, planted; multiprocessing.set_start_method({method!r}); "
-        "planted.raise_in_pool(5); planted.raise_in_pool(5, jobs=3)"
+        f"import planted; planted.raise_in_pool(5, method={method!r}); "
+        f"planted.raise_in_pool(5, jobs=3, method={method!r})"
     )
     paths = [Path(formulas.__file__).parents[1], Path(__file__).parent]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))

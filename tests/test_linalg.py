@@ -1,18 +1,18 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
 
-from aglcount import linalg
 from aglcount.fields import field, poly_divmod
 from aglcount.linalg import (
     AffineMap,
     GFMatrix,
     block_diagonal,
     companion_matrix,
-    cycle_lengths,
     cycles,
+    extend,
     gf2_extend,
     gf2_rank,
     jordan_block,
@@ -261,6 +261,30 @@ def test_gf2_extend_ranks_every_prefix():
         assert all(lead == row.bit_length() - 1 for lead, row in pivots.items())
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_extend_ranks_every_prefix(q):
+    # as for gf2_extend: rows fed a group at a time onto one pivot set add
+    # the rank of every prefix, here against the minors
+    rng = random.Random(70 + q)
+    f = field(q)
+    for _ in range(15):
+        count, cols = rng.randint(0, 6), rng.randint(1, 4)
+        if count and rng.random() < 0.5:
+            k = rng.randint(1, min(count, cols))
+            m = matmul(rand_matrix(rng, f, count, k), rand_matrix(rng, f, k, cols))
+        else:
+            m = rand_matrix(rng, f, count, cols)
+        rows = m.entries
+        cuts = sorted(rng.sample(range(count + 1), min(3, count + 1)))
+        pivots, total, start = {}, 0, 0
+        for cut in cuts + [count]:
+            total += extend(f, pivots, iter(rows[start:cut]))
+            start = cut
+            assert total == len(pivots) == largest_nonzero_minor(GFMatrix(f, rows[:cut])), (rows, cut)
+        # each pivot is scaled to 1 at its leading column
+        assert all(row[lead] == 1 and not any(row[:lead]) for lead, row in pivots.items())
+
+
 def test_pivots_leading_in_a_top_segment_give_its_rank():
     # lemma (b) of rm.fix_on_quotient: after one top-bit elimination, the
     # rank of the rows cut to their top columns is the number of pivots that
@@ -386,6 +410,12 @@ def test_block_diagonal_layout():
     )
     with pytest.raises(ValueError):
         block_diagonal([])
+    # invertible exactly when every block is
+    rng = random.Random(23)
+    for f in (f2, f3):
+        for _ in range(40):
+            blocks = [rand_matrix(rng, f, size, size) for size in rng.choices(range(1, 5), k=rng.randint(1, 4))]
+            assert block_diagonal(blocks).is_invertible() == all(b.is_invertible() for b in blocks), blocks
 
 
 def test_pack_reads_columns_and_translation_bits():
@@ -405,31 +435,6 @@ def test_pack_reads_columns_and_translation_bits():
                 image = [(sum(x[j] * a.entries[j][i] for j in range(n)) + t[i]) & 1 for i in range(n)]
                 want = [((code & c).bit_count() + (sigma.translation >> i)) & 1 for i, c in enumerate(sigma.columns)]
                 assert image == want, (a, t, x)
-
-
-def test_block_diagonal_of_ranked_blocks_is_not_ranked_again(monkeypatch):
-    rng = random.Random(23)
-    for f in (f2, f3):
-        for _ in range(40):
-            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
-            blocks = [rand_matrix(rng, f, size, size) for size in sizes]
-            fresh = GFMatrix(f, block_diagonal(blocks).entries)
-            verdicts = [b.is_invertible() for b in blocks]
-            assert fresh.is_invertible() == all(verdicts), blocks
-            assert block_diagonal(blocks).is_invertible() == all(verdicts), blocks
-    # unranked blocks leave the result to be ranked; ranked invertible ones
-    # make it invertible without a rank; a singular block makes it singular
-    a, b = jordan_block(f2, 2), companion_matrix(f2, (1, 1, 1))
-    singular = companion_matrix(f2, (0, 1, 1))
-    unranked = block_diagonal([jordan_block(f2, 2), companion_matrix(f2, (1, 1, 1))])
-    assert a.is_invertible() and b.is_invertible() and not singular.is_invertible()
-    ranks = []
-    monkeypatch.setattr(linalg, "rank", lambda mat: ranks.append(mat) or rank(mat))
-    assert block_diagonal([a, b]).is_invertible() and ranks == []
-    assert unranked.is_invertible() and len(ranks) == 1
-    with pytest.raises(ValueError, match="invertible"):
-        AffineMap.linear(block_diagonal([a, singular, b]))
-    assert len(ranks) == 2
 
 
 def test_boxplus_order_is_lcm():
@@ -473,7 +478,7 @@ def test_cycle_lengths_match_brute_force():
         perms.append(perm)
     for perm in perms:
         size = len(perm)
-        lengths = cycle_lengths(perm)
+        lengths = [len(cycle) for cycle in cycles(perm)]
         assert sum(lengths) == size
         assert all(length >= 1 for length in lengths)
         # one cycle per point that is the smallest on its cycle
@@ -491,7 +496,7 @@ def test_cycle_lengths_match_brute_force():
             power = [perm[x] for x in power]
             k += 1
         assert math.lcm(*lengths) == k, perm
-    assert cycle_lengths([1, 0, 3, 4, 2]) == [2, 3]
+    assert [len(cycle) for cycle in cycles([1, 0, 3, 4, 2])] == [2, 3]
 
 
 def test_cycles_walk_each_cycle_once():
@@ -506,7 +511,6 @@ def test_cycles_walk_each_cycle_once():
         assert [cycle[0] for cycle in walked] == sorted(min(cycle) for cycle in walked)
         for cycle in walked:
             assert [perm[x] for x in cycle] == cycle[1:] + cycle[:1], perm
-        assert cycle_lengths(perm) == [len(cycle) for cycle in walked]
     # a table that is not a permutation is refused, not walked forever
     for table in ([1, 1], [0, 0], [1, 2, 1], [2, 0, 0], [0, 2, 3, 2]):
         with pytest.raises(ValueError, match="not a permutation"):
@@ -584,6 +588,20 @@ def test_composition_is_block_matrix_product():
 def test_affine_map_requires_invertible_matrix():
     with pytest.raises(ValueError):
         AffineMap(GFMatrix(f2, [[1, 1], [1, 1]]), (0, 0))
+
+
+def test_affine_map_refuses_translation_entries_outside_the_field():
+    # a translation entry outside 0 .. q - 1 is not a field element; its
+    # point table would index past the table or hold negative codes
+    for f, t in ((f2, (5, -1)), (f2, (0, 2)), (f3, (-1,)), (f3, (3,)), (f3, (1.5,))):
+        ident = GFMatrix.identity(f, len(t))
+        with pytest.raises(ValueError, match="field range"):
+            AffineMap(ident, t)
+        with pytest.raises(ValueError, match="field range"):
+            AffineMap.linear(ident)._replace(translation=t)
+        with pytest.raises(ValueError, match="field range"):
+            pickle.loads(pickle.dumps(tuple.__new__(AffineMap, (ident, t))))
+    assert point_permutation(AffineMap(GFMatrix.identity(f3, 1), (2,))) == [2, 0, 1]
 
 
 def test_matrix_rejects_bad_entries():
