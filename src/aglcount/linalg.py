@@ -40,9 +40,11 @@ class GFMatrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, f: FieldTable, entries):
-        rows = tuple(tuple(map(int, row)) for row in entries)
+        rows = tuple(map(tuple, entries))
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
+        if not all(type(x) is int for row in rows for x in row):
+            raise ValueError("matrix entries must be ints")
         if rows and rows[0] and not (0 <= min(map(min, rows)) and max(map(max, rows)) < f.q):
             raise ValueError("entry out of field range")
         self.field = f

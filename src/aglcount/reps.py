@@ -20,7 +20,7 @@ argument is in `iter_class_representatives`).  The quotient counts build
 one representative per orbit, weighted by its size.  The irreducibles of
 each order and the slot moves are read off the root exponents of one
 primitive element per degree (`fields._root_exponents`), and the orbits
-are worked out once per spectrum shape.
+are worked out once per shape of the spectra with more than one slot.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .conjugacy import ClassIndex
 from .fields import _root_exponents, field, poly_pow
@@ -167,36 +167,6 @@ def _distinct_assignments(shape) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _slot_table(d: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(slot, first): slot[c] is the index in irreducibles_of_order(d, q)
-    of the minimal polynomial of beta**c, beta a root of the first of them,
-    for each unit c mod d (-1 at the other residues); first[k] is the least
-    c of slot k.
-
-    With alpha the generator behind `fields._root_exponents` for the degree
-    o and beta = alpha**b, b the first one's exponent, beta**c = alpha**(b c),
-    a root of the irreducible whose cyclotomic coset {e q**i} mod q**o - 1
-    holds b c.  The units mod d split into cosets {c q**i} mod d, one per
-    slot, so the least c of each reads its slot off the least element of the
-    coset of b c, and no polynomial is built."""
-    polys = irreducibles_of_order(d, q)
-    degree = len(polys[0]) - 1
-    size, exponents = q**degree - 1, _root_exponents(q, degree)
-    lookup = {exponents[g]: k for k, g in enumerate(polys)}
-    b = exponents[polys[0]]
-    slot, first = [-1] * d, [0] * len(polys)
-    for c in range(1, d):
-        if slot[c] < 0 and math.gcd(c, d) == 1:
-            k = lookup.get(min(b * c * q**i % size for i in range(degree)))
-            if k is None or first[k]:
-                raise AssertionError(f"beta**{c} has no slot of its own among the order-{d} irreducibles")
-            first[k] = c
-            for i in range(degree):
-                slot[c * q**i % d] = k
-    return tuple(slot), tuple(first)
-
-
-@lru_cache(maxsize=None)
 def _unit_generators(m: int) -> tuple[int, ...]:
     """Generators of (Z/m)*: one of each cyclic factor of each prime-power
     part p**k (a primitive root for odd p; -1 and 5 for p = 2), lifted by
@@ -214,48 +184,44 @@ def _unit_generators(m: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-@lru_cache(maxsize=None)
-def _assignment_orbits(q: int, shapes: tuple) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
-    """The orbits of (Z/L)* on the slot assignments of every spectrum at
-    once, for spectra of these `_shape`s: those of `_moving_orbits` for the
-    spectra with psi(d) > 1, with the one assignment (0,) of each other
-    spectrum put back at its position."""
-    orbits = _moving_orbits(q, tuple(shape for shape in shapes if shape[1] > 1))
-
-    def full(assignment):
-        rest = iter(assignment)
-        return tuple(next(rest) if psi > 1 else (0,) for _, psi, _ in shapes)
-
-    return tuple(tuple(map(full, orbit)) for orbit in orbits)
+def _slot_moves(q: int, d: int, units: Sequence[int]) -> list[tuple[int, ...]]:
+    """For each unit j mod d, the slot that j sends each order-d slot to.
+    Slot k holds the minimal polynomial of alpha**e_k, e_k its exponent in
+    `fields._root_exponents`, so the j-th powers of its roots, conjugates of
+    alpha**(e_k j), lie in the slot whose cyclotomic coset {e q**i} mod
+    q**o - 1 holds e_k j: an order-d slot again, as j is a unit mod d."""
+    polys = irreducibles_of_order(d, q)
+    degree = len(polys[0]) - 1
+    size, exponents = q**degree - 1, _root_exponents(q, degree)
+    slot = {exponents[g] * q**i % size: k for k, g in enumerate(polys) for i in range(degree)}
+    moves = [tuple(slot.get(exponents[g] * j % size) for g in polys) for j in units]
+    for j, move in zip(units, moves):
+        if set(move) != set(range(len(polys))):
+            raise AssertionError(f"the unit {j} does not permute the order-{d} slots")
+    return moves
 
 
 @lru_cache(maxsize=None)
 def _moving_orbits(q: int, shapes: tuple) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
     """The orbits of (Z/L)* on the slot assignments of every spectrum at
     once, for spectra of these `_shape`s, each with psi(d) > 1: j moves each
-    slot to the slot of the j-th powers of its roots, and the equal entries
-    of a moved assignment take their slots in increasing order again.  L is
-    the lcm of the orders d; an order with one slot never moves, and every
-    unit mod L lifts to a unit mod the lcm of all orders, so the spectra
-    with psi(d) = 1 are left out.  Each orbit is closed under the
-    generators of the unit group and starts with its first assignment in
-    the order `_distinct_assignments` yields them.
+    slot as `_slot_moves` does, and the equal entries of a moved assignment
+    take their slots in increasing order again.  L is the lcm of the orders
+    d; an order with one slot never moves, and every unit mod L lifts to a
+    unit mod the lcm of all orders, so the spectra with psi(d) = 1 are left
+    out.  Each orbit is closed under the generators of the unit group and
+    starts with its first assignment in the order `_distinct_assignments`
+    yields them.
 
     An orbit holds slot indices alone, and everything that makes it reads
     only the shapes: the assignments come from psi and the runs, the moves
-    from the slot table of (d, q) and the unit generators of the lcm of the
-    d, and the reordering from the runs.  So spectra of one shape, whatever
-    their partitions and their orders with one slot, share their orbits
-    (21 keys for the 72 spectra tuples at n = 9, 30 for 129 at n = 10), and
-    the cache holds one entry per key."""
-
-    def moved(d: int, j: int) -> tuple[int, ...]:
-        # slot k goes to the slot of the j-th powers of its roots
-        slot, first = _slot_table(d, q)
-        return tuple(slot[c * j % d] for c in first)
-
-    level = math.lcm(*(d for d, _, _ in shapes))
-    moves = [tuple(moved(d, j) for d, _, _ in shapes) for j in _unit_generators(level)]
+    from the root exponents of (d, q) and the unit generators of the lcm of
+    the d, and the reordering from the runs.  So spectra of one shape,
+    whatever their partitions and their orders with one slot, share their
+    orbits (21 keys for the 72 spectra tuples at n = 9, 30 for 129 at
+    n = 10), and the cache holds one entry per key."""
+    units = _unit_generators(math.lcm(*(d for d, _, _ in shapes)))
+    moves = list(zip(*(_slot_moves(q, d, units) for d, _, _ in shapes)))
     seen = set()
     orbits = []
     for start in itertools.product(*map(_distinct_assignments, shapes)):
@@ -280,7 +246,7 @@ def _moving_orbits(q: int, shapes: tuple) -> tuple[tuple[tuple[tuple[int, ...], 
 def iter_class_representatives(idx: ClassIndex) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
     """(slot assignments, weight) pairs covering all idx.multiplicity()
     classes folded into this index: the assignments of one representative
-    per orbit of ``_assignment_orbits``, weighted by the orbit size.
+    per orbit of `_moving_orbits`, weighted by the orbit size.
     `_assemble` lays a representative out densely, `packed_representative`
     packed.
 
@@ -301,12 +267,14 @@ def iter_class_representatives(idx: ClassIndex) -> Iterator[tuple[tuple[tuple[in
     sigma**j is therefore AGL-conjugate to the representative whose slots
     are moved by j, and the fixed count is a class function.
     """
-    idx.validate()
-    orbits = _assignment_orbits(idx.q, tuple(map(_shape, idx.spectra)))
+    shapes = tuple(map(_shape, idx.spectra))
+    orbits = _moving_orbits(idx.q, tuple(shape for shape in shapes if shape[1] > 1))
     if sum(map(len, orbits)) != idx.multiplicity():
         raise AssertionError(f"orbit sizes do not sum to the multiplicity of {idx}")
     for orbit in orbits:
-        yield orbit[0], len(orbit)
+        # the one assignment (0,) of each spectrum with psi(d) = 1 goes back in its place
+        moving = iter(orbit[0])
+        yield tuple(next(moving) if psi > 1 else (0,) for _, psi, _ in shapes), len(orbit)
 
 
 # verify_class walks every point of F_q**n to count orbits

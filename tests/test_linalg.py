@@ -612,3 +612,11 @@ def test_matrix_rejects_bad_entries():
     with pytest.raises(ValueError):
         GFMatrix(f3, [[1], [2, 0]])
     assert GFMatrix(f3, [[], []]).cols == 0
+
+
+def test_matrix_refuses_entries_that_are_not_ints():
+    # int() would truncate 1.7 and 2.2 to the in-range (1, 2) unnoticed
+    for entries in ([[1.7, 2.2]], [[1, 0], [0, 1.0]], [[True, 0]], [["1"]]):
+        with pytest.raises(ValueError, match="must be ints"):
+            GFMatrix(f3, entries)
+    assert GFMatrix(f3, ([1, 2], (0, 1))).entries == ((1, 2), (0, 1))

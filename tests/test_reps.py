@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import lru_cache
 
 import pytest
 
@@ -21,8 +22,22 @@ from test_linalg import affine_powers, cyclic_orbit_count, fixed_point_count, id
 
 
 def shapes(idx):
-    """The key of the index's slot orbits in `reps._assignment_orbits`."""
-    return tuple(map(reps._shape, idx.spectra))
+    """The key of the index's slot orbits in `reps._moving_orbits`: the
+    shapes of its spectra with psi(d) > 1."""
+    return tuple(shape for shape in map(reps._shape, idx.spectra) if shape[1] > 1)
+
+
+def assignment_orbits(q, spectra):
+    """The orbits of `reps._moving_orbits` for these spectra, each assignment
+    with the one slot (0,) of every spectrum with psi(d) = 1 put back in its
+    place."""
+
+    def full(moving):
+        rest = iter(moving)
+        return tuple(next(rest) if t.psi > 1 else (0,) for t in spectra)
+
+    moving = tuple(reps._shape(t) for t in spectra if t.psi > 1)
+    return [[full(a) for a in orbit] for orbit in reps._moving_orbits(q, moving)]
 
 
 def assemble_all(idx):
@@ -118,9 +133,13 @@ def test_dimension_always_matches():
 
 
 def test_rejects_inconsistent_index():
+    # the representative walk trusts the indices `enumerate_classes` builds;
+    # an index from outside goes through build_representative, which checks it
     bad = ClassIndex(n=3, q=2, unipotent=(1,), spectra=(), marker=None)
     with pytest.raises(ValueError):
         build_representative(bad)
+    with pytest.raises(ValueError):
+        verify_class(bad)
 
 
 def test_shared_blocks_match_a_fresh_build(monkeypatch):
@@ -250,43 +269,11 @@ def test_expansion_weights_sum_to_multiplicity(monkeypatch):
     # an orbit lost from the cache is refused with an exception, which
     # stripping asserts does not remove
     idx = ClassIndex(n=10, q=2, unipotent=(), spectra=(partition_tuple(31, 6, [(1,), (1,)]),))
-    orbits = reps._assignment_orbits(2, shapes(idx))
+    orbits = reps._moving_orbits(2, shapes(idx))
     assert len(orbits) == 3
-    monkeypatch.setattr(reps, "_assignment_orbits", lambda q, shapes: orbits[1:])
+    monkeypatch.setattr(reps, "_moving_orbits", lambda q, shapes: orbits[1:])
     with pytest.raises(AssertionError, match="multiplicity"):
         list(iter_class_representatives(idx))
-
-
-def test_slot_table_matches_root_substitution():
-    # slot[c] names the irreducible that has alpha**c as a root, alpha = x
-    # modulo the first irreducible of order d: the slow identification
-    # raises x to the c-th power modulo it and evaluates that irreducible
-    # there by Horner's rule
-    from aglcount.conjugacy import compute_D
-    from aglcount.fields import poly_mod, poly_mul, poly_trim
-    from aglcount.reps import _slot_table
-
-    checked = 0
-    for q, degree in ((2, 8), (3, 3)):
-        f = field(q)
-        for d in compute_D(degree, q):
-            polys = irreducibles_of_order(d, q)
-            slot, first = _slot_table(d, q)
-            units = [c for c in range(d) if math.gcd(c, d) == 1]
-            assert [c for c in range(d) if slot[c] >= 0] == units, (q, d)
-            assert [slot[c] for c in first] == list(range(len(polys))), (q, d)
-            assert first == tuple(min(c for c in units if slot[c] == k) for k in range(len(polys)))
-            for c in units:
-                root = poly_pow(f, (0, 1), c, polys[0])
-                value = ()
-                for coeff in reversed(polys[slot[c]]):
-                    value = poly_mul(f, value, root) or (0,)
-                    value = poly_mod(f, poly_trim((f.add(value[0], coeff), *value[1:])), polys[0])
-                assert value == (), (q, d, c)
-                checked += 1
-    # one check per root of every irreducible of degree <= 8 over F_2 and
-    # <= 3 over F_3, except x and x - 1
-    assert checked == (2 + 2 + 6 + 12 + 30 + 54 + 126 + 240 - 2) + (3 + 6 + 24 - 2)
 
 
 def minimal_polynomial(f, powers, exponents):
@@ -314,9 +301,12 @@ def minimal_polynomial(f, powers, exponents):
     return tuple(c if binary else c[0] for c in coeffs)
 
 
+@lru_cache(maxsize=None)
 def coset_product_slot_table(d, q):
-    """The slot table by coset products: alpha = x modulo the first
-    irreducible of order d, and each unit coset of c mod d multiplies out
+    """(slot, first): slot[c] is the index in irreducibles_of_order(d, q)
+    of the minimal polynomial of alpha**c, alpha = x modulo the first of
+    them, for each unit c mod d (-1 at the other residues), and first[k] is
+    the least c of slot k.  Each unit coset of c mod d multiplies out
     prod (X - alpha**e) and looks the product up (test reference)."""
     polys = irreducibles_of_order(d, q)
     f, g0 = field(q), polys[0]
@@ -332,7 +322,7 @@ def coset_product_slot_table(d, q):
             y = tuple(f.sub(low, f.mul(y[-1], c)) for low, c in zip((0, *y[:-1]), g0))
     lookup = {g: k for k, g in enumerate(polys)}
     slot, first = [-1] * d, [0] * len(polys)
-    for c in range(1, d):
+    for c in range(d):
         if slot[c] < 0 and math.gcd(c, d) == 1:
             coset = [c * q**i % d for i in range(degree)]
             k = lookup[minimal_polynomial(f, powers, coset)]
@@ -343,20 +333,46 @@ def coset_product_slot_table(d, q):
     return tuple(slot), tuple(first)
 
 
-def test_slot_table_matches_the_coset_products():
-    # every d with o_d(2) <= 12, and with o_d(q) <= 3 at q = 3, 4, 5 and 9
+def test_slot_moves_match_the_coset_products():
+    # every unit j mod d, for every d with o_d(2) <= 12, and with
+    # o_d(q) <= 3 at q = 3, 4, 5 and 9: j sends slot k to the slot of
+    # alpha**(c j), alpha**c the least root of slot k in the reference
     checked = 0
     for q, top in ((2, 12), (3, 3), (4, 3), (5, 3), (9, 3)):
         for d in sorted({d for m in range(1, top + 1) for d in divisors(q**m - 1)}):
-            assert reps._slot_table(d, q) == coset_product_slot_table(d, q), (q, d)
-            checked += 1
-    assert checked == 40 + 6 + 8 + 11 + 22
+            slot, first = coset_product_slot_table(d, q)
+            units = [j for j in range(1, d + 1) if math.gcd(j, d) == 1]
+            want = [tuple(slot[c * j % d] for c in first) for j in units]
+            assert reps._slot_moves(q, d, units) == want, (q, d)
+            checked += len(units)
+    # one unit per root of every irreducible but x of degree <= 12 over F_2,
+    # and per element of F_(q**3)* and F_(q**2)* over F_q
+    binary = 2 + 2 + 6 + 12 + 30 + 54 + 126 + 240 + 504 + 990 + 2046 + 4020 - 1
+    assert checked == binary + sum(q**3 + q**2 - q - 1 for q in (3, 4, 5, 9))
+
+
+def test_a_move_that_is_not_a_permutation_is_refused(monkeypatch):
+    # x^3 + x^2 + 1 given an exponent in the coset of x^3 + x + 1: both
+    # irreducibles still have order 7, but even the unit 1 sends both to
+    # one slot, and the move is refused with an exception, which stripping
+    # asserts does not remove
+    polys = irreducibles_of_order(7, 2)
+    exponents = dict(fields._root_exponents(2, 3))
+    exponents[(1, 0, 1, 1)] = exponents[(1, 1, 0, 1)] * 2 % 7
+    monkeypatch.setattr(reps, "_root_exponents", lambda q, degree: exponents)
+    with pytest.raises(AssertionError, match="the unit 1 does not permute the order-7 slots"):
+        reps._slot_moves(2, 7, (1, 3))
+    monkeypatch.undo()
+    assert polys == ((1, 0, 1, 1), (1, 1, 0, 1))
+    assert reps._slot_moves(2, 7, (1, 3)) == [(0, 1), (1, 0)]
 
 
 def spectra_orbits(q, spectra):
-    """The orbits of the slot assignments of these spectra under the unit
-    generators, computed from the spectra themselves: their entries tie
-    slots and sort the moved assignments (test reference)."""
+    """(first assignment, orbit) for each orbit of the slot assignments of
+    these spectra under every unit mod the lcm of the orders with more than
+    one slot, computed from the spectra themselves and the coset-product
+    slot tables: their entries tie slots and sort the moved assignments
+    (test reference)."""
 
     def assignments(t):
         ties = [i for i in range(len(t.entries) - 1) if t.entries[i] == t.entries[i + 1]]
@@ -365,30 +381,28 @@ def spectra_orbits(q, spectra):
                 yield slots
 
     def moved(t, j):
-        slot, first = reps._slot_table(t.d, q)
+        slot, first = coset_product_slot_table(t.d, q)
         return tuple(slot[c * j % t.d] for c in first)
 
     level = math.lcm(*(t.d for t in spectra if t.psi > 1))
-    moves = [tuple(moved(t, j) if t.psi > 1 else (0,) for t in spectra) for j in reps._unit_generators(level)]
+    units = [j for j in range(1, level + 1) if math.gcd(j, level) == 1]
+    moves = [tuple(moved(t, j) if t.psi > 1 else (0,) for t in spectra) for j in units]
     # entry positions numbered by run of equal entries
     runs = [tuple(itertools.accumulate((a != b for a, b in zip(t.entries, t.entries[1:])), initial=0)) for t in spectra]
     seen, orbits = set(), []
     for start in itertools.product(*map(assignments, spectra)):
         if start in seen:
             continue
-        seen.add(start)
-        orbit = [start]
-        for assignment in orbit:
-            for perms in moves:
-                image = tuple(
-                    tuple(s for _, s in sorted(zip(run, map(perm.__getitem__, slots))))
-                    for perm, run, slots in zip(perms, runs, assignment)
-                )
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-        orbits.append(tuple(orbit))
-    return tuple(orbits)
+        orbit = {
+            tuple(
+                tuple(s for _, s in sorted(zip(run, map(perm.__getitem__, slots))))
+                for perm, run, slots in zip(perms, runs, start)
+            )
+            for perms in moves
+        }
+        seen |= orbit
+        orbits.append((start, orbit))
+    return orbits
 
 
 def test_assignment_orbits_match_the_per_spectra_orbits():
@@ -396,7 +410,8 @@ def test_assignment_orbits_match_the_per_spectra_orbits():
     tuples = 0
     for q, nmax in ((2, 10), (3, 5), (4, 5)):
         for spectra in {idx.spectra for n in range(1, nmax + 1) for idx in enumerate_classes(n, q)}:
-            assert reps._assignment_orbits(q, tuple(map(reps._shape, spectra))) == spectra_orbits(q, spectra), spectra
+            got = [(orbit[0], set(orbit)) for orbit in assignment_orbits(q, spectra)]
+            assert got == spectra_orbits(q, spectra), spectra
             tuples += 1
     assert tuples == 317
 
@@ -408,44 +423,33 @@ def test_one_shape_computes_its_orbits_once():
     first = ClassIndex(n=9, q=2, unipotent=(), spectra=(partition_tuple(7, 2, [(1,), (2,)]),))
     second = ClassIndex(n=12, q=2, unipotent=(), spectra=(partition_tuple(7, 2, [(1,), (0, 0, 1)]),))
     assert first.spectra != second.spectra and shapes(first) == shapes(second)
-    reps._assignment_orbits.cache_clear()
+    reps._moving_orbits.cache_clear()
     assert list(iter_class_representatives(first)) == list(iter_class_representatives(second))
-    info = reps._assignment_orbits.cache_info()
+    info = reps._moving_orbits.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
 def test_orders_with_one_slot_share_the_orbits():
     # beside the two order-7 slots, an order with one slot (psi = 1: d = 3,
-    # 5 or 9 over F_2), before or after them, never moves: three full keys,
-    # one orbit computation, and the same orbits with (0,) in its place
+    # 5 or 9 over F_2), before or after them, never moves: one orbit
+    # computation, and the same orbits with (0,) in its place
     seven = partition_tuple(7, 2, [(1,), (2,)])
     indices = [
         ClassIndex(n=11, q=2, unipotent=(), spectra=(partition_tuple(3, 1, [(1,)]), seven)),
         ClassIndex(n=13, q=2, unipotent=(), spectra=(partition_tuple(5, 1, [(1,)]), seven)),
         ClassIndex(n=15, q=2, unipotent=(), spectra=(seven, partition_tuple(9, 1, [(1,)]))),
     ]
-    reps._assignment_orbits.cache_clear()
     reps._moving_orbits.cache_clear()
     for idx in indices:
         idx.validate()
-    orbits = [reps._assignment_orbits(2, shapes(idx)) for idx in indices]
-    assert reps._assignment_orbits.cache_info().misses == 3
+    walks = [list(iter_class_representatives(idx)) for idx in indices]
     info = reps._moving_orbits.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     moving = reps._moving_orbits(2, (reps._shape(seven),))
     assert [len(orbit) for orbit in moving] == [2]
-    assert orbits[0] == orbits[1] == tuple(tuple(((0,), a) for (a,) in orbit) for orbit in moving)
-    assert orbits[2] == tuple(tuple((a, (0,)) for (a,) in orbit) for orbit in moving)
-
-
-def test_expansion_validates_each_index_once(monkeypatch):
-    indices = list(enumerate_classes(6, 2))
-    calls = []
-    real = ClassIndex.validate
-    monkeypatch.setattr(ClassIndex, "validate", lambda idx: calls.append(idx) or real(idx))
-    for idx in indices:
-        list(iter_class_representatives(idx))
-    assert calls == indices
+    assert walks[0] == walks[1] == [(((0,), orbit[0][0]), len(orbit)) for orbit in moving]
+    assert walks[2] == [((orbit[0][0], (0,)), len(orbit)) for orbit in moving]
+    assert assignment_orbits(2, indices[2].spectra) == [[(a, (0,)) for (a,) in orbit] for orbit in moving]
 
 
 def test_expansion_covers_distinct_classes():
@@ -504,7 +508,7 @@ def test_packed_layout_matches_the_dense_layout():
     checked = 0
     for n in range(1, 9):
         for idx in enumerate_classes(n, 2):
-            for orbit in reps._assignment_orbits(2, shapes(idx)):
+            for orbit in assignment_orbits(2, idx.spectra):
                 for assignments in orbit:
                     want = packed(reps._assemble(idx, assignments))
                     assert reps.packed_representative(idx, assignments) == want, (idx, assignments)

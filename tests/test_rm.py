@@ -28,6 +28,7 @@ from brute import burnside_full_theta, full_expansion, orbit_enumeration_code
 from planted import start_method
 from test_conjugacy import partition_tuple
 from test_linalg import affine_order, apply, identity_map, matmul, packed, then
+from test_reps import assignment_orbits
 
 f2 = field(2)
 BITS = bytes.maketrans(b"\x00\x01", b"01")  # a 0/1 row as binary digits
@@ -588,7 +589,7 @@ def test_collapsed_assignments_share_the_fix_count():
     # a single entry of one order is one orbit of psi(d) slots: one
     # representative weighted by psi(d), and every slot has its fix count
     from aglcount.numtheory import psi as psi_of
-    from aglcount.reps import _assemble, _assignment_orbits, _shape, iter_class_representatives
+    from aglcount.reps import _assemble
 
     cases = [
         (5, 31, (0, 3)),   # five variables, order-31 companions, R(3,5)/R(-1,5)
@@ -622,7 +623,7 @@ def test_collapsed_assignments_share_the_fix_count():
     ]
     for n, lam, spectra, sizes, (s, r) in several:
         idx = ClassIndex(n=n, q=2, unipotent=lam, spectra=spectra, marker=1 if lam else None)
-        orbits = _assignment_orbits(2, tuple(map(_shape, idx.spectra)))
+        orbits = assignment_orbits(2, idx.spectra)
         assert [len(orbit) for orbit in orbits] == sizes, idx
         assert [w for _, w in iter_class_representatives(idx)] == sizes
         basis = RMQuotientBasis(n, s, r)
@@ -635,13 +636,13 @@ def test_every_assignment_of_an_orbit_has_its_fix_count():
     # the power-orbit argument in iter_class_representatives, on every
     # quotient R(r, n)/R(s-1, n) with n <= 7; orbits of several orders
     # merge assignments the single-entry collapse kept apart from n = 5 on
-    from aglcount.reps import _assemble, _assignment_orbits, _shape
+    from aglcount.reps import _assemble
 
     merged = several_orders = 0
     for n in range(1, 8):
         bases = [RMQuotientBasis(n, s - 1, r) for r in range(n + 1) for s in range(r + 1)]
         for idx in enumerate_classes(n, 2):
-            for orbit in _assignment_orbits(2, tuple(map(_shape, idx.spectra))):
+            for orbit in assignment_orbits(2, idx.spectra):
                 if len(orbit) == 1:
                     continue
                 merged += 1
