@@ -172,43 +172,52 @@ def _tuple_shapes(m: int, cap: int) -> tuple[tuple[Partition, ...], ...]:
     return tuple(_shapes_from(m, cap, None))
 
 
-def _iter_spectra(dinfo, fitting, start: int, budget: int) -> Iterator[tuple[PartitionTuple, ...]]:
-    # bisects to start among the orders that fit, so it never sees one that cannot
+def _append(prefix: tuple[PartitionTuple, ...], head: PartitionTuple) -> tuple[PartitionTuple, ...]:
+    return (*prefix, head)
+
+
+def _iter_spectra(dinfo, fitting, start: int, budget: int, carry=_append, acc=()) -> Iterator:
+    """The spectra tuples of weight budget from the orders at positions >=
+    start, as carry builds them: acc = carry(acc, head) per head on the way
+    down, so a shared prefix is carried once (by default acc is the tuple).
+    Bisects to start among the orders that fit, so it never sees one that
+    cannot, and carries no head whose rest no later order fits."""
     if budget == 0:
-        yield ()
+        yield acc
         return
     positions = fitting[budget]
     for j in positions[bisect_left(positions, start) :]:
         d, o, psi_d = dinfo[j]
         for m in range(1, budget // o + 1):
             rest = budget - o * m
+            if rest and fitting[rest][-1:] <= (j,):
+                continue
             for entries in _tuple_shapes(m, min(psi_d, m)):
-                head = PartitionTuple(d=d, psi=psi_d, entries=entries)
-                for tail in _iter_spectra(dinfo, fitting, j + 1, rest):
-                    yield (head, *tail)
+                head = carry(acc, PartitionTuple(d, psi_d, entries))
+                yield from _iter_spectra(dinfo, fitting, j + 1, rest, carry, head) if rest else (head,)
 
 
 def enumerate_classes(n: int, q: int, w: int | None = None) -> Iterator[ClassIndex]:
     """All class indices with total weight n, or only those of spectra
-    weight w (0 <= w <= n), the fold's unit of work in ``formulas``.
+    weight w (0 <= w <= n).
 
     Deterministic order: spectra weight w ascending (so unipotent weight
     descending), then spectra by ascending d and tuple shape, then the
     unipotent partition in partition order, each unmarked first and then
     translation-marked by ascending part size.  The (partition, marker)
-    pairs of weight n - w are listed once per w; each spectra tuple is built
-    once and all its indices come out in one run, sharing that tuple, so
-    the fold works out the per-spectra pieces once per run; its sum does
-    not depend on the order.
+    pairs of weight n - w are listed once per w, and each spectra tuple is
+    built once and shared by all its indices.  The fold in ``formulas``
+    walks the spectra itself and draws from here only the spectra-free
+    indices, enumerate_classes(n - w, q, 0), as the keys of its rows.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if w is not None and not 0 <= w <= n:
         raise ValueError(f"spectra weight w = {w} outside 0..{n}")
     prime_power(q)
-    dinfo, fitting = _d_info(n, q), _fitting(n, q)
     for w in range(n + 1) if w is None else (w,):
         rows = [(lam, t) for lam in enumerate_partitions(n - w) for t in (None, *support(lam))]
-        for spectra in _iter_spectra(dinfo, fitting, 0, w):
+        # weight 0 holds the empty tuple alone and needs no table of orders
+        for spectra in _iter_spectra(_d_info(n, q), _fitting(n, q), 0, w) if w else ((),):
             for lam, t in rows:
                 yield ClassIndex(n, q, lam, spectra, t)

@@ -14,17 +14,17 @@ functions F_q**n -> F_q.
 ``burnside_total`` is the package's one Burnside fold and one path to
 worker processes: every count (function classes, the class equation, the
 quotient codes of ``rm``) sums weight * |class| * q**e over the classes.
-Most of a class's work depends on its spectra tuple alone, and the fold
-rebuilds those pieces whenever the tuple changes, from parts cached once
-per partition tuple and from divisibility-pattern weights found by
-inclusion-exclusion over the orders d, with no factoring; the unipotent
-side is looked up by (partition, marker) in one table per unipotent
-weight, and one orbit-count step per index combines the two.  So the
-indices may come in any order, and the enumeration's runs of one spectra
-tuple only save work.  One spectra weight, which owns one row table, is
-the unit of work in process and in the workers alike; with a pool, the
-parent folds the tasks no worker has started.  The sum of c_e * q**e goes
-by halves, not by Horner.  Every division asserts
+Most of a class's work depends on its spectra tuple alone.  The fold
+walks the spectra tuples of one weight itself, carrying down the walk
+the products and max of parts cached once per partition tuple, so a full
+tuple only adds its pattern sums, from divisibility-pattern weights found
+by inclusion-exclusion over the orders d, with no factoring.  The
+unipotent rows of the remaining weight are looked up once per task, and
+one orbit-count step per (tuple, row) pair combines the two; no class
+index is built per pair.  One spectra weight, which owns one row table,
+is the unit of work in process and in the workers alike; with a pool,
+the parent folds the tasks no worker has started.  The sum of
+c_e * q**e goes by halves, not by Horner.  Every division asserts
 exactness; a failed assertion means an enumeration or formula bug.
 """
 
@@ -32,11 +32,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, zip_longest
 from typing import Sequence
 
-from .conjugacy import ClassIndex, PartitionTuple, _permutation_count, enumerate_classes
+from .conjugacy import (
+    ClassIndex,
+    PartitionTuple,
+    _d_info,
+    _fitting,
+    _iter_spectra,
+    _permutation_count,
+    enumerate_classes,
+)
 from .numtheory import agl_group_order, multiplicative_order, p_adic_valuation, prime_power
 from .partitions import Partition, enumerate_partitions, largest_part, support, weight
 
@@ -185,33 +193,44 @@ def _block(q: int, spectrum: PartitionTuple) -> _Block:
 # and the fold multiplicity of its indices.
 _Pieces = namedtuple("_Pieces", "centralizer lcm largest level sums multiplicity")
 
+# What the spectra walk carries down to each prefix of a spectra tuple: the
+# prefix, the products of its blocks' centralizer factors and
+# multiplicities, the max of their largest parts, its orders d and its blocks.
+_Carried = namedtuple("_Carried", "spectra centralizer multiplicity largest orders blocks")
+_NO_SPECTRA = _Carried((), 1, 1, 0, (), ())
 
-def _spectra_pieces(idx: ClassIndex) -> _Pieces:
-    """The pieces of the spectra tuple of idx, with the pattern sums
+
+def _carry(q: int, acc: _Carried, spectrum: PartitionTuple) -> _Carried:
+    """acc extended by one partition tuple, through its cached parts."""
+    block = _block(q, spectrum)
+    spectra, centralizer, multiplicity, largest, orders, blocks = acc
+    return _Carried(
+        (*spectra, spectrum),
+        centralizer * block.centralizer,
+        multiplicity * block.multiplicity,
+        max(largest, block.largest),
+        (*orders, spectrum.d),
+        (*blocks, block),
+    )
+
+
+def _pieces(q: int, n: int, acc: _Carried) -> _Pieces:
+    """The pieces of the spectra tuple that acc carries, at dimension n,
+    with the pattern sums
 
         P(nu) = sum_S g_S q**(sum_{i in S} o_i S_i(nu))
 
     of ``orbit_exponent``, which stay constant once p**nu >= m, up to the
     largest p-adic valuation of an element order at dimension n.  The
-    centralizer factor and the multiplicity are products, the largest part
-    a max, and o_i S_i(nu) a lookup, of the cached parts of each partition
-    tuple.  The fold builds the pieces whenever the spectra tuple differs
-    from the previous index's, so nothing is cached or hashed per index.
+    centralizer factor, the multiplicity and the largest part come carried;
+    o_i S_i(nu) is a lookup in the cached parts of each partition tuple.
     """
-    q, spectra = idx.q, idx.spectra
     p = prime_power(q).p
-    blocks = [_block(q, spectrum) for spectrum in spectra]
-    centralizer = multiplicity = 1
-    largest = 0
-    for block in blocks:
-        centralizer *= block.centralizer
-        multiplicity *= block.multiplicity
-        largest = max(largest, block.largest)
-    top = _ceil_log(p, largest)
-    lcm, patterns, weights = _divisibility_weights(tuple([spectrum.d for spectrum in spectra]))
+    top = _ceil_log(p, acc.largest)
+    lcm, patterns, weights = _divisibility_weights(acc.orders)
     pattern_sums = []
     for nu in range(top + 1):
-        exponents = [block.fixed[min(nu, len(block.fixed) - 1)] for block in blocks]
+        exponents = [block.fixed[min(nu, len(block.fixed) - 1)] for block in acc.blocks]
         total = 0
         for dividing, g in zip(patterns, weights):
             e = 0
@@ -219,8 +238,14 @@ def _spectra_pieces(idx: ClassIndex) -> _Pieces:
                 e += exponents[i]
             total += g * q**e
         pattern_sums.append(total)
-    pattern_sums += pattern_sums[-1:] * (_ceil_log(p, idx.n) + 1 - top)
-    return _Pieces(centralizer, lcm, largest, top, tuple(pattern_sums), multiplicity)
+    pattern_sums += pattern_sums[-1:] * (_ceil_log(p, n) + 1 - top)
+    return _Pieces(acc.centralizer, lcm, acc.largest, top, tuple(pattern_sums), acc.multiplicity)
+
+
+def _spectra_pieces(idx: ClassIndex) -> _Pieces:
+    """The pieces of the spectra tuple of idx, carried through its partition
+    tuples as the fold's spectra walk carries them."""
+    return _pieces(idx.q, idx.n, reduce(partial(_carry, idx.q), idx.spectra, _NO_SPECTRA))
 
 
 # What the class formulas take from one unipotent partition and marker: the
@@ -258,29 +283,34 @@ def _unipotent_rows(m: int, q: int, top: int) -> dict[tuple[Partition, int | Non
     return rows
 
 
-def _unipotent_row(idx: ClassIndex) -> _Row:
-    """The row of idx's (partition, marker) in the table of its unipotent
-    weight at its n and q."""
-    rows = _unipotent_rows(weight(idx.unipotent), idx.q, _ceil_log(prime_power(idx.q).p, idx.n) + 1)
+def _rows_of(n: int, q: int, m: int, keys) -> list[_Row]:
+    """The rows of the (partition, marker) keys of weight m, from the table
+    at dimension n and q."""
+    rows = _unipotent_rows(m, q, _ceil_log(prime_power(q).p, n) + 1)
     try:
-        return rows[idx.unipotent, idx.marker]
+        return [rows[key] for key in keys]
     except KeyError:
         raise AssertionError("class index without a unipotent row") from None
+
+
+def _unipotent_row(idx: ClassIndex) -> _Row:
+    """The row of idx's (partition, marker)."""
+    return _rows_of(idx.n, idx.q, weight(idx.unipotent), [(idx.unipotent, idx.marker)])[0]
 
 
 def _orbit_count(row: _Row, pieces: _Pieces, p: int) -> tuple[int, int]:
     """a with element order L * p**a (the p-power that covers the largest
     part, times p when the marked block is a largest one of p-power size),
     and the divisor sum of ``orbit_exponent`` for that order."""
-    if not (row.largest or pieces.largest):
+    _, largest, level, threshold, bump, powers = row
+    _, lcm, spectra_largest, spectra_level, sums, _ = pieces
+    if not (largest or spectra_largest):
         raise AssertionError("index has no parts at all")
-    a = max(row.level, pieces.level)
-    if row.bump and row.largest >= pieces.largest:
+    a = max(level, spectra_level)
+    if bump and largest >= spectra_largest:
         a += 1
-    threshold = row.threshold
     if threshold > a:
         raise AssertionError("translation threshold exceeds the p-adic valuation of the order")
-    powers, sums = row.powers, pieces.sums
     if a >= len(powers):
         raise AssertionError("p-adic valuation of the order beyond the levels at dimension n")
     total = 0
@@ -290,7 +320,7 @@ def _orbit_count(row: _Row, pieces: _Pieces, p: int) -> tuple[int, int]:
         lower = pk // p
         total += (pk - lower) * powers[nu] * sums[nu]
         pk = lower
-    orbits, rem = divmod(total, pieces.lcm * p**a)
+    orbits, rem = divmod(total, lcm * p**a)
     if rem:
         raise AssertionError("orbit-count divisor sum not divisible by the order")
     return a, orbits
@@ -352,34 +382,34 @@ def orbit_exponent(idx: ClassIndex) -> int:
 
 def _fold_weight(args) -> tuple[int, Counter]:
     """Fold the indices of spectra weight w: their number, and per exponent
-    e the sum of weight * class size over their (weight, e) terms.  The row
-    table (weight n - w) is taken at the first index (none for an empty
-    weight), the spectra pieces and the group order over their centralizer
-    factor once per run; any order gives the same sum."""
+    e the sum of weight * class size over their (weight, e) terms.  Each
+    spectra tuple of weight w, as the walk carries it, meets each unipotent
+    row of weight n - w.  The rows are drawn once, at the first tuple (none
+    for an empty weight), keyed by the spectra-free indices of dimension
+    n - w, or ((), None) alone at w = n."""
     n, q, w, group, terms = args
     p = prime_power(q).p
     coeffs: Counter = Counter()
     count = 0
-    spectra = rows = None
-    for count, idx in enumerate(enumerate_classes(n, q, w), 1):
-        if idx.spectra is not spectra:
-            spectra = idx.spectra
-            pieces = _spectra_pieces(idx)
-            rows = rows or _unipotent_rows(n - w, q, _ceil_log(p, n) + 1)
-            quotient, rem = divmod(group, pieces.centralizer)
-            if rem:
-                raise AssertionError("centralizer does not divide the group order")
-        try:
-            row = rows[idx.unipotent, idx.marker]
-        except KeyError:
-            raise AssertionError("class index without a unipotent row") from None
-        # together with the check above: the product divides the group order
-        size, rem = divmod(quotient, row.centralizer)
+    rows = None
+    for acc in _iter_spectra(_d_info(n, q), _fitting(n, q), 0, w, partial(_carry, q), _NO_SPECTRA):
+        if rows is None:
+            keys = [(idx.unipotent, idx.marker) for idx in enumerate_classes(n - w, q, 0)] if w < n else [((), None)]
+            rows = list(zip(keys, _rows_of(n, q, n - w, keys)))
+        pieces = _pieces(q, n, acc)
+        quotient, rem = divmod(group, pieces.centralizer)
         if rem:
             raise AssertionError("centralizer does not divide the group order")
-        orbits = _orbit_count(row, pieces, p)[1]
-        for times, exponent in terms(idx, pieces.multiplicity, orbits):
-            coeffs[exponent] += times * size
+        spectra, multiplicity = acc.spectra, pieces.multiplicity
+        for (unipotent, marker), row in rows:
+            # together with the check above: the product divides the group order
+            size, rem = divmod(quotient, row.centralizer)
+            if rem:
+                raise AssertionError("centralizer does not divide the group order")
+            orbits = _orbit_count(row, pieces, p)[1]
+            for times, exponent in terms(spectra, unipotent, marker, multiplicity, orbits):
+                coeffs[exponent] += times * size
+        count += len(rows)
     return count, coeffs
 
 
@@ -425,13 +455,15 @@ def _fold_beside(futures, tasks):
 def burnside_total(n: int, q: int, terms, jobs: int = 1, progress=None) -> int:
     """Undivided Burnside sum over the conjugacy classes of AGL(n, F_q).
 
-    terms(idx, multiplicity, orbits) yields (weight, e) pairs, given the
-    index's fold multiplicity and its orbit count on points (the exponent
-    of its fixed functions): weight counts the classes or representatives
-    the pair stands for and q**e is their fixed count.  The result is the
-    sum of weight * |class| * q**e, collected per exponent.  One task per
-    spectra weight w = n down to 0 enumerates and folds that weight's
-    indices, in process or, when jobs > 1, in jobs processes: jobs - 1
+    terms(spectra, unipotent, marker, multiplicity, orbits) yields
+    (weight, e) pairs for the class index of that spectra tuple, unipotent
+    partition and marker, given its fold multiplicity and its orbit count
+    on points (the exponent of its fixed functions): weight counts the
+    classes or representatives the pair stands for and q**e is their fixed
+    count.  The result is the sum of weight * |class| * q**e, collected per
+    exponent.  One task per spectra weight w = n down to 0 folds each
+    spectra tuple of weight w with each unipotent row of weight n - w,
+    in process or, when jobs > 1, in jobs processes: jobs - 1
     workers of a ``concurrent.futures`` executor and the parent.  Every task
     goes to the executor (terms must then pickle); the parent walks the
     tasks from w = 0 up, short of w = n, and folds in process each one it
@@ -467,11 +499,11 @@ def burnside_count(n: int, q: int, terms, jobs: int = 1, progress=None) -> int:
     return count
 
 
-def _orbit_terms(idx: ClassIndex, multiplicity: int, orbits: int):
+def _orbit_terms(spectra, unipotent, marker, multiplicity: int, orbits: int):
     return ((multiplicity, orbits),)
 
 
-def _class_terms(idx: ClassIndex, multiplicity: int, orbits: int):
+def _class_terms(spectra, unipotent, marker, multiplicity: int, orbits: int):
     return ((multiplicity, 0),)
 
 

@@ -277,9 +277,10 @@ def _evaluations(m: int, degree: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex, multiplicity: int, orbits: int, caches):
-    """(weight, log2 fix) per representative of idx on R(r, n)/R(s, n),
-    from its odd-order factor tau and the rest sigma_2.
+def _fixed_terms(basis: RMQuotientBasis, spectra, unipotent: Partition, marker, multiplicity: int, orbits: int, caches):
+    """(weight, log2 fix) per representative of the class index (unipotent,
+    spectra, marker) on R(r, n)/R(s, n), from its odd-order factor tau and
+    the rest sigma_2.
 
     tau, on a + k coordinates, is the k = lam_1 - [marker = 1] unmarked
     1 x 1 unipotent blocks and sigma_s, the companion blocks C(f) of the
@@ -318,16 +319,17 @@ def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex, multiplicity: int, orb
     representative is a dot product; one with neither an odd-order factor
     nor a fixed coordinate, a = k = 0, is counted whole.
     """
-    spectra_s, spectra_2, keep, a = _semisimple_split(idx.spectra)
-    k = sum(idx.unipotent[:1]) - (idx.marker == 1)
+    n, s, r = basis
+    idx = ClassIndex(n, 2, unipotent, spectra, marker)
+    spectra_s, spectra_2, keep, a = _semisimple_split(spectra)
+    k = sum(unipotent[:1]) - (marker == 1)
     if not a + k:
         for assignments, weight in iter_class_representatives(idx):
             yield weight, fix_on_quotient(packed_representative(idx, assignments), basis).bit_length() - 1
         return
     grades, profiles = caches
-    n, s, r = basis
     top = min(a + k, r)
-    unipotent = canon((int(idx.marker == 1), *idx.unipotent[1:]))
+    rest_unipotent = canon((int(marker == 1), *unipotent[1:]))
     for assignments, weight in iter_class_representatives(idx):
         kept = (spectra_s, tuple(compress(assignments, keep)))
         primed = grades.get(kept)
@@ -338,10 +340,10 @@ def _fixed_terms(basis: RMQuotientBasis, idx: ClassIndex, multiplicity: int, orb
             g = grades[kept, k] = [
                 sum(x * math.comb(k, i - j) for j, x in enumerate(primed[: i + 1])) for i in range(top + 1)
             ]
-        rest = (unipotent, idx.marker, spectra_2, tuple(compress(assignments, map(not_, keep))))
+        rest = (rest_unipotent, marker, spectra_2, tuple(compress(assignments, map(not_, keep))))
         y = profiles.get(rest)
         if y is None:
-            sigma = packed_representative(ClassIndex(n - a - k, 2, unipotent, spectra_2, idx.marker), rest[3])
+            sigma = packed_representative(ClassIndex(n - a - k, 2, rest_unipotent, spectra_2, marker), rest[3])
             y = profiles[rest] = _fix_profile(sigma, s, r, top)
         yield weight, sum(map(mul, y, g))
 
@@ -414,8 +416,8 @@ def _dual_degree(n: int, s: int, r: int) -> int | None:
     return degree if degree <= 1 else None
 
 
-def _rank_terms(degree: int, idx: ClassIndex, multiplicity: int, orbits: int):
-    return ((multiplicity, orbits - _orbit_sum_rank(degree, idx.unipotent, idx.marker)),)
+def _rank_terms(degree: int, spectra, unipotent: Partition, marker, multiplicity: int, orbits: int):
+    return ((multiplicity, orbits - _orbit_sum_rank(degree, unipotent, marker)),)
 
 
 def _orbit_sum_rank(degree: int, lam: Partition, marker: int | None) -> int:

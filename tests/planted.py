@@ -35,33 +35,39 @@ REAL_ENUMERATE = formulas.enumerate_classes
 REAL_ROWS = formulas._unipotent_rows
 NO_ROW = "class index without a unipotent row"
 
-
-def with_a_stray(n, q, w):
-    """The indices of spectra weight w and, at w = 3, one of weight 1: it
-    has no row in the task's table."""
-    yield from REAL_ENUMERATE(n, q, w)
-    if w == 3:
-        yield next(REAL_ENUMERATE(n, q, 1))
+# Each task of a fold keys its unipotent rows by the spectra-free indices
+# enumerate_classes(m, q, 0) of its unipotent weight m = n - w (none at
+# w = n); the faults fold N(3, 5), where the task at w = 3 draws m = 2.
 
 
-def with_a_stray_on_top(n, q, w):
-    """As `with_a_stray`, at w = n instead."""
-    yield from REAL_ENUMERATE(n, q, w)
-    if w == n:
-        yield next(REAL_ENUMERATE(n, q, 1))
+def with_a_stray(m, q, w):
+    """The spectra-free indices of dimension m and, at m = 2 (the task at
+    w = 3), one of dimension 3: it has no row in the task's table."""
+    yield from REAL_ENUMERATE(m, q, w)
+    if m == 2:
+        yield next(REAL_ENUMERATE(m + 1, q, 0))
 
 
-def with_a_stray_everywhere(n, q, w):
-    """The indices of spectra weight w and one of another weight, at every w."""
-    yield from REAL_ENUMERATE(n, q, w)
-    yield next(REAL_ENUMERATE(n, q, 0 if w else 1))
+def with_a_stray_everywhere(m, q, w):
+    """The spectra-free indices of dimension m and one of dimension m + 1,
+    in every task that draws rows."""
+    yield from REAL_ENUMERATE(m, q, w)
+    yield next(REAL_ENUMERATE(m + 1, q, 0))
 
 
-def slowed(n, q, w):
-    """The indices of spectra weight w, after a pause: a worker still folds
-    when the parent has finished its first task."""
+def slowed(m, q, w):
+    """The spectra-free indices of dimension m, after a pause: a worker
+    still folds when the parent has finished its first task."""
     time.sleep(0.01)
-    yield from REAL_ENUMERATE(n, q, w)
+    yield from REAL_ENUMERATE(m, q, w)
+
+
+def without_the_empty_row(m, q, top):
+    """The row table with ((), None), the one row of weight 0, left out:
+    only the task at w = n looks it up."""
+    rows = dict(REAL_ROWS(m, q, top))
+    rows.pop(((), None), None)
+    return rows
 
 
 def without_a_marker(which, m, q, top):
@@ -73,11 +79,11 @@ def without_a_marker(which, m, q, top):
     return rows
 
 
-def shuffled(n, q, w):
-    """The indices of spectra weight w in a fixed shuffled order, the same
-    in every process."""
-    indices = list(REAL_ENUMERATE(n, q, w))
-    random.Random(1717 + 31 * n + w).shuffle(indices)
+def shuffled(m, q, w):
+    """The spectra-free indices of dimension m, which key a task's rows, in
+    a fixed shuffled order, the same in every process."""
+    indices = list(REAL_ENUMERATE(m, q, w))
+    random.Random(1717 + 31 * m + w).shuffle(indices)
     return iter(indices)
 
 
@@ -88,8 +94,8 @@ class Planted:
     def __init__(self, name, stand_in, in_parent, terms=formulas._orbit_terms):
         self.name, self.stand_in, self.in_parent, self.terms = name, stand_in, in_parent, terms
 
-    def __call__(self, idx, multiplicity, orbits):
-        return self.terms(idx, multiplicity, orbits)
+    def __call__(self, spectra, unipotent, marker, multiplicity, orbits):
+        return self.terms(spectra, unipotent, marker, multiplicity, orbits)
 
     def __reduce__(self):
         return _plant, (self.name, self.stand_in, self.in_parent, self.terms)
@@ -131,7 +137,7 @@ FAULTS = {
     "stray": _everywhere("enumerate_classes", with_a_stray),
     "middle": _everywhere("_unipotent_rows", functools.partial(without_a_marker, "middle")),
     "last": _everywhere("_unipotent_rows", functools.partial(without_a_marker, "last")),
-    "worker": Planted("enumerate_classes", with_a_stray_on_top, REAL_ENUMERATE),
+    "worker": Planted("_unipotent_rows", without_the_empty_row, REAL_ROWS),
     "parent": Planted("enumerate_classes", slowed, with_a_stray_everywhere),
 }
 

@@ -94,7 +94,7 @@ def test_classes_follow_the_two_layer_order(q, n_max):
     for n in range(1, n_max + 1):
         ours = list(enumerate_classes(n, q))
         assert ours == list(two_layer_classes(n, q)), n
-        # the fold rebuilds its spectra pieces when the tuple object changes
+        # each spectra tuple is built once and shared by all its indices
         for _, run in itertools.groupby(ours, key=lambda idx: idx.spectra):
             first, *rest = run
             assert all(idx.spectra is first.spectra for idx in rest), n

@@ -187,8 +187,9 @@ def test_burnside_count_checks_the_division():
     assert burnside_count(4, 3, formulas._orbit_terms) == count_function_classes(4, 3)
     assert burnside_count(4, 3, formulas._class_terms) == 1
 
-    def identity_terms(idx, multiplicity, orbits):
-        return ((multiplicity, 0),) if orbits == idx.q**idx.n else ()
+    def identity_terms(spectra, unipotent, marker, multiplicity, orbits):
+        # at n = 1, q = 2 only the identity has q**n = 2 point orbits
+        return ((multiplicity, 0),) if orbits == 2 else ()
 
     with pytest.raises(AssertionError, match="Burnside sum not divisible by the group order"):
         burnside_count(1, 2, identity_terms)
@@ -237,19 +238,6 @@ def test_fold_matches_reference_sum():
         assert count_function_classes(n, q) == reference // group, (q, n)
 
 
-def spectra_runs(indices):
-    """[start, length] of each run of class indices that share one spectra tuple."""
-    runs = []
-    previous = None
-    for position, idx in enumerate(indices):
-        if idx.spectra is previous:
-            runs[-1][1] += 1
-        else:
-            runs.append([position, 1])
-            previous = idx.spectra
-    return runs
-
-
 def fold_totals(n, q):
     """The undivided Burnside total of each term function, from the counts."""
     group = agl_group_order(n, q)
@@ -266,12 +254,13 @@ def fold_totals(n, q):
 
 @pytest.mark.parametrize("q, n", [(2, 8), (3, 5), (5, 4)])
 def test_fold_is_independent_of_the_index_order(monkeypatch, q, n):
-    # the fold keys its rows by (partition, marker), so a shuffle within
-    # each spectra weight that breaks the spectra runs changes no total,
-    # serial or pooled (the workers get the stand-in with the terms)
+    # each task pairs every spectra tuple with every row, so a shuffle of
+    # the spectra-free indices that key each task's rows changes no total,
+    # serial or pooled (the workers get the stand-in with the terms); every
+    # table of more than two rows comes out in another order
     expected = fold_totals(n, q)
-    runs = sum(len(spectra_runs(planted.shuffled(n, q, w))) for w in range(n + 1))
-    assert runs > len(spectra_runs(enumerate_classes(n, q)))
+    moved = [m for m in range(1, n + 1) if list(planted.shuffled(m, q, 0)) != list(enumerate_classes(m, q, 0))]
+    assert moved == list(range(2, n + 1)), moved
     monkeypatch.setattr(formulas, "enumerate_classes", planted.shuffled)
     for terms, total in expected.items():
         assert burnside_total(n, q, terms) == total, (q, n, terms)
@@ -280,8 +269,9 @@ def test_fold_is_independent_of_the_index_order(monkeypatch, q, n):
 
 
 def test_index_of_another_weight_raises(monkeypatch):
-    # a task draws only its own weight's indices; one from another weight
-    # has no row in the task's table, in a worker or in the parent
+    # a task keys its rows by the spectra-free indices of its own unipotent
+    # weight; one of another dimension has no row in the task's table, in a
+    # worker or in the parent
     monkeypatch.setattr(formulas, "enumerate_classes", planted.with_a_stray)
     for jobs in (2, 3):
         with pytest.raises(AssertionError, match=planted.NO_ROW):
@@ -292,29 +282,32 @@ def test_index_of_another_weight_raises(monkeypatch):
 
 def test_pooled_parent_folds_only_weights_below_n(monkeypatch):
     # the parent folds the tasks it cancels before a worker starts them, at
-    # most once each, and never the first one (w = n); forked workers count
-    # on their own copy of the counter
-    full = formulas.enumerate_classes
+    # most once each, and never the first one (w = n); each task starts one
+    # spectra walk, at budget w, and forked workers count on their own copy
+    # of the counter
+    full = formulas._iter_spectra
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return full(*args)
+    def counted(dinfo, fitting, start, budget, *carried):
+        calls.append((len(dinfo), start, budget))
+        return full(dinfo, fitting, start, budget, *carried)
 
-    monkeypatch.setattr(formulas, "enumerate_classes", counted)
+    monkeypatch.setattr(formulas, "_iter_spectra", counted)
+    orders = len(conjugacy._d_info(6, 2))
     for jobs in (2, 3):
         calls.clear()
         assert burnside_total(6, 2, formulas._class_terms, jobs=jobs) == agl_group_order(6, 2)
         assert len(calls) == len(set(calls)), (jobs, calls)
-        assert set(calls) <= {(6, 2, w) for w in range(6)}, (jobs, calls)
+        assert set(calls) <= {(orders, 0, w) for w in range(6)}, (jobs, calls)
     calls.clear()
     assert burnside_total(6, 2, formulas._class_terms) == agl_group_order(6, 2)
-    assert calls == [(6, 2, w) for w in range(6, -1, -1)]
+    assert calls == [(orders, 0, w) for w in range(6, -1, -1)]
 
 
 def test_a_worker_error_reaches_the_caller():
-    # the fault fires only in a worker, on the first task, which the parent
-    # never claims; the parent's own fold is right
+    # the fault fires only in a worker, on the first task (w = n), whose
+    # one row, ((), None), its table lacks; the parent never claims that
+    # task, and its own fold is right
     fault = planted.FAULTS["worker"]
     assert burnside_total(5, 3, fault) == burnside_total(5, 3, formulas._orbit_terms)
     for jobs in (2, 3):
@@ -342,6 +335,88 @@ def test_row_table_keys_are_the_unipotent_indices(q):
         assert len(keys) == len(set(keys)), (q, m)
         top = formulas._ceil_log(prime_power(q).p, m) + 1
         assert set(formulas._unipotent_rows(m, q, top)) == set(keys), (q, m)
+
+
+def test_a_weight_with_no_spectra_tuple_builds_no_row_table(monkeypatch):
+    # at q = 2 no order d has o_d = 1, so spectra weight 1 has no tuple: at
+    # n = 16 its task draws no rows and builds no table, and the 684 rows
+    # of unipotent weight 15 are never built
+    top = formulas._ceil_log(2, 16) + 1
+    assert len(formulas._unipotent_rows(15, 2, top)) == 684
+    tables, drawn = [], []
+    rows, enumerate_rows = formulas._unipotent_rows, formulas.enumerate_classes
+
+    def recorded_table(m, q, top):
+        tables.append(m)
+        return rows(m, q, top)
+
+    def recorded_rows(m, q, w):
+        drawn.append(m)
+        return enumerate_rows(m, q, w)
+
+    monkeypatch.setattr(formulas, "_unipotent_rows", recorded_table)
+    monkeypatch.setattr(formulas, "enumerate_classes", recorded_rows)
+    assert formulas._fold_weight((16, 2, 1, agl_group_order(16, 2), formulas._class_terms)) == (0, Counter())
+    assert tables == drawn == []
+    assert class_equation_total(16, 2) == agl_group_order(16, 2)
+    assert tables == [16 - w for w in range(16, -1, -1) if w != 1]
+    assert drawn == tables[1:]
+
+
+def conjugate_square_sum(lam):
+    """The sum of the squared parts of the conjugate of lam (lam_j parts of
+    size j): the parts of size >= i, squared, summed over i."""
+    return sum(sum(lam[i:]) ** 2 for i in range(len(lam)))
+
+
+def carried_from_scratch(idx, weights):
+    """The spectra side of idx with no carried or cached part: the
+    centralizer factor one unit at a time, the multiplicity per slot, the
+    largest part (the length of a canonical entry), and the pattern sums
+    P(nu), nu = 0..ceil(log_p n) + 1, from the pattern weights of the
+    divisor walk."""
+    q, p = idx.q, prime_power(idx.q).p
+    centralizer, largest, orders = 1, 0, []
+    for t in idx.spectra:
+        o = multiplicative_order(q, t.d)
+        orders.append(o)
+        for entry in t.entries:
+            centralizer *= centralizer_factor_per_unit(q, o * conjugate_square_sum(entry), [(o, entry)])
+            largest = max(largest, len(entry))
+    multiplicity = math.prod(permutation_count(t) for t in idx.spectra)
+    sums = []
+    for nu in range(formulas._ceil_log(p, idx.n) + 2):
+        fixed = [o * level_sums_per_cap(t.entries, p, nu)[nu] for o, t in zip(orders, idx.spectra)]
+        sums.append(sum(g * q ** sum(fixed[i] for i in pattern) for pattern, g in weights.items()))
+    return centralizer, multiplicity, largest, tuple(sums)
+
+
+@pytest.mark.parametrize("q, n_max", [(2, 12), (3, 7), (4, 5), (5, 5), (7, 4), (8, 4), (9, 4)])
+def test_the_carried_walk_matches_the_indices(q, n_max):
+    # the fold's walk gives enumerate_classes's spectra tuples in the same
+    # order at every spectra weight, and what it carries to each one gives
+    # the pieces that the index's formulas build from scratch
+    walks = 0
+    weights = {}
+    for n in range(1, n_max + 1):
+        dinfo, fitting = conjugacy._d_info(n, q), conjugacy._fitting(n, q)
+        carry = partial(formulas._carry, q)
+        for w in range(n + 1):
+            carried = list(conjugacy._iter_spectra(dinfo, fitting, 0, w, carry, formulas._NO_SPECTRA))
+            runs = itertools.groupby(enumerate_classes(n, q, w), key=lambda idx: idx.spectra)
+            indices = [next(run) for _, run in runs]
+            assert [acc.spectra for acc in carried] == [idx.spectra for idx in indices], (q, n, w)
+            for acc, idx in zip(carried, indices):
+                ds = tuple(t.d for t in idx.spectra)
+                if ds not in weights:
+                    weights[ds] = divisor_walk_weights(ds)[1]
+                centralizer, multiplicity, largest, sums = carried_from_scratch(idx, weights[ds])
+                pieces = formulas._pieces(q, n, acc)
+                assert (acc.centralizer, acc.multiplicity, acc.largest) == (centralizer, multiplicity, largest), idx
+                assert pieces.sums == sums, idx
+                assert pieces == formulas._spectra_pieces(idx), idx
+                walks += 1
+    assert walks > 50, walks
 
 
 @pytest.mark.parametrize("which", ["middle", "last"])

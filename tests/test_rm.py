@@ -659,7 +659,7 @@ def split_terms(basis, idx, caches):
     representative: (split, whole) log2 fixed counts."""
     from aglcount.reps import packed_representative
 
-    split = [e for _, e in _fixed_terms(basis, idx, idx.multiplicity(), 0, caches)]
+    split = [e for _, e in _fixed_terms(basis, idx.spectra, idx.unipotent, idx.marker, idx.multiplicity(), 0, caches)]
     whole = [
         fix_on_quotient(packed_representative(idx, assignments), basis).bit_length() - 1
         for assignments, _ in iter_class_representatives(idx)
