@@ -13,12 +13,13 @@ unmarked 1 x 1 Jordan blocks (the coordinates it fixes) and the companion
 blocks C(f) of orders prime to the rest, and the rest sigma_2:
 log2 fix(sigma) = sum over i of g_i y_i, with g_i the graded fixed
 dimensions of tau and y_i those of sigma_2 on R(r-i, b)/R(s-1-i, b)
-(``_fixed_terms``, which proves it).  A factor recurs across
-representatives, so a theta call profiles each once (``_fix_profile``),
-every i from one substitution, or at s = 0 from one point walk whose
-orbit sums span the dual code when that has fewer monomials, and a
-representative is a dot product; one with an empty tau is counted whole
-(``fix_on_quotient``).
+(``_fixed_terms``, which proves it, and counts the grades of companion
+blocks whose orders share one degree from their eigenvalues).  A factor
+recurs across representatives, so a theta call counts or profiles each
+once (``_fix_profile``), every i from one substitution, or at s = 0 from
+one point walk whose orbit sums span the dual code when that has fewer
+monomials, and a representative is a dot product; one with an empty tau
+is counted whole (``fix_on_quotient``).
 
 The quotient counts have no fold of their own: ``theta`` hands (weight,
 log2 of the fixed count) terms to the shared Burnside fold
@@ -39,11 +40,12 @@ from itertools import compress
 from operator import mul, not_, xor
 
 from .conjugacy import ClassIndex
+from .fields import _root_exponents
 from .formulas import burnside_count
 from .linalg import PackedMap, cycles, gf2_extend, point_permutation
 from .numtheory import multiplicative_order
 from .partitions import Partition, canon
-from .reps import iter_class_representatives, packed_representative
+from .reps import irreducibles_of_order, iter_class_representatives, packed_representative
 
 __all__ = [
     "RMQuotientBasis",
@@ -134,11 +136,8 @@ class RMQuotientBasis(namedtuple("RMQuotientBasis", "n s r")):
 
 @lru_cache(maxsize=None)
 def _basis_monomials(n: int, s: int, r: int) -> tuple[int, ...]:
-    out = []
-    for k in range(r, s, -1):
-        for combo in itertools.combinations(range(n), k):
-            out.append(sum(1 << i for i in combo))
-    return tuple(out)
+    bits = [1 << i for i in range(n)]
+    return tuple(itertools.chain.from_iterable(map(sum, itertools.combinations(bits, k)) for k in range(r, s, -1)))
 
 
 @lru_cache(maxsize=None)
@@ -312,16 +311,38 @@ def _fixed_terms(basis: RMQuotientBasis, spectra, unipotent: Partition, marker, 
     f_h = sum over j of g'_j C(k, <= h - j) and g_i = sum over j of
     g'_j C(k, i - j), with g' the grades of sigma_s.
 
+    Lemma: g'_i is the number of i-sets of eigenvalues of sigma_s, on
+    V = F_2**a, with product 1, and the grades of a sum of factors of
+    coprime orders are the convolution of theirs.  Proof: the product
+    l_1 ... l_i of linear forms, mod R(i - 1, a), is multilinear and
+    alternating in them (l l = l has degree 1), so sending the wedge of
+    the x_j, j in S, to X_S is an isomorphism Lambda^i(V*) =
+    R(i, a)/R(i - 1, a); it commutes with sigma_s, which sends a linear
+    form to an affine one whose constant adds lower terms only.  sigma_s
+    has odd order, so it is diagonal over some F_(2**O), with eigenvalues
+    lam_1..lam_a on V* (those of A, up to a transpose); the wedges over
+    the i-sets S are an eigenbasis of Lambda^i(V*), each with the product
+    over S, and dim Fix does not change with the field.  A factor of
+    order m has its eigenvalues in mu_m, and mu_m meets mu_m' in {1} for
+    coprime m, m', so a set has product 1 iff its part in each factor
+    does.  So sigma_s splits into coprime components, its orders linked
+    by chains of shared primes (``_semisimple_split``), and g is their grades
+    convolved with C(k, .), the identity's.  In a component whose orders
+    share one degree o every eigenvalue lies in F_(2**o)* = <alpha>, and
+    the sets are counted from exponents (``_eigenvalue_grades``); a
+    component spanning several degrees is profiled (``_grades``).
+
     g' depends only on the kept orders' slot assignments and y only on
     sigma_2, which fixes b and so the depth min(n - b, r).  The caches, a
-    pair of dicts that live for one theta call, profile each factor once
-    per call, g' under the kept factor and g under (kept factor, k), and a
-    representative is a dot product; one with neither an odd-order factor
-    nor a fixed coordinate, a = k = 0, is counted whole.
+    pair of dicts that live for one theta call, hold each component's g'
+    under (its spectra, its slots), g under (kept spectra, their slots, k)
+    and y under sigma_2, so each factor is profiled or counted once per
+    call and a representative is a dot product; one with neither an
+    odd-order factor nor a fixed coordinate, a = k = 0, is counted whole.
     """
     n, s, r = basis
     idx = ClassIndex(n, 2, unipotent, spectra, marker)
-    spectra_s, spectra_2, keep, a = _semisimple_split(spectra)
+    spectra_s, spectra_2, keep, a, masks = _semisimple_split(spectra)
     k = sum(unipotent[:1]) - (marker == 1)
     if not a + k:
         for assignments, weight in iter_class_representatives(idx):
@@ -331,21 +352,61 @@ def _fixed_terms(basis: RMQuotientBasis, spectra, unipotent: Partition, marker, 
     top = min(a + k, r)
     rest_unipotent = canon((int(marker == 1), *unipotent[1:]))
     for assignments, weight in iter_class_representatives(idx):
-        kept = (spectra_s, tuple(compress(assignments, keep)))
-        primed = grades.get(kept)
-        if primed is None:
-            primed = grades[kept] = _grades(packed_representative(ClassIndex(a, 2, (), spectra_s), kept[1]), min(a, r))
-        g = grades.get((kept, k))
+        key = (spectra_s, tuple(compress(assignments, keep)), k)
+        g = grades.get(key)
         if g is None:
-            g = grades[kept, k] = [
-                sum(x * math.comb(k, i - j) for j, x in enumerate(primed[: i + 1])) for i in range(top + 1)
-            ]
+            g = [math.comb(k, i) for i in range(top + 1)]
+            for mask in masks:
+                part = (tuple(compress(spectra, mask)), tuple(compress(assignments, mask)))
+                primed = grades.get(part)
+                if primed is None:
+                    primed = grades[part] = _component_grades(*part, r)
+                g = _convolve(g, primed)
+            grades[key] = g
         rest = (rest_unipotent, marker, spectra_2, tuple(compress(assignments, map(not_, keep))))
         y = profiles.get(rest)
         if y is None:
             sigma = packed_representative(ClassIndex(n - a - k, 2, rest_unipotent, spectra_2, marker), rest[3])
             y = profiles[rest] = _fix_profile(sigma, s, r, top)
         yield weight, sum(map(mul, y, g))
+
+
+def _convolve(f: list[int], g: list[int]) -> list[int]:
+    """The coefficients of f(x) g(x) up to the degree of f."""
+    return [sum(g[j] * f[i - j] for j in range(min(i + 1, len(g)))) for i in range(len(f))]
+
+
+def _component_grades(spectra, assignments, r: int) -> list[int]:
+    """g'_0..g'_min(a, r) of one coprime component, its companion blocks
+    C(f) on a coordinates: counted when its orders share one degree, else
+    profiled on its packed representative."""
+    degrees = {multiplicative_order(2, t.d) for t in spectra}
+    a = sum(multiplicative_order(2, t.d) * t.total_weight() for t in spectra)
+    if len(degrees) == 1:
+        return _eigenvalue_grades(*degrees, spectra, assignments, min(a, r))
+    return _grades(packed_representative(ClassIndex(a, 2, (), spectra), assignments), min(a, r))
+
+
+def _eigenvalue_grades(degree: int, spectra, assignments, top: int) -> list[int]:
+    """g'_0..g'_top of companion blocks C(f) of orders of one degree o: per
+    i, the i-sets of their eigenvalues with product 1 (``_fixed_terms``).
+    Each copy of a block C(f) has the roots alpha**(c 2**j), j < o, c the
+    exponent of f in ``fields._root_exponents(2, o)``, and a set has
+    product 1 iff its exponents sum to 0 mod 2**o - 1."""
+    size = (1 << degree) - 1
+    exponents = _root_exponents(2, degree)
+    sums = [{0: 1}] + [{} for _ in range(top)]  # per set size: exponent sum -> sets
+    for t, assignment in zip(spectra, assignments):
+        polys = irreducibles_of_order(t.d, 2)
+        for slot, (copies,) in zip(assignment, t.entries):
+            c = exponents[polys[slot]]
+            for e in [(c << j) % size for j in range(degree)] * copies:
+                for i in range(top, 0, -1):
+                    high = sums[i]
+                    for x, count in sums[i - 1].items():
+                        x = (x + e) % size
+                        high[x] = high.get(x, 0) + count
+    return [counts.get(0, 0) for counts in sums]
 
 
 def _grades(sigma: PackedMap, top: int) -> list[int]:
@@ -356,22 +417,33 @@ def _grades(sigma: PackedMap, top: int) -> list[int]:
 
 
 @lru_cache(maxsize=4)
-def _semisimple_split(spectra) -> tuple[tuple, tuple, tuple[bool, ...], int]:
-    """(kept spectra, the others, keep mask, a): the orders whose blocks
-    C(f) form sigma_s, of dimension a.  An order with a companion power
+def _semisimple_split(spectra) -> tuple[tuple, tuple, tuple[bool, ...], int, tuple]:
+    """(kept spectra, the others, keep mask, a, component masks): the
+    orders whose blocks C(f) form sigma_s, of dimension a, and one mask
+    over the spectra per coprime component of sigma_s, its orders linked
+    by chains of shared prime factors.  An order with a companion power
     C(f**j), j >= 2, goes to sigma_2, and so does every order that shares a
     factor with the lcm of those there, until none does, so sigma_s has odd
     order prime to that of sigma_2, a power of 2 times that lcm.  An order
     prime to the mixed ones alone is not enough: beside C(f**2) of order 3,
     C(f) of order 15 goes to sigma_2, and then so does C(f) of order 5."""
-    mixed = math.lcm(*(t.d for t in spectra if any(len(e) > 1 for e in t.entries)))
-    grown = None
-    while grown != mixed:
-        grown, mixed = mixed, math.lcm(mixed, *(t.d for t in spectra if math.gcd(t.d, mixed) > 1))
+    mixed = _linked(math.lcm(*(t.d for t in spectra if any(len(e) > 1 for e in t.entries))), [t.d for t in spectra])
     keep = tuple(math.gcd(t.d, mixed) == 1 for t in spectra)
     kept = tuple(compress(spectra, keep))
     a = sum(multiplicative_order(2, t.d) * t.total_weight() for t in kept)
-    return kept, tuple(compress(spectra, map(not_, keep))), keep, a
+    # per kept order the lcm of its component, so one mask per lcm
+    links = [_linked(t.d, [u.d for u in kept]) if held else 0 for t, held in zip(spectra, keep)]
+    masks = tuple(dict.fromkeys(tuple(map(link.__eq__, links)) for link in links if link))
+    return kept, tuple(compress(spectra, map(not_, keep))), keep, a, masks
+
+
+def _linked(lcm: int, orders) -> int:
+    """The lcm of lcm and every order linked to it by a chain of shared
+    prime factors."""
+    grown = None
+    while grown != lcm:
+        grown, lcm = lcm, math.lcm(lcm, *(d for d in orders if math.gcd(d, lcm) > 1))
+    return lcm
 
 
 def theta(n: int, s: int, r: int, jobs: int = 1, progress=None) -> int:

@@ -7,13 +7,17 @@ import pytest
 
 from aglcount.conjugacy import ClassIndex, enumerate_classes
 from aglcount.fields import field
-from aglcount.formulas import burnside_count, count_function_classes
+from aglcount.formulas import burnside_count, count_function_classes, orbit_exponent
 from aglcount.linalg import AffineMap, GFMatrix, PackedMap, companion_matrix, gf2_rank, pack, point_permutation
+from aglcount.numtheory import multiplicative_order, psi
 from aglcount.partitions import enumerate_partitions
-from aglcount.reps import build_representative, iter_class_representatives
+from aglcount.reps import build_representative, iter_class_representatives, packed_representative
 from aglcount.rm import (
     RMQuotientBasis,
+    _basis_monomials,
+    _convolve,
     _dual_degree,
+    _eigenvalue_grades,
     _fix_profile,
     _fixed_terms,
     _grades,
@@ -32,6 +36,12 @@ from test_reps import assignment_orbits
 
 f2 = field(2)
 BITS = bytes.maketrans(b"\x00\x01", b"01")  # a 0/1 row as binary digits
+
+
+def require(ok, *context):
+    """An assert that still fires under python -O."""
+    if not ok:
+        raise AssertionError(context)
 
 
 def rand_affine(rng, n):
@@ -246,6 +256,16 @@ def test_basis_layout():
     assert RMQuotientBasis(4, -1, 4).dim == 16
     with pytest.raises(ValueError):
         RMQuotientBasis(3, 2, 2)
+
+
+def test_basis_monomials_match_the_generator_sums():
+    # the masks as sums of combinations of single bits, against one
+    # generator sum per combination, for every (n, s, r) with n <= 12
+    for n in range(13):
+        for r in range(-1, n + 1):
+            for s in range(-1, r + 1):
+                old = tuple(sum(1 << i for i in combo) for k in range(r, s, -1) for combo in itertools.combinations(range(n), k))
+                require(_basis_monomials.__wrapped__(n, s, r) == old, n, s, r)
 
 
 def test_action_matrix_examples():
@@ -497,26 +517,29 @@ def test_dual_side_refuses_a_singular_map():
 def test_each_map_takes_the_side_with_fewer_columns(monkeypatch):
     # theta profiles each factor of its representatives once per call, and
     # a representative with neither an odd-order factor nor a fixed
-    # coordinate whole: theta(8; 0, 4) reads all 136 profiles off the orbit
-    # sums, theta(9; 0, 3) splits 53 to 155, a middle quotient substitutes
-    # its sigma_2 profiles and reads only the grades of sigma_s (floor -1)
-    # off orbit sums, and theta(7; 0, 7), of dual degree -1, profiles nothing
+    # coordinate whole; the grades of a component of sigma_s whose orders
+    # share one degree are counted, not profiled: theta(8; 0, 4) reads all
+    # 103 profiles off the orbit sums, theta(9; 0, 3) splits 38 to 125, a
+    # middle quotient substitutes its sigma_2 profiles and reads only the
+    # grades of the 5 components that span several degrees (floor -1) off
+    # orbit sums, and theta(7; 0, 7), of dual degree -1, profiles nothing
     from aglcount import rm
 
     ran = record_sides(monkeypatch)
     monkeypatch.setattr(rm, "_evaluations", lambda m, degree, real=rm._evaluations: ran.append("columns") or real(m, degree))
-    for args, dual, substituted in (((8, 0, 4), 136, 0), ((9, 0, 3), 53, 155), ((8, 1, 4), 38, 98), ((7, 0, 7), 0, 0)):
+    for args, dual, substituted in (((8, 0, 4), 103, 0), ((9, 0, 3), 38, 125), ((8, 1, 4), 5, 98), ((7, 0, 7), 0, 0)):
         del ran[:]
         theta(*args)
         assert (ran.count("_orbit_nullity"), ran.count("_substituted_nullity")) == (dual, substituted), args
     # forced onto its 140 representatives, R(7, 7) takes the dual side for
-    # the 21 whole maps, the 21 grades of sigma_s and the 37 profiles of
-    # sigma_2; a whole map or sigma_2, with an empty dual, only counts
-    # orbits, and only the grades of the 20 nonempty sigma_s, a variables,
-    # build columns, those of degree <= a - 1
+    # the 21 whole maps, the grades of the one component that spans
+    # several degrees (orders 3 and 15) and the 37 profiles of sigma_2; a
+    # whole map or sigma_2, with an empty dual, only counts orbits, and
+    # only that component, a = 6 variables, builds columns, those of
+    # degree <= a - 1
     del ran[:]
     burnside_count(7, 2, partial(_fixed_terms, RMQuotientBasis(7, -1, 7), caches=({}, {})))
-    assert (ran.count("_orbit_nullity"), ran.count("_substituted_nullity"), ran.count("columns")) == (79, 0, 20)
+    assert (ran.count("_orbit_nullity"), ran.count("_substituted_nullity"), ran.count("columns")) == (59, 0, 1)
 
 
 def test_evaluations_are_graded_with_degree_zero_on_top():
@@ -698,17 +721,17 @@ def test_factor_split_sends_orders_sharing_a_factor_to_sigma_2():
     for n, spectra in cases:
         idx = ClassIndex(n=n, q=2, unipotent=(), spectra=spectra)
         idx.validate()
-        assert _semisimple_split(spectra)[2:] == ((False,) * len(spectra), 0)
+        assert _semisimple_split(spectra)[2:4] == ((False,) * len(spectra), 0)
         bases = [RMQuotientBasis(n, s - 1, r) for r in range(n + 1) for s in range(r + 1)]
         for basis in bases if n == 8 else bases[::7]:
             split, whole = split_terms(basis, idx, ({}, {}))
             assert split == whole, (idx, basis)
     # in the chain 3 - 15 - 35 - 7, the 7 meets the lcm only once the 35 joins it
     chain = [partition_tuple(3, 1, [(0, 1)])] + [partition_tuple(d, 2, [(1,)]) for d in (7, 15, 35)]
-    assert _semisimple_split(tuple(chain))[2:] == ((False,) * 4, 0)
+    assert _semisimple_split(tuple(chain))[2:4] == ((False,) * 4, 0)
     # with a mixed order 3 and unrelated orders 5 and 7, sigma_s keeps both
     spectra = (partition_tuple(3, 1, [(0, 1)]), partition_tuple(5, 1, [(1,)]), partition_tuple(7, 2, [(1,)]))
-    assert _semisimple_split(spectra)[2:] == ((False, True, True), 7)
+    assert _semisimple_split(spectra)[2:4] == ((False, True, True), 7)
     idx = ClassIndex(n=11, q=2, unipotent=(), spectra=spectra)
     idx.validate()
     for s, r in ((1, 3), (0, 4), (2, 5), (3, 7)):
@@ -785,6 +808,96 @@ def test_theta_profiles_each_factor_once_per_call(monkeypatch):
     for other in ((8, 2, 4), (8, 1, 3), (7, 2, 4)):
         counts(*other)
         assert counts(8, 2, 4) == first, other
+
+
+def dimension(spectra):
+    return sum(multiplicative_order(2, t.d) * t.total_weight() for t in spectra)
+
+
+def profiled_grades(spectra, assignments, top):
+    """_grades of the companion blocks of the spectra on their packed
+    representative: the profile path."""
+    return _grades(packed_representative(ClassIndex(dimension(spectra), 2, (), spectra), assignments), top)
+
+
+def kept_factors(max_n):
+    """Every kept factor sigma_s, as (kept spectra, their slots), of every
+    class index and every slot assignment a theta call walks at n <= max_n,
+    each with its coprime components, as (spectra, slots) pairs."""
+    out = {}
+    for n in range(1, max_n + 1):
+        for idx in enumerate_classes(n, 2):
+            spectra_s, _, keep, a, masks = _semisimple_split(idx.spectra)
+            if a:
+                for assignments, _ in iter_class_representatives(idx):
+                    out[spectra_s, tuple(itertools.compress(assignments, keep))] = [
+                        (tuple(itertools.compress(idx.spectra, mask)), tuple(itertools.compress(assignments, mask)))
+                        for mask in masks
+                    ]
+    return out
+
+
+def test_counted_grades_match_profiles_on_every_single_degree_component():
+    # at n <= 10, every component of a kept factor whose orders share one
+    # degree o: the i-sets of its eigenvalues with product 1 against the
+    # profile, at every top; the full grades start 1, 0 (no eigenvalue is
+    # 1), are symmetric (the product of all is det = 1) and sum to the
+    # point orbits of the component's own class index, with no profile
+    factors = kept_factors(10)
+    components = {part for parts in factors.values() for part in parts}
+    counted = repeated = 0
+    for spectra, assignments in components:
+        degrees = {multiplicative_order(2, t.d) for t in spectra}
+        if len(degrees) > 1:
+            continue
+        a = dimension(spectra)
+        full = _eigenvalue_grades(*degrees, spectra, assignments, a)
+        require(full == profiled_grades(spectra, assignments, a), spectra, assignments)
+        for top in range(a):
+            require(_eigenvalue_grades(*degrees, spectra, assignments, top) == full[: top + 1], spectra, top)
+        require(full[:2] == [1, 0] and full == full[::-1], spectra, full)
+        require(sum(full) == orbit_exponent(ClassIndex(a, 2, (), spectra)), spectra, full)
+        counted += 1
+        repeated += any(copies > 1 for t in spectra for copies, in t.entries)
+    require((len(factors), len(components), counted) == (90, 57, 36), len(factors), len(components), counted)
+    require(repeated > 0, repeated)
+
+
+def test_grades_of_the_components_convolve_to_the_whole_factor():
+    # the split alone, on the profile path: every kept factor at n <= 10
+    # has the grades of its coprime components convolved
+    for (spectra_s, assignments), parts in kept_factors(10).items():
+        a = dimension(spectra_s)
+        g = [1] + [0] * a
+        for spectra, slots in parts:
+            g = _convolve(g, profiled_grades(spectra, slots, dimension(spectra)))
+        require(g == profiled_grades(spectra_s, assignments, a), spectra_s, assignments)
+    # orders linked by a chain of shared primes form one component: 3 and
+    # 5 through 15; with no 15, each order is a component of its own
+    spectra = tuple(partition_tuple(d, psi(d, 2), [(1,)]) for d in (3, 5, 7, 15))
+    require(_semisimple_split(spectra)[4] == ((True, True, False, True), (False, False, True, False)))
+    require(_semisimple_split(spectra[:3])[4] == tuple(tuple(i == j for j in range(3)) for i in range(3)))
+
+
+def test_theta_counts_grades_without_changing_a_count(monkeypatch):
+    # with the count switched off, every component is profiled, and
+    # theta is unchanged; on, only the components that span several
+    # degrees are profiled: 9 of 35 at theta(9; 2, 3), 21 of 57 at
+    # theta(10; 1, 2)
+    from aglcount import rm
+
+    calls = []
+    for name in ("_grades", "_eigenvalue_grades"):
+        real = getattr(rm, name)
+        monkeypatch.setattr(rm, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    counted = {}
+    for args, profiled, components in (((9, 2, 3), 9, 35), ((10, 1, 2), 21, 57)):
+        del calls[:]
+        counted[args] = theta(*args)
+        require((calls.count("_grades"), len(calls)) == (profiled, components), args, calls.count("_grades"), len(calls))
+    monkeypatch.setattr(rm, "_eigenvalue_grades", lambda degree, spectra, assignments, top: profiled_grades(spectra, assignments, top))
+    for args, value in counted.items():
+        require(theta(*args) == value, args)
 
 
 def test_a_pooled_task_pickles_a_copy_of_the_caches():
